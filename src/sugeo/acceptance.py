@@ -109,7 +109,8 @@ def run_and_cvp():
                 _row(
                     f"and-cvp n={n} k={k:g}",
                     f"{expected:.12g}",
-                    f"{res.value:.12g} ({elapsed:.1f}s, w={res.window_used})",
+                    f"{res.value:.12g} ({elapsed:.1f}s, w={res.window_used}, "
+                    f"certified={res.certified})",
                     ok,
                 )
             )

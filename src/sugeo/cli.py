@@ -235,8 +235,17 @@ def _build_parser():
     p = add("cvp-min", _cmd_cvp_min, "minimal Pauli geodesic of a diagonal unitary")
     p.add_argument("--metric", required=True)
     p.add_argument("--phases", required=True, help='JSON file {"n": int, "theta": [floats]}')
-    p.add_argument("--window", type=int, default=2)
-    p.add_argument("--require-certified", action="store_true")
+    p.add_argument(
+        "--window",
+        type=int,
+        default=2,
+        help="kept for compatibility; must be >= 1 and does not change the result",
+    )
+    p.add_argument(
+        "--require-certified",
+        action="store_true",
+        help="exit 1 if the search runs out of its node budget before proving optimality",
+    )
 
     p = add("volume-bound", _cmd_volume_bound, "coverage lower bound on the geodesic radius")
     p.add_argument("--metric", required=True)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
+from .errors import InvalidConfig
+
 # Hard ceiling for dense Pauli-basis work (255 tangent dimensions at n=4).
 PAULI_N_MAX = 4
 
@@ -41,7 +43,7 @@ def env_n_cap(default: int = DEFAULT_N_CAP) -> int:
     try:
         value = int(raw)
     except ValueError:
-        return default
+        raise InvalidConfig(f"SUGEO_N_CAP={raw!r} is not an integer") from None
     return max(1, min(value, PAULI_N_MAX))
 
 

@@ -71,7 +71,15 @@ class InconsistentPenalties(SugeoError):
 
 
 class WindowTooSmall(SugeoError):
-    """Lattice enumeration could not certify optimality within the window cap."""
+    """The lattice search ran out of its node budget before proving optimality."""
+
+
+class NonFiniteInput(SugeoError):
+    """A phase, penalty value or other numeric input is NaN or infinite."""
+
+
+class InvalidConfig(SugeoError):
+    """An environment setting such as SUGEO_N_CAP cannot be parsed."""
 
 
 class UnsupportedSpec(SugeoError):

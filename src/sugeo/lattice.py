@@ -13,10 +13,19 @@ Pauli coefficients of a diagonal vector v are its scaled Walsh-Hadamard
 transform (W v)/2^n, where W[s, z] = (-1)^{popcount(s & z)}; bit s marks
 the Z positions (leftmost letter = most significant bit).
 
-Enumeration is exhaustive over a coordinate window, pruned by the Parseval
-bound F >= sqrt(sum v_z^2 / 2^n) (valid for every family here since all
-penalty weights are >= 1), with a certification rule that turns a windowed
-search into exact CVP when the incumbent is small enough.
+The CVP is solved exactly by a Schnorr-Euchner sphere decoder (Fincke &
+Pohst 1985; Agrell, Eriksson, Vardy & Zeger, IEEE Trans. IT 48, 2002): a
+depth-first search over integer m, pruned by the quadratic lower bound
+F(v) >= sqrt(Q(v)), Q(v) = sum_s c_s y_s^2 with y = W v / 2^n.  For the
+quadratic families c_s = w_s and the bound is F itself; for the taxicab
+families c_s = w_s^2, since a weighted l1 norm dominates the weighted l2
+norm.  In SU mode the identity weight is 0, and the search runs over the
+first 2^n - 1 coordinates with the last fixed by sum(m) = sum(h)/2pi.
+Every leaf that survives the bound is scored with the exact F.  The
+search starts from the zero shift, so the result is never worse than it,
+and stops after a fixed node budget: a finished search is exact
+(certified=True); one that runs out returns its best point uncertified.
+`window_used` is max|m_z| of the returned minimizer.
 
 The smoothed families are evaluated through their Delta -> 0 limits (F1Delta
 as F1, FpDelta as Fp): the objective needs no smoothness and the limit is
@@ -36,14 +45,13 @@ from .config import DEFAULT_N_CAP, env_n_cap
 from .errors import (
     DimensionLimit,
     DimensionMismatch,
+    NonFiniteInput,
     NonTracelessInSUMode,
     UnsupportedSpec,
     WindowTooSmall,
 )
 from .metrics import F1, F1DELTA, F2, FP, FPDELTA, FQ, MetricSpec
 from .pauli import SU, U, PauliVector, HermitianOperator, basis_dimension, string_index
-
-_CHUNK = 1 << 19
 
 
 @dataclass
@@ -57,6 +65,8 @@ class DiagonalUnitary:
         self.phases = np.asarray(self.phases, dtype=float)
         if self.phases.shape != (2**self.n,):
             raise DimensionMismatch(f"expected {2**self.n} phases")
+        if not np.all(np.isfinite(self.phases)):
+            raise NonFiniteInput("phases must be finite")
 
     def to_json(self) -> dict:
         return {"n": self.n, "theta": [float(t) for t in self.phases]}
@@ -75,7 +85,7 @@ class PhaseLattice:
 
     def basis_matrix(self) -> np.ndarray:
         """Columns = Pauli coefficients of the U-mode basis 2*pi |z><z|."""
-        return 2 * np.pi * hadamard(2**self.n).astype(float) / 2**self.n
+        return 2 * np.pi * _walsh(2**self.n) / 2**self.n
 
     def log_det(self) -> float:
         d = 2**self.n
@@ -108,6 +118,14 @@ def _z_index_map(n: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _walsh(dim: int) -> np.ndarray:
+    """W[s, z] = (-1)^{popcount(s & z)} as a read-only float matrix."""
+    W = hadamard(dim).astype(float)
+    W.flags.writeable = False
+    return W
+
+
 def diagonal_to_pauli(h: np.ndarray) -> PauliVector:
     """U-mode Pauli coefficients of diag(h): the Walsh-Hadamard transform /2^n."""
     h = np.asarray(h, dtype=float)
@@ -115,7 +133,7 @@ def diagonal_to_pauli(h: np.ndarray) -> PauliVector:
     n = int(round(math.log2(dim)))
     if 2**n != dim:
         raise DimensionMismatch(f"phase vector length {dim} is not a power of two")
-    y = hadamard(dim) @ h / dim
+    y = _walsh(dim) @ h / dim
     entries = np.zeros(basis_dimension(n, U))
     entries[_z_index_map(n)] = y
     return PauliVector(n, U, entries)
@@ -125,20 +143,20 @@ def diagonal_to_pauli(h: np.ndarray) -> PauliVector:
 # the CVP solver
 
 
+@lru_cache(maxsize=256)
 def _diag_weights(spec: MetricSpec, n: int):
-    """(kind, per-coordinate weights w_s over the 2^n diagonal strings)."""
-    popcounts = np.array([bin(s).count("1") for s in range(2**n)])
-    if spec.family in (F1, F1DELTA):
-        return "taxicab", np.ones(2**n)
-    if spec.family in (FP, FPDELTA):
-        return "taxicab", np.array([spec.penalty.weight_value(int(j)) for j in popcounts])
-    if spec.family == F2:
-        return "quadratic", np.ones(2**n)
-    if spec.family == FQ:
-        return "quadratic", np.array(
-            [spec.penalty.weight_value(int(j)) for j in popcounts]
-        )
-    raise UnsupportedSpec(f"no CVP objective for family {spec.family}")
+    """(kind, per-coordinate weights w_s over the 2^n diagonal strings).
+
+    The weights array is cached and read-only.
+    """
+    if spec.family in (F1, F1DELTA, F2):
+        weights = np.ones(2**n)
+    elif spec.family in (FP, FPDELTA, FQ):
+        weights = np.array([spec.penalty.weight_value(bin(s).count("1")) for s in range(2**n)])
+    else:
+        raise UnsupportedSpec(f"no CVP objective for family {spec.family}")
+    weights.flags.writeable = False
+    return ("quadratic" if spec.family in (F2, FQ) else "taxicab"), weights
 
 
 def _values(kind: str, weights: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -147,32 +165,36 @@ def _values(kind: str, weights: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.sqrt(y**2 @ weights)
 
 
+# Node budget of the sphere-decoding search.  The search visits roughly 600k
+# nodes/s in CPython 3.11, so one that runs out stops after 1-2 s.
+_NODE_BUDGET = 1_000_000
+
+
 def cvp_minimal_pauli_geodesic(
     spec: MetricSpec,
     U_diag,
     window: int = 2,
     require_certified: bool = False,
 ) -> CvpResult:
-    """Minimize F(diag(h) - 2*pi*diag(m)) by windowed exhaustive enumeration.
+    """Minimize F(diag(h) - 2*pi*diag(m)) over integer m by sphere decoding.
 
-    Enumerates m in [-w, w]^{2^n} (SU mode adds the constraint
-    sum(m) = sum(h)/2pi, fixing the trace of the Hamiltonian to zero).
-    The result is certified exact when the incumbent is below the cheapest
-    conceivable cost of leaving the window, 2*pi*w*min(weights)/2^n;
-    otherwise the window doubles once, capped at 4, and the result carries
-    certified=False (or raises if require_certified).
+    SU mode adds the constraint sum(m) = sum(h)/2pi, fixing the trace of the
+    Hamiltonian to zero.  The search is exact unless it runs out of its node
+    budget; then the best m found is returned with certified=False (or
+    WindowTooSmall is raised if require_certified).  `window` is accepted
+    for compatibility and must be >= 1, but no longer bounds the search;
+    `window_used` reports max|m_z| of the returned minimizer.
     """
-    if isinstance(U_diag, DiagonalUnitary):
-        n, theta = U_diag.n, U_diag.phases
-    else:
+    if not isinstance(U_diag, DiagonalUnitary):
         theta = np.asarray(U_diag, dtype=float)
-        n = int(round(math.log2(len(theta))))
+        U_diag = DiagonalUnitary(int(round(math.log2(len(theta)))), theta)
+    n = U_diag.n
     cap = min(env_n_cap(default=DEFAULT_N_CAP), 3)
-    if n > cap:
-        raise DimensionLimit(f"CVP enumeration capped at n={cap} (9^{2**n} candidates)")
+    if not 1 <= n <= cap:
+        raise DimensionLimit(f"CVP search needs 1 <= n <= {cap}, got n={n}")
     if window < 1:
         raise ValueError("window must be >= 1")
-    h = reduce_phases(theta)
+    h = reduce_phases(U_diag.phases)
     kind, weights = _diag_weights(spec, n)
 
     su_sum = None
@@ -185,18 +207,12 @@ def cvp_minimal_pauli_geodesic(
             )
         weights = weights.copy()
         weights[0] = 0.0  # identity coefficient is projected out
-    w_min = float(np.min(weights[weights > 0.0])) if np.any(weights > 0.0) else 1.0
 
-    w = window
-    while True:
-        value, m = _enumerate(kind, weights, h, w, su_sum, n)
-        certified = value < 2 * np.pi * w * w_min / 2**n
-        if certified or w >= 4:
-            break
-        w = min(2 * w, 4)
+    m, value, certified = _sphere_decode(kind, weights, h, su_sum)
     if require_certified and not certified:
         raise WindowTooSmall(
-            f"window {w} could not certify optimality (incumbent {value:.6g})"
+            f"search stopped after {_NODE_BUDGET} nodes without proving optimality "
+            f"(incumbent {value:.6g})"
         )
     v = h - 2 * np.pi * m
     if su_sum is not None:
@@ -206,45 +222,97 @@ def cvp_minimal_pauli_geodesic(
         value=value,
         geodesic_hamiltonian=HermitianOperator(n, np.diag(v.astype(complex))),
         certified=certified,
-        window_used=w,
+        window_used=int(np.abs(m).max()),
     )
 
 
-def _enumerate(kind, weights, h, w, su_sum, n):
-    dim = 2**n
-    Wt = hadamard(dim).astype(float)
-    base = 2 * w + 1
-    total = base**dim
-    # seed the incumbent with the Babai point so pruning bites immediately
-    best_m = np.zeros(dim, dtype=int)
-    best_value = math.inf
-    if su_sum is None or su_sum == 0:
-        best_value = float(_values(kind, weights, (h @ Wt / dim)[None, :])[0])
-    shape = (base,) * dim
-    for c0 in range(0, total, _CHUNK):
-        c1 = min(c0 + _CHUNK, total)
-        idx = np.arange(c0, c1)
-        m = np.stack(np.unravel_index(idx, shape), axis=1) - w
-        if su_sum is not None:
-            keep = m.sum(axis=1) == su_sum
-            if not np.any(keep):
+@lru_cache(maxsize=256)
+def _pruning_form(kind: str, weights: tuple, su: bool):
+    """Upper Cholesky factor R of the pruning form A, as (R_ii^2, R_ij/R_ii).
+
+    A = W^T diag(c) W / 4^n with c = w (quadratic) or w^2 (taxicab), so that
+    F(h - 2*pi*m) >= 2*pi*sqrt((t - m)^T A (t - m)) with t = h/2pi.  In SU
+    mode A is singular along the all-ones vector; it is replaced by B^T A B,
+    B = [I; -1^T], the form in the first d - 1 coordinates of m.
+    """
+    w = np.array(weights)
+    c = w if kind == "quadratic" else w**2
+    dim = len(w)
+    W = _walsh(dim)
+    A = W.T @ (c[:, None] * W) / dim**2
+    if su:
+        B = np.vstack([np.eye(dim - 1), -np.ones(dim - 1)])
+        A = B.T @ A @ B
+    R = np.linalg.cholesky(A).T
+    diag = np.diag(R)
+    return (diag**2).tolist(), (R / diag[:, None]).tolist()
+
+
+def _sphere_decode(kind, weights, h, su_sum):
+    """Schnorr-Euchner depth-first search for argmin_m F(h - 2*pi*m).
+
+    Levels run from the last coordinate to the first; each level visits
+    integers in zig-zag order around its projected centre, so the partial
+    distance never decreases along a level and the first prune ends it.
+    Returns (m, F at m, certified); certified is False if the node budget
+    ran out.
+    """
+    dim = len(h)
+    t = h / (2 * np.pi)
+    if su_sum is not None:
+        # A kills the all-ones vector, so removing the mean leaves Q unchanged
+        # and puts t in the range of B even when sum(h)/2pi is off by rounding
+        t[-1] -= su_sum
+        t = (t - np.mean(t))[:-1]
+    q, r = _pruning_form(kind, tuple(weights), su_sum is not None)
+    a = t.tolist()
+    depth = len(a)
+    W = _walsh(dim)
+
+    def full(mr):
+        return np.array(mr if su_sum is None else mr + [su_sum - sum(mr)])
+
+    def value_at(mr):
+        return float(_values(kind, weights, (h - 2 * np.pi * full(mr)) @ W / dim))
+
+    # seed with the zero shift (m = su_sum e_{d-1} in SU mode, m = 0 otherwise)
+    best_m = [0] * depth
+    best = value_at(best_m)
+    bound = (best / (2 * np.pi)) ** 2
+
+    m = [0] * depth
+    centre = [0.0] * depth
+    step = [0] * depth
+    dist = [0.0] * (depth + 1)
+
+    def enter(i):
+        ci = a[i] + sum(r[i][j] * (a[j] - m[j]) for j in range(i + 1, depth))
+        centre[i] = ci
+        m[i] = round(ci)
+        step[i] = 1 if ci >= m[i] else -1
+
+    i = depth - 1
+    enter(i)
+    for _ in range(_NODE_BUDGET):
+        diff = centre[i] - m[i]
+        d_i = dist[i + 1] + q[i] * diff * diff
+        if d_i < bound:
+            if i > 0:
+                dist[i] = d_i
+                i -= 1
+                enter(i)
                 continue
-            m = m[keep]
-        v = h[None, :] - 2 * np.pi * m
-        # Parseval prune: every family's value is >= the flat-q F2 value
-        ssq = np.einsum("ij,ij->i", v, v) / dim
-        if su_sum is not None:
-            ssq = np.maximum(ssq - (np.sum(h) - 2 * np.pi * su_sum) ** 2 / dim**2, 0.0)
-        alive = ssq < best_value**2
-        if not np.any(alive):
-            continue
-        y = v[alive] @ Wt / dim
-        vals = _values(kind, weights, y)
-        i = int(np.argmin(vals))
-        if vals[i] < best_value:
-            best_value = float(vals[i])
-            best_m = m[alive][i]
-    return best_value, best_m
+            value = value_at(m)
+            if value < best:
+                best, best_m = value, m.copy()
+                bound = (best / (2 * np.pi)) ** 2
+        else:
+            i += 1
+            if i == depth:
+                return full(best_m), best, True
+        m[i] += step[i]
+        step[i] = -step[i] - (1 if step[i] > 0 else -1)
+    return full(best_m), best, False
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +384,7 @@ def monte_carlo_coverage(
     kind, weights = _diag_weights(spec, n)
     rng = np.random.default_rng(seed)
     h = rng.uniform(-np.pi, np.pi, size=(samples, dim))
-    Wt = hadamard(dim).astype(float)
+    Wt = _walsh(dim)
     best = np.full(samples, np.inf)
     base = 2 * window + 1
     for flat in range(base**dim):

@@ -21,6 +21,7 @@ tr(H^2)/2^n elsewhere are its square.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,11 +30,12 @@ import numpy as np
 from .errors import (
     DeltaTooLarge,
     DimensionMismatch,
+    NonFiniteInput,
     NotSmoothMetric,
     UnsupportedSpec,
     ZeroVector,
 )
-from .pauli import SU, PauliVector, basis_dimension, weights_array
+from .pauli import SU, U, PauliVector, basis_dimension, weights_array
 
 F1 = "F1"
 F2 = "F2"
@@ -65,9 +67,13 @@ class PenaltyFunction:
 
     def __post_init__(self):
         if self.kind == "step":
+            if not math.isfinite(self.k):
+                raise NonFiniteInput(f"step penalty k={self.k} is not finite")
             if self.k < 1.0:
                 raise ValueError(f"step penalty k={self.k} < 1")
         elif self.kind == "table":
+            if self.values and not all(math.isfinite(v) for v in self.values):
+                raise NonFiniteInput(f"table penalty values {self.values} are not all finite")
             if not self.values or any(v < 1.0 for v in self.values):
                 raise ValueError("table penalty needs values, all >= 1")
             object.__setattr__(self, "values", tuple(float(v) for v in self.values))
@@ -114,6 +120,8 @@ class MetricSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise UnsupportedSpec(f"unknown metric family {self.family!r}")
+        if self.mode not in (U, SU):
+            raise UnsupportedSpec(f"mode must be {U!r} or {SU!r}, got {self.mode!r}")
         if self.family in NEEDS_PENALTY and self.penalty is None:
             raise UnsupportedSpec(f"{self.family} requires a penalty function")
         if self.family in SMOOTHED:

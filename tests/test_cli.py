@@ -194,6 +194,22 @@ def test_cvp_min_and_gate(capsys, tmp_path):
     assert obj["certified"] is True
 
 
+def test_cvp_min_rejects_non_finite(capsys, tmp_path):
+    metric = write_json(tmp_path, "f1u.json", {"family": "F1", "mode": "U"})
+    phases = write_json(tmp_path, "ph.json", {"n": 1, "theta": [float("nan"), 0.0]})
+    code, out, err = run(capsys, ["cvp-min", "--metric", metric, "--phases", phases])
+    assert code == 1
+    assert out == ""
+    assert "NonFiniteInput" in err
+    bad_k = write_json(
+        tmp_path, "fp.json", {"family": "Fp", "penalty": {"kind": "step", "k": float("inf")}}
+    )
+    good = write_json(tmp_path, "ok.json", {"n": 1, "theta": [0.0, 0.0]})
+    code, _, err = run(capsys, ["cvp-min", "--metric", bad_k, "--phases", good])
+    assert code == 1
+    assert "NonFiniteInput" in err
+
+
 def test_volume_bound_cli(capsys, tmp_path):
     metric = write_json(tmp_path, "f2u.json", {"family": "F2", "mode": "U"})
     code, out, _ = run(

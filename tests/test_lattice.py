@@ -1,11 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import hadamard
 
 from sugeo.errors import (
     DimensionLimit,
+    NonFiniteInput,
     NonTracelessInSUMode,
     WindowTooSmall,
 )
@@ -20,7 +24,7 @@ from sugeo.lattice import (
     reduce_phases,
     unit_ball_volume,
 )
-from sugeo.metrics import F1, F2, FQ, MetricSpec, PenaltyFunction
+from sugeo.metrics import F1, F2, FP, FQ, MetricSpec, PenaltyFunction
 from sugeo.pauli import SU, U, to_matrix
 
 F1_U = MetricSpec(family=F1, mode=U)
@@ -97,16 +101,107 @@ def test_cvp_dimension_cap():
         cvp_minimal_pauli_geodesic(F1_U, np.zeros(16))
 
 
-def test_cvp_uncertified_window():
+def test_cvp_certifies_table_penalty():
+    # window enumeration could not certify this; the sphere decoder proves it
     pen = PenaltyFunction(kind="table", values=(1.0, 200.0))
     spec = MetricSpec(family=FQ, penalty=pen, mode=U)
     theta = np.array([0.0, np.pi])
+    res = cvp_minimal_pauli_geodesic(spec, theta, require_certified=True)
+    assert res.certified
+    assert res.window_used == int(np.max(np.abs(res.minimizer)))
+    assert res.value == pytest.approx(0.5 * np.pi * math.sqrt(201.0), rel=1e-12)
+
+
+def test_cvp_node_budget_exhausted():
+    # the weighted-l1 bound is loose at k = 100: the search runs out of nodes
+    # and returns its zero-shift incumbent, which is the closed-form optimum
+    n, k = 3, 100.0
+    spec = MetricSpec(family=FP, penalty=PenaltyFunction(kind="step", k=k), mode=U)
+    theta = np.zeros(2**n)
+    theta[-1] = np.pi
     res = cvp_minimal_pauli_geodesic(spec, theta)
     assert not res.certified
-    assert res.window_used == 4
-    assert res.value == pytest.approx(0.5 * np.pi * math.sqrt(201.0), rel=1e-12)
+    assert np.all(res.minimizer == 0)
+    assert res.window_used == 0
+    expected = np.pi * (k - (2 + n + n * n) / 2 ** (n + 1) * (k - 1.0))
+    assert res.value == pytest.approx(expected, rel=1e-12)
     with pytest.raises(WindowTooSmall):
         cvp_minimal_pauli_geodesic(spec, theta, require_certified=True)
+
+
+def test_cvp_window_does_not_change_result():
+    theta = np.array([0.3, -2.9, 1.7, 2.2])
+    a = cvp_minimal_pauli_geodesic(F1_U, theta, window=1)
+    b = cvp_minimal_pauli_geodesic(F1_U, theta, window=4)
+    assert a.value == b.value
+    assert np.array_equal(a.minimizer, b.minimizer)
+
+
+def _diag_value(kind, w, h, m):
+    """F(diag(h - 2 pi m)) for each row of m, straight from the definition."""
+    d = len(h)
+    y = (h[None, :] - 2 * np.pi * m) @ hadamard(d).T / d
+    if kind == "taxicab":
+        return np.abs(y) @ w
+    return np.sqrt(y**2 @ w)
+
+
+CVP_CASES = [
+    (F1, None),
+    (FP, 1.5),
+    (FP, 4.0),
+    (F2, None),
+    (FQ, 4.0),
+    (FQ, 200.0),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.sampled_from([1, 2]),
+    case=st.sampled_from(CVP_CASES),
+    mode=st.sampled_from([U, SU]),
+    cutoff=st.sampled_from([0, 1]),
+    raw=st.lists(st.floats(-np.pi, np.pi), min_size=4, max_size=4),
+)
+def test_cvp_exact_against_brute_force(n, case, mode, cutoff, raw):
+    family, k = case
+    d = 2**n
+    theta = np.array(raw[:d])
+    if mode == SU:
+        theta[-1] = -np.sum(theta[:-1])
+    pen = None if k is None else PenaltyFunction(kind="step", k=k, low_weight_cutoff=cutoff)
+    spec = MetricSpec(family=family, penalty=pen, mode=mode)
+    res = cvp_minimal_pauli_geodesic(spec, theta)
+    assert res.certified
+
+    kind = "quadratic" if family in (F2, FQ) else "taxicab"
+    w = np.array([1.0 if pen is None else pen.weight_value(bin(s).count("1")) for s in range(d)])
+    h = reduce_phases(theta)
+    zero = np.zeros(d, dtype=int)
+    if mode == SU:
+        w[0] = 0.0
+        su_sum = int(round(np.sum(h) / (2 * np.pi)))
+        assert int(np.sum(res.minimizer)) == su_sum
+        zero[-1] = su_sum  # the zero shift, moved onto the trace-zero slice
+    radius = res.window_used + 1
+    box = np.array(list(itertools.product(range(-radius, radius + 1), repeat=d)))
+    if mode == SU:
+        box = box[box.sum(axis=1) == su_sum]
+    brute = float(np.min(_diag_value(kind, w, h, box)))
+    assert res.value == pytest.approx(brute, rel=1e-9, abs=1e-12)
+    assert res.value <= _diag_value(kind, w, h, zero[None, :])[0] + 1e-12
+    assert res.value == pytest.approx(
+        _diag_value(kind, w, h, res.minimizer[None, :])[0], rel=1e-12, abs=1e-12
+    )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cvp_rejects_non_finite_phases(bad):
+    with pytest.raises(NonFiniteInput):
+        DiagonalUnitary(1, np.array([bad, 0.0]))
+    with pytest.raises(NonFiniteInput):
+        cvp_minimal_pauli_geodesic(F1_U, np.array([bad, 0.0]))
 
 
 def test_unit_ball_volumes_closed_form():

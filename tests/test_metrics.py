@@ -4,6 +4,7 @@ import pytest
 from sugeo.errors import (
     DeltaTooLarge,
     DimensionMismatch,
+    NonFiniteInput,
     NotSmoothMetric,
     UnsupportedSpec,
     ZeroVector,
@@ -79,6 +80,22 @@ def test_spec_validation():
         MetricSpec(FP)  # penalty missing
     with pytest.raises(UnsupportedSpec):
         MetricSpec(F1DELTA)  # delta missing
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_penalty_rejects_non_finite(bad):
+    with pytest.raises(NonFiniteInput):
+        PenaltyFunction(kind="step", k=bad)
+    with pytest.raises(NonFiniteInput):
+        PenaltyFunction(kind="table", values=(1.0, bad))
+
+
+@pytest.mark.parametrize("mode", ["X", "u", ""])
+def test_spec_rejects_unknown_mode(mode):
+    with pytest.raises(UnsupportedSpec):
+        MetricSpec(F1, mode=mode)
+    with pytest.raises(UnsupportedSpec):
+        MetricSpec.from_json({"family": "F2", "mode": mode})
 
 
 def test_spec_json_roundtrip():
