@@ -165,8 +165,9 @@ def _values(kind: str, weights: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.sqrt(y**2 @ weights)
 
 
-# Node budget of the sphere-decoding search.  The search visits roughly 600k
-# nodes/s in CPython 3.11, so one that runs out stops after 1-2 s.
+# Node budget of the sphere-decoding search.  The search visits about 600k
+# nodes/s (CPython 3.11, one core of a 2-core Xeon VM), so one that runs out
+# stops after 1-2 s.
 _NODE_BUDGET = 1_000_000
 
 
