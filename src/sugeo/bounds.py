@@ -18,10 +18,9 @@ Fq survive), and arbitrary unitary conjugation leaves only F2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import DimensionMismatch, NotGBounding
 from .metrics import (
@@ -33,12 +32,12 @@ from .metrics import (
     FQ,
     MetricSpec,
     norm,
-    norms_batch,
 )
 from .pauli import (
     SU,
     PauliVector,
     basis_dimension,
+    basis_stack,
     matrix_of,
     pauli_matrix,
     project_to_pauli,
@@ -132,6 +131,8 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # circuit-to-curve construction
 
+_SAMPLES_PER_SEGMENT = 250
+
 
 def regularizer(m: int):
     """r(t) = 1 - cos(2 pi m t): zero at multiples of 1/m, segment integrals 1/m."""
@@ -165,79 +166,62 @@ class CircuitTrajectory:
         return self.length <= self.gate_count + 1e-6
 
 
-def _polar_unitary(V: np.ndarray) -> np.ndarray:
-    P, _, Q = np.linalg.svd(V)
-    return P @ Q
+def circuit_to_curve(circuit: Circuit, spec: MetricSpec) -> CircuitTrajectory:
+    """The trajectory of dV/dt = -i r(t) m alpha_j sigma_j V, in closed form.
 
-
-def circuit_to_curve(
-    circuit: Circuit, spec: MetricSpec, steps_per_segment: int = 250
-) -> CircuitTrajectory:
-    """Integrate dV/dt = -i r(t) m H_j V over the gate segments.
-
-    RK4 with polar re-unitarization each step; the endpoint reproduces the
-    circuit product and the length never exceeds the gate count for a
-    G-bounding metric.  Every gate Hamiltonian is checked against the
-    metric at entry (G-bounding is a property of the penalties, not of the
-    spec label).
+    sigma_j^2 = I, so on segment j (t in [j/m, (j+1)/m], 0-based) the curve is
+    V(t) = (cos theta I - i sin theta sigma_j) V_j with V_j the product of the
+    first j gates and theta(t) = alpha_j (m t - j - sin(2 pi m t) / (2 pi)).
+    The speed is r(t) m alpha_j F(sigma_j) and the length is exactly
+    sum_j alpha_j F(sigma_j), which never exceeds the gate count for a
+    G-bounding metric.  Every gate Hamiltonian is checked against the metric
+    at entry (G-bounding is a property of the penalties, not of the spec
+    label).  Each segment is sampled at _SAMPLES_PER_SEGMENT points.
     """
     gate_set = GateSet()
     m = len(circuit.gates)
     dim = 2**circuit.n
-    d = basis_dimension(circuit.n, spec.mode)
-    idx = string_index(circuit.n, spec.mode)
+    eye = np.eye(dim, dtype=complex)
     if m == 0:
         ts = np.array([0.0, 1.0])
-        eye = np.eye(dim, dtype=complex)
         return CircuitTrajectory(
             circuit, spec, ts, np.array([eye, eye]), np.zeros(2), 0.0, 0.0
         )
 
-    sigmas = []
-    for g in circuit.gates:
+    d = basis_dimension(circuit.n, spec.mode)
+    idx = string_index(circuit.n, spec.mode)
+    k = _SAMPLES_PER_SEGMENT
+    ts = np.arange(m * k + 1) / (m * k)
+    r = regularizer(m)(ts)
+    V = eye
+    unitaries = [V[None]]
+    speeds = [np.zeros(1)]
+    gate_norms = []
+    for j, g in enumerate(circuit.gates):
         gate_set.validate(g)
         s = circuit.full_string(g)
         e = np.zeros(d)
         e[idx[s]] = g.alpha
-        if norm(spec, e) > 1.0 + 1e-12:
+        gate_norm = norm(spec, e)
+        if gate_norm > 1.0 + 1e-12:
             raise NotGBounding(
-                f"gate Hamiltonian {g.alpha:.3g}*{s} has norm {norm(spec, e):.6f} > 1"
+                f"gate Hamiltonian {g.alpha:.3g}*{s} has norm {gate_norm:.6f} > 1"
             )
-        sigmas.append((pauli_matrix(s), idx[s], g.alpha))
+        gate_norms.append(gate_norm)
+        seg = slice(j * k + 1, (j + 1) * k + 1)
+        theta = g.alpha * (m * ts[seg] - j - np.sin(2 * np.pi * m * ts[seg]) / (2 * np.pi))
+        sigma_V = pauli_matrix(s) @ V
+        unitaries.append(
+            np.cos(theta)[:, None, None] * V - 1j * np.sin(theta)[:, None, None] * sigma_V
+        )
+        speeds.append(r[seg] * m * gate_norm)
+        V = gate_unitary(circuit, g) @ V
 
-    r = regularizer(m)
-    k = steps_per_segment
-    dt = 1.0 / (m * k)
-    V = np.eye(dim, dtype=complex)
-    ts = [0.0]
-    unitaries = [V.copy()]
-    controls = [np.zeros(d)]
-
-    for j, (sigma, col, alpha) in enumerate(sigmas):
-        for step in range(k):
-            t0 = j / m + step * dt
-
-            def rhs(t, W):
-                return -1j * (r(t) * m * alpha) * (sigma @ W)
-
-            k1 = rhs(t0, V)
-            k2 = rhs(t0 + 0.5 * dt, V + 0.5 * dt * k1)
-            k3 = rhs(t0 + 0.5 * dt, V + 0.5 * dt * k2)
-            k4 = rhs(t0 + dt, V + dt * k3)
-            V = _polar_unitary(V + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
-            t1 = t0 + dt
-            ts.append(t1)
-            unitaries.append(V.copy())
-            gamma = np.zeros(d)
-            gamma[col] = r(t1) * m * alpha
-            controls.append(gamma)
-
-    ts = np.array(ts)
-    speeds = norms_batch(spec, np.array(controls))
-    length = float(simpson(speeds, x=ts))
-    endpoint_error = float(np.max(np.abs(V - circuit_unitary(circuit))))
+    unitaries = np.concatenate(unitaries)
+    endpoint_error = float(np.max(np.abs(unitaries[-1] - V)))
     return CircuitTrajectory(
-        circuit, spec, ts, np.array(unitaries), speeds, length, endpoint_error
+        circuit, spec, ts, unitaries, np.concatenate(speeds), float(sum(gate_norms)),
+        endpoint_error,
     )
 
 
@@ -309,9 +293,7 @@ def isometry_check(
     counterexample = None
     for _ in range(samples):
         y = rng.standard_normal(d)
-        H = np.einsum(
-            "k,kij->ij", y, np.stack([pauli_matrix(s) for s in _su_strings(n)])
-        )
+        H = np.einsum("k,kij->ij", y, basis_stack(n, SU))
         pushed = project_to_pauli(iso.push(H), SU)
         dev = abs(norm(spec, pushed) - norm(spec, PauliVector(n, SU, y)))
         if dev > worst:
@@ -319,12 +301,6 @@ def isometry_check(
             if dev > 1e-6 and counterexample is None:
                 counterexample = PauliVector(n, SU, y)
     return IsometryCheckResult(worst, iso.applicable(spec), counterexample)
-
-
-def _su_strings(n: int):
-    from .pauli import pauli_strings
-
-    return pauli_strings(n, SU)
 
 
 def pauli_symmetric_check(spec: MetricSpec, samples: int = 50, n: int = 2,

@@ -25,7 +25,7 @@ from .bounds import (
     swap_matrix,
 )
 from .coords import UnitaryOperator, change_coords_backward, change_coords_forward
-from .errors import SugeoError
+from .errors import NonFiniteInput, SugeoError
 from .geodesic import Curve, el_residual, pauli_geodesic, shoot_geodesic
 from .lattice import DiagonalUnitary, coverage_bound, cvp_minimal_pauli_geodesic
 from .metrics import MetricSpec, evaluate, norm
@@ -38,7 +38,10 @@ def _load(path):
 
 
 def _emit(obj, out_path):
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as e:
+        raise NonFiniteInput(f"result is not finite: {e}") from None
     if out_path:
         with open(out_path, "w") as f:
             f.write(text)

@@ -1,4 +1,4 @@
-"""Run configuration: dimension caps, seeding, tolerances.
+"""Run configuration: dimension caps and tolerances.
 
 The qubit-count cap exists because everything here is dense: the tangent
 space has dimension 4^n (minus one in SU mode) and the coordinate-change
@@ -9,7 +9,6 @@ ceiling for the algebra layer.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 
 from .errors import InvalidConfig
 
@@ -25,12 +24,9 @@ SHOOT_N_CAP = 2
 
 DEFAULT_TOLERANCES = {
     "unitarity": 1e-10,
-    "hermiticity": 1e-12,
-    "traceless": 1e-10,
     "branch_cut": 1e-8,
     "eig_cluster": 1e-8,
     "pinv_cutoff": 1e-10,
-    "implicit_norm": 1e-12,
     "fd_step_x": 1e-5,
 }
 
@@ -46,19 +42,3 @@ def env_n_cap(default: int = DEFAULT_N_CAP) -> int:
         raise InvalidConfig(f"SUGEO_N_CAP={raw!r} is not an integer") from None
     return max(1, min(value, PAULI_N_MAX))
 
-
-@dataclass
-class RunConfig:
-    """Settings shared by the CLI and the reproduction suite."""
-
-    n_cap: int = field(default_factory=env_n_cap)
-    seed: int = 20260822
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
-    output_dir: str = "."
-
-    def __post_init__(self):
-        if self.n_cap > PAULI_N_MAX:
-            self.n_cap = PAULI_N_MAX
-        for name, value in self.tolerances.items():
-            if value <= 0:
-                raise ValueError(f"tolerance {name!r} must be positive")

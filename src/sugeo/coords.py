@@ -110,15 +110,6 @@ class UnitaryOperator:
 
 
 @dataclass
-class TangentPair:
-    """A base point with one tangent vector in both coordinate systems."""
-
-    x: PauliVector
-    y_pauli: PauliVector = None
-    y_adapted: PauliVector = None
-
-
-@dataclass
 class Superoperator:
     """Linear map on 2^n x 2^n matrices, stored in vectorized (4^n x 4^n) form."""
 

@@ -74,8 +74,12 @@ class WindowTooSmall(SugeoError):
     """The lattice search ran out of its node budget before proving optimality."""
 
 
+class NoConvergence(SugeoError):
+    """An iterative solve missed its tolerance within its iteration cap."""
+
+
 class NonFiniteInput(SugeoError):
-    """A phase, penalty value or other numeric input is NaN or infinite."""
+    """A numeric input, or a result bound for JSON output, is NaN or infinite."""
 
 
 class InvalidConfig(SugeoError):

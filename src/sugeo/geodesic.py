@@ -64,17 +64,12 @@ from .pauli import (
     basis_stack,
     string_index,
     pauli_strings,
+    qubits_of_dimension,
 )
 
 _HX = DEFAULT_TOLERANCES["fd_step_x"]
 _MIN_G_EIG = 1e-10
 _CHUNK = 2048
-
-
-@dataclass
-class FinslerPoint:
-    x: PauliVector
-    y: PauliVector
 
 
 @dataclass
@@ -170,13 +165,6 @@ def _entries_of(v) -> np.ndarray:
     return np.asarray(v, dtype=float)
 
 
-def _infer_n(spec: MetricSpec, d: int) -> int:
-    for n in range(1, 8):
-        if basis_dimension(n, spec.mode) == d:
-            return n
-    raise DimensionMismatch(f"vector length {d} matches no qubit count in mode {spec.mode}")
-
-
 def _expm_entries(x: np.ndarray, n: int, mode: str) -> np.ndarray:
     H = np.einsum("k,kij->ij", x, basis_stack(n, mode))
     lam, V = np.linalg.eigh(H)
@@ -203,7 +191,7 @@ def metric_in_pauli_coords(spec: MetricSpec, x, y) -> float:
     xe, ye = _entries_of(x), _entries_of(y)
     if xe.shape != ye.shape:
         raise DimensionMismatch("x and y have different dimensions")
-    n = _infer_n(spec, len(xe))
+    n = qubits_of_dimension(len(xe), spec.mode)
     M = change_matrices(xe[None, :], n, spec.mode)[0]
     return norm(spec, M @ ye)
 
@@ -237,7 +225,7 @@ def _check_g(g: np.ndarray) -> np.ndarray:
 def christoffel(spec: MetricSpec, x, y) -> ChristoffelField:
     """Gamma^j_{kl} = (g^jm/2)(g_mk,l + g_ml,k - g_kl,m) at (x, y)."""
     xe, ye = _entries_of(x), _entries_of(y)
-    n = _infer_n(spec, len(xe))
+    n = qubits_of_dimension(len(xe), spec.mode)
     g, dg = _g_and_dg(spec, xe, ye, n)
     _check_g(g)
     ginv = np.linalg.inv(g)
@@ -274,7 +262,7 @@ def shoot_geodesic(
     step; re-anchors the chart when an eigenphase reaches pi - margin.
     """
     xe, ye = _entries_of(x0).copy(), _entries_of(y0).copy()
-    n = _infer_n(spec, len(xe))
+    n = qubits_of_dimension(len(xe), spec.mode)
     cap = n_cap if n_cap is not None else env_n_cap(default=SHOOT_N_CAP)
     if n > cap:
         raise DimensionLimit(

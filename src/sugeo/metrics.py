@@ -13,7 +13,10 @@ The smoothed families use g(y) = sum_sigma p_sigma sqrt(Delta^2 + y_sigma^2)
 and define N(y) as the unique positive solution of g(y/N) = 1.  That N is a
 strongly convex Minkowski norm provided Delta < 1/P with P = sum_sigma
 p_sigma, and satisfies the sandwich N_p(y) <= N(y) <= N_p(y)/(1 - P*Delta)
-where N_p is the exact weighted taxicab norm.
+where N_p is the exact weighted taxicab norm.  One Newton loop solves for
+N (see _implicit_norms): norms_batch runs it on every row at once, and
+norm, implicit_norm, grad_f_squared and hessian run it on a batch of one.
+Non-finite coefficients raise NonFiniteInput in every family.
 
 Note F2 here is a genuine norm (square root included).  Expressions like
 tr(H^2)/2^n elsewhere are its square.
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -30,12 +34,13 @@ import numpy as np
 from .errors import (
     DeltaTooLarge,
     DimensionMismatch,
+    NoConvergence,
     NonFiniteInput,
     NotSmoothMetric,
     UnsupportedSpec,
     ZeroVector,
 )
-from .pauli import SU, U, PauliVector, basis_dimension, weights_array
+from .pauli import SU, U, PauliVector, qubits_of_dimension, weights_array
 
 F1 = "F1"
 F2 = "F2"
@@ -46,10 +51,11 @@ FPDELTA = "FpDelta"
 
 FAMILIES = (F1, F2, FP, FQ, F1DELTA, FPDELTA)
 SMOOTHED = (F1DELTA, FPDELTA)
-QUADRATIC = (F2, FQ)
 NEEDS_PENALTY = (FP, FQ, FPDELTA)
 
 _IMPLICIT_TOL = 1e-12
+# Sweeps up to P*delta = 1 - 1e-6 needed at most 6 Newton evaluations.
+_NEWTON_CAP = 50
 
 
 @dataclass(frozen=True)
@@ -161,33 +167,30 @@ class NormEvaluation:
 # penalty vectors over the basis
 
 
+@lru_cache(maxsize=None)
 def penalty_vector(spec: MetricSpec, n: int) -> np.ndarray:
-    """p(wt sigma) over the basis in canonical order (ones for F1/F1Delta/F2)."""
+    """p(wt sigma) over the basis in canonical order (ones for F1/F1Delta/F2).
+
+    Cached per (spec, n) and returned read-only.
+    """
     w = weights_array(n, spec.mode)
     if spec.family in (F1, F2, F1DELTA) or spec.penalty is None:
-        return np.ones(len(w))
-    return np.array([spec.penalty.weight_value(int(j)) for j in w])
+        p = np.ones(len(w))
+    else:
+        p = np.array([spec.penalty.weight_value(int(j)) for j in w])
+    p.setflags(write=False)
+    return p
 
 
-def _entries(spec: MetricSpec, y, n: int = None) -> np.ndarray:
+def _entries(spec: MetricSpec, y) -> np.ndarray:
     if isinstance(y, PauliVector):
         if y.mode != spec.mode:
             raise DimensionMismatch(f"vector mode {y.mode} vs spec mode {spec.mode}")
         return y.entries
     y = np.asarray(y, dtype=float)
-    if n is not None and y.shape != (basis_dimension(n, spec.mode),):
-        raise DimensionMismatch(
-            f"expected {basis_dimension(n, spec.mode)} entries, got {y.shape}"
-        )
+    if not np.isfinite(y).all():
+        raise NonFiniteInput("vector has NaN or infinite entries")
     return y
-
-
-def _infer_n(spec: MetricSpec, y: np.ndarray) -> int:
-    d = len(y)
-    for n in range(1, 8):
-        if basis_dimension(n, spec.mode) == d:
-            return n
-    raise DimensionMismatch(f"vector length {d} matches no qubit count in mode {spec.mode}")
 
 
 # ---------------------------------------------------------------------------
@@ -197,132 +200,89 @@ def _infer_n(spec: MetricSpec, y: np.ndarray) -> int:
 def norm(spec: MetricSpec, y) -> float:
     """F(y) for any family (delegates to the implicit solver when smoothed)."""
     v = _entries(spec, y)
-    n = _infer_n(spec, v)
-    p = penalty_vector(spec, n)
+    if spec.family in SMOOTHED:
+        return implicit_norm(spec, v)
+    p = penalty_vector(spec, qubits_of_dimension(len(v), spec.mode))
     if spec.family in (F1, FP):
         return float(p @ np.abs(v))
-    if spec.family in (F2, FQ):
-        return float(np.sqrt(p @ v**2))
-    return implicit_norm(spec, y)
+    return float(np.sqrt(p @ v**2))
 
 
 def implicit_norm(spec: MetricSpec, y) -> float:
-    """Solve g(y/N) = 1 for N, where g(u) = sum p_j sqrt(delta^2 + u_j^2).
-
-    The map N -> g(y/N) decreases strictly from +inf to P*delta < 1, so the
-    root is unique.  Start from the sandwich-based bracket, widen it
-    geometrically if needed, then Newton with bisection fallback until
-    |g - 1| < 1e-12.
-    """
+    """The smoothed norm N(y) of one vector: the implicit solver on a batch of one."""
     if spec.family not in SMOOTHED:
         raise UnsupportedSpec(f"implicit_norm is for {SMOOTHED}, not {spec.family}")
-    v = _entries(spec, y)
-    n = _infer_n(spec, v)
-    p = penalty_vector(spec, n)
+    return float(_implicit_norms(spec, _entries(spec, y)[None, :])[0])
+
+
+def _implicit_norms(spec: MetricSpec, rows: np.ndarray) -> np.ndarray:
+    """Solve g(y/N) = 1 for N on each finite row y, g(u) = sum p_j sqrt(delta^2 + u_j^2).
+
+    Newton runs on s = 1/N.  g(s y) is convex and increasing in s, and by
+    Minkowski's inequality g(s y) >= sqrt((P delta)^2 + (s N_p(y))^2), with
+    N_p the weighted taxicab norm.  So Newton started at
+    s = sqrt(1 - (P delta)^2) / N_p is at or above the root and decreases
+    monotonically to it: no bracket is needed, and N_p < N holds exactly.
+    The loop works on u = s y, with y rescaled first to max|y_j| = 1, and
+    updates s <- s (1 - (g - 1) / sum_j p_j u_j^2 / sqrt(delta^2 + u_j^2)),
+    which neither overflows nor underflows.  A converged row is left alone,
+    so each row gets the same result as a batch of one.  Raises NoConvergence
+    if a row still has |g - 1| >= 1e-12 after _NEWTON_CAP steps.
+    """
+    p = penalty_vector(spec, qubits_of_dimension(rows.shape[1], spec.mode))
     P = float(np.sum(p))
     delta = spec.delta
     if P * delta >= 1.0:
         raise DeltaTooLarge(f"P*delta = {P * delta:.4g} >= 1 (P={P}, delta={delta})")
-    n_p = float(p @ np.abs(v))
-    if n_p == 0.0:
-        return 0.0
-
-    def g(N):
-        return float(p @ np.sqrt(delta**2 + (v / N) ** 2))
-
-    lo = max(n_p * (1.0 - P * delta), 1e-300)
-    hi = n_p * (1.0 + P * delta) + P * delta
-    # widen until the root is actually bracketed: g(lo) > 1 > g(hi)
-    while g(lo) < 1.0:
-        lo *= 0.5
-    while g(hi) > 1.0:
-        hi *= 2.0
-
-    N = min(max(n_p / (1.0 - P * delta), lo), hi)
-    for _ in range(200):
-        gN = g(N)
-        if abs(gN - 1.0) < _IMPLICIT_TOL:
-            return N
-        if gN > 1.0:
-            lo = N
-        else:
-            hi = N
-        u = v / N
-        dg = float(p @ (-(v**2) / N**3 / np.sqrt(delta**2 + u**2)))
-        step = (gN - 1.0) / dg if dg != 0 else 0.0
-        N_new = N - step
-        if not lo < N_new < hi:
-            N_new = 0.5 * (lo + hi)
-        N = N_new
-    raise ArithmeticError("implicit norm solve did not converge")
+    a = np.abs(rows)
+    scale = a.max(axis=1)
+    out = np.zeros(len(rows))
+    live = np.flatnonzero(scale > 0.0)
+    a = a[live] / scale[live, None]
+    n_p = (p * a).sum(axis=1)
+    a /= n_p[:, None]
+    s = np.full(len(live), math.sqrt(1.0 - (P * delta) ** 2))
+    for _ in range(_NEWTON_CAP):
+        u = a * s[:, None]
+        root = np.sqrt(delta**2 + u**2)
+        excess = (p * root).sum(axis=1) - 1.0
+        miss = np.abs(excess) >= _IMPLICIT_TOL
+        if not miss.any():
+            out[live] = scale[live] * n_p / s
+            return out
+        s *= np.where(miss, 1.0 - excess / (p * u**2 / root).sum(axis=1), 1.0)
+    raise NoConvergence(
+        f"implicit norm: {int(miss.sum())} of {len(rows)} rows missed |g - 1| < "
+        f"{_IMPLICIT_TOL:g} after {_NEWTON_CAP} Newton steps"
+    )
 
 
 def norms_batch(spec: MetricSpec, rows: np.ndarray) -> np.ndarray:
     """norm() over the rows of an (m, dim) array in one vectorized pass.
 
-    The smoothed families run a rowwise bracketed Newton; identical results
-    to the scalar path (same tolerance), just without the Python loop.
+    Each row gives exactly what norm() gives for it: the smoothed families
+    run the same Newton loop on all rows at once.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    n = _infer_n(spec, rows[0])
-    p = penalty_vector(spec, n)
+    if not np.isfinite(rows).all():
+        raise NonFiniteInput("rows have NaN or infinite entries")
+    if spec.family in SMOOTHED:
+        return _implicit_norms(spec, rows)
+    p = penalty_vector(spec, qubits_of_dimension(rows.shape[1], spec.mode))
     if spec.family in (F1, FP):
         return np.abs(rows) @ p
-    if spec.family in (F2, FQ):
-        return np.sqrt(rows**2 @ p)
-    P = float(np.sum(p))
-    delta = spec.delta
-    if P * delta >= 1.0:
-        raise DeltaTooLarge(f"P*delta = {P * delta:.4g} >= 1 (P={P}, delta={delta})")
-    n_p = np.abs(rows) @ p
-    live = n_p > 0.0
-    out = np.zeros(len(rows))
-    if not np.any(live):
-        return out
-    v = rows[live]
-    npv = n_p[live]
-
-    def g(N):
-        return np.sqrt(delta**2 + (v / N[:, None]) ** 2) @ p
-
-    lo = np.maximum(npv * (1.0 - P * delta), 1e-300)
-    hi = npv * (1.0 + P * delta) + P * delta
-    for _ in range(200):
-        bad = g(lo) < 1.0
-        if not np.any(bad):
-            break
-        lo[bad] *= 0.5
-    for _ in range(200):
-        bad = g(hi) > 1.0
-        if not np.any(bad):
-            break
-        hi[bad] *= 2.0
-    N = np.clip(npv / (1.0 - P * delta), lo, hi)
-    for _ in range(100):
-        gN = g(N)
-        if np.all(np.abs(gN - 1.0) < _IMPLICIT_TOL):
-            break
-        lo = np.where(gN > 1.0, N, lo)
-        hi = np.where(gN < 1.0, N, hi)
-        u = v / N[:, None]
-        dg = (-(v**2) / N[:, None] ** 3 / np.sqrt(delta**2 + u**2)) @ p
-        with np.errstate(divide="ignore", invalid="ignore"):
-            N_new = N - (gN - 1.0) / dg
-        N = np.where((N_new > lo) & (N_new < hi), N_new, 0.5 * (lo + hi))
-    out[live] = N
-    return out
+    return np.sqrt(rows**2 @ p)
 
 
 def grad_f_squared(spec: MetricSpec, y) -> np.ndarray:
     """Analytic gradient of F^2 (used by the geodesic engine and Euler checks)."""
     v = _entries(spec, y)
-    n = _infer_n(spec, v)
-    p = penalty_vector(spec, n)
+    p = penalty_vector(spec, qubits_of_dimension(len(v), spec.mode))
     if spec.family in (F2, FQ):
         return 2.0 * p * v
     if spec.family in (F1, FP):
         raise NotSmoothMetric(f"{spec.family} has no smooth gradient")
-    N = implicit_norm(spec, y)
+    N = implicit_norm(spec, v)
     if N == 0.0:
         raise ZeroVector("gradient undefined at 0")
     u = v / N
@@ -347,15 +307,14 @@ def hessian(spec: MetricSpec, y) -> np.ndarray:
         H_{lk}  = N N_{,lk} + N_{,l} N_{,k}
     """
     v = _entries(spec, y)
-    n = _infer_n(spec, v)
-    p = penalty_vector(spec, n)
+    p = penalty_vector(spec, qubits_of_dimension(len(v), spec.mode))
     if spec.family in (F1, FP):
         raise NotSmoothMetric(f"{spec.family} is not twice differentiable off the axes")
     if spec.family in (F2, FQ):
         if not np.any(v):
             raise ZeroVector("hessian requested at y = 0")
         return np.diag(p)
-    N = implicit_norm(spec, y)
+    N = implicit_norm(spec, v)
     if N == 0.0:
         raise ZeroVector("hessian requested at y = 0")
     delta = spec.delta

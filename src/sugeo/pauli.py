@@ -28,6 +28,7 @@ from .config import PAULI_N_MAX
 from .errors import (
     DimensionLimit,
     DimensionMismatch,
+    NonFiniteInput,
     NonTracelessInSUMode,
     NotCommuting,
     NotIndependent,
@@ -88,6 +89,14 @@ def basis_dimension(n: int, mode: str = SU) -> int:
     return 4**n - 1 if mode == SU else 4**n
 
 
+def qubits_of_dimension(d: int, mode: str = SU) -> int:
+    """The qubit count n with basis_dimension(n, mode) == d."""
+    for n in range(1, 8):
+        if basis_dimension(n, mode) == d:
+            return n
+    raise DimensionMismatch(f"vector length {d} matches no qubit count in mode {mode}")
+
+
 @lru_cache(maxsize=None)
 def pauli_matrix(s: str) -> np.ndarray:
     """Dense 2^n x 2^n matrix of a Pauli string (Hermitian, unitary)."""
@@ -130,6 +139,8 @@ class PauliVector:
                 f"expected {basis_dimension(self.n, self.mode)} entries for "
                 f"n={self.n} mode={self.mode}, got shape {self.entries.shape}"
             )
+        if not np.all(np.isfinite(self.entries)):
+            raise NonFiniteInput("Pauli coefficients include NaN or infinity")
 
     @classmethod
     def zero(cls, n: int, mode: str = SU) -> "PauliVector":

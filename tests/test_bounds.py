@@ -20,7 +20,8 @@ from sugeo.bounds import (
     swap_matrix,
 )
 from sugeo.errors import DimensionMismatch, NotGBounding
-from sugeo.metrics import F1, F1DELTA, F2, FP, FPDELTA, FQ, MetricSpec, PenaltyFunction
+from sugeo.metrics import F1, F1DELTA, F2, FP, FPDELTA, FQ, MetricSpec, PenaltyFunction, norm
+from sugeo.pauli import SU, string_index
 
 PEN1 = PenaltyFunction(kind="step", k=4.0, low_weight_cutoff=1)
 F1_SPEC = MetricSpec(family=F1)
@@ -104,6 +105,40 @@ def test_taxicab_length_is_total_rotation():
     for i in (0, len(traj.ts) // 2, len(traj.ts) - 1):
         V = traj.unitaries[i]
         assert np.max(np.abs(V @ V.conj().T - np.eye(4))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("spec", [
+    F1_SPEC,
+    F2_SPEC,
+    MetricSpec(family=FP, penalty=PenaltyFunction(kind="step", k=4.0)),
+    MetricSpec(family=FQ, penalty=PenaltyFunction(kind="step", k=4.0)),
+], ids=lambda spec: spec.family)
+def test_closed_form_trajectory(n, spec):
+    """Length sum alpha_j F(sigma_j), the circuit product at t = 1, unitary samples."""
+    rng = np.random.default_rng(10 * n)
+    gates = []
+    for _ in range(6):
+        qubits = tuple(int(q) for q in rng.choice(n, size=int(rng.integers(1, 3)), replace=False))
+        letters = "".join("XYZ"[j] for j in rng.integers(3, size=len(qubits)))
+        gates.append(Gate(letters, float(rng.uniform(0.05, 1.0)), qubits))
+    c = Circuit(n, gates)
+    traj = circuit_to_curve(c, spec)
+    d = 4**n - 1
+    expected = 0.0
+    for g in gates:
+        e = np.zeros(d)
+        e[string_index(n, SU)[c.full_string(g)]] = 1.0
+        expected += g.alpha * norm(spec, e)
+    assert traj.length == pytest.approx(expected, abs=1e-12)
+    # r(t) spans whole periods per segment, so the trapezoid rule is exact
+    assert np.trapezoid(traj.speeds, traj.ts) == pytest.approx(expected, abs=1e-12)
+    assert traj.endpoint_error < 1e-12
+    assert np.max(np.abs(traj.unitaries[-1] - circuit_unitary(c))) < 1e-12
+    eye = np.eye(2**n)
+    products = np.einsum("kij,klj->kil", traj.unitaries, traj.unitaries.conj())
+    assert np.max(np.abs(products - eye)) < 1e-12
+    assert len(traj.ts) == len(traj.unitaries) == len(traj.speeds)
 
 
 def test_all_families_are_pauli_symmetric():

@@ -210,6 +210,33 @@ def test_cvp_min_rejects_non_finite(capsys, tmp_path):
     assert "NonFiniteInput" in err
 
 
+@pytest.mark.parametrize("metric", [
+    {"family": "F2"},
+    {"family": "F1Delta", "delta": 1e-3},
+], ids=["F2", "F1Delta"])
+def test_metric_eval_rejects_non_finite(capsys, tmp_path, metric):
+    spec = write_json(tmp_path, "m.json", metric)
+    vec = write_json(
+        tmp_path,
+        "v.json",
+        {"n": 1, "mode": "SU", "entries": [{"pauli": "X", "value": float("nan")}]},
+    )
+    code, out, err = run(capsys, ["metric-eval", "--metric", spec, "--vector", vec])
+    assert code == 1
+    assert out == ""
+    assert "NonFiniteInput" in err
+
+
+def test_pauli_geodesic_rejects_nan_time(capsys, tmp_path):
+    coeffs = write_json(tmp_path, "z.json", PauliVector.from_terms(1, {"Z": 0.5}).to_json())
+    code, out, err = run(
+        capsys, ["pauli-geodesic", "--generators", "Z", "--coeffs", coeffs, "--t", "nan"]
+    )
+    assert code == 1
+    assert out == ""
+    assert "NonFiniteInput" in err
+
+
 def test_volume_bound_cli(capsys, tmp_path):
     metric = write_json(tmp_path, "f2u.json", {"family": "F2", "mode": "U"})
     code, out, _ = run(

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sugeo import metrics
 from sugeo.errors import (
     DeltaTooLarge,
     DimensionMismatch,
+    NoConvergence,
     NonFiniteInput,
     NotSmoothMetric,
     UnsupportedSpec,
@@ -151,6 +155,79 @@ def test_norms_batch_matches_scalar():
         batch = norms_batch(spec, rows)
         scalar = np.array([norm(spec, r) for r in rows])
         assert np.allclose(batch, scalar, atol=1e-11)
+
+
+@pytest.mark.parametrize("spec", [
+    MetricSpec(F1),
+    MetricSpec(F2),
+    MetricSpec(FP, penalty=PEN1),
+    MetricSpec(FQ, penalty=PEN1),
+    MetricSpec(F1DELTA, delta=1e-3),
+    MetricSpec(FPDELTA, penalty=PEN1, delta=1e-3),
+], ids=lambda spec: spec.family)
+def test_non_finite_rows_rejected(spec):
+    with pytest.raises(NonFiniteInput):
+        norms_batch(spec, [[np.nan, 1.0, 1.0], [1.0, 1.0, 1.0]])
+    with pytest.raises(NonFiniteInput):
+        norm(spec, np.array([1.0, np.inf, 0.0]))
+
+
+def test_no_convergence_is_typed(monkeypatch):
+    spec = MetricSpec(FPDELTA, penalty=PEN1, delta=1e-2)
+    y = np.linspace(0.5, 1.0, 15)
+    monkeypatch.setattr(metrics, "_NEWTON_CAP", 1)
+    with pytest.raises(NoConvergence):
+        norm(spec, y)
+    with pytest.raises(NoConvergence):
+        norms_batch(spec, np.stack([y, 2.0 * y]))
+
+
+@pytest.mark.parametrize("c", [1e150, 1e-150])
+def test_smoothed_homogeneity_at_extreme_scales(c):
+    spec = MetricSpec(FPDELTA, penalty=PEN1, delta=1e-2)
+    y = np.random.default_rng(8).standard_normal(15)
+    assert norm(spec, c * y) == pytest.approx(c * norm(spec, y), rel=1e-12)
+
+
+SMOOTHED_SPECS = [
+    (F1DELTA, None),
+    (FPDELTA, PEN1),
+    (FPDELTA, PenaltyFunction(kind="step", k=16.0, low_weight_cutoff=0)),
+]
+coefficients = st.lists(
+    st.floats(-10.0, 10.0, allow_subnormal=False), min_size=16, max_size=16
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.sampled_from([1, 2]),
+    mode=st.sampled_from([SU, U]),
+    case=st.sampled_from(SMOOTHED_SPECS),
+    frac=st.floats(1e-6, 0.9),
+    raw_x=coefficients,
+    raw_y=coefficients,
+    c=st.floats(1e-3, 1e3),
+)
+def test_smoothed_norm_properties(n, mode, case, frac, raw_x, raw_y, c):
+    """One solver: batch rows equal scalar calls; sandwich, homogeneity, triangle."""
+    family, penalty = case
+    plain = MetricSpec(F1 if family == F1DELTA else FP, penalty=penalty, mode=mode)
+    p = penalty_vector(plain, n)
+    d, P = len(p), float(np.sum(p))
+    delta = frac / P
+    spec = MetricSpec(family, penalty=penalty, delta=delta, mode=mode)
+    x, y = np.array(raw_x[:d]), np.array(raw_y[:d])
+    rows = np.stack([x, y, x + y, c * y, np.zeros(d)])
+    batch = norms_batch(spec, rows)
+    assert [norm(spec, r) for r in rows] == list(batch)
+    nx, ny, nxy, ncy, nzero = batch
+    assert nzero == 0.0
+    for v, row in ((nx, x), (ny, y)):
+        lo = norm(plain, row)
+        assert lo <= v <= lo / (1.0 - P * delta) * (1 + 1e-12)
+    assert ncy == pytest.approx(c * ny, rel=1e-10, abs=0.0)
+    assert nxy <= (nx + ny) * (1 + 1e-10)
 
 
 def test_implicit_norm_only_for_smoothed():

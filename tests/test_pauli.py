@@ -4,6 +4,7 @@ import pytest
 from sugeo.errors import (
     DimensionLimit,
     DimensionMismatch,
+    NonFiniteInput,
     NonTracelessInSUMode,
     NotCommuting,
     NotIndependent,
@@ -20,6 +21,7 @@ from sugeo.pauli import (
     pauli_matrix,
     pauli_strings,
     project_to_pauli,
+    qubits_of_dimension,
     stabilizer_span,
     string_index,
     string_product,
@@ -133,6 +135,24 @@ def test_from_terms_validation():
         PauliVector.from_terms(2, {"X": 1.0})
     with pytest.raises(DimensionMismatch):
         PauliVector.from_terms(2, {"II": 1.0}, SU)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pauli_vector_rejects_non_finite(bad):
+    with pytest.raises(NonFiniteInput):
+        PauliVector(1, SU, [0.0, bad, 1.0])
+    with pytest.raises(NonFiniteInput):
+        PauliVector.from_terms(2, {"XY": bad})
+
+
+def test_qubits_of_dimension_inverts_basis_dimension():
+    for mode in (SU, U):
+        for n in range(1, 5):
+            assert qubits_of_dimension(basis_dimension(n, mode), mode) == n
+    with pytest.raises(DimensionMismatch):
+        qubits_of_dimension(14, SU)
+    with pytest.raises(DimensionMismatch):
+        qubits_of_dimension(15, U)
 
 
 def test_qubit_cap():
