@@ -18,11 +18,12 @@ Fq survive), and arbitrary unitary conjugation leaves only F2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotGBounding
+from .errors import DimensionMismatch, NonFiniteInput, NotGBounding
 from .metrics import (
     F1,
     F1DELTA,
@@ -60,6 +61,8 @@ class Gate:
 
     def __post_init__(self):
         validate_string(self.pauli)
+        if not math.isfinite(self.alpha):
+            raise NonFiniteInput(f"gate alpha {self.alpha} is not finite")
         object.__setattr__(self, "qubits", tuple(self.qubits))
         if len(self.pauli) != len(self.qubits):
             raise DimensionMismatch("one Pauli letter per acted-on qubit")

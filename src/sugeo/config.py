@@ -18,9 +18,9 @@ PAULI_N_MAX = 4
 # Default cap for lattice enumeration and other exponential-cost paths.
 DEFAULT_N_CAP = 3
 
-# Geodesic shooting is Gamma-contraction-per-step; n=2 (d=15) by default,
-# n=3 permitted by passing n_cap=3 explicitly.
-SHOOT_N_CAP = 2
+# Geodesic shooting solves a d x d system per evaluation (d = 63 at n = 3,
+# about 1 s per unit time); n = 4 needs n_cap=4 or SUGEO_N_CAP.
+SHOOT_N_CAP = 3
 
 DEFAULT_TOLERANCES = {
     "unitarity": 1e-10,

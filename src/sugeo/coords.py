@@ -181,7 +181,7 @@ def bch_E(X) -> Superoperator:
 
 
 def _resonance_check(lam: np.ndarray):
-    gaps = lam[:, None] - lam[None, :]
+    gaps = lam[..., :, None] - lam[..., None, :]
     k = np.round(gaps / (2 * np.pi))
     resonant = (k != 0) & (np.abs(gaps - 2 * np.pi * k) < _CLUSTER_TOL)
     if np.any(resonant):
@@ -241,7 +241,10 @@ def _gap_data(lam: np.ndarray):
 
 
 def apply_bch(X: np.ndarray, Z: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """E_X(Z) (or its inverse) via the eigenbasis filter; equals the pinv route."""
+    """E_X(Z) (or its inverse) via the eigenbasis filter; equals the pinv route.
+
+    X and Z may also be stacks of matrices, shape (m, D, D), mapped pairwise.
+    """
     lam, V = np.linalg.eigh(X)
     gaps, mask = _gap_data(lam)
     if inverse:
@@ -249,8 +252,8 @@ def apply_bch(X: np.ndarray, Z: np.ndarray, inverse: bool = False) -> np.ndarray
         Phi = 1.0 / _phi(gaps, mask)
     else:
         Phi = _phi(gaps, mask)
-    W = V.conj().T @ Z @ V
-    return V @ (Phi * W) @ V.conj().T
+    Vh = np.swapaxes(V.conj(), -1, -2)
+    return V @ (Phi * (Vh @ Z @ V)) @ Vh
 
 
 def change_coords_forward(x: PauliVector, y_pauli: PauliVector) -> PauliVector:

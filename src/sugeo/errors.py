@@ -35,7 +35,7 @@ class DeltaTooLarge(SugeoError):
 
 
 class NotSmoothMetric(SugeoError):
-    """Hessian/Christoffel machinery requested for a metric with no smooth square."""
+    """A gradient or Hessian requested for a metric with no smooth square."""
 
 
 class ZeroVector(SugeoError):
@@ -55,7 +55,7 @@ class OutsidePatch(SugeoError):
 
 
 class SingularHessian(SugeoError):
-    """The tangent-space Hessian g is numerically singular."""
+    """The norm Hessian is numerically singular, or a step is too long for its curvature."""
 
 
 class StepLimitExceeded(SugeoError):

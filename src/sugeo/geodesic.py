@@ -1,30 +1,22 @@
-"""Geodesics of right-invariant metrics, computed in Pauli coordinates.
+"""Geodesics of right-invariant metrics, shot in the Lie algebra.
 
-The metric pulled back to the Pauli chart is F(x, y) = N(M(x) y), where N is
-the Minkowski norm in adapted coordinates and M(x) the linear
-change-of-coordinates matrix at base point x.  The fundamental tensor is
+A curve with dU/dt = -i H(t) U has length integral F(H(t)) dt, H = h.sigma
+in natural adapted coordinates.  Right-invariance makes the geodesic
+equation an ODE for H alone, the Euler-Arnold equation
 
-    g_jk(x, y) = (1/2) d^2 F^2 / dy^j dy^k = M(x)^T H_N(M(x) y) M(x),
+    Hess_N(H) dH/dt = proj(-i[H, P]),   P = sum_s p_s sigma_s,  p = grad(F^2)/2 at H,
 
-with H_N the norm Hessian.  The geodesic equation in second-order form,
+with Hess_N = (1/2) d^2 F^2 and proj the Pauli coefficients.  shoot_geodesic
+advances H by RK4 and U by the 4th-order Magnus step U <- exp(Omega) U,
+Omega taken at the Gauss points of each step's cubic Hermite interpolant
+of H, so U stays unitary.  It starts at H0 = M(x0) y0, U0 = exp(-i x0.sigma).
 
-    d^2 x^j/dt^2 + Gamma^j_kl (dx^k/dt)(dx^l/dt) = 0,
-    Gamma^j_kl = (g^jm / 2)(g_mk,l + g_ml,k - g_kl,m),
-
-is integrated with fixed-step RK4, the x-derivatives of g taken by central
-finite differences (M(x) is the only x-dependence).  The contraction
-Gamma^j_kl y^k y^l is assembled directly as g^{-1} c with
-
-    c_m = sum_l y^l (d_l g y)_m - (1/2) y^T (d_m g) y,
-
-avoiding the full rank-3 array inside the integrator.
-
-Pauli coordinates only cover unitaries whose eigenphases avoid pi.  When an
-eigenphase of the current point approaches the cut, the integration
-re-anchors: the accumulated unitary is absorbed into an anchor factor and
-the chart restarts at x = 0 (right-invariance makes the metric functions
-identical in the new chart; the adapted tangent carries over unchanged).
-A Curve therefore consists of chart segments, each with its own anchor.
+Curves are returned in Pauli coordinates, U = exp(-i x.sigma) A, with
+y = M(x)^-1 h and M(x) the change-of-coordinates matrix.  The chart only
+covers eigenphases in (-pi, pi): once one reaches pi - margin, A becomes
+the current U and x restarts at 0, so a Curve consists of chart segments,
+each with its own anchor.  el_residual checks the Euler-Lagrange equations
+of F(x, y) = N(M(x) y) in the chart, independently of the shooting.
 """
 
 from __future__ import annotations
@@ -34,10 +26,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .config import DEFAULT_TOLERANCES, SHOOT_N_CAP, env_n_cap
-from .coords import change_matrices, pauli_log
+from .coords import UnitaryOperator, apply_bch, change_coords_backward, change_matrices, pauli_log
 from .errors import (
     DimensionLimit,
     DimensionMismatch,
@@ -48,8 +39,6 @@ from .errors import (
     UnsupportedCoefficient,
 )
 from .metrics import (
-    F1,
-    F2,
     MetricSpec,
     grad_f_squared,
     hessian,
@@ -57,7 +46,6 @@ from .metrics import (
     norms_batch,
 )
 from .pauli import (
-    SU,
     PauliVector,
     StabilizerSubgroup,
     basis_dimension,
@@ -65,18 +53,12 @@ from .pauli import (
     string_index,
     pauli_strings,
     qubits_of_dimension,
+    to_matrix,
 )
 
 _HX = DEFAULT_TOLERANCES["fd_step_x"]
 _MIN_G_EIG = 1e-10
 _CHUNK = 2048
-
-
-@dataclass
-class ChristoffelField:
-    """Gamma^j_{kl} at one point, indexed [j, k, l]; symmetric in (k, l)."""
-
-    gammas: np.ndarray
 
 
 @dataclass
@@ -97,6 +79,7 @@ class Curve:
     speeds: np.ndarray
     segments: list = field(default_factory=lambda: [0])
     anchors: list = field(default_factory=list)
+    stats: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.anchors:
@@ -183,7 +166,7 @@ def _speeds_for(spec: MetricSpec, curve_xs, curve_ys, n: int, mode: str) -> np.n
 
 
 # ---------------------------------------------------------------------------
-# metric pullback and Christoffel symbols
+# metric pullback
 
 
 def metric_in_pauli_coords(spec: MetricSpec, x, y) -> float:
@@ -196,54 +179,15 @@ def metric_in_pauli_coords(spec: MetricSpec, x, y) -> float:
     return norm(spec, M @ ye)
 
 
-def _gram(spec: MetricSpec, M: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return M.T @ hessian(spec, M @ y) @ M
-
-
-def _g_and_dg(spec: MetricSpec, x: np.ndarray, y: np.ndarray, n: int, h: float = _HX):
-    """g(x, y) and its x-derivatives dg[l] = dg/dx^l by central differences."""
-    d = len(x)
-    xs = np.tile(x, (2 * d + 1, 1))
-    for l in range(d):
-        xs[1 + 2 * l, l] += h
-        xs[2 + 2 * l, l] -= h
-    Ms = change_matrices(xs, n, spec.mode)
-    g0 = _gram(spec, Ms[0], y)
-    dg = np.empty((d, d, d))
-    for l in range(d):
-        dg[l] = (_gram(spec, Ms[1 + 2 * l], y) - _gram(spec, Ms[2 + 2 * l], y)) / (2 * h)
-    return g0, dg
-
-
-def _check_g(g: np.ndarray) -> np.ndarray:
-    w = np.linalg.eigvalsh(g)
-    if w[0] < _MIN_G_EIG:
-        raise SingularHessian(f"min eigenvalue of g is {w[0]:.3e}")
-    return w
-
-
-def christoffel(spec: MetricSpec, x, y) -> ChristoffelField:
-    """Gamma^j_{kl} = (g^jm/2)(g_mk,l + g_ml,k - g_kl,m) at (x, y)."""
-    xe, ye = _entries_of(x), _entries_of(y)
-    n = qubits_of_dimension(len(xe), spec.mode)
-    g, dg = _g_and_dg(spec, xe, ye, n)
-    _check_g(g)
-    ginv = np.linalg.inv(g)
-    # T[m,k,l] = g_mk,l + g_ml,k - g_kl,m   (dg[l,m,k] = g_mk,l)
-    T = np.einsum("lmk->mkl", dg) + np.einsum("kml->mkl", dg) - dg
-    return ChristoffelField(0.5 * np.einsum("jm,mkl->jkl", ginv, T))
-
-
-def _accel(spec: MetricSpec, x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
-    """-Gamma^j_{kl} y^k y^l via the contracted form (see module docstring)."""
-    g, dg = _g_and_dg(spec, x, y, n)
-    _check_g(g)
-    c = np.einsum("l,lmk,k->m", y, dg, y) - 0.5 * np.einsum("mkl,k,l->m", dg, y, y)
-    return -np.linalg.solve(g, c)
-
-
 # ---------------------------------------------------------------------------
 # shooting
+
+# Cubic Hermite weights of (H_n, dt k_n, H_n+1, dt k_n+1) at the two Gauss
+# points c = 1/2 -+ sqrt(3)/6 of the 4th-order Magnus step.
+_HERMITE = np.array([
+    [(1 + 2 * c) * (1 - c) ** 2, c * (1 - c) ** 2, c**2 * (3 - 2 * c), c**2 * (c - 1)]
+    for c in (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
+])
 
 
 def shoot_geodesic(
@@ -256,10 +200,20 @@ def shoot_geodesic(
     reanchor_margin: float = 0.2,
     max_segments: int = 64,
 ) -> Curve:
-    """Integrate the geodesic equation from (x0, y0) for time t_end.
+    """Integrate the geodesic from (x0, y0) for time t_end.
 
-    Fixed-step RK4, default 1000 steps per unit time.  Emits one sample per
-    step; re-anchors the chart when an eigenphase reaches pi - margin.
+    Fixed-step RK4 on the Euler-Arnold equation, default 1000 steps per unit
+    time, one sample per step; more than max_segments charts raise
+    StepLimitExceeded.  curve.stats holds the step and segment counts, the
+    smallest Hessian eigenvalue seen and the largest relative drift of F.
+
+    Working range: the step must resolve the curvature of the norm, which
+    for the smoothed families grows like 1/delta where a coefficient of H
+    passes near 0.  FpDelta with delta = 1e-3 and a generic unit y0 at n = 2
+    lies outside it (500 to 8000 steps per unit stop, 32000 still drift by
+    23% in F).  An evaluation raises SingularHessian when the Hessian's
+    smallest eigenvalue is below 1e-10 or when F(H)^2 = p . H, conserved
+    along the geodesic, has left [F0^2/2, 2 F0^2].
     """
     xe, ye = _entries_of(x0).copy(), _entries_of(y0).copy()
     n = qubits_of_dimension(len(xe), spec.mode)
@@ -274,50 +228,84 @@ def shoot_geodesic(
         raise ValueError("y0 must be nonzero")
     dt = t_end / steps
     mode = spec.mode
+    dim = 2**n
+    flat = basis_stack(n, mode).reshape(-1, dim * dim)
+    min_eig = np.inf
 
-    ts = [0.0]
-    xs = [xe.copy()]
-    ys = [ye.copy()]
+    def algebra(rows):  # sum_s rows[:, s] sigma_s, one matrix per row
+        return (rows @ flat).reshape(len(rows), dim, dim)
+
+    def coefficients(mats):  # tr(sigma_s A) / dim for each matrix A
+        return (mats.reshape(len(mats), -1) @ flat.conj().T).real / dim
+
+    def f(h):
+        """dH/dt = Hess_N(H)^-1 proj(-i[H, P]) with P the momentum at H."""
+        nonlocal min_eig
+        w, V = np.linalg.eigh(hessian(spec, h))
+        min_eig = min(min_eig, w[0])
+        if w[0] < _MIN_G_EIG:
+            raise SingularHessian(f"min eigenvalue of the norm Hessian is {w[0]:.3e}")
+        p = 0.5 * grad_f_squared(spec, h)
+        # p . h = F(H)^2, which the geodesic conserves
+        if not 0.5 <= (p @ h) / energy <= 2.0:
+            raise SingularHessian(
+                f"F(H)^2 = {p @ h:.6g} left [F0^2/2, 2 F0^2] (F0^2 = {energy:.6g}); "
+                "the step is too long for the curvature of the norm"
+            )
+        H, P = algebra(np.array([h, p]))
+        # -i[H, P] = -i(A - A^+) with A = HP, so proj gives 2 Im tr(sigma_s A) / dim
+        r = (2.0 / dim) * (flat @ (H @ P).T.ravel()).imag
+        return V @ ((V.T @ r) / w)
+
+    h = coefficients(apply_bch(*algebra(np.array([xe, ye])))[None])[0]
+    energy = norm(spec, h) ** 2
+    U = _expm_entries(xe, n, mode)
+    hs = [h]
+    Us = [U]
+    k = f(h)
+    for _ in range(steps):
+        k2 = f(h + 0.5 * dt * k)
+        k3 = f(h + 0.5 * dt * k2)
+        k4 = f(h + dt * k3)
+        h_next = h + (dt / 6.0) * (k + 2 * k2 + 2 * k3 + k4)
+        k_next = f(h_next)
+        H1, H2 = algebra(_HERMITE @ np.array([h, dt * k, h_next, dt * k_next]))
+        B = H2 @ H1
+        K = 0.5 * dt * (H1 + H2) - 1j * (np.sqrt(3.0) / 12.0) * dt**2 * (B - B.conj().T)
+        lam, V = np.linalg.eigh(K)
+        U = (V * np.exp(-1j * lam)) @ V.conj().T @ U
+        h, k = h_next, k_next
+        hs.append(h)
+        Us.append(U)
+
+    hs = np.array(hs)
+    xs = np.empty_like(hs)
+    xs[0] = xe
     segments = [0]
-    anchors = [np.eye(2**n, dtype=complex)]
-
-    def f(state):
-        x, y = state
-        return np.array([y, _accel(spec, x, y, n)])
-
-    state = np.array([xe, ye])
-    for step in range(steps):
-        k1 = f(state)
-        k2 = f(state + 0.5 * dt * k1)
-        k3 = f(state + 0.5 * dt * k2)
-        k4 = f(state + dt * k3)
-        state = state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = (step + 1) * dt
-        x, y = state
+    anchors = [np.eye(dim, dtype=complex)]
+    for i in range(1, len(hs)):
+        x = pauli_log(Us[i] @ anchors[-1].conj().T, mode).entries
         if _max_eigphase(x, n, mode) >= np.pi - reanchor_margin:
-            M = change_matrices(x[None, :], n, mode)[0]
-            anchors.append(_expm_entries(x, n, mode) @ anchors[-1])
+            anchors.append(Us[i])
+            segments.append(i)
             x = np.zeros_like(x)
-            y = M @ y
-            state = np.array([x, y])
-            segments.append(len(ts))
             if len(segments) > max_segments:
                 raise StepLimitExceeded(
                     f"more than {max_segments} chart re-anchorings; "
                     "the curve is too long for this sampling"
                 )
-        ts.append(t)
-        xs.append(x.copy())
-        ys.append(y.copy())
+        xs[i] = x
 
-    ts = np.array(ts)
-    xs = np.array(xs)
-    ys = np.array(ys)
-    speeds = np.empty(len(ts))
-    curve = Curve(spec, n, mode, ts, xs, ys, speeds, segments, anchors)
-    for a, b in curve.segment_bounds():
-        speeds[a:b] = _speeds_for(spec, xs[a:b], ys[a:b], n, mode)
-    return curve
+    ys = coefficients(apply_bch(algebra(xs), algebra(hs), inverse=True))  # y = M(x)^-1 h
+    speeds = norms_batch(spec, hs)
+    stats = {
+        "steps": steps,
+        "segments": len(segments),
+        "min_hessian_eig": float(min_eig),
+        "speed_drift": float(np.max(np.abs(speeds - speeds[0])) / speeds[0]),
+    }
+    ts = dt * np.arange(steps + 1)
+    return Curve(spec, n, mode, ts, xs, ys, speeds, segments, anchors, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -379,14 +367,10 @@ def pauli_geodesic(S: StabilizerSubgroup, coeffs: PauliVector, t: float):
     Such curves are geodesics of every Pauli-symmetric metric; they are
     straight lines through the origin in Pauli coordinates.
     """
-    from .coords import UnitaryOperator
-
     elements = set(S.elements)
     for s, v in coeffs.terms().items():
         if abs(v) > 1e-12 and s not in elements:
             raise UnsupportedCoefficient(f"coefficient on {s} is outside the subgroup")
-    from .pauli import to_matrix
-
     H0 = to_matrix(coeffs)
     lam, V = np.linalg.eigh(H0)
     U = V @ np.diag(np.exp(-1j * lam * t)) @ V.conj().T
@@ -402,8 +386,6 @@ def pauli_geodesic_curve(
     """
     if coeffs.mode != spec.mode:
         raise DimensionMismatch("coefficient mode does not match the metric spec")
-    from .pauli import to_matrix
-
     h0 = np.asarray(coeffs.entries, dtype=float)
     lam = np.linalg.eigvalsh(to_matrix(coeffs))
     if float(np.max(np.abs(lam))) * t_end >= np.pi:
@@ -418,6 +400,8 @@ def pauli_geodesic_curve(
 
 def curve_length(spec: MetricSpec, curve: Curve) -> float:
     """Composite-Simpson quadrature of the speed over each chart segment."""
+    from scipy.integrate import simpson
+
     total = 0.0
     for a, b in curve.segment_bounds():
         if b - a < 2:
@@ -474,8 +458,6 @@ def tensor_product_curve(curve_a: Curve, curve_b: Curve, spec_ab: MetricSpec) ->
 
     xs = np.empty((k, d))
     ys = np.empty((k, d))
-    from .coords import change_coords_backward
-
     for i in range(k):
         W = np.kron(curve_a.unitary_at(i), curve_b.unitary_at(i))
         x_ab = pauli_log(W, mode)

@@ -16,7 +16,8 @@ p_sigma, and satisfies the sandwich N_p(y) <= N(y) <= N_p(y)/(1 - P*Delta)
 where N_p is the exact weighted taxicab norm.  One Newton loop solves for
 N (see _implicit_norms): norms_batch runs it on every row at once, and
 norm, implicit_norm, grad_f_squared and hessian run it on a batch of one.
-Non-finite coefficients raise NonFiniteInput in every family.
+Non-finite coefficients, and finite ones whose norm overflows, raise
+NonFiniteInput in every family.
 
 Note F2 here is a genuine norm (square root included).  Expressions like
 tr(H^2)/2^n elsewhere are its square.
@@ -197,6 +198,13 @@ def _entries(spec: MetricSpec, y) -> np.ndarray:
 # norm evaluation
 
 
+def _no_overflow(out):
+    """Pass finite norms (a float or an array) through; one that overflowed raises."""
+    if not (math.isfinite(out) if isinstance(out, float) else np.isfinite(out).all()):
+        raise NonFiniteInput("the norm overflows the float range")
+    return out
+
+
 def norm(spec: MetricSpec, y) -> float:
     """F(y) for any family (delegates to the implicit solver when smoothed)."""
     v = _entries(spec, y)
@@ -204,15 +212,15 @@ def norm(spec: MetricSpec, y) -> float:
         return implicit_norm(spec, v)
     p = penalty_vector(spec, qubits_of_dimension(len(v), spec.mode))
     if spec.family in (F1, FP):
-        return float(p @ np.abs(v))
-    return float(np.sqrt(p @ v**2))
+        return _no_overflow(float(p @ np.abs(v)))
+    return _no_overflow(float(np.sqrt(p @ v**2)))
 
 
 def implicit_norm(spec: MetricSpec, y) -> float:
     """The smoothed norm N(y) of one vector: the implicit solver on a batch of one."""
     if spec.family not in SMOOTHED:
         raise UnsupportedSpec(f"implicit_norm is for {SMOOTHED}, not {spec.family}")
-    return float(_implicit_norms(spec, _entries(spec, y)[None, :])[0])
+    return _no_overflow(float(_implicit_norms(spec, _entries(spec, y)[None, :])[0]))
 
 
 def _implicit_norms(spec: MetricSpec, rows: np.ndarray) -> np.ndarray:
@@ -267,11 +275,11 @@ def norms_batch(spec: MetricSpec, rows: np.ndarray) -> np.ndarray:
     if not np.isfinite(rows).all():
         raise NonFiniteInput("rows have NaN or infinite entries")
     if spec.family in SMOOTHED:
-        return _implicit_norms(spec, rows)
+        return _no_overflow(_implicit_norms(spec, rows))
     p = penalty_vector(spec, qubits_of_dimension(rows.shape[1], spec.mode))
     if spec.family in (F1, FP):
-        return np.abs(rows) @ p
-    return np.sqrt(rows**2 @ p)
+        return _no_overflow(np.abs(rows) @ p)
+    return _no_overflow(np.sqrt(rows**2 @ p))
 
 
 def grad_f_squared(spec: MetricSpec, y) -> np.ndarray:
@@ -287,24 +295,26 @@ def grad_f_squared(spec: MetricSpec, y) -> np.ndarray:
         raise ZeroVector("gradient undefined at 0")
     u = v / N
     gamma = p * u / np.sqrt(spec.delta**2 + u**2)
-    D = float(gamma @ v)
-    # grad N = N * gamma / D, so grad N^2 = 2 N^2 gamma / D
-    return 2.0 * N**2 * gamma / D
+    # grad N = gamma / (gamma . u), so grad N^2 = 2 N gamma / (gamma . u)
+    return 2.0 * N * gamma / float(gamma @ u)
 
 
 def hessian(spec: MetricSpec, y) -> np.ndarray:
     """H = (1/2) d^2(F^2)/dy dy, strictly positive definite for smooth specs.
 
     F2 -> identity; Fq -> diag(q).  For the smoothed families, writing
-    yhat = y/N, gamma_j = p_j yhat_j / sqrt(delta^2 + yhat_j^2) and
-    Gamma_jj = p_j delta^2 / (delta^2 + yhat_j^2)^(3/2):
+    u = y/N, gamma_j = p_j u_j / sqrt(delta^2 + u_j^2) and
+    Gamma_jj = p_j delta^2 / (delta^2 + u_j^2)^(3/2):
 
-        N_{,l}  = N gamma_l / D                    with D = sum_j gamma_j y_j
-        N_{,lk} = Gamma_ll delta_lk / D
-                  - (Gy_l gamma_k + gamma_l Gy_k) / D^2
-                  + gamma_l gamma_k S2 / D^3       with Gy = Gamma*y,
-                                                        S2 = sum Gamma_jj y_j^2
+        N_{,l}  = gamma_l / D                      with D = sum_j gamma_j u_j
+        N N_{,lk} = Gamma_ll delta_lk / D
+                  - (Gu_l gamma_k + gamma_l Gu_k) / D^2
+                  + gamma_l gamma_k S2 / D^3       with Gu = Gamma*u,
+                                                        S2 = sum Gamma_jj u_j^2
         H_{lk}  = N N_{,lk} + N_{,l} N_{,k}
+
+    H is homogeneous of degree 0, and every term above depends on u alone,
+    so no finite y overflows it.
     """
     v = _entries(spec, y)
     p = penalty_vector(spec, qubits_of_dimension(len(v), spec.mode))
@@ -322,13 +332,13 @@ def hessian(spec: MetricSpec, y) -> np.ndarray:
     root = np.sqrt(delta**2 + u**2)
     gamma = p * u / root
     Gamma = p * delta**2 / root**3
-    D = float(gamma @ v)
-    Gy = Gamma * v
-    S2 = float(Gamma @ v**2)
+    D = float(gamma @ u)
+    Gu = Gamma * u
+    S2 = float(Gamma @ u**2)
     H = np.diag(Gamma) / D
-    H -= (np.outer(Gy, gamma) + np.outer(gamma, Gy)) / D**2
-    H += np.outer(gamma, gamma) * (S2 + N * D) / D**3
-    return N * H
+    H -= (np.outer(Gu, gamma) + np.outer(gamma, Gu)) / D**2
+    H += np.outer(gamma, gamma) * (S2 + D) / D**3
+    return H
 
 
 def evaluate(spec: MetricSpec, y, with_gradient=False, with_hessian=False) -> NormEvaluation:

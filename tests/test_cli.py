@@ -267,6 +267,16 @@ def test_lower_bound_cli(capsys, tmp_path, f1_metric):
     assert obj["bound_holds"] is True
 
 
+def test_lower_bound_rejects_nan_alpha(capsys, tmp_path, f1_metric):
+    circuit = write_json(
+        tmp_path, "circ.json", {"n": 1, "gates": [{"pauli": "X", "alpha": float("nan"), "qubits": [0]}]}
+    )
+    code, out, err = run(capsys, ["lower-bound", "--circuit", circuit, "--metric", f1_metric])
+    assert code == 1
+    assert out == ""
+    assert "NonFiniteInput" in err
+
+
 def test_isometry_check_cli(capsys, tmp_path, f1_metric):
     fq = write_json(
         tmp_path,

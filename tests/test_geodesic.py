@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sugeo.coords import change_coords_forward, unitary_from_coords
 from sugeo.errors import (
+    DimensionLimit,
     DimensionMismatch,
     InconsistentPenalties,
     OutsidePatch,
@@ -12,7 +16,6 @@ from sugeo.errors import (
 from sugeo.geodesic import (
     Curve,
     additive_triple_check,
-    christoffel,
     curve_length,
     el_residual,
     embed_pauli_vector,
@@ -22,7 +25,7 @@ from sugeo.geodesic import (
     shoot_geodesic,
 )
 from sugeo.metrics import F1, F1DELTA, F2, FP, FPDELTA, FQ, MetricSpec, PenaltyFunction, norm
-from sugeo.pauli import SU, PauliVector, stabilizer_span
+from sugeo.pauli import SU, PauliVector, stabilizer_span, to_matrix
 
 F2_SPEC = MetricSpec(family=F2)
 PEN1 = PenaltyFunction(kind="step", k=4.0, low_weight_cutoff=1)
@@ -34,16 +37,6 @@ def test_f2_straight_line_through_origin():
     assert np.max(np.abs(curve.xs - np.outer(curve.ts, y0))) < 1e-8
     assert np.max(np.abs(curve.ys - y0)) < 1e-8
     assert np.max(np.abs(curve.speeds - np.linalg.norm(y0))) < 1e-8
-
-
-def test_christoffel_symmetric_in_lower_indices():
-    spec = MetricSpec(family=F1DELTA, delta=0.05)
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal(3) * 0.3
-    y = rng.standard_normal(3) + 0.3
-    G = christoffel(spec, x, y).gammas
-    asym = np.max(np.abs(G - np.transpose(G, (0, 2, 1)))) / np.max(np.abs(G))
-    assert asym < 1e-9
 
 
 def test_shoot_satisfies_euler_lagrange():
@@ -80,13 +73,106 @@ def test_zero_velocity_rejected():
 
 def test_singular_hessian_detected():
     spec = MetricSpec(family=F1DELTA, delta=1e-7)
-    with pytest.raises(SingularHessian):
-        christoffel(spec, np.array([0.1, 0.2, 0.3]), np.array([1.0, 0.8, -0.5]))
+    with pytest.raises(SingularHessian, match="eigenvalue"):
+        shoot_geodesic(spec, np.array([0.1, 0.2, 0.3]), np.array([1.0, 0.8, -0.5]), 0.1, steps=10)
+
+
+@pytest.mark.parametrize("steps", [500, 2000])
+def test_stiff_fpdelta_raises_typed(steps):
+    """Past the working range (FpDelta, delta = 1e-3, generic y0 at n = 2) the shot stops typed."""
+    spec = MetricSpec(family=FPDELTA, penalty=PEN1, delta=1e-3)
+    y0 = np.random.default_rng(0).standard_normal(15)
+    y0 /= np.linalg.norm(y0)
+    with pytest.raises(SingularHessian, match="step is too long"):
+        shoot_geodesic(spec, np.zeros(15), y0, 1.0, steps=steps)
+
+
+def test_near_axis_drift_is_reported():
+    """FpDelta, delta = 1e-2, one y0 coefficient near 0: 20 steps of 0.005 drift by ~4e-2 in F.
+
+    The chart-Christoffel engine drifted by the same amount on this input:
+    it is the RK4 error at this step, and stats makes it visible.
+    """
+    spec = MetricSpec(family=FPDELTA, penalty=PEN1, delta=1e-2)
+    rng = np.random.default_rng(183)
+    y0 = rng.standard_normal(15)
+    j = rng.integers(15)
+    y0[j] = 5e-4 * np.sign(y0[j])
+    y0 /= np.linalg.norm(y0)
+    curve = shoot_geodesic(spec, np.zeros(15), y0, 0.1, steps=20)
+    drift = np.max(np.abs(curve.speeds - curve.speeds[0])) / curve.speeds[0]
+    assert curve.stats["speed_drift"] == pytest.approx(drift, rel=1e-12, abs=0.0)
+    assert 1e-3 < drift < 1e-1
+    assert curve.stats["steps"] == 20 and curve.stats["segments"] == 1
+    assert 0.0 < curve.stats["min_hessian_eig"] < np.inf
+    assert shoot_geodesic(spec, np.zeros(15), y0, 0.1, steps=40).stats["speed_drift"] < 1e-4
+
+
+@settings(max_examples=16, deadline=None)
+@given(
+    n=st.sampled_from([1, 2]),
+    family=st.sampled_from([FQ, F1DELTA]),
+    raw=st.lists(st.floats(-1.0, 1.0), min_size=15, max_size=15),
+)
+def test_random_shots_conserve_f_and_solve_euler_lagrange(n, family, raw):
+    """F is conserved and el_residual, an independent check in Pauli coordinates, is small."""
+    d = 4**n - 1
+    y0 = np.array(raw[:d])
+    if np.linalg.norm(y0) < 0.1:
+        y0[0] = 1.0
+    y0 /= np.linalg.norm(y0)
+    # smooth enough for 80 steps over t = 0.2: P delta = 0.6 (n = 1), 0.75 (n = 2)
+    spec = MetricSpec(FQ, penalty=PEN1) if family == FQ else MetricSpec(F1DELTA, delta={1: 0.2, 2: 0.05}[n])
+    curve = shoot_geodesic(spec, np.zeros(d), y0, 0.2, steps=80)
+    assert curve.stats["speed_drift"] < 1e-8
+    assert el_residual(spec, curve) < 1e-4
+
+
+@pytest.mark.parametrize("spec, y0, t_end, steps", [
+    (MetricSpec(FPDELTA, penalty=PenaltyFunction(kind="step", k=2.0, low_weight_cutoff=0), delta=0.05),
+     np.array([0.45, -0.35, 0.7]), 0.4, 20),
+    (MetricSpec(FQ, penalty=PEN1), np.linspace(-1.0, 1.0, 15) + 0.1, 1.0, 10),
+])
+def test_fourth_order(spec, y0, t_end, steps):
+    """Halving dt shrinks the change of the end unitary by about 2^4."""
+    ends = []
+    for k in (steps, 2 * steps, 4 * steps):
+        curve = shoot_geodesic(spec, np.zeros(len(y0)), y0, t_end, steps=k)
+        ends.append(curve.unitary_at(k))
+    ratio = np.max(np.abs(ends[0] - ends[1])) / np.max(np.abs(ends[1] - ends[2]))
+    assert 12.0 < ratio < 20.0
+
+
+def test_f2_shot_from_nonzero_x0():
+    """Under the bi-invariant F2 the geodesic is exp(-i t H0) exp(-i x0.sigma), H0 = E_x0(y0)."""
+    x0 = PauliVector.from_terms(2, {"XI": 0.3, "ZZ": -0.5, "YX": 0.2})
+    y0 = PauliVector.from_terms(2, {"IZ": 0.4, "XY": -0.3, "ZI": 0.2})
+    curve = shoot_geodesic(F2_SPEC, x0, y0, 1.0, steps=100)
+    H0 = to_matrix(change_coords_forward(x0, y0))
+    U0 = unitary_from_coords(x0)
+    lam, V = np.linalg.eigh(H0)
+    for i in (0, 37, 100):
+        expected = (V * np.exp(-1j * lam * curve.ts[i])) @ V.conj().T @ U0
+        assert np.max(np.abs(curve.unitary_at(i) - expected)) < 1e-12
+    assert np.max(np.abs(curve.xs[0] - x0.entries)) < 1e-14
+    assert np.max(np.abs(curve.ys[0] - y0.entries)) < 1e-12
+
+
+def test_shooting_cap(monkeypatch):
+    monkeypatch.delenv("SUGEO_N_CAP", raising=False)
+    y0 = np.zeros(63)
+    y0[[0, 7, 40]] = [0.5, -0.3, 0.2]
+    curve = shoot_geodesic(MetricSpec(FQ, penalty=PEN1), np.zeros(63), y0, 0.01, steps=2)
+    assert curve.n == 3
+    with pytest.raises(DimensionLimit):
+        shoot_geodesic(F2_SPEC, np.zeros(255), np.ones(255), 0.01, steps=2)
 
 
 def test_curve_json_roundtrip():
     curve = shoot_geodesic(F2_SPEC, np.zeros(3), np.array([3.0, 0.0, 0.0]), 1.0, steps=100)
-    again = Curve.from_json(curve.to_json())
+    obj = curve.to_json()
+    assert "stats" not in obj and curve.stats["segments"] == 2
+    again = Curve.from_json(obj)
     assert np.allclose(again.ts, curve.ts)
     assert np.allclose(again.xs, curve.xs)
     assert np.allclose(again.ys, curve.ys)

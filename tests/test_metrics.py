@@ -172,6 +172,28 @@ def test_non_finite_rows_rejected(spec):
         norm(spec, np.array([1.0, np.inf, 0.0]))
 
 
+@pytest.mark.parametrize("spec", [
+    MetricSpec(F1),
+    MetricSpec(F2),
+    MetricSpec(F1DELTA, delta=1e-3),
+], ids=lambda spec: spec.family)
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_overflowing_norm_rejected(spec):
+    y = np.full(3, 1e308)
+    with pytest.raises(NonFiniteInput):
+        norm(spec, y)
+    with pytest.raises(NonFiniteInput):
+        norms_batch(spec, [y, [1.0, 1.0, 1.0]])
+
+
+def test_smoothed_derivatives_at_huge_finite_vectors():
+    spec = MetricSpec(FPDELTA, penalty=PEN1, delta=1e-2)
+    y = np.linspace(-1.0, 1.0, 15) + 0.05
+    H = hessian(spec, y)
+    assert np.allclose(hessian(spec, 1e300 * y), H, rtol=1e-12, atol=0.0)
+    assert np.allclose(grad_f_squared(spec, 1e300 * y), 1e300 * grad_f_squared(spec, y), rtol=1e-12)
+
+
 def test_no_convergence_is_typed(monkeypatch):
     spec = MetricSpec(FPDELTA, penalty=PEN1, delta=1e-2)
     y = np.linspace(0.5, 1.0, 15)
