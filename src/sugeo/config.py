@@ -1,9 +1,11 @@
 """Run configuration: dimension caps and tolerances.
 
 The qubit-count cap exists because everything here is dense: the tangent
-space has dimension 4^n (minus one in SU mode) and the coordinate-change
-superoperator is 4^n x 4^n.  n = 3 is comfortable, n = 4 is the hard
-ceiling for the algebra layer.
+space has dimension 4^n (minus one in SU mode), and the coordinate change
+is a filter on 2^n x 2^n matrices (its 4^n x 4^n superoperator is built
+only by the test oracles).  n = 3 is comfortable, n = 4 is the hard
+ceiling for the algebra layer.  None of the tolerances below is a
+finite-difference step: the geodesic layer's derivatives are exact.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ DEFAULT_TOLERANCES = {
     "branch_cut": 1e-8,
     "eig_cluster": 1e-8,
     "pinv_cutoff": 1e-10,
-    "fd_step_x": 1e-5,
 }
 
 

@@ -26,20 +26,22 @@ identity.  The signs follow from the power series: vec(E_X) = f(-iA) with
 f(s) = (e^s - 1)/s and A = vec(ad_X), so the non-kernel part is
 (U* kron U - I) (-iA)^+ = +i (U* kron U - I) A^+.
 
-A faster, equivalent route used for bulk evaluation diagonalizes X = V L V^T*
-and applies E_X as an entrywise filter in the eigenbasis:
+The production route (apply_bch) diagonalizes X = V L V^T* and applies E_X
+as an entrywise filter in the eigenbasis; the pinv and series routes above
+stay as test oracles:
 
     E_X(Z) = V (Phi o (V^+ Z V)) V^+,   Phi_ab = phi(l_a - l_b),
     phi(s) = (e^{-is} - 1)/(-is),  phi(0) = 1  (entire function).
 
-Both routes cluster eigenvalues within 1e-8 (relative) and treat clustered
-pairs as exact kernel directions.
+The pinv and filter routes cluster eigenvalues within 1e-8 (relative) and
+treat clustered pairs as exact kernel directions.  E_-X is the transpose of
+E_X (Phi^T = conj(Phi)) and bch_x_gradient differentiates tr(G E_X(Z)) in X,
+so no caller needs the matrix M(x) of E_X (change_matrices, a test oracle).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -125,36 +127,7 @@ class Superoperator:
 
 
 # ---------------------------------------------------------------------------
-# eigenstructure helpers
-
-
-def _eig_clusters(lam: np.ndarray) -> list:
-    """Group sorted eigenvalues into clusters separated by > tol."""
-    tol = _CLUSTER_TOL * max(1.0, float(np.max(np.abs(lam))))
-    groups = [[0]]
-    for i in range(1, len(lam)):
-        if lam[i] - lam[groups[-1][-1]] <= tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
-
-
-def kernel_projector(X) -> Superoperator:
-    """Superoperator P(Z) = sum_j P_j Z P_j over distinct-eigenvalue projectors.
-
-    P projects onto the commutant of X: P(Z) = Z iff [X, Z] = 0, and
-    vec(P) = sum_j P_j^T kron P_j.
-    """
-    M = matrix_of(X)
-    lam, V = np.linalg.eigh(M)
-    d = M.shape[0]
-    vecP = np.zeros((d * d, d * d), dtype=complex)
-    for group in _eig_clusters(lam):
-        Vj = V[:, group]
-        Pj = Vj @ Vj.conj().T
-        vecP += np.kron(Pj.T, Pj)
-    return Superoperator(vecP)
+# pinv and series routes (test oracles)
 
 
 def _ad_vec(X: np.ndarray) -> np.ndarray:
@@ -163,21 +136,29 @@ def _ad_vec(X: np.ndarray) -> np.ndarray:
     return np.kron(eye, X) - np.kron(X.conj(), eye)
 
 
+def _pinv_parts(X):
+    """Eigenvalues, vec(ad_X), U* kron U - 1 and vecP for the pinv formulas.
+
+    vecP projects onto the commutant of X: in the eigenbasis it keeps the
+    entries of the pairs that _gap_data clusters, vec(P) = W diag(vec(mask)) W^+
+    with W = V* kron V.
+    """
+    M = matrix_of(X)
+    lam, V = np.linalg.eigh(M)
+    U = V @ np.diag(np.exp(-1j * lam)) @ V.conj().T
+    B = np.kron(U.conj(), U) - np.eye(M.shape[0] ** 2)
+    W = np.kron(V.conj(), V)
+    return lam, _ad_vec(M), B, (W * vec(_gap_data(lam)[1])) @ W.conj().T
+
+
 def bch_E(X) -> Superoperator:
     """The map E_X = (exp(-i ad_X) - 1)/(-i ad_X), identity on ker(ad_X).
 
     Built from the vectorized pinv formula in the module docstring.
     """
-    M = matrix_of(X)
-    lam, V = np.linalg.eigh(M)
-    U = V @ np.diag(np.exp(-1j * lam)) @ V.conj().T
-    d = M.shape[0]
-    A = _ad_vec(M)
-    eye = np.eye(d * d)
-    vecP = kernel_projector(M).vec_matrix
+    _, A, B, vecP = _pinv_parts(X)
     pinvA = np.linalg.pinv(A, rcond=_PINV_CUTOFF, hermitian=True)
-    vecE = vecP + 1j * (np.kron(U.conj(), U) - eye) @ pinvA @ (eye - vecP)
-    return Superoperator(vecE)
+    return Superoperator(vecP + 1j * B @ pinvA @ (np.eye(len(vecP)) - vecP))
 
 
 def _resonance_check(lam: np.ndarray):
@@ -193,17 +174,10 @@ def _resonance_check(lam: np.ndarray):
 
 def bch_E_inverse(X) -> Superoperator:
     """Inverse of bch_E: vecP - i ad_X pinv(U* kron U - 1) off the kernel."""
-    M = matrix_of(X)
-    lam, V = np.linalg.eigh(M)
+    lam, A, B, vecP = _pinv_parts(X)
     _resonance_check(lam)
-    U = V @ np.diag(np.exp(-1j * lam)) @ V.conj().T
-    d = M.shape[0]
-    A = _ad_vec(M)
-    eye = np.eye(d * d)
-    vecP = kernel_projector(M).vec_matrix
-    pinvB = np.linalg.pinv(np.kron(U.conj(), U) - eye, rcond=_PINV_CUTOFF)
-    vecEinv = vecP - 1j * A @ pinvB @ (eye - vecP)
-    return Superoperator(vecEinv)
+    pinvB = np.linalg.pinv(B, rcond=_PINV_CUTOFF)
+    return Superoperator(vecP - 1j * A @ pinvB @ (np.eye(len(vecP)) - vecP))
 
 
 def bch_E_series(X, terms: int = 30) -> Superoperator:
@@ -223,7 +197,7 @@ def bch_E_series(X, terms: int = 30) -> Superoperator:
 
 
 # ---------------------------------------------------------------------------
-# spectral filter route (bulk path for the geodesic engine)
+# spectral filter route (the production path)
 
 
 def _phi(gaps: np.ndarray, cluster_mask: np.ndarray) -> np.ndarray:
@@ -231,6 +205,35 @@ def _phi(gaps: np.ndarray, cluster_mask: np.ndarray) -> np.ndarray:
     s = np.where(cluster_mask, 1.0, gaps)  # avoid 0/0; value replaced below
     out = np.expm1(-1j * s) / (-1j * s)
     return np.where(cluster_mask, 1.0 + 0.0j, out)
+
+
+def _dphi(gaps: np.ndarray) -> np.ndarray:
+    """phi'(s) = (e^{-is} - phi(s))/s elementwise, its Taylor series near 0."""
+    s = np.where(np.abs(gaps) < 1e-3, 1.0, gaps)
+    out = (np.exp(-1j * s) - np.expm1(-1j * s) / (-1j * s)) / s
+    series = -0.5j - gaps / 3.0 + 1j * gaps**2 / 8.0 + gaps**3 / 30.0 - 1j * gaps**4 / 144.0
+    return np.where(np.abs(gaps) < 1e-3, series, out)
+
+
+def bch_x_gradient(X: np.ndarray, Z: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Gamma with d/de tr(G E_{X+eS}(Z)) = tr(Gamma S) at e = 0, for all Hermitian S.
+
+    The Daleckii-Krein derivative of E_X(Z) = sum_ab phi(l_a - l_b) P_a Z P_b
+    (hats: eigenbasis of X): Gamma^_qp = sum_b T_pqb Z^_qb G^_bp +
+    conj(T_pqb) G^_qb Z^_bp, T_pqb = (phi(l_p - l_b) - phi(l_q - l_b)) /
+    (l_p - l_q), or phi'(l_p - l_b) where _gap_data clusters (p, q).
+    X, Z and G may be stacks of matrices, shape (m, D, D), taken pairwise.
+    """
+    lam, V = np.linalg.eigh(X)
+    gaps, mask = _gap_data(lam)
+    Phi = _phi(gaps, mask)
+    quotient = (Phi[..., :, None, :] - Phi[..., None, :, :]) / np.where(mask, 1.0, gaps)[..., None]
+    T = np.where(mask[..., None], _dphi(gaps)[..., :, None, :], quotient)
+    Vh = np.swapaxes(V.conj(), -1, -2)
+    Zh, Gh = Vh @ Z @ V, Vh @ G @ V
+    Gamma = np.einsum("...pqb,...qb,...bp->...qp", T, Zh, Gh)
+    Gamma += np.einsum("...pqb,...qb,...bp->...qp", T.conj(), Gh, Zh)
+    return V @ Gamma @ Vh
 
 
 def _gap_data(lam: np.ndarray):
@@ -272,24 +275,14 @@ def change_coords_backward(x: PauliVector, y_adapted: PauliVector) -> PauliVecto
     return project_to_pauli(out, x.mode)
 
 
-@lru_cache(maxsize=None)
-def _stack_f(n: int, mode: str) -> np.ndarray:
-    return np.asfortranarray(basis_stack(n, mode))
-
-
-def change_matrix(x_entries: np.ndarray, n: int, mode: str = SU) -> np.ndarray:
-    """Matrix M(x) with yt = M y in basis coordinates (real d x d)."""
-    return change_matrices(np.asarray(x_entries, dtype=float)[None, :], n, mode)[0]
-
-
 def change_matrices(xs: np.ndarray, n: int, mode: str = SU) -> np.ndarray:
     """Batched change-of-coordinate matrices for a stack of base points.
 
     M[m, t, s] = tr(sigma_t E_{X_m}(sigma_s)) / 2^n with X_m = xs[m].sigma.
-    One eigh per base point; the filter is applied to all basis directions
-    at once.
+    A test oracle and cache warm-up only: the library applies E_X to the
+    one vector it needs with apply_bch and never forms M.
     """
-    stack = _stack_f(n, mode)
+    stack = basis_stack(n, mode)
     X = np.einsum("mk,kij->mij", xs, stack)
     lam, V = np.linalg.eigh(X)
     gaps, mask = _gap_data(lam)

@@ -62,6 +62,10 @@ class StepLimitExceeded(SugeoError):
     """Geodesic integration re-anchored or stepped more than the configured limit."""
 
 
+class TooFewSamples(SugeoError):
+    """A sampled curve has too few samples in every chart segment for the requested check."""
+
+
 class UnsupportedCoefficient(SugeoError):
     """Coefficient vector has mass outside the allowed support."""
 

@@ -9,14 +9,15 @@ equation an ODE for H alone, the Euler-Arnold equation
 with Hess_N = (1/2) d^2 F^2 and proj the Pauli coefficients.  shoot_geodesic
 advances H by RK4 and U by the 4th-order Magnus step U <- exp(Omega) U,
 Omega taken at the Gauss points of each step's cubic Hermite interpolant
-of H, so U stays unitary.  It starts at H0 = M(x0) y0, U0 = exp(-i x0.sigma).
+of H, so U stays unitary.  It starts at H0 = E_x0(y0), U0 = exp(-i x0.sigma).
 
 Curves are returned in Pauli coordinates, U = exp(-i x.sigma) A, with
-y = M(x)^-1 h and M(x) the change-of-coordinates matrix.  The chart only
-covers eigenphases in (-pi, pi): once one reaches pi - margin, A becomes
-the current U and x restarts at 0, so a Curve consists of chart segments,
-each with its own anchor.  el_residual checks the Euler-Lagrange equations
-of F(x, y) = N(M(x) y) in the chart, independently of the shooting.
+h = E_x(y) given by coords.apply_bch (the filter; y = E_x^-1(h) by its
+inverse).  The chart only covers eigenphases in (-pi, pi): once one reaches
+pi - margin, A becomes the current U and x restarts at 0, so a Curve
+consists of chart segments, each with its own anchor.  el_residual checks
+the Euler-Lagrange equations of F(x, y) = N(E_x(y)) in the chart, with
+exact gradients, independently of the shooting.
 """
 
 from __future__ import annotations
@@ -27,8 +28,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, SHOOT_N_CAP, env_n_cap
-from .coords import UnitaryOperator, apply_bch, change_coords_backward, change_matrices, pauli_log
+from .config import SHOOT_N_CAP, env_n_cap
+from .coords import UnitaryOperator, apply_bch, bch_x_gradient, pauli_log, unitary_from_coords
+# perfbench's test_tracer_self_time_and_patching asserts this binding
+from .coords import change_matrices  # noqa: F401
 from .errors import (
     DimensionLimit,
     DimensionMismatch,
@@ -36,7 +39,9 @@ from .errors import (
     OutsidePatch,
     SingularHessian,
     StepLimitExceeded,
+    TooFewSamples,
     UnsupportedCoefficient,
+    ZeroVector,
 )
 from .metrics import (
     MetricSpec,
@@ -56,9 +61,7 @@ from .pauli import (
     to_matrix,
 )
 
-_HX = DEFAULT_TOLERANCES["fd_step_x"]
 _MIN_G_EIG = 1e-10
-_CHUNK = 2048
 
 
 @dataclass
@@ -91,7 +94,7 @@ class Curve:
 
     def unitary_at(self, i: int) -> np.ndarray:
         seg = bisect_right(self.segments, i) - 1
-        return _expm_entries(self.xs[i], self.n, self.mode) @ self.anchors[seg]
+        return unitary_from_coords(PauliVector(self.n, self.mode, self.xs[i])) @ self.anchors[seg]
 
     def to_json(self) -> dict:
         samples = []
@@ -148,21 +151,24 @@ def _entries_of(v) -> np.ndarray:
     return np.asarray(v, dtype=float)
 
 
-def _expm_entries(x: np.ndarray, n: int, mode: str) -> np.ndarray:
-    H = np.einsum("k,kij->ij", x, basis_stack(n, mode))
-    lam, V = np.linalg.eigh(H)
-    return V @ np.diag(np.exp(-1j * lam)) @ V.conj().T
-
-
 def _max_eigphase(x: np.ndarray, n: int, mode: str) -> float:
-    H = np.einsum("k,kij->ij", x, basis_stack(n, mode))
-    return float(np.max(np.abs(np.linalg.eigvalsh(H))))
+    return float(np.max(np.abs(np.linalg.eigvalsh(algebra(x[None, :], n, mode)[0]))))
 
 
-def _speeds_for(spec: MetricSpec, curve_xs, curve_ys, n: int, mode: str) -> np.ndarray:
-    Ms = change_matrices(curve_xs, n, mode)
-    u = np.einsum("kts,ks->kt", Ms, curve_ys)
-    return norms_batch(spec, u)
+def algebra(rows: np.ndarray, n: int, mode: str) -> np.ndarray:
+    """sum_s rows[:, s] sigma_s, one matrix per row of an (m, d) array."""
+    return (rows @ basis_stack(n, mode).reshape(-1, 4**n)).reshape(len(rows), 2**n, 2**n)
+
+
+def coefficients(mats: np.ndarray, n: int, mode: str) -> np.ndarray:
+    """Re tr(sigma_s A) / 2^n for each matrix A of an (m, 2^n, 2^n) stack."""
+    flat = basis_stack(n, mode).reshape(-1, 4**n)
+    return (mats.reshape(len(mats), -1) @ flat.conj().T).real / 2**n
+
+
+def _adapted(xs: np.ndarray, ys: np.ndarray, n: int, mode: str) -> np.ndarray:
+    """Rows h = E_x(y) of natural adapted coordinates, one per row pair (x, y)."""
+    return coefficients(apply_bch(algebra(xs, n, mode), algebra(ys, n, mode)), n, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +176,12 @@ def _speeds_for(spec: MetricSpec, curve_xs, curve_ys, n: int, mode: str) -> np.n
 
 
 def metric_in_pauli_coords(spec: MetricSpec, x, y) -> float:
-    """F(x, y) = N(M(x) y); equals norm(spec, y) at x = 0."""
+    """F(x, y) = N(E_x(y)); equals norm(spec, y) at x = 0."""
     xe, ye = _entries_of(x), _entries_of(y)
     if xe.shape != ye.shape:
         raise DimensionMismatch("x and y have different dimensions")
     n = qubits_of_dimension(len(xe), spec.mode)
-    M = change_matrices(xe[None, :], n, spec.mode)[0]
-    return norm(spec, M @ ye)
+    return norm(spec, _adapted(xe[None, :], ye[None, :], n, spec.mode)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -225,18 +230,12 @@ def shoot_geodesic(
     if steps is None:
         steps = max(1, int(round(1000 * t_end)))
     if not np.any(ye):
-        raise ValueError("y0 must be nonzero")
+        raise ZeroVector("y0 must be nonzero")
     dt = t_end / steps
     mode = spec.mode
     dim = 2**n
     flat = basis_stack(n, mode).reshape(-1, dim * dim)
     min_eig = np.inf
-
-    def algebra(rows):  # sum_s rows[:, s] sigma_s, one matrix per row
-        return (rows @ flat).reshape(len(rows), dim, dim)
-
-    def coefficients(mats):  # tr(sigma_s A) / dim for each matrix A
-        return (mats.reshape(len(mats), -1) @ flat.conj().T).real / dim
 
     def f(h):
         """dH/dt = Hess_N(H)^-1 proj(-i[H, P]) with P the momentum at H."""
@@ -252,51 +251,45 @@ def shoot_geodesic(
                 f"F(H)^2 = {p @ h:.6g} left [F0^2/2, 2 F0^2] (F0^2 = {energy:.6g}); "
                 "the step is too long for the curvature of the norm"
             )
-        H, P = algebra(np.array([h, p]))
+        H, P = algebra(np.array([h, p]), n, mode)
         # -i[H, P] = -i(A - A^+) with A = HP, so proj gives 2 Im tr(sigma_s A) / dim
         r = (2.0 / dim) * (flat @ (H @ P).T.ravel()).imag
         return V @ ((V.T @ r) / w)
 
-    h = coefficients(apply_bch(*algebra(np.array([xe, ye])))[None])[0]
+    h = _adapted(xe[None, :], ye[None, :], n, mode)[0]
     energy = norm(spec, h) ** 2
-    U = _expm_entries(xe, n, mode)
-    hs = [h]
-    Us = [U]
+    U = unitary_from_coords(PauliVector(n, mode, xe))
+    hs = np.empty((steps + 1, len(h)))
+    xs = np.empty_like(hs)
+    hs[0], xs[0] = h, xe
+    segments = [0]
+    anchors = [np.eye(dim, dtype=complex)]
     k = f(h)
-    for _ in range(steps):
+    for i in range(1, steps + 1):
         k2 = f(h + 0.5 * dt * k)
         k3 = f(h + 0.5 * dt * k2)
         k4 = f(h + dt * k3)
         h_next = h + (dt / 6.0) * (k + 2 * k2 + 2 * k3 + k4)
         k_next = f(h_next)
-        H1, H2 = algebra(_HERMITE @ np.array([h, dt * k, h_next, dt * k_next]))
+        H1, H2 = algebra(_HERMITE @ np.array([h, dt * k, h_next, dt * k_next]), n, mode)
         B = H2 @ H1
         K = 0.5 * dt * (H1 + H2) - 1j * (np.sqrt(3.0) / 12.0) * dt**2 * (B - B.conj().T)
         lam, V = np.linalg.eigh(K)
         U = (V * np.exp(-1j * lam)) @ V.conj().T @ U
         h, k = h_next, k_next
-        hs.append(h)
-        Us.append(U)
-
-    hs = np.array(hs)
-    xs = np.empty_like(hs)
-    xs[0] = xe
-    segments = [0]
-    anchors = [np.eye(dim, dtype=complex)]
-    for i in range(1, len(hs)):
-        x = pauli_log(Us[i] @ anchors[-1].conj().T, mode).entries
+        x = pauli_log(U @ anchors[-1].conj().T, mode).entries
         if _max_eigphase(x, n, mode) >= np.pi - reanchor_margin:
-            anchors.append(Us[i])
-            segments.append(i)
-            x = np.zeros_like(x)
-            if len(segments) > max_segments:
+            if len(segments) == max_segments:
                 raise StepLimitExceeded(
                     f"more than {max_segments} chart re-anchorings; "
                     "the curve is too long for this sampling"
                 )
-        xs[i] = x
+            anchors.append(U)
+            segments.append(i)
+            x = np.zeros_like(x)
+        hs[i], xs[i] = h, x
 
-    ys = coefficients(apply_bch(algebra(xs), algebra(hs), inverse=True))  # y = M(x)^-1 h
+    ys = coefficients(apply_bch(algebra(xs, n, mode), algebra(hs, n, mode), inverse=True), n, mode)
     speeds = norms_batch(spec, hs)
     stats = {
         "steps": steps,
@@ -312,48 +305,39 @@ def shoot_geodesic(
 # Euler-Lagrange residual
 
 
-def el_residual(spec: MetricSpec, curve: Curve) -> float:
-    """Max residual of d/dt(dF^2/dy^j) = dF^2/dx^j along the curve.
+def f_squared_gradients(spec: MetricSpec, xs: np.ndarray, ys: np.ndarray) -> tuple:
+    """Exact (dF^2/dx, dF^2/dy) of F(x, y) = N(E_x(y)) at each row pair of two (m, d) arrays.
 
-    The y-gradient is analytic (M^T grad N^2), its time derivative and the
-    x-gradient are finite differences.  Normalized by max |dF^2/dx| + 1;
-    evaluated on interior samples of each chart segment.
+    With h = E_x(y) and G = grad N^2(h).sigma: dF^2/dy = E_-x(G), since the
+    transpose of E_x is E_-x, and dF^2/dx_j = Re tr(Gamma sigma_j) / 2^n
+    with Gamma = coords.bch_x_gradient(X, Y, G).
     """
-    n, mode, d = curve.n, curve.mode, curve.xs.shape[1]
+    mode = spec.mode
+    n = qubits_of_dimension(xs.shape[1], mode)
+    X, Y = algebra(xs, n, mode), algebra(ys, n, mode)
+    G = algebra(grad_f_squared(spec, coefficients(apply_bch(X, Y), n, mode)), n, mode)
+    return coefficients(bch_x_gradient(X, Y, G), n, mode), coefficients(apply_bch(-X, G), n, mode)
+
+
+def el_residual(spec: MetricSpec, curve: Curve) -> float:
+    """Max residual of d/dt(dF^2/dy^j) = dF^2/dx^j along the curve, F(x, y) = N(E_x(y)).
+
+    Both gradients are exact (f_squared_gradients); only the time
+    derivative is a finite difference, np.gradient over the samples.
+    Normalized by max |dF^2/dx| + 1; evaluated on the interior samples of
+    each chart segment with at least 5 samples.  Raises TooFewSamples when
+    no segment has that many.
+    """
+    bounds = [(a, b) for a, b in curve.segment_bounds() if b - a >= 5]
+    if not bounds:
+        raise TooFewSamples(f"no chart segment of {len(curve.ts)} samples has 5 or more")
     worst = 0.0
     rhs_scale = 0.0
-    h = _HX
-    for a, b in curve.segment_bounds():
-        if b - a < 5:
-            continue
-        xs, ys, ts = curve.xs[a:b], curve.ys[a:b], curve.ts[a:b]
-        k = b - a
-        Ms = change_matrices(xs, n, mode)
-        u = np.einsum("kts,ks->kt", Ms, ys)
-        lhs = np.empty((k, d))
-        for i in range(k):
-            lhs[i] = Ms[i].T @ grad_f_squared(spec, u[i])
-        dlhs = np.gradient(lhs, ts, axis=0)
-
-        pert = np.repeat(xs[:, None, :], 2 * d, axis=1)
-        for l in range(d):
-            pert[:, 2 * l, l] += h
-            pert[:, 2 * l + 1, l] -= h
-        flat = pert.reshape(-1, d)
-        ys_rep = np.repeat(ys, 2 * d, axis=0)
-        vals = np.empty(len(flat))
-        for c0 in range(0, len(flat), _CHUNK):
-            c1 = min(c0 + _CHUNK, len(flat))
-            Mf = change_matrices(flat[c0:c1], n, mode)
-            uf = np.einsum("kts,ks->kt", Mf, ys_rep[c0:c1])
-            vals[c0:c1] = norms_batch(spec, uf) ** 2
-        vals = vals.reshape(k, d, 2)
-        rhs = (vals[:, :, 0] - vals[:, :, 1]) / (2 * h)
-
-        res = np.abs(dlhs - rhs)[1:-1]
-        if res.size:
-            worst = max(worst, float(res.max()))
-            rhs_scale = max(rhs_scale, float(np.abs(rhs).max()))
+    for a, b in bounds:
+        rhs, lhs = f_squared_gradients(spec, curve.xs[a:b], curve.ys[a:b])
+        res = np.abs(np.gradient(lhs, curve.ts[a:b], axis=0) - rhs)[1:-1]
+        worst = max(worst, float(res.max()))
+        rhs_scale = max(rhs_scale, float(np.abs(rhs).max()))
     return worst / (rhs_scale + 1.0)
 
 
@@ -394,7 +378,7 @@ def pauli_geodesic_curve(
     ts = np.linspace(0.0, t_end, num_samples)
     xs = np.outer(ts, h0)
     ys = np.tile(h0, (num_samples, 1))
-    speeds = _speeds_for(spec, xs, ys, n, mode)
+    speeds = norms_batch(spec, _adapted(xs, ys, n, mode))
     return Curve(spec, n, mode, ts, xs, ys, speeds)
 
 
@@ -451,22 +435,15 @@ def tensor_product_curve(curve_a: Curve, curve_b: Curve, spec_ab: MetricSpec) ->
     k = len(curve_a.ts)
     d = basis_dimension(n, mode)
 
-    Ma = change_matrices(curve_a.xs, na, mode)
-    Mb = change_matrices(curve_b.xs, nb, mode)
-    ua = np.einsum("kts,ks->kt", Ma, curve_a.ys)
-    ub = np.einsum("kts,ks->kt", Mb, curve_b.ys)
-
-    xs = np.empty((k, d))
-    ys = np.empty((k, d))
-    for i in range(k):
-        W = np.kron(curve_a.unitary_at(i), curve_b.unitary_at(i))
-        x_ab = pauli_log(W, mode)
-        h_ab = embed_pauli_vector(PauliVector(na, mode, ua[i]), n, 0).entries
-        h_ab = h_ab + embed_pauli_vector(PauliVector(nb, mode, ub[i]), n, na).entries
-        y_ab = change_coords_backward(x_ab, PauliVector(n, mode, h_ab))
-        xs[i] = x_ab.entries
-        ys[i] = y_ab.entries
-    speeds = _speeds_for(spec_ab, xs, ys, n, mode)
+    hs = np.zeros((k, d))
+    hs[:, _embed_indices(na, n, 0, mode)] += _adapted(curve_a.xs, curve_a.ys, na, mode)
+    hs[:, _embed_indices(nb, n, na, mode)] += _adapted(curve_b.xs, curve_b.ys, nb, mode)
+    xs = np.array([
+        pauli_log(np.kron(curve_a.unitary_at(i), curve_b.unitary_at(i)), mode).entries
+        for i in range(k)
+    ])
+    ys = coefficients(apply_bch(algebra(xs, n, mode), algebra(hs, n, mode), inverse=True), n, mode)
+    speeds = norms_batch(spec_ab, hs)
     return Curve(spec_ab, n, mode, curve_a.ts.copy(), xs, ys, speeds)
 
 

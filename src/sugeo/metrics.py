@@ -14,8 +14,9 @@ and define N(y) as the unique positive solution of g(y/N) = 1.  That N is a
 strongly convex Minkowski norm provided Delta < 1/P with P = sum_sigma
 p_sigma, and satisfies the sandwich N_p(y) <= N(y) <= N_p(y)/(1 - P*Delta)
 where N_p is the exact weighted taxicab norm.  One Newton loop solves for
-N (see _implicit_norms): norms_batch runs it on every row at once, and
-norm, implicit_norm, grad_f_squared and hessian run it on a batch of one.
+N (see _implicit_norms): norms_batch and grad_f_squared run it on all rows
+at once, and a single vector is a batch of one.  The plain families
+rescale by max|y_j| only when the direct sum under- or overflows.
 Non-finite coefficients, and finite ones whose norm overflows, raise
 NonFiniteInput in every family.
 
@@ -211,9 +212,25 @@ def norm(spec: MetricSpec, y) -> float:
     if spec.family in SMOOTHED:
         return implicit_norm(spec, v)
     p = penalty_vector(spec, qubits_of_dimension(len(v), spec.mode))
+    # _plain_norms inlined: a scalar norm is the hot path of the circuit bounds
+    out = float(p @ np.abs(v)) if spec.family in (F1, FP) else float(np.sqrt(p @ v**2))
+    if out == 0.0 or not math.isfinite(out):
+        out = _no_overflow(float(_rescaled_norms(spec, p, v)))
+    return out
+
+
+def _plain_norms(spec: MetricSpec, p: np.ndarray, v: np.ndarray):
+    """F1/Fp/F2/Fq of a vector, or of each row of a matrix, as computed directly."""
     if spec.family in (F1, FP):
-        return _no_overflow(float(p @ np.abs(v)))
-    return _no_overflow(float(np.sqrt(p @ v**2)))
+        return np.abs(v) @ p
+    return np.sqrt(v**2 @ p)
+
+
+def _rescaled_norms(spec: MetricSpec, p: np.ndarray, v: np.ndarray):
+    """_plain_norms of rows scaled to max|y_j| = 1, for sums that under- or overflowed."""
+    scale = np.abs(v).max(axis=-1, keepdims=True)
+    scale[scale == 0.0] = 1.0
+    return scale[..., 0] * _plain_norms(spec, p, v / scale)
 
 
 def implicit_norm(spec: MetricSpec, y) -> float:
@@ -277,26 +294,29 @@ def norms_batch(spec: MetricSpec, rows: np.ndarray) -> np.ndarray:
     if spec.family in SMOOTHED:
         return _no_overflow(_implicit_norms(spec, rows))
     p = penalty_vector(spec, qubits_of_dimension(rows.shape[1], spec.mode))
-    if spec.family in (F1, FP):
-        return _no_overflow(np.abs(rows) @ p)
-    return _no_overflow(np.sqrt(rows**2 @ p))
+    out = _plain_norms(spec, p, rows)
+    redo = (out == 0.0) | ~np.isfinite(out)
+    if redo.any():
+        out[redo] = _rescaled_norms(spec, p, rows[redo])
+    return _no_overflow(out)
 
 
 def grad_f_squared(spec: MetricSpec, y) -> np.ndarray:
-    """Analytic gradient of F^2 (used by the geodesic engine and Euler checks)."""
+    """Analytic gradient of F^2 at a vector, or at each row of an (m, dim) array."""
     v = _entries(spec, y)
-    p = penalty_vector(spec, qubits_of_dimension(len(v), spec.mode))
+    p = penalty_vector(spec, qubits_of_dimension(v.shape[-1], spec.mode))
     if spec.family in (F2, FQ):
         return 2.0 * p * v
     if spec.family in (F1, FP):
         raise NotSmoothMetric(f"{spec.family} has no smooth gradient")
-    N = implicit_norm(spec, v)
-    if N == 0.0:
+    N = _implicit_norms(spec, v.reshape(-1, len(p))).reshape(*v.shape[:-1], 1)
+    if not 0.0 < N.min() <= N.max() < math.inf:
+        _no_overflow(N)  # an infinite norm raises NonFiniteInput; otherwise a row is 0
         raise ZeroVector("gradient undefined at 0")
     u = v / N
     gamma = p * u / np.sqrt(spec.delta**2 + u**2)
     # grad N = gamma / (gamma . u), so grad N^2 = 2 N gamma / (gamma . u)
-    return 2.0 * N * gamma / float(gamma @ u)
+    return 2.0 * N * gamma / (gamma[..., None, :] @ u[..., None])[..., 0]
 
 
 def hessian(spec: MetricSpec, y) -> np.ndarray:

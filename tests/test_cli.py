@@ -143,6 +143,33 @@ def test_shoot_then_residual(capsys, tmp_path, f2_metric):
     assert json.loads(out)["residual"] < 1e-6
 
 
+def test_residual_of_too_short_curve_is_a_domain_error(capsys, tmp_path, f2_metric):
+    x0 = write_json(tmp_path, "x0.json", PauliVector(1, "SU", np.zeros(3)).to_json())
+    y0 = write_json(tmp_path, "y0.json", PauliVector.from_terms(1, {"X": 0.5}).to_json())
+    curve_path = str(tmp_path / "curve.json")
+    code, _, _ = run(
+        capsys,
+        [
+            "geodesic-shoot", "--metric", f2_metric, "--x0", x0, "--y0", y0,
+            "--t", "0.3", "--steps", "3", "--out", curve_path,
+        ],
+    )
+    assert code == 0 and len(json.loads(open(curve_path).read())["samples"]) == 4
+    code, out, err = run(capsys, ["geodesic-residual", "--curve", curve_path])
+    assert code == 1 and out == ""
+    assert "TooFewSamples" in err
+
+
+def test_shoot_with_zero_velocity_is_a_domain_error(capsys, tmp_path, f2_metric):
+    x0 = write_json(tmp_path, "x0.json", PauliVector(1, "SU", np.zeros(3)).to_json())
+    code, out, err = run(
+        capsys,
+        ["geodesic-shoot", "--metric", f2_metric, "--x0", x0, "--y0", x0, "--t", "0.3"],
+    )
+    assert code == 1 and out == ""
+    assert "ZeroVector" in err
+
+
 def test_shoot_output_is_bit_reproducible(capsys, tmp_path, f2_metric):
     x0 = write_json(tmp_path, "x0.json", PauliVector(1, "SU", np.zeros(3)).to_json())
     y0 = write_json(tmp_path, "y0.json", PauliVector.from_terms(1, {"Y": 0.4}).to_json())

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sugeo.coords import (
     Superoperator,
@@ -11,7 +13,6 @@ from sugeo.coords import (
     change_coords_backward,
     change_coords_forward,
     change_matrices,
-    change_matrix,
     pauli_log,
     solve_cross_equation,
     su2_adapted_to_pauli,
@@ -22,7 +23,9 @@ from sugeo.coords import (
     unvec,
 )
 from sugeo.errors import BranchCut, OutsidePatch, ResonantSpectrum
-from sugeo.pauli import SU, U, PauliVector, pauli_matrix, to_matrix
+from sugeo.pauli import SU, U, PauliVector, pauli_matrix, pauli_strings, to_matrix
+
+from oracles import change_matrix
 
 
 def _random_hermitian(rng, dim, scale=1.0):
@@ -201,3 +204,43 @@ def test_superoperator_identity():
     s = Superoperator(np.eye(4, dtype=complex))
     Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
     assert np.allclose(s(Z), Z)
+
+
+def _unitary_from_seed(seed, dim):
+    rng = np.random.default_rng(seed)
+    Q, R = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 3]),
+    levels=st.lists(st.sampled_from([-1.4, -0.7, 0.0, 0.3, 1.1]), min_size=8, max_size=8),
+    jitter=st.lists(st.floats(-0.2, 0.2), min_size=8, max_size=8),
+    exact_ties=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_inverse_filter_inverts_with_degenerate_spectra(n, levels, jitter, exact_ties, seed):
+    """apply_bch(X, apply_bch(X, Z), inverse=True) == Z; repeated eigenvalues included."""
+    dim = 2**n
+    lam = np.array(levels[:dim]) + (0.0 if exact_ties else np.array(jitter[:dim]))
+    V = _unitary_from_seed(seed, dim)
+    X = (V * lam) @ V.conj().T
+    Z = _random_hermitian(np.random.default_rng(seed + 1), dim)
+    back = apply_bch(X, apply_bch(X, Z), inverse=True)
+    assert np.max(np.abs(back - Z)) < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 3]),
+    raw=st.lists(st.floats(-1.0, 1.0), min_size=63, max_size=63),
+    diagonal=st.booleans(),
+)
+def test_change_matrix_transpose_is_change_matrix_at_minus_x(n, raw, diagonal):
+    """M(x)^T = M(-x): the transpose of E_X under the trace pairing is E_-X."""
+    x = np.array(raw[: 4**n - 1])
+    if diagonal:  # only I/Z strings: commuting terms, a degenerate spectrum
+        x *= [set(s) <= {"I", "Z"} for s in pauli_strings(n, SU)]
+    M, M_minus = change_matrices(np.array([x, -x]), n)
+    assert np.max(np.abs(M.T - M_minus)) < 1e-12

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sugeo.coords import change_coords_forward, unitary_from_coords
+from sugeo.coords import change_coords_forward, pauli_log, unitary_from_coords
 from sugeo.errors import (
     DimensionLimit,
     DimensionMismatch,
@@ -11,14 +11,18 @@ from sugeo.errors import (
     OutsidePatch,
     SingularHessian,
     StepLimitExceeded,
+    TooFewSamples,
     UnsupportedCoefficient,
+    ZeroVector,
 )
+from sugeo import geodesic
 from sugeo.geodesic import (
     Curve,
     additive_triple_check,
     curve_length,
     el_residual,
     embed_pauli_vector,
+    f_squared_gradients,
     metric_in_pauli_coords,
     pauli_geodesic,
     pauli_geodesic_curve,
@@ -26,6 +30,8 @@ from sugeo.geodesic import (
 )
 from sugeo.metrics import F1, F1DELTA, F2, FP, FPDELTA, FQ, MetricSpec, PenaltyFunction, norm
 from sugeo.pauli import SU, PauliVector, stabilizer_span, to_matrix
+
+from oracles import fd_el_residual, fd_f_squared_gradients
 
 F2_SPEC = MetricSpec(family=F2)
 PEN1 = PenaltyFunction(kind="step", k=4.0, low_weight_cutoff=1)
@@ -66,8 +72,23 @@ def test_step_limit():
         shoot_geodesic(F2_SPEC, np.zeros(3), np.array([3.0, 0.0, 0.0]), 3.0, max_segments=1)
 
 
+def test_step_limit_stops_at_the_extra_anchor(monkeypatch):
+    """x is recovered step by step, so the run stops at the first re-anchoring past the limit."""
+    calls = []
+
+    def counting_log(U, mode):
+        calls.append(1)
+        return pauli_log(U, mode)
+
+    monkeypatch.setattr(geodesic, "pauli_log", counting_log)
+    with pytest.raises(StepLimitExceeded):
+        shoot_geodesic(F2_SPEC, np.zeros(3), np.array([3.0, 0.0, 0.0]), 3.0, max_segments=1)
+    # |y0| = 3 reaches the margin pi - 0.2 at t = 0.98, step 980 of 3000
+    assert 975 <= len(calls) <= 985
+
+
 def test_zero_velocity_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ZeroVector):
         shoot_geodesic(F2_SPEC, np.zeros(3), np.zeros(3), 1.0)
 
 
@@ -241,3 +262,81 @@ def test_additive_triple_identity_holds():
     spec_2 = MetricSpec(family=FQ, penalty=pen)
     residual = additive_triple_check(spec_1, spec_1, spec_2, num_samples=20)
     assert residual < 1e-10
+
+
+def test_el_residual_needs_five_samples_in_a_segment():
+    spec = MetricSpec(FQ, penalty=PEN1)
+    curve = pauli_geodesic_curve(spec, PauliVector.from_terms(1, {"Z": 0.5}), 0.3, num_samples=4)
+    with pytest.raises(TooFewSamples):
+        el_residual(spec, curve)
+    curve = pauli_geodesic_curve(spec, PauliVector.from_terms(1, {"Z": 0.5}), 0.3, num_samples=5)
+    assert el_residual(spec, curve) < 1e-12
+
+
+@pytest.mark.parametrize("spec, coeffs, t_end, stabilizer", [
+    (MetricSpec(FPDELTA, penalty=PEN1, delta=1e-4), {"XX": 0.5, "ZZ": -0.4, "YY": 0.3}, 1.0, True),
+    (MetricSpec(FQ, penalty=PEN1), {"ZI": 0.7, "IZ": 0.2, "ZZ": -0.3}, 1.0, True),
+    (MetricSpec(FQ, penalty=PenaltyFunction(kind="step", k=100.0, low_weight_cutoff=1)),
+     {"XI": 0.9, "ZZ": 0.7, "IY": 0.4}, 1.0, False),
+])
+def test_el_residual_matches_fd_oracle_on_exponentials(spec, coeffs, t_end, stabilizer):
+    curve = pauli_geodesic_curve(spec, PauliVector.from_terms(2, coeffs), t_end, num_samples=101)
+    exact, fd = el_residual(spec, curve), fd_el_residual(spec, curve)
+    if stabilizer:
+        assert exact < 1e-9 and fd < 1e-6
+    else:
+        assert exact > 1e-2 and exact == pytest.approx(fd, rel=1e-6)
+
+
+def test_el_residual_matches_fd_oracle_on_shot_curves():
+    """On a shot curve the residual is the sampling error of d/dt, which both routes share."""
+    spec = MetricSpec(FPDELTA, penalty=PenaltyFunction(kind="step", k=2.0, low_weight_cutoff=0), delta=0.05)
+    curve = shoot_geodesic(spec, np.zeros(3), np.array([0.45, -0.35, 0.7]), 0.4, steps=200)
+    assert el_residual(spec, curve) == pytest.approx(fd_el_residual(spec, curve), rel=1e-5)
+    spec = MetricSpec(FQ, penalty=PEN1)
+    curve = shoot_geodesic(spec, np.zeros(15), 2.0 * (np.linspace(-1.0, 1.0, 15) + 0.1), 1.0, steps=200)
+    assert len(curve.segments) == 3
+    assert el_residual(spec, curve) == pytest.approx(fd_el_residual(spec, curve), rel=1e-6)
+
+
+GRADIENT_SPECS = {
+    FQ: MetricSpec(FQ, penalty=PEN1),
+    F1DELTA: MetricSpec(F1DELTA, delta=0.05),
+    FPDELTA: MetricSpec(FPDELTA, penalty=PEN1, delta=0.02),
+}
+
+
+def _assert_gradients_match_fd(spec, x, y):
+    gx, gy = f_squared_gradients(spec, x[None, :], y[None, :])
+    fx, fy = fd_f_squared_gradients(spec, x, y, h=1e-6)
+    for exact, fd in ((gx[0], fx), (gy[0], fy)):
+        assert np.max(np.abs(exact - fd)) <= 1e-6 * max(np.max(np.abs(fd)), 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([1, 2]),
+    family=st.sampled_from(sorted(GRADIENT_SPECS)),
+    raw_x=st.lists(st.floats(-1.0, 1.0), min_size=15, max_size=15),
+    raw_y=st.lists(st.floats(-1.0, 1.0), min_size=15, max_size=15),
+    degenerate=st.booleans(),
+)
+def test_adjoint_gradients_match_finite_differences(n, family, raw_x, raw_y, degenerate):
+    """Exact dF^2/dx and dF^2/dy against central differences of metric_in_pauli_coords**2."""
+    d = 4**n - 1
+    spec = GRADIENT_SPECS[family]
+    x, y = np.array(raw_x[:d]), np.array(raw_y[:d])
+    if degenerate:  # x on one commuting Pauli string: a doubly degenerate spectrum
+        x[1:] = 0.0
+    x *= 2.5 / max(np.abs(np.linalg.eigvalsh(to_matrix(PauliVector(n, SU, x)))).max(), 1.0)
+    if np.linalg.norm(y) < 0.1:
+        y[0] = 1.0
+    _assert_gradients_match_fd(spec, x, y)
+
+
+def test_adjoint_gradients_at_degenerate_stabilizer_point_n3():
+    """x on a stabilizer group at n = 3 (eigenvalues of multiplicity up to 4), y generic."""
+    x = PauliVector.from_terms(3, {"ZII": 0.4, "IZI": -0.3, "ZZI": 0.25, "IIZ": 0.1}).entries
+    y = np.random.default_rng(31).standard_normal(63)
+    for spec in (MetricSpec(FQ, penalty=PEN1), MetricSpec(FPDELTA, penalty=PEN1, delta=1e-3)):
+        _assert_gradients_match_fd(spec, x, y)

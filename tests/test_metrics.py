@@ -179,11 +179,39 @@ def test_non_finite_rows_rejected(spec):
 ], ids=lambda spec: spec.family)
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_overflowing_norm_rejected(spec):
-    y = np.full(3, 1e308)
+    y = np.full(3, 1.5e308)  # every norm here is >= sqrt(3) 1.5e308, past the float range
     with pytest.raises(NonFiniteInput):
         norm(spec, y)
     with pytest.raises(NonFiniteInput):
         norms_batch(spec, [y, [1.0, 1.0, 1.0]])
+
+
+@pytest.mark.parametrize("spec", [
+    MetricSpec(F1), MetricSpec(F2), MetricSpec(FP, penalty=PEN1), MetricSpec(FQ, penalty=PEN1),
+], ids=lambda spec: spec.family)
+@pytest.mark.parametrize("c", [1e-200, 1e-320, 1e200, 1e308])
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_plain_norms_at_extreme_scales(spec, c):
+    """A representable norm is returned even when y**2 under- or overflows."""
+    y = (np.linspace(-1.0, 1.0, 15) + 0.05) / 16.0  # every norm of y is below 1.5
+    expected = c * norm(spec, y)
+    rel = 1e-12 if c > 1e-300 else 1e-3  # 1e-320 y is subnormal
+    assert norm(spec, c * y) == pytest.approx(expected, rel=rel)
+    batch = norms_batch(spec, [c * y, y, np.zeros(15)])
+    assert batch == pytest.approx([expected, norm(spec, y), 0.0], rel=rel)
+
+
+def test_grad_f_squared_batch_rows_equal_vector_calls():
+    rng = np.random.default_rng(21)
+    rows = rng.standard_normal((30, 15))
+    for spec in (MetricSpec(FQ, penalty=PEN1), MetricSpec(F1DELTA, delta=0.05),
+                 MetricSpec(FPDELTA, penalty=PEN1, delta=1e-2)):
+        batch = grad_f_squared(spec, rows)
+        assert batch.shape == rows.shape
+        for r, g in zip(rows, batch):
+            assert np.array_equal(g, grad_f_squared(spec, r))
+    with pytest.raises(ZeroVector):
+        grad_f_squared(MetricSpec(F1DELTA, delta=0.05), np.vstack([rows[:2], np.zeros(15)]))
 
 
 def test_smoothed_derivatives_at_huge_finite_vectors():
