@@ -27,7 +27,6 @@ from .metrics import (
     FQ,
     MetricSpec,
     PenaltyFunction,
-    evaluate,
     norm,
 )
 from .pauli import SU, U, HermitianOperator, PauliVector, pauli_strings, stabilizer_span

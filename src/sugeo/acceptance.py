@@ -26,7 +26,7 @@ from .bounds import (
     cnot_matrix,
     isometry_check,
     local_unitary,
-    random_su2,
+    random_unitary,
 )
 from .coords import (
     bch_E,
@@ -364,12 +364,6 @@ def run_smoothing():
 # 8. isometry catalogue
 
 
-def _random_unitary(rng, dim):
-    A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    Q, R = np.linalg.qr(A)
-    return Q @ np.diag(np.exp(-1j * np.angle(np.diag(R))))
-
-
 def run_isometry():
     """Catalogued conjugation maps preserve the norms; the excluded pairs fail."""
     rng = np.random.default_rng(_SEED)
@@ -390,9 +384,10 @@ def run_isometry():
         "complex_conjugation": IsometryMap("complex_conjugation"),
         "clifford": IsometryMap("clifford", operator=cnot_matrix()),
         "local_unitary": IsometryMap(
-            "local_unitary", operator=local_unitary([random_su2(rng), random_su2(rng)])
+            "local_unitary",
+            operator=local_unitary([random_unitary(rng, 2), random_unitary(rng, 2)]),
         ),
-        "unitary": IsometryMap("unitary", operator=_random_unitary(rng, 4)),
+        "unitary": IsometryMap("unitary", operator=random_unitary(rng, 4)),
     }
     worst = 0.0
     pairs = 0

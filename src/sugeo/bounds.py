@@ -14,6 +14,11 @@ norms: Pauli conjugation and complex conjugation preserve all families
 weight-blind families (permutations of the Pauli basis), local-unitary
 conjugation preserves weights but mixes coefficients orthogonally (F2 and
 Fq survive), and arbitrary unitary conjugation leaves only F2.
+
+Each check is one batched pass: the gate norms of a circuit, and the
+random samples of an isometry or sign-flip check, go through one
+norms_batch call per metric.  random_unitary draws the conjugating
+unitaries.
 """
 
 from __future__ import annotations
@@ -24,24 +29,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteInput, NotGBounding
-from .metrics import (
-    F1,
-    F1DELTA,
-    F2,
-    FP,
-    FPDELTA,
-    FQ,
-    MetricSpec,
-    norm,
-)
+from .metrics import F1, F1DELTA, F2, FP, FPDELTA, FQ, MetricSpec, norms_batch
 from .pauli import (
     SU,
     PauliVector,
+    algebra,
     basis_dimension,
-    basis_stack,
+    check_traceless,
+    coefficients,
     matrix_of,
     pauli_matrix,
-    project_to_pauli,
     string_index,
     validate_string,
     weight,
@@ -178,8 +175,11 @@ def circuit_to_curve(circuit: Circuit, spec: MetricSpec) -> CircuitTrajectory:
     The speed is r(t) m alpha_j F(sigma_j) and the length is exactly
     sum_j alpha_j F(sigma_j), which never exceeds the gate count for a
     G-bounding metric.  Every gate Hamiltonian is checked against the metric
-    at entry (G-bounding is a property of the penalties, not of the spec
-    label).  Each segment is sampled at _SAMPLES_PER_SEGMENT points.
+    at entry, all gate norms in one norms_batch call (G-bounding is a
+    property of the penalties, not of the spec label); the error raised is
+    that of the first gate that is malformed or over the bound, as when each
+    gate was checked in turn.  Each segment is sampled at
+    _SAMPLES_PER_SEGMENT points.
     """
     gate_set = GateSet()
     m = len(circuit.gates)
@@ -191,26 +191,37 @@ def circuit_to_curve(circuit: Circuit, spec: MetricSpec) -> CircuitTrajectory:
             circuit, spec, ts, np.array([eye, eye]), np.zeros(2), 0.0, 0.0
         )
 
-    d = basis_dimension(circuit.n, spec.mode)
+    strings, invalid = [], None
+    for g in circuit.gates:
+        try:
+            gate_set.validate(g)
+            strings.append(circuit.full_string(g))
+        except (ValueError, DimensionMismatch) as err:
+            invalid = err
+            break
+    # the gates before the first malformed one are bounded first, so the
+    # error raised is that of the first gate at fault, malformed or over
     idx = string_index(circuit.n, spec.mode)
+    hamiltonians = np.zeros((len(strings), basis_dimension(circuit.n, spec.mode)))
+    hamiltonians[np.arange(len(strings)), [idx[s] for s in strings]] = [
+        g.alpha for g in circuit.gates[: len(strings)]
+    ]
+    gate_norms = norms_batch(spec, hamiltonians)
+    for g, s, gate_norm in zip(circuit.gates, strings, gate_norms):
+        if gate_norm > 1.0 + 1e-12:
+            raise NotGBounding(
+                f"gate Hamiltonian {g.alpha:.3g}*{s} has norm {gate_norm:.6f} > 1"
+            )
+    if invalid is not None:
+        raise invalid
+
     k = _SAMPLES_PER_SEGMENT
     ts = np.arange(m * k + 1) / (m * k)
     r = regularizer(m)(ts)
     V = eye
     unitaries = [V[None]]
     speeds = [np.zeros(1)]
-    gate_norms = []
-    for j, g in enumerate(circuit.gates):
-        gate_set.validate(g)
-        s = circuit.full_string(g)
-        e = np.zeros(d)
-        e[idx[s]] = g.alpha
-        gate_norm = norm(spec, e)
-        if gate_norm > 1.0 + 1e-12:
-            raise NotGBounding(
-                f"gate Hamiltonian {g.alpha:.3g}*{s} has norm {gate_norm:.6f} > 1"
-            )
-        gate_norms.append(gate_norm)
+    for j, (g, s, gate_norm) in enumerate(zip(circuit.gates, strings, gate_norms)):
         seg = slice(j * k + 1, (j + 1) * k + 1)
         theta = g.alpha * (m * ts[seg] - j - np.sin(2 * np.pi * m * ts[seg]) / (2 * np.pi))
         sigma_V = pauli_matrix(s) @ V
@@ -284,39 +295,33 @@ def isometry_check(
     iso: IsometryMap, spec: MetricSpec, samples: int = 200, n: int = 2,
     seed: int = 20260822,
 ) -> IsometryCheckResult:
-    """Max |F(h(H)) - F(H)| over random Hamiltonians.
+    """Max |F(h(H)) - F(H)| over random Hamiltonians, all pushed in one batch.
 
     Applicable pairs per the catalogue must come out < 1e-10; for pairs
     declared inapplicable, the first Hamiltonian with deviation > 1e-6 is
-    kept as the counterexample.
+    kept as the counterexample.  The samples are the rows of one
+    standard_normal((samples, 4^n - 1)) draw.  A pushed Hamiltonian with a
+    trace (a non-unitary operator) raises NonTracelessInSUMode.
     """
-    rng = np.random.default_rng(seed)
-    d = basis_dimension(n, SU)
-    worst = 0.0
-    counterexample = None
-    for _ in range(samples):
-        y = rng.standard_normal(d)
-        H = np.einsum("k,kij->ij", y, basis_stack(n, SU))
-        pushed = project_to_pauli(iso.push(H), SU)
-        dev = abs(norm(spec, pushed) - norm(spec, PauliVector(n, SU, y)))
-        if dev > worst:
-            worst = dev
-            if dev > 1e-6 and counterexample is None:
-                counterexample = PauliVector(n, SU, y)
-    return IsometryCheckResult(worst, iso.applicable(spec), counterexample)
+    ys = np.random.default_rng(seed).standard_normal((samples, basis_dimension(n, SU)))
+    pushed = iso.push(algebra(ys, n, SU))
+    check_traceless(pushed)
+    pushed = coefficients(pushed, n, SU)
+    dev = np.abs(norms_batch(spec, pushed) - norms_batch(spec, ys))
+    broken = np.flatnonzero(dev > 1e-6)
+    counterexample = PauliVector(n, SU, ys[broken[0]]) if broken.size else None
+    return IsometryCheckResult(float(dev.max(initial=0.0)), iso.applicable(spec), counterexample)
 
 
 def pauli_symmetric_check(spec: MetricSpec, samples: int = 50, n: int = 2,
                           seed: int = 20260822) -> bool:
-    """Norm invariance under random sign flips of the coefficients."""
+    """Norm invariance under random sign flips of the coefficients, in one batch."""
     rng = np.random.default_rng(seed)
-    d = basis_dimension(n, spec.mode)
-    for _ in range(samples):
-        y = rng.standard_normal(d)
-        signs = rng.choice([-1.0, 1.0], size=d)
-        if abs(norm(spec, signs * y) - norm(spec, y)) > 1e-12 * max(1.0, norm(spec, y)):
-            return False
-    return True
+    shape = (samples, basis_dimension(n, spec.mode))
+    ys = rng.standard_normal(shape)
+    flipped = rng.choice([-1.0, 1.0], size=shape) * ys
+    F = norms_batch(spec, ys)
+    return bool(np.all(np.abs(norms_batch(spec, flipped) - F) <= 1e-12 * np.maximum(1.0, F)))
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +357,8 @@ def local_unitary(factors) -> np.ndarray:
     return W
 
 
-def random_su2(rng) -> np.ndarray:
-    """Haar-ish single-qubit unitary via QR of a complex Gaussian."""
-    A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+def random_unitary(rng, dim: int) -> np.ndarray:
+    """Haar-random dim x dim unitary via QR of a complex Gaussian (phases of R fixed)."""
+    A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     Q, R = np.linalg.qr(A)
     return Q @ np.diag(np.exp(-1j * np.angle(np.diag(R))))

@@ -28,7 +28,7 @@ from .coords import UnitaryOperator, change_coords_backward, change_coords_forwa
 from .errors import NonFiniteInput, SugeoError
 from .geodesic import Curve, el_residual, pauli_geodesic, shoot_geodesic
 from .lattice import DiagonalUnitary, coverage_bound, cvp_minimal_pauli_geodesic
-from .metrics import MetricSpec, evaluate, norm
+from .metrics import MetricSpec, grad_f_squared, norm
 from .pauli import PauliVector, stabilizer_span
 
 
@@ -54,8 +54,7 @@ def _cmd_metric_eval(args):
     y = PauliVector.from_json(_load(args.vector))
     out = {"value": float(norm(spec, y))}
     if args.gradient:
-        ev = evaluate(spec, y, with_gradient=True)
-        out["gradient"] = [float(g) for g in ev.gradient]
+        out["gradient"] = [float(g) for g in grad_f_squared(spec, y)]
     _emit(out, args.out)
     return 0
 
@@ -106,9 +105,7 @@ def _cmd_cvp_min(args):
     spec = MetricSpec.from_json(_load(args.metric))
     ph = _load(args.phases)
     diag = DiagonalUnitary(int(ph["n"]), np.asarray(ph["theta"], dtype=float))
-    res = cvp_minimal_pauli_geodesic(
-        spec, diag, window=args.window, require_certified=args.require_certified
-    )
+    res = cvp_minimal_pauli_geodesic(spec, diag, require_certified=args.require_certified)
     _emit(
         {
             "value": float(res.value),
@@ -238,12 +235,6 @@ def _build_parser():
     p = add("cvp-min", _cmd_cvp_min, "minimal Pauli geodesic of a diagonal unitary")
     p.add_argument("--metric", required=True)
     p.add_argument("--phases", required=True, help='JSON file {"n": int, "theta": [floats]}')
-    p.add_argument(
-        "--window",
-        type=int,
-        default=2,
-        help="kept for compatibility; must be >= 1 and does not change the result",
-    )
     p.add_argument(
         "--require-certified",
         action="store_true",

@@ -56,6 +56,7 @@ from .errors import (
 from .pauli import (
     SU,
     PauliVector,
+    algebra,
     basis_stack,
     check_n,
     matrix_of,
@@ -283,8 +284,7 @@ def change_matrices(xs: np.ndarray, n: int, mode: str = SU) -> np.ndarray:
     one vector it needs with apply_bch and never forms M.
     """
     stack = basis_stack(n, mode)
-    X = np.einsum("mk,kij->mij", xs, stack)
-    lam, V = np.linalg.eigh(X)
+    lam, V = np.linalg.eigh(algebra(xs, n, mode))
     gaps, mask = _gap_data(lam)
     Phi = _phi(gaps, mask)
     # T1[m, t, a, b] = (V^+ sigma_t V)[a, b]

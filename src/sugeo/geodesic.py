@@ -6,18 +6,20 @@ equation an ODE for H alone, the Euler-Arnold equation
 
     Hess_N(H) dH/dt = proj(-i[H, P]),   P = sum_s p_s sigma_s,  p = grad(F^2)/2 at H,
 
-with Hess_N = (1/2) d^2 F^2 and proj the Pauli coefficients.  shoot_geodesic
-advances H by RK4 and U by the 4th-order Magnus step U <- exp(Omega) U,
-Omega taken at the Gauss points of each step's cubic Hermite interpolant
-of H, so U stays unitary.  It starts at H0 = E_x0(y0), U0 = exp(-i x0.sigma).
+with Hess_N = (1/2) d^2 F^2 and proj the Pauli coefficients.  Since F^2/2
+is 2-homogeneous, p = Hess_N(H) h (Euler), so each evaluation solves the
+norm once, in its hessian call.  shoot_geodesic advances H by RK4 and U by
+the 4th-order Magnus step U <- exp(Omega) U, Omega taken at the Gauss
+points of each step's cubic Hermite interpolant of H, so U stays unitary.
+It starts at H0 = E_x0(y0), U0 = exp(-i x0.sigma).
 
 Curves are returned in Pauli coordinates, U = exp(-i x.sigma) A, with
 h = E_x(y) given by coords.apply_bch (the filter; y = E_x^-1(h) by its
 inverse).  The chart only covers eigenphases in (-pi, pi): once one reaches
-pi - margin, A becomes the current U and x restarts at 0, so a Curve
-consists of chart segments, each with its own anchor.  el_residual checks
-the Euler-Lagrange equations of F(x, y) = N(E_x(y)) in the chart, with
-exact gradients, independently of the shooting.
+pi - _REANCHOR_MARGIN, A becomes the current U and x restarts at 0, so a
+Curve consists of chart segments, each with its own anchor.  el_residual
+checks the Euler-Lagrange equations of F(x, y) = N(E_x(y)) in the chart,
+with exact gradients, independently of the shooting.
 """
 
 from __future__ import annotations
@@ -43,18 +45,13 @@ from .errors import (
     UnsupportedCoefficient,
     ZeroVector,
 )
-from .metrics import (
-    MetricSpec,
-    grad_f_squared,
-    hessian,
-    norm,
-    norms_batch,
-)
+from .metrics import MetricSpec, grad_f_squared, hessian, norm, norms_batch
 from .pauli import (
     PauliVector,
     StabilizerSubgroup,
+    algebra,
     basis_dimension,
-    basis_stack,
+    coefficients,
     string_index,
     pauli_strings,
     qubits_of_dimension,
@@ -62,6 +59,8 @@ from .pauli import (
 )
 
 _MIN_G_EIG = 1e-10
+# A chart is left once an eigenphase of x.sigma comes this close to pi.
+_REANCHOR_MARGIN = 0.2
 
 
 @dataclass
@@ -155,17 +154,6 @@ def _max_eigphase(x: np.ndarray, n: int, mode: str) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(algebra(x[None, :], n, mode)[0]))))
 
 
-def algebra(rows: np.ndarray, n: int, mode: str) -> np.ndarray:
-    """sum_s rows[:, s] sigma_s, one matrix per row of an (m, d) array."""
-    return (rows @ basis_stack(n, mode).reshape(-1, 4**n)).reshape(len(rows), 2**n, 2**n)
-
-
-def coefficients(mats: np.ndarray, n: int, mode: str) -> np.ndarray:
-    """Re tr(sigma_s A) / 2^n for each matrix A of an (m, 2^n, 2^n) stack."""
-    flat = basis_stack(n, mode).reshape(-1, 4**n)
-    return (mats.reshape(len(mats), -1) @ flat.conj().T).real / 2**n
-
-
 def _adapted(xs: np.ndarray, ys: np.ndarray, n: int, mode: str) -> np.ndarray:
     """Rows h = E_x(y) of natural adapted coordinates, one per row pair (x, y)."""
     return coefficients(apply_bch(algebra(xs, n, mode), algebra(ys, n, mode)), n, mode)
@@ -202,7 +190,6 @@ def shoot_geodesic(
     t_end: float,
     steps: int = None,
     n_cap: int = None,
-    reanchor_margin: float = 0.2,
     max_segments: int = 64,
 ) -> Curve:
     """Integrate the geodesic from (x0, y0) for time t_end.
@@ -234,26 +221,27 @@ def shoot_geodesic(
     dt = t_end / steps
     mode = spec.mode
     dim = 2**n
-    flat = basis_stack(n, mode).reshape(-1, dim * dim)
     min_eig = np.inf
 
     def f(h):
         """dH/dt = Hess_N(H)^-1 proj(-i[H, P]) with P the momentum at H."""
         nonlocal min_eig
-        w, V = np.linalg.eigh(hessian(spec, h))
+        G = hessian(spec, h)
+        w, V = np.linalg.eigh(G)
         min_eig = min(min_eig, w[0])
         if w[0] < _MIN_G_EIG:
             raise SingularHessian(f"min eigenvalue of the norm Hessian is {w[0]:.3e}")
-        p = 0.5 * grad_f_squared(spec, h)
-        # p . h = F(H)^2, which the geodesic conserves
+        # F^2/2 is 2-homogeneous, so its gradient is G h (Euler), and
+        # h . G h = F(H)^2, which the geodesic conserves
+        p = G @ h
         if not 0.5 <= (p @ h) / energy <= 2.0:
             raise SingularHessian(
                 f"F(H)^2 = {p @ h:.6g} left [F0^2/2, 2 F0^2] (F0^2 = {energy:.6g}); "
                 "the step is too long for the curvature of the norm"
             )
         H, P = algebra(np.array([h, p]), n, mode)
-        # -i[H, P] = -i(A - A^+) with A = HP, so proj gives 2 Im tr(sigma_s A) / dim
-        r = (2.0 / dim) * (flat @ (H @ P).T.ravel()).imag
+        # proj(-i[H, P])_s = 2 Im tr(sigma_s H P) / dim = Re tr(sigma_s (-2i H P)) / dim
+        r = coefficients(-2j * (H @ P)[None], n, mode)[0]
         return V @ ((V.T @ r) / w)
 
     h = _adapted(xe[None, :], ye[None, :], n, mode)[0]
@@ -278,7 +266,7 @@ def shoot_geodesic(
         U = (V * np.exp(-1j * lam)) @ V.conj().T @ U
         h, k = h_next, k_next
         x = pauli_log(U @ anchors[-1].conj().T, mode).entries
-        if _max_eigphase(x, n, mode) >= np.pi - reanchor_margin:
+        if _max_eigphase(x, n, mode) >= np.pi - _REANCHOR_MARGIN:
             if len(segments) == max_segments:
                 raise StepLimitExceeded(
                     f"more than {max_segments} chart re-anchorings; "
@@ -366,7 +354,8 @@ def pauli_geodesic_curve(
 ) -> Curve:
     """The straight line x(t) = h0 t as a sampled Curve (for residual checks).
 
-    Must stay inside the coordinate patch: max |eig(H0)| * t_end < pi.
+    x = t h0 commutes with y = h0, so E_x(y) = h0 and every speed is exactly
+    F(h0).  Must stay inside the coordinate patch: max |eig(H0)| * t_end < pi.
     """
     if coeffs.mode != spec.mode:
         raise DimensionMismatch("coefficient mode does not match the metric spec")
@@ -378,7 +367,7 @@ def pauli_geodesic_curve(
     ts = np.linspace(0.0, t_end, num_samples)
     xs = np.outer(ts, h0)
     ys = np.tile(h0, (num_samples, 1))
-    speeds = norms_batch(spec, _adapted(xs, ys, n, mode))
+    speeds = np.full(num_samples, norm(spec, h0))
     return Curve(spec, n, mode, ts, xs, ys, speeds)
 
 

@@ -174,7 +174,6 @@ _NODE_BUDGET = 1_000_000
 def cvp_minimal_pauli_geodesic(
     spec: MetricSpec,
     U_diag,
-    window: int = 2,
     require_certified: bool = False,
 ) -> CvpResult:
     """Minimize F(diag(h) - 2*pi*diag(m)) over integer m by sphere decoding.
@@ -182,9 +181,8 @@ def cvp_minimal_pauli_geodesic(
     SU mode adds the constraint sum(m) = sum(h)/2pi, fixing the trace of the
     Hamiltonian to zero.  The search is exact unless it runs out of its node
     budget; then the best m found is returned with certified=False (or
-    WindowTooSmall is raised if require_certified).  `window` is accepted
-    for compatibility and must be >= 1, but no longer bounds the search;
-    `window_used` reports max|m_z| of the returned minimizer.
+    WindowTooSmall is raised if require_certified).  `window_used` reports
+    max|m_z| of the returned minimizer.
     """
     if not isinstance(U_diag, DiagonalUnitary):
         theta = np.asarray(U_diag, dtype=float)
@@ -193,8 +191,6 @@ def cvp_minimal_pauli_geodesic(
     cap = min(env_n_cap(default=DEFAULT_N_CAP), 3)
     if not 1 <= n <= cap:
         raise DimensionLimit(f"CVP search needs 1 <= n <= {cap}, got n={n}")
-    if window < 1:
-        raise ValueError("window must be >= 1")
     h = reduce_phases(U_diag.phases)
     kind, weights = _diag_weights(spec, n)
 
@@ -370,14 +366,17 @@ def coverage_bound(spec: MetricSpec, f_fraction: float, n: int) -> float:
     raise UnsupportedSpec(f"no volume formula for family {spec.family}")
 
 
+# monte_carlo_coverage sweeps the (2w+1)^{2^n} lattice offsets with max|m_z| <= w.
+_COVERAGE_WINDOW = 1
+
+
 def monte_carlo_coverage(
-    spec: MetricSpec, r: float, n: int, samples: int = 10000, seed: int = 20260822,
-    window: int = 1,
+    spec: MetricSpec, r: float, n: int, samples: int = 10000, seed: int = 20260822
 ) -> float:
     """Fraction of the fundamental cell within CVP distance r of the lattice.
 
     Uniform phases in [-pi, pi)^{2^n}; the CVP is solved for all samples at
-    once by sweeping the (2w+1)^{2^n} lattice offsets.
+    once by sweeping every lattice offset with max|m_z| <= _COVERAGE_WINDOW.
     """
     if n > 2:
         raise DimensionLimit("Monte Carlo coverage is restricted to n <= 2")
@@ -387,9 +386,9 @@ def monte_carlo_coverage(
     h = rng.uniform(-np.pi, np.pi, size=(samples, dim))
     Wt = _walsh(dim)
     best = np.full(samples, np.inf)
-    base = 2 * window + 1
+    base = 2 * _COVERAGE_WINDOW + 1
     for flat in range(base**dim):
-        m = np.array(np.unravel_index(flat, (base,) * dim)) - window
+        m = np.array(np.unravel_index(flat, (base,) * dim)) - _COVERAGE_WINDOW
         v = h - 2 * np.pi * m[None, :]
         vals = _values(kind, weights, v @ Wt / dim)
         np.minimum(best, vals, out=best)

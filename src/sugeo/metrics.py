@@ -14,8 +14,15 @@ and define N(y) as the unique positive solution of g(y/N) = 1.  That N is a
 strongly convex Minkowski norm provided Delta < 1/P with P = sum_sigma
 p_sigma, and satisfies the sandwich N_p(y) <= N(y) <= N_p(y)/(1 - P*Delta)
 where N_p is the exact weighted taxicab norm.  One Newton loop solves for
-N (see _implicit_norms): norms_batch and grad_f_squared run it on all rows
-at once, and a single vector is a batch of one.  The plain families
+N (see _implicit_norms).
+
+Every family has one implementation of each operation, and it works on
+stacks: norms_batch on the rows of an (m, dim) array, grad_f_squared and
+hessian on a vector or on each row of a stack.  A single vector is a
+batch of one (norm is norms_batch on one row), so a row gives the same
+bits alone or in a batch.  grad_f_squared and hessian share one implicit
+solve per call, and by Euler's theorem for the 2-homogeneous F^2/2 the
+Hessian applied to y is the momentum grad(F^2)/2.  The plain families
 rescale by max|y_j| only when the direct sum under- or overflows.
 Non-finite coefficients, and finite ones whose norm overflows, raise
 NonFiniteInput in every family.
@@ -158,13 +165,6 @@ class MetricSpec:
         )
 
 
-@dataclass
-class NormEvaluation:
-    value: float
-    gradient: Optional[np.ndarray] = None
-    hessian: Optional[np.ndarray] = None
-
-
 # ---------------------------------------------------------------------------
 # penalty vectors over the basis
 
@@ -199,31 +199,23 @@ def _entries(spec: MetricSpec, y) -> np.ndarray:
 # norm evaluation
 
 
-def _no_overflow(out):
-    """Pass finite norms (a float or an array) through; one that overflowed raises."""
-    if not (math.isfinite(out) if isinstance(out, float) else np.isfinite(out).all()):
+def _no_overflow(out: np.ndarray) -> np.ndarray:
+    """Pass an array of finite norms through; one that overflowed raises."""
+    if not np.isfinite(out).all():
         raise NonFiniteInput("the norm overflows the float range")
     return out
 
 
 def norm(spec: MetricSpec, y) -> float:
-    """F(y) for any family (delegates to the implicit solver when smoothed)."""
-    v = _entries(spec, y)
-    if spec.family in SMOOTHED:
-        return implicit_norm(spec, v)
-    p = penalty_vector(spec, qubits_of_dimension(len(v), spec.mode))
-    # _plain_norms inlined: a scalar norm is the hot path of the circuit bounds
-    out = float(p @ np.abs(v)) if spec.family in (F1, FP) else float(np.sqrt(p @ v**2))
-    if out == 0.0 or not math.isfinite(out):
-        out = _no_overflow(float(_rescaled_norms(spec, p, v)))
-    return out
+    """F(y) for any family: norms_batch on a batch of one."""
+    return float(norms_batch(spec, _entries(spec, y)[None, :])[0])
 
 
 def _plain_norms(spec: MetricSpec, p: np.ndarray, v: np.ndarray):
-    """F1/Fp/F2/Fq of a vector, or of each row of a matrix, as computed directly."""
+    """F1/Fp/F2/Fq of each row of a matrix, as computed directly (a row sum per row)."""
     if spec.family in (F1, FP):
-        return np.abs(v) @ p
-    return np.sqrt(v**2 @ p)
+        return (p * np.abs(v)).sum(axis=-1)
+    return np.sqrt((p * v**2).sum(axis=-1))
 
 
 def _rescaled_norms(spec: MetricSpec, p: np.ndarray, v: np.ndarray):
@@ -237,7 +229,7 @@ def implicit_norm(spec: MetricSpec, y) -> float:
     """The smoothed norm N(y) of one vector: the implicit solver on a batch of one."""
     if spec.family not in SMOOTHED:
         raise UnsupportedSpec(f"implicit_norm is for {SMOOTHED}, not {spec.family}")
-    return _no_overflow(float(_implicit_norms(spec, _entries(spec, y)[None, :])[0]))
+    return norm(spec, y)
 
 
 def _implicit_norms(spec: MetricSpec, rows: np.ndarray) -> np.ndarray:
@@ -273,7 +265,8 @@ def _implicit_norms(spec: MetricSpec, rows: np.ndarray) -> np.ndarray:
         excess = (p * root).sum(axis=1) - 1.0
         miss = np.abs(excess) >= _IMPLICIT_TOL
         if not miss.any():
-            out[live] = scale[live] * n_p / s
+            with np.errstate(over="ignore"):  # an overflow is _no_overflow's to report
+                out[live] = scale[live] * n_p / s
             return out
         s *= np.where(miss, 1.0 - excess / (p * u**2 / root).sum(axis=1), 1.0)
     raise NoConvergence(
@@ -294,36 +287,49 @@ def norms_batch(spec: MetricSpec, rows: np.ndarray) -> np.ndarray:
     if spec.family in SMOOTHED:
         return _no_overflow(_implicit_norms(spec, rows))
     p = penalty_vector(spec, qubits_of_dimension(rows.shape[1], spec.mode))
-    out = _plain_norms(spec, p, rows)
-    redo = (out == 0.0) | ~np.isfinite(out)
-    if redo.any():
-        out[redo] = _rescaled_norms(spec, p, rows[redo])
+    # a direct sum that under- or overflows is redone rescaled, and a norm
+    # that overflows even then is _no_overflow's to report: no warnings
+    with np.errstate(over="ignore", under="ignore"):
+        out = _plain_norms(spec, p, rows)
+        redo = (out == 0.0) | ~np.isfinite(out)
+        if redo.any():
+            out[redo] = _rescaled_norms(spec, p, rows[redo])
     return _no_overflow(out)
+
+
+def _solved_point(spec: MetricSpec, v: np.ndarray) -> tuple:
+    """(p, N, u = v/N) of a smoothed spec at a vector or at each row of a stack.
+
+    N has shape v.shape[:-1] + (1,); this is the one implicit solve behind
+    grad_f_squared and hessian.  Raises ZeroVector if a row is 0.
+    """
+    p = penalty_vector(spec, qubits_of_dimension(v.shape[-1], spec.mode))
+    N = _implicit_norms(spec, v.reshape(-1, len(p))).reshape(*v.shape[:-1], 1)
+    if not 0.0 < N.min() <= N.max() < math.inf:
+        _no_overflow(N)  # an infinite norm raises NonFiniteInput; otherwise a row is 0
+        raise ZeroVector("F^2 has no derivative at y = 0")
+    return p, N, v / N
 
 
 def grad_f_squared(spec: MetricSpec, y) -> np.ndarray:
     """Analytic gradient of F^2 at a vector, or at each row of an (m, dim) array."""
-    v = _entries(spec, y)
-    p = penalty_vector(spec, qubits_of_dimension(v.shape[-1], spec.mode))
-    if spec.family in (F2, FQ):
-        return 2.0 * p * v
     if spec.family in (F1, FP):
         raise NotSmoothMetric(f"{spec.family} has no smooth gradient")
-    N = _implicit_norms(spec, v.reshape(-1, len(p))).reshape(*v.shape[:-1], 1)
-    if not 0.0 < N.min() <= N.max() < math.inf:
-        _no_overflow(N)  # an infinite norm raises NonFiniteInput; otherwise a row is 0
-        raise ZeroVector("gradient undefined at 0")
-    u = v / N
+    v = _entries(spec, y)
+    if spec.family in (F2, FQ):
+        return 2.0 * penalty_vector(spec, qubits_of_dimension(v.shape[-1], spec.mode)) * v
+    p, N, u = _solved_point(spec, v)
     gamma = p * u / np.sqrt(spec.delta**2 + u**2)
     # grad N = gamma / (gamma . u), so grad N^2 = 2 N gamma / (gamma . u)
     return 2.0 * N * gamma / (gamma[..., None, :] @ u[..., None])[..., 0]
 
 
 def hessian(spec: MetricSpec, y) -> np.ndarray:
-    """H = (1/2) d^2(F^2)/dy dy, strictly positive definite for smooth specs.
+    """H = (1/2) d^2(F^2)/dy dy at a vector, or at each row of an (m, dim) array.
 
-    F2 -> identity; Fq -> diag(q).  For the smoothed families, writing
-    u = y/N, gamma_j = p_j u_j / sqrt(delta^2 + u_j^2) and
+    Strictly positive definite for the smooth specs.  F2 -> identity;
+    Fq -> diag(q).  For the smoothed families, writing u = y/N,
+    gamma_j = p_j u_j / sqrt(delta^2 + u_j^2) and
     Gamma_jj = p_j delta^2 / (delta^2 + u_j^2)^(3/2):
 
         N_{,l}  = gamma_l / D                      with D = sum_j gamma_j u_j
@@ -334,40 +340,28 @@ def hessian(spec: MetricSpec, y) -> np.ndarray:
         H_{lk}  = N N_{,lk} + N_{,l} N_{,k}
 
     H is homogeneous of degree 0, and every term above depends on u alone,
-    so no finite y overflows it.
+    so no finite y overflows it.  H y = grad(F^2)/2 (Euler's theorem).
     """
-    v = _entries(spec, y)
-    p = penalty_vector(spec, qubits_of_dimension(len(v), spec.mode))
     if spec.family in (F1, FP):
         raise NotSmoothMetric(f"{spec.family} is not twice differentiable off the axes")
+    v = _entries(spec, y)
     if spec.family in (F2, FQ):
-        if not np.any(v):
+        if not np.any(v, axis=-1).all():
             raise ZeroVector("hessian requested at y = 0")
-        return np.diag(p)
-    N = implicit_norm(spec, v)
-    if N == 0.0:
-        raise ZeroVector("hessian requested at y = 0")
-    delta = spec.delta
-    u = v / N
-    root = np.sqrt(delta**2 + u**2)
+        p = penalty_vector(spec, qubits_of_dimension(v.shape[-1], spec.mode))
+        return np.broadcast_to(np.diag(p), v.shape + p.shape).copy()
+    p, _, u = _solved_point(spec, v)
+    root = np.sqrt(spec.delta**2 + u**2)
     gamma = p * u / root
-    Gamma = p * delta**2 / root**3
-    D = float(gamma @ u)
-    Gu = Gamma * u
-    S2 = float(Gamma @ u**2)
-    H = np.diag(Gamma) / D
-    H -= (np.outer(Gu, gamma) + np.outer(gamma, Gu)) / D**2
-    H += np.outer(gamma, gamma) * (S2 + D) / D**3
+    Gamma = p * spec.delta**2 / root**3
+    col, row = gamma[..., :, None], gamma[..., None, :]
+    Gu = (Gamma * u)[..., :, None]
+    D = row @ u[..., None]
+    S2 = Gamma[..., None, :] @ (u**2)[..., None]
+    H = Gamma[..., :, None] * np.eye(len(p)) / D
+    H -= (Gu * row + col * Gu.swapaxes(-1, -2)) / D**2
+    H += col * row * (S2 + D) / D**3
     return H
-
-
-def evaluate(spec: MetricSpec, y, with_gradient=False, with_hessian=False) -> NormEvaluation:
-    out = NormEvaluation(value=norm(spec, y))
-    if with_gradient:
-        out.gradient = grad_f_squared(spec, y)
-    if with_hessian:
-        out.hessian = hessian(spec, y)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -388,15 +382,12 @@ def euler_identities_check(spec: MetricSpec, y) -> tuple:
     v = _entries(spec, y)
     F2sq = norm(spec, v) ** 2
     r1 = abs(float(grad_f_squared(spec, v) @ v) - 2.0 * F2sq)
-    H = hessian(spec, v)
-    r2 = abs(2.0 * float(v @ H @ v) - 2.0 * F2sq)
     h = 1e-4 * float(np.linalg.norm(v))
-    r3 = 0.0
-    for l in range(len(v)):
-        e = np.zeros(len(v))
-        e[l] = h
-        dH = (hessian(spec, v + e) - hessian(spec, v - e)) / h  # = 2 dH/dy_l
-        r3 = max(r3, float(np.max(np.abs(v @ dH))))
+    step = h * np.eye(len(v))
+    H = hessian(spec, np.vstack([v, v + step, v - step]))
+    r2 = abs(2.0 * float(v @ H[0] @ v) - 2.0 * F2sq)
+    dH = (H[1 : len(v) + 1] - H[len(v) + 1 :]) / h  # dH[l] = 2 dH/dy_l
+    r3 = float(np.max(np.abs(v @ dH)))
     return r1, r2, r3
 
 
@@ -408,10 +399,8 @@ def metric_equivalence_constants(spec_a: MetricSpec, spec_b: MetricSpec, samples
     """
     if spec_a.mode != spec_b.mode:
         raise DimensionMismatch("specs on different basis modes")
-    ratios = []
-    for v in np.asarray(samples, dtype=float):
-        a = norm(spec_a, v)
-        if a == 0.0:
-            raise ZeroVector("sample with zero norm")
-        ratios.append(norm(spec_b, v) / a)
+    a = norms_batch(spec_a, samples)
+    if not a.all():
+        raise ZeroVector("sample with zero norm")
+    ratios = norms_batch(spec_b, samples) / a
     return float(np.min(ratios)), float(np.max(ratios))

@@ -14,6 +14,11 @@ Two basis modes exist:
 `PauliVector` is a real coefficient vector over this basis in canonical
 order.  It is used for Hamiltonian coefficients, Pauli coordinates of a
 unitary, and tangent-vector coordinates alike.
+
+`algebra` (coefficients -> matrices) and `coefficients` (matrices ->
+coefficients) are the only conversions between the two: they act on
+stacks, and `to_matrix`/`project_to_pauli` call them on a batch of one.
+`check_traceless` is the SU-mode trace check of a stack.
 """
 
 from __future__ import annotations
@@ -220,26 +225,52 @@ def qubit_count(matrix: np.ndarray) -> int:
     return n
 
 
+@lru_cache(maxsize=None)
+def _dual_basis(n: int, mode: str) -> np.ndarray:
+    """conj(sigma_s)[i, j] / 2^n as a (4^n, dim) matrix: flat(A) @ it is tr(sigma_s A) / 2^n."""
+    dual = np.ascontiguousarray(basis_stack(n, mode).reshape(-1, 4**n).conj().T) / 2**n
+    dual.setflags(write=False)
+    return dual
+
+
+def algebra(rows: np.ndarray, n: int, mode: str) -> np.ndarray:
+    """sum_s rows[:, s] sigma_s, one matrix per row of an (m, dim) array."""
+    return (rows @ basis_stack(n, mode).reshape(-1, 4**n)).reshape(len(rows), 2**n, 2**n)
+
+
+def coefficients(mats: np.ndarray, n: int, mode: str) -> np.ndarray:
+    """Re tr(sigma_s A) / 2^n for each matrix A of an (m, 2^n, 2^n) stack."""
+    return (mats.reshape(len(mats), -1) @ _dual_basis(n, mode)).real
+
+
+def check_traceless(mats: np.ndarray) -> None:
+    """Raise NonTracelessInSUMode unless each matrix of a (m, 2^n, 2^n) stack is traceless.
+
+    The tolerance is 1e-10 per matrix entry scale.  SU-mode coefficients
+    silently drop the trace part, so an SU projection checks this first.
+    """
+    traces = np.trace(mats, axis1=-2, axis2=-1)
+    bad = np.flatnonzero(np.abs(traces) > 1e-10 * mats.shape[-1])
+    if bad.size:
+        raise NonTracelessInSUMode(f"trace {traces[bad[0]]:.3e} in SU mode")
+
+
 def project_to_pauli(H, mode: str = SU) -> PauliVector:
     """Coefficient extraction entries[sigma] = tr(H sigma)/2^n.
 
-    In SU mode the input must be traceless (within 1e-10 per matrix entry
-    scale); the trace part would be silently lost otherwise.
+    In SU mode the input must be traceless (check_traceless); the trace
+    part would be silently lost otherwise.
     """
-    M = matrix_of(H)
-    n = qubit_count(M)
-    dim = 2**n
-    if mode == SU and abs(np.trace(M)) > 1e-10 * dim:
-        raise NonTracelessInSUMode(f"trace {np.trace(M):.3e} in SU mode")
-    stack = basis_stack(n, mode)
-    coeffs = np.einsum("kij,ji->k", stack, M) / dim
-    return PauliVector(n, mode, coeffs.real)
+    M = matrix_of(H)[None]
+    n = qubit_count(M[0])
+    if mode == SU:
+        check_traceless(M)
+    return PauliVector(n, mode, coefficients(M, n, mode)[0])
 
 
 def to_matrix(v: PauliVector) -> np.ndarray:
     """Sum_sigma v[sigma] sigma as a dense Hermitian matrix."""
-    stack = basis_stack(v.n, v.mode)
-    return np.einsum("k,kij->ij", v.entries, stack)
+    return algebra(v.entries[None, :], v.n, v.mode)[0]
 
 
 def commutes(a: str, b: str) -> bool:

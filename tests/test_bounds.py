@@ -14,14 +14,14 @@ from sugeo.bounds import (
     isometry_check,
     local_unitary,
     pauli_symmetric_check,
-    random_su2,
+    random_unitary,
     regularizer,
     s_matrix,
     swap_matrix,
 )
-from sugeo.errors import DimensionMismatch, NotGBounding
+from sugeo.errors import DimensionMismatch, NonTracelessInSUMode, NotGBounding
 from sugeo.metrics import F1, F1DELTA, F2, FP, FPDELTA, FQ, MetricSpec, PenaltyFunction, norm
-from sugeo.pauli import SU, string_index
+from sugeo.pauli import SU, PauliVector, project_to_pauli, string_index, to_matrix
 
 PEN1 = PenaltyFunction(kind="step", k=4.0, low_weight_cutoff=1)
 F1_SPEC = MetricSpec(family=F1)
@@ -91,6 +91,20 @@ def test_penalized_two_qubit_gate_rejected():
     c = Circuit(2, [Gate("ZZ", 0.5, (0, 1))])
     with pytest.raises(NotGBounding):
         circuit_to_curve(c, spec)
+
+
+def test_first_gate_at_fault_names_the_error():
+    spec = MetricSpec(family=FP, penalty=PEN1)
+    over, out_of_range, too_wide = (
+        Gate("ZZ", 0.5, (0, 1)), Gate("X", 0.1, (5,)), Gate("XXX", 0.1, (0, 1, 2)))
+    with pytest.raises(NotGBounding):
+        circuit_to_curve(Circuit(2, [over, out_of_range]), spec)
+    with pytest.raises(NotGBounding):
+        circuit_to_curve(Circuit(2, [Gate("X", 0.1, (0,)), over, too_wide]), spec)
+    with pytest.raises(DimensionMismatch):
+        circuit_to_curve(Circuit(2, [out_of_range, over]), spec)
+    with pytest.raises(ValueError, match="weight"):
+        circuit_to_curve(Circuit(2, [too_wide, over]), spec)
 
 
 def test_taxicab_length_is_total_rotation():
@@ -165,7 +179,7 @@ def test_named_cliffords():
 
 def test_random_su2_is_unitary():
     rng = np.random.default_rng(11)
-    W = random_su2(rng)
+    W = random_unitary(rng, 2)
     assert np.max(np.abs(W @ W.conj().T - np.eye(2))) < 1e-12
 
 
@@ -176,6 +190,14 @@ def test_isometry_map_validation():
         IsometryMap(kind="pauli")
     with pytest.raises(ValueError):
         IsometryMap(kind="clifford")
+
+
+def test_isometry_check_rejects_a_pushed_trace():
+    # IsometryMap does not check unitarity; M H M^dag then has a trace,
+    # which SU coefficients would drop
+    iso = IsometryMap(kind="unitary", operator=np.diag([2.0, 1.0, 1.0, 1.0]))
+    with pytest.raises(NonTracelessInSUMode):
+        isometry_check(iso, F2_SPEC, samples=5)
 
 
 def test_pauli_conjugation_preserves_every_family():
@@ -193,6 +215,28 @@ def test_cnot_breaks_weighted_quadratic():
     assert not res.applicable
     assert res.max_deviation > 1e-6
     assert res.counterexample is not None
+
+
+@pytest.mark.parametrize("iso, spec", [
+    (IsometryMap(kind="complex_conjugation"), MetricSpec(family=FPDELTA, penalty=PEN1, delta=1e-3)),
+    (IsometryMap(kind="clifford", operator=cnot_matrix()), MetricSpec(family=FQ, penalty=PEN1)),
+], ids=["preserves", "breaks"])
+def test_isometry_check_equals_a_loop_of_scalar_calls(iso, spec):
+    """One batched pass: standard_normal((m, d)) gives the rows of m draws of standard_normal(d)."""
+    res = isometry_check(iso, spec, samples=40, seed=5)
+    rng = np.random.default_rng(5)
+    worst, counterexample = 0.0, None
+    for _ in range(40):
+        y = PauliVector(2, SU, rng.standard_normal(15))
+        dev = abs(norm(spec, project_to_pauli(iso.push(to_matrix(y)), SU)) - norm(spec, y))
+        worst = max(worst, dev)
+        if dev > 1e-6 and counterexample is None:
+            counterexample = y
+    assert res.max_deviation == pytest.approx(worst, rel=0.0, abs=1e-15)
+    if counterexample is None:
+        assert res.counterexample is None and worst < 1e-10
+    else:
+        assert np.array_equal(res.counterexample.entries, counterexample.entries)
 
 
 def test_conjugation_is_an_isometry_of_f2():

@@ -15,7 +15,7 @@ from sugeo.errors import (
     UnsupportedCoefficient,
     ZeroVector,
 )
-from sugeo import geodesic
+from sugeo import geodesic, metrics
 from sugeo.geodesic import (
     Curve,
     additive_triple_check,
@@ -85,6 +85,25 @@ def test_step_limit_stops_at_the_extra_anchor(monkeypatch):
         shoot_geodesic(F2_SPEC, np.zeros(3), np.array([3.0, 0.0, 0.0]), 3.0, max_segments=1)
     # |y0| = 3 reaches the margin pi - 0.2 at t = 0.98, step 980 of 3000
     assert 975 <= len(calls) <= 985
+
+
+def test_one_norm_solve_per_right_hand_side(monkeypatch):
+    """p = G h: each RK4 evaluation solves the implicit norm once, in its hessian call."""
+    calls = []
+    solve = metrics._implicit_norms
+
+    def counting_solve(spec, rows):
+        calls.append(len(rows))
+        return solve(spec, rows)
+
+    monkeypatch.setattr(metrics, "_implicit_norms", counting_solve)
+    spec = MetricSpec(family=FPDELTA, penalty=PEN1, delta=1e-2)
+    steps = 5
+    y0 = np.linspace(0.5, 1.0, 15)
+    shoot_geodesic(spec, np.zeros(15), y0 / np.linalg.norm(y0), 0.01, steps=steps)
+    evaluations = 1 + 4 * steps  # k at h0, then k2, k3, k4 and k_next per step
+    # plus F0 at the start and the batch of speeds at the end
+    assert calls == [1] * (evaluations + 1) + [steps + 1]
 
 
 def test_zero_velocity_rejected():
@@ -221,6 +240,18 @@ def test_pauli_geodesic_curve_leaves_patch():
     spec = MetricSpec(family=F1)
     with pytest.raises(OutsidePatch):
         pauli_geodesic_curve(spec, PauliVector.from_terms(1, {"Z": 2.0}), 2.0)
+
+
+@pytest.mark.parametrize("spec", [
+    MetricSpec(family=F1),
+    MetricSpec(family=FQ, penalty=PEN1),
+    MetricSpec(family=FPDELTA, penalty=PEN1, delta=1e-3),
+], ids=lambda spec: spec.family)
+def test_pauli_geodesic_curve_speeds_are_exact(spec):
+    """x = t h0 commutes with y = h0, so E_x(y) = h0 and every speed is F(h0)."""
+    coeffs = PauliVector.from_terms(2, {"XI": 0.5, "XX": -0.3, "IX": 0.25})
+    curve = pauli_geodesic_curve(spec, coeffs, 1.0, num_samples=11)
+    assert np.array_equal(curve.speeds, np.full(11, norm(spec, coeffs)))
 
 
 def test_straight_curve_length_is_time_times_norm():

@@ -91,11 +91,6 @@ def test_cvp_matches_brute_force():
         assert res.certified
 
 
-def test_cvp_window_validation():
-    with pytest.raises(ValueError):
-        cvp_minimal_pauli_geodesic(F1_U, np.zeros(2), window=0)
-
-
 def test_cvp_dimension_cap():
     with pytest.raises(DimensionLimit):
         cvp_minimal_pauli_geodesic(F1_U, np.zeros(16))
@@ -127,14 +122,6 @@ def test_cvp_node_budget_exhausted():
     assert res.value == pytest.approx(expected, rel=1e-12)
     with pytest.raises(WindowTooSmall):
         cvp_minimal_pauli_geodesic(spec, theta, require_certified=True)
-
-
-def test_cvp_window_does_not_change_result():
-    theta = np.array([0.3, -2.9, 1.7, 2.2])
-    a = cvp_minimal_pauli_geodesic(F1_U, theta, window=1)
-    b = cvp_minimal_pauli_geodesic(F1_U, theta, window=4)
-    assert a.value == b.value
-    assert np.array_equal(a.minimizer, b.minimizer)
 
 
 def _diag_value(kind, w, h, m):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sugeo import metrics
@@ -23,7 +23,6 @@ from sugeo.metrics import (
     MetricSpec,
     PenaltyFunction,
     euler_identities_check,
-    evaluate,
     grad_f_squared,
     hessian,
     implicit_norm,
@@ -154,7 +153,7 @@ def test_norms_batch_matches_scalar():
     for spec in specs:
         batch = norms_batch(spec, rows)
         scalar = np.array([norm(spec, r) for r in rows])
-        assert np.allclose(batch, scalar, atol=1e-11)
+        assert np.array_equal(batch, scalar)  # a vector is a batch of one
 
 
 @pytest.mark.parametrize("spec", [
@@ -177,7 +176,6 @@ def test_non_finite_rows_rejected(spec):
     MetricSpec(F2),
     MetricSpec(F1DELTA, delta=1e-3),
 ], ids=lambda spec: spec.family)
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_overflowing_norm_rejected(spec):
     y = np.full(3, 1.5e308)  # every norm here is >= sqrt(3) 1.5e308, past the float range
     with pytest.raises(NonFiniteInput):
@@ -190,7 +188,6 @@ def test_overflowing_norm_rejected(spec):
     MetricSpec(F1), MetricSpec(F2), MetricSpec(FP, penalty=PEN1), MetricSpec(FQ, penalty=PEN1),
 ], ids=lambda spec: spec.family)
 @pytest.mark.parametrize("c", [1e-200, 1e-320, 1e200, 1e308])
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_plain_norms_at_extreme_scales(spec, c):
     """A representable norm is returned even when y**2 under- or overflows."""
     y = (np.linspace(-1.0, 1.0, 15) + 0.05) / 16.0  # every norm of y is below 1.5
@@ -206,12 +203,14 @@ def test_grad_f_squared_batch_rows_equal_vector_calls():
     rows = rng.standard_normal((30, 15))
     for spec in (MetricSpec(FQ, penalty=PEN1), MetricSpec(F1DELTA, delta=0.05),
                  MetricSpec(FPDELTA, penalty=PEN1, delta=1e-2)):
-        batch = grad_f_squared(spec, rows)
-        assert batch.shape == rows.shape
-        for r, g in zip(rows, batch):
-            assert np.array_equal(g, grad_f_squared(spec, r))
-    with pytest.raises(ZeroVector):
-        grad_f_squared(MetricSpec(F1DELTA, delta=0.05), np.vstack([rows[:2], np.zeros(15)]))
+        for derivative, shape in ((grad_f_squared, rows.shape), (hessian, (30, 15, 15))):
+            batch = derivative(spec, rows)
+            assert batch.shape == shape
+            for r, g in zip(rows, batch):
+                assert np.array_equal(g, derivative(spec, r))
+    for derivative in (grad_f_squared, hessian):
+        with pytest.raises(ZeroVector):
+            derivative(MetricSpec(F1DELTA, delta=0.05), np.vstack([rows[:2], np.zeros(15)]))
 
 
 def test_smoothed_derivatives_at_huge_finite_vectors():
@@ -280,6 +279,26 @@ def test_smoothed_norm_properties(n, mode, case, frac, raw_x, raw_y, c):
     assert nxy <= (nx + ny) * (1 + 1e-10)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.sampled_from([1, 2]),
+    family=st.sampled_from([F2, FQ, F1DELTA, FPDELTA]),
+    frac=st.floats(1e-6, 0.9),
+    raw=coefficients,
+)
+def test_hessian_applied_to_y_is_half_the_gradient(n, family, frac, raw):
+    """Euler's theorem for the 2-homogeneous F^2/2, which the shooting relies on."""
+    penalty = PEN1 if family in (FQ, FPDELTA) else None
+    p = penalty_vector(MetricSpec(FQ if penalty else F2, penalty=penalty), n)
+    delta = frac / float(np.sum(p)) if family in (F1DELTA, FPDELTA) else None
+    spec = MetricSpec(family, penalty=penalty, delta=delta)
+    y = np.array(raw[: len(p)])
+    assume(np.any(y))
+    half_grad = grad_f_squared(spec, y) / 2.0
+    scale = np.abs(half_grad).max()
+    assert np.allclose(hessian(spec, y) @ y, half_grad, rtol=1e-9, atol=1e-9 * scale)
+
+
 def test_implicit_norm_only_for_smoothed():
     with pytest.raises(UnsupportedSpec):
         implicit_norm(MetricSpec(F1), np.ones(3))
@@ -345,15 +364,6 @@ def test_euler_identities():
         y /= np.linalg.norm(y)
         r1, r2, r3 = euler_identities_check(spec, y)
         assert r1 < 1e-5 and r2 < 1e-5 and r3 < 1e-5
-
-
-def test_evaluate_bundles():
-    sm = MetricSpec(F1DELTA, delta=1e-4 / 3)
-    y = np.array([0.4, -0.8, 0.2])
-    ev = evaluate(sm, y, with_gradient=True, with_hessian=True)
-    assert ev.value == pytest.approx(norm(sm, y))
-    assert ev.gradient.shape == (3,)
-    assert ev.hessian.shape == (3, 3)
 
 
 def test_equivalence_constants():
