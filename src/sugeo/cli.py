@@ -103,17 +103,10 @@ def _cmd_pauli_geodesic(args):
 
 def _cmd_cvp_min(args):
     spec = MetricSpec.from_json(_load(args.metric))
-    ph = _load(args.phases)
-    diag = DiagonalUnitary(int(ph["n"]), np.asarray(ph["theta"], dtype=float))
+    diag = DiagonalUnitary.from_json(_load(args.phases))
     res = cvp_minimal_pauli_geodesic(spec, diag, require_certified=args.require_certified)
-    _emit(
-        {
-            "value": float(res.value),
-            "m": [int(v) for v in res.minimizer],
-            "certified": bool(res.certified),
-        },
-        args.out,
-    )
+    m = [int(v) for v in res.minimizer]
+    _emit({"value": float(res.value), "m": m, "certified": bool(res.certified)}, args.out)
     return 0
 
 

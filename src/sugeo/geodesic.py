@@ -459,12 +459,10 @@ def additive_triple_check(
         n_a = curve_a.n
     if curve_b is not None:
         n_b = curve_b.n
-    for j in range(0, n_a + 1):
-        if abs(_weight_fn(spec_a, j) - _weight_fn(spec_ab, j)) > 1e-12:
-            raise InconsistentPenalties(f"A/AB penalty mismatch at weight {j}")
-    for j in range(0, n_b + 1):
-        if abs(_weight_fn(spec_b, j) - _weight_fn(spec_ab, j)) > 1e-12:
-            raise InconsistentPenalties(f"B/AB penalty mismatch at weight {j}")
+    for name, spec, n_f in (("A", spec_a, n_a), ("B", spec_b, n_b)):
+        for j in range(n_f + 1):
+            if abs(_weight_fn(spec, j) - _weight_fn(spec_ab, j)) > 1e-12:
+                raise InconsistentPenalties(f"{name}/AB penalty mismatch at weight {j}")
     if rng is None:
         rng = np.random.default_rng(20260822)
     n = n_a + n_b

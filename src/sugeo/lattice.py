@@ -25,7 +25,11 @@ Every leaf that survives the bound is scored with the exact F.  The
 search starts from the zero shift, so the result is never worse than it,
 and stops after a fixed node budget: a finished search is exact
 (certified=True); one that runs out returns its best point uncertified.
-`window_used` is max|m_z| of the returned minimizer.
+`window_used` is max|m_z| of the returned minimizer; `stats` counts nodes
+and leaves.  To keep the fixed cost of a solve small, all that depends on
+(spec, n) is one cached plan; leaves are scored in Python floats from
+y = W h/2^n, less m_z times the scaled Walsh row z per nonzero m_z; and the
+result keeps the diagonal h - 2*pi*m, building the Hamiltonian when read.
 
 The smoothed families are evaluated through their Delta -> 0 limits (F1Delta
 as F1, FpDelta as Fp): the objective needs no smoothness and the limit is
@@ -39,7 +43,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import hadamard
 
 from .config import DEFAULT_N_CAP, env_n_cap
 from .errors import (
@@ -96,9 +99,15 @@ class PhaseLattice:
 class CvpResult:
     minimizer: np.ndarray
     value: float
-    geodesic_hamiltonian: HermitianOperator
     certified: bool
     window_used: int
+    diagonal: np.ndarray  # h - 2*pi*m, mean removed in SU mode
+    stats: dict  # nodes visited, leaves scored, node budget
+
+    @property
+    def geodesic_hamiltonian(self) -> HermitianOperator:
+        n = len(self.diagonal).bit_length() - 1
+        return HermitianOperator(n, np.diag(self.diagonal.astype(complex)))
 
 
 def reduce_phases(theta: np.ndarray) -> np.ndarray:
@@ -111,17 +120,16 @@ def reduce_phases(theta: np.ndarray) -> np.ndarray:
 def _z_index_map(n: int) -> np.ndarray:
     """Basis index of the Z-type string whose Z positions are the bits of s."""
     idx = string_index(n, U)
-    out = np.empty(2**n, dtype=int)
-    for s in range(2**n):
-        label = "".join("Z" if (s >> (n - 1 - q)) & 1 else "I" for q in range(n))
-        out[s] = idx[label]
-    return out
+    labels = (format(s, f"0{n}b").replace("0", "I").replace("1", "Z") for s in range(2**n))
+    return np.array([idx[label] for label in labels])
 
 
 @lru_cache(maxsize=None)
 def _walsh(dim: int) -> np.ndarray:
-    """W[s, z] = (-1)^{popcount(s & z)} as a read-only float matrix."""
-    W = hadamard(dim).astype(float)
+    """W[s, z] = (-1)^{popcount(s & z)} as a read-only float matrix (Sylvester doubling)."""
+    W = np.ones((1, 1))
+    while len(W) < dim:
+        W = np.block([[W, W], [W, -W]])
     W.flags.writeable = False
     return W
 
@@ -145,10 +153,7 @@ def diagonal_to_pauli(h: np.ndarray) -> PauliVector:
 
 @lru_cache(maxsize=256)
 def _diag_weights(spec: MetricSpec, n: int):
-    """(kind, per-coordinate weights w_s over the 2^n diagonal strings).
-
-    The weights array is cached and read-only.
-    """
+    """(kind, per-coordinate weights w_s over the 2^n diagonal strings), read-only."""
     if spec.family in (F1, F1DELTA, F2):
         weights = np.ones(2**n)
     elif spec.family in (FP, FPDELTA, FQ):
@@ -159,23 +164,14 @@ def _diag_weights(spec: MetricSpec, n: int):
     return ("quadratic" if spec.family in (F2, FQ) else "taxicab"), weights
 
 
-def _values(kind: str, weights: np.ndarray, y: np.ndarray) -> np.ndarray:
-    if kind == "taxicab":
-        return np.abs(y) @ weights
-    return np.sqrt(y**2 @ weights)
-
-
-# Node budget of the sphere-decoding search.  The search visits about 600k
+# Node budget of the sphere-decoding search.  The search visits 650k-750k
 # nodes/s (CPython 3.11, one core of a 2-core Xeon VM), so one that runs out
-# stops after 1-2 s.
+# stops after 1.3-1.6 s.
 _NODE_BUDGET = 1_000_000
 
 
-def cvp_minimal_pauli_geodesic(
-    spec: MetricSpec,
-    U_diag,
-    require_certified: bool = False,
-) -> CvpResult:
+def cvp_minimal_pauli_geodesic(spec: MetricSpec, U_diag,
+                               require_certified: bool = False) -> CvpResult:
     """Minimize F(diag(h) - 2*pi*diag(m)) over integer m by sphere decoding.
 
     SU mode adds the constraint sum(m) = sum(h)/2pi, fixing the trace of the
@@ -192,90 +188,93 @@ def cvp_minimal_pauli_geodesic(
     if not 1 <= n <= cap:
         raise DimensionLimit(f"CVP search needs 1 <= n <= {cap}, got n={n}")
     h = reduce_phases(U_diag.phases)
-    kind, weights = _diag_weights(spec, n)
-
     su_sum = None
     if spec.mode == SU:
-        total = float(np.sum(h)) / (2 * np.pi)
-        su_sum = int(round(total))
+        total = sum(h.tolist()) / (2 * math.pi)
+        su_sum = round(total)
         if abs(total - su_sum) > 1e-9:
             raise NonTracelessInSUMode(
                 "phase sum is not a multiple of 2*pi; U is not special unitary"
             )
-        weights = weights.copy()
-        weights[0] = 0.0  # identity coefficient is projected out
 
-    m, value, certified = _sphere_decode(kind, weights, h, su_sum)
+    m, value, certified, stats = _sphere_decode(_cvp_plan(spec, n), h, su_sum)
     if require_certified and not certified:
         raise WindowTooSmall(
             f"search stopped after {_NODE_BUDGET} nodes without proving optimality "
             f"(incumbent {value:.6g})"
         )
+    window = max(map(abs, m))
+    m = np.array(m)
     v = h - 2 * np.pi * m
     if su_sum is not None:
         v = v - np.sum(v) / 2**n
-    return CvpResult(
-        minimizer=m,
-        value=value,
-        geodesic_hamiltonian=HermitianOperator(n, np.diag(v.astype(complex))),
-        certified=certified,
-        window_used=int(np.abs(m).max()),
-    )
+    return CvpResult(m, value, certified, window, diagonal=v, stats=stats)
 
 
 @lru_cache(maxsize=256)
-def _pruning_form(kind: str, weights: tuple, su: bool):
-    """Upper Cholesky factor R of the pruning form A, as (R_ii^2, R_ij/R_ii).
+def _cvp_plan(spec: MetricSpec, n: int) -> tuple:
+    """(kind, w, q, r, rows) of (spec, n) as Python lists, for _sphere_decode.
 
-    A = W^T diag(c) W / 4^n with c = w (quadratic) or w^2 (taxicab), so that
-    F(h - 2*pi*m) >= 2*pi*sqrt((t - m)^T A (t - m)) with t = h/2pi.  In SU
-    mode A is singular along the all-ones vector; it is replaced by B^T A B,
-    B = [I; -1^T], the form in the first d - 1 coordinates of m.
+    w are the weights, with w_0 = 0 in SU mode; rows[z] = 2*pi/2^n W[z].
+    q = R_ii^2 and r = R_ij/R_ii come from the upper Cholesky factor R of the
+    pruning form A = W^T diag(c) W / 4^n, c = w (quadratic) or w^2 (taxicab),
+    so that F(h - 2*pi*m) >= 2*pi*sqrt((t - m)^T A (t - m)) with t = h/2pi.
+    In SU mode A is singular along the all-ones vector; it is replaced by
+    B^T A B, B = [I; -1^T], the form in the first d - 1 coordinates of m.
     """
-    w = np.array(weights)
+    kind, w = _diag_weights(spec, n)
+    if spec.mode == SU:
+        w = np.concatenate([[0.0], w[1:]])  # identity coefficient is projected out
     c = w if kind == "quadratic" else w**2
-    dim = len(w)
+    dim = 2**n
     W = _walsh(dim)
     A = W.T @ (c[:, None] * W) / dim**2
-    if su:
+    if spec.mode == SU:
         B = np.vstack([np.eye(dim - 1), -np.ones(dim - 1)])
         A = B.T @ A @ B
     R = np.linalg.cholesky(A).T
     diag = np.diag(R)
-    return (diag**2).tolist(), (R / diag[:, None]).tolist()
+    r = (R / diag[:, None]).tolist()
+    return kind, w.tolist(), (diag**2).tolist(), r, (2 * np.pi / dim * W).tolist()
 
 
-def _sphere_decode(kind, weights, h, su_sum):
+def _sphere_decode(plan: tuple, h: np.ndarray, su_sum):
     """Schnorr-Euchner depth-first search for argmin_m F(h - 2*pi*m).
 
     Levels run from the last coordinate to the first; each level visits
     integers in zig-zag order around its projected centre, so the partial
     distance never decreases along a level and the first prune ends it.
-    Returns (m, F at m, certified); certified is False if the node budget
-    ran out.
+    Returns (m over all 2^n coordinates, F at m, certified, stats);
+    certified is False if the node budget ran out.
     """
     dim = len(h)
-    t = h / (2 * np.pi)
+    kind, weights, q, r, rows = plan
+    y_h = (_walsh(dim) @ h / dim).tolist()
+    a = [x / (2 * math.pi) for x in h.tolist()]
     if su_sum is not None:
         # A kills the all-ones vector, so removing the mean leaves Q unchanged
         # and puts t in the range of B even when sum(h)/2pi is off by rounding
-        t[-1] -= su_sum
-        t = (t - np.mean(t))[:-1]
-    q, r = _pruning_form(kind, tuple(weights), su_sum is not None)
-    a = t.tolist()
+        a[-1] -= su_sum
+        mean = sum(a) / dim
+        a = [x - mean for x in a[:-1]]
     depth = len(a)
-    W = _walsh(dim)
 
     def full(mr):
-        return np.array(mr if su_sum is None else mr + [su_sum - sum(mr)])
+        return mr if su_sum is None else mr + [su_sum - sum(mr)]
 
     def value_at(mr):
-        return float(_values(kind, weights, (h - 2 * np.pi * full(mr)) @ W / dim))
+        y = y_h
+        for z, mz in enumerate(full(mr)):
+            if mz:
+                y = [ys - mz * rs for ys, rs in zip(y, rows[z])]
+        if kind == "taxicab":
+            return sum([w * abs(ys) for w, ys in zip(weights, y)])
+        return math.sqrt(sum([w * ys * ys for w, ys in zip(weights, y)]))
 
     # seed with the zero shift (m = su_sum e_{d-1} in SU mode, m = 0 otherwise)
     best_m = [0] * depth
     best = value_at(best_m)
-    bound = (best / (2 * np.pi)) ** 2
+    bound = (best / (2 * math.pi)) ** 2
 
     m = [0] * depth
     centre = [0.0] * depth
@@ -283,14 +282,17 @@ def _sphere_decode(kind, weights, h, su_sum):
     dist = [0.0] * (depth + 1)
 
     def enter(i):
-        ci = a[i] + sum(r[i][j] * (a[j] - m[j]) for j in range(i + 1, depth))
-        centre[i] = ci
+        ri, s = r[i], 0.0
+        for j in range(i + 1, depth):
+            s += ri[j] * (a[j] - m[j])
+        ci = centre[i] = a[i] + s
         m[i] = round(ci)
         step[i] = 1 if ci >= m[i] else -1
 
     i = depth - 1
     enter(i)
-    for _ in range(_NODE_BUDGET):
+    leaves, certified = 0, False
+    for nodes in range(1, _NODE_BUDGET + 1):
         diff = centre[i] - m[i]
         d_i = dist[i + 1] + q[i] * diff * diff
         if d_i < bound:
@@ -299,17 +301,20 @@ def _sphere_decode(kind, weights, h, su_sum):
                 i -= 1
                 enter(i)
                 continue
+            leaves += 1
             value = value_at(m)
             if value < best:
                 best, best_m = value, m.copy()
-                bound = (best / (2 * np.pi)) ** 2
+                bound = (best / (2 * math.pi)) ** 2
         else:
             i += 1
             if i == depth:
-                return full(best_m), best, True
+                certified = True
+                break
         m[i] += step[i]
         step[i] = -step[i] - (1 if step[i] > 0 else -1)
-    return full(best_m), best, False
+    stats = {"nodes": nodes, "leaves": leaves, "budget": _NODE_BUDGET}
+    return full(best_m), best, certified, stats
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +395,7 @@ def monte_carlo_coverage(
     for flat in range(base**dim):
         m = np.array(np.unravel_index(flat, (base,) * dim)) - _COVERAGE_WINDOW
         v = h - 2 * np.pi * m[None, :]
-        vals = _values(kind, weights, v @ Wt / dim)
+        y = v @ Wt / dim
+        vals = np.abs(y) @ weights if kind == "taxicab" else np.sqrt(y**2 @ weights)
         np.minimum(best, vals, out=best)
     return float(np.mean(best <= r))

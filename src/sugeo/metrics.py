@@ -199,10 +199,10 @@ def _entries(spec: MetricSpec, y) -> np.ndarray:
 # norm evaluation
 
 
-def _no_overflow(out: np.ndarray) -> np.ndarray:
-    """Pass an array of finite norms through; one that overflowed raises."""
+def _no_overflow(out: np.ndarray, what: str = "norm") -> np.ndarray:
+    """Pass an array of finite values through; one that overflowed raises."""
     if not np.isfinite(out).all():
-        raise NonFiniteInput("the norm overflows the float range")
+        raise NonFiniteInput(f"the {what} overflows the float range")
     return out
 
 
@@ -316,12 +316,15 @@ def grad_f_squared(spec: MetricSpec, y) -> np.ndarray:
     if spec.family in (F1, FP):
         raise NotSmoothMetric(f"{spec.family} has no smooth gradient")
     v = _entries(spec, y)
-    if spec.family in (F2, FQ):
-        return 2.0 * penalty_vector(spec, qubits_of_dimension(v.shape[-1], spec.mode)) * v
-    p, N, u = _solved_point(spec, v)
-    gamma = p * u / np.sqrt(spec.delta**2 + u**2)
-    # grad N = gamma / (gamma . u), so grad N^2 = 2 N gamma / (gamma . u)
-    return 2.0 * N * gamma / (gamma[..., None, :] @ u[..., None])[..., 0]
+    with np.errstate(over="ignore"):  # an overflow is _no_overflow's to report
+        if spec.family in (F2, FQ):
+            grad = 2.0 * penalty_vector(spec, qubits_of_dimension(v.shape[-1], spec.mode)) * v
+        else:
+            p, N, u = _solved_point(spec, v)
+            gamma = p * u / np.sqrt(spec.delta**2 + u**2)
+            # grad N = gamma / (gamma . u), so grad N^2 = 2 N gamma / (gamma . u)
+            grad = 2.0 * N * gamma / (gamma[..., None, :] @ u[..., None])[..., 0]
+    return _no_overflow(grad, "gradient of F^2")
 
 
 def hessian(spec: MetricSpec, y) -> np.ndarray:

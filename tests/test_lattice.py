@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import hadamard
 
+import sugeo
 from sugeo.errors import (
     DimensionLimit,
     NonFiniteInput,
@@ -16,6 +20,7 @@ from sugeo.errors import (
 from sugeo.lattice import (
     CvpResult,
     DiagonalUnitary,
+    _walsh,
     PhaseLattice,
     coverage_bound,
     cvp_minimal_pauli_geodesic,
@@ -24,8 +29,8 @@ from sugeo.lattice import (
     reduce_phases,
     unit_ball_volume,
 )
-from sugeo.metrics import F1, F2, FP, FQ, MetricSpec, PenaltyFunction
-from sugeo.pauli import SU, U, to_matrix
+from sugeo.metrics import F1, F1DELTA, F2, FP, FPDELTA, FQ, MetricSpec, PenaltyFunction
+from sugeo.pauli import SU, U, HermitianOperator, to_matrix
 
 F1_U = MetricSpec(family=F1, mode=U)
 F2_U = MetricSpec(family=F2, mode=U)
@@ -116,6 +121,7 @@ def test_cvp_node_budget_exhausted():
     theta[-1] = np.pi
     res = cvp_minimal_pauli_geodesic(spec, theta)
     assert not res.certified
+    assert res.stats["nodes"] == res.stats["budget"]
     assert np.all(res.minimizer == 0)
     assert res.window_used == 0
     expected = np.pi * (k - (2 + n + n * n) / 2 ** (n + 1) * (k - 1.0))
@@ -131,6 +137,20 @@ def _diag_value(kind, w, h, m):
     if kind == "taxicab":
         return np.abs(y) @ w
     return np.sqrt(y**2 @ w)
+
+
+def _cvp_problem(spec, theta):
+    """(kind, weights, reduced h, su_sum) of a solve, from the definitions."""
+    d = len(theta)
+    kind = "taxicab" if spec.family in (F1, F1DELTA, FP, FPDELTA) else "quadratic"
+    pen = spec.penalty
+    w = np.array([1.0 if pen is None else pen.weight_value(bin(s).count("1")) for s in range(d)])
+    h = reduce_phases(theta)
+    su_sum = None
+    if spec.mode == SU:
+        w[0] = 0.0
+        su_sum = int(round(np.sum(h) / (2 * np.pi)))
+    return kind, w, h, su_sum
 
 
 CVP_CASES = [
@@ -161,14 +181,11 @@ def test_cvp_exact_against_brute_force(n, case, mode, cutoff, raw):
     spec = MetricSpec(family=family, penalty=pen, mode=mode)
     res = cvp_minimal_pauli_geodesic(spec, theta)
     assert res.certified
+    assert res.stats["leaves"] <= res.stats["nodes"] < res.stats["budget"]
 
-    kind = "quadratic" if family in (F2, FQ) else "taxicab"
-    w = np.array([1.0 if pen is None else pen.weight_value(bin(s).count("1")) for s in range(d)])
-    h = reduce_phases(theta)
+    kind, w, h, su_sum = _cvp_problem(spec, theta)
     zero = np.zeros(d, dtype=int)
     if mode == SU:
-        w[0] = 0.0
-        su_sum = int(round(np.sum(h) / (2 * np.pi)))
         assert int(np.sum(res.minimizer)) == su_sum
         zero[-1] = su_sum  # the zero shift, moved onto the trace-zero slice
     radius = res.window_used + 1
@@ -181,6 +198,114 @@ def test_cvp_exact_against_brute_force(n, case, mode, cutoff, raw):
     assert res.value == pytest.approx(
         _diag_value(kind, w, h, res.minimizer[None, :])[0], rel=1e-12, abs=1e-12
     )
+
+
+def _babai_point(kind, w, h, su_sum):
+    """Nearest-plane rounding of t = h/2pi in the pruning form, coordinates last to first."""
+    d = len(h)
+    c = w if kind == "quadratic" else w**2
+    W = hadamard(d).astype(float)
+    A = W.T @ np.diag(c) @ W / d**2
+    t = h / (2 * np.pi)
+    if su_sum is not None:
+        B = np.vstack([np.eye(d - 1), -np.ones(d - 1)])
+        A = B.T @ A @ B
+        t = t - np.eye(d)[-1] * su_sum
+        t = (t - t.mean())[:-1]
+    R = np.linalg.cholesky(A).T
+    m = np.zeros(len(t), dtype=int)
+    for i in reversed(range(len(t))):
+        centre = t[i] + R[i, i + 1:] @ (t[i + 1:] - m[i + 1:]) / R[i, i]
+        m[i] = round(centre)
+    return m if su_sum is None else np.append(m, su_sum - m.sum())
+
+
+ALL_FAMILY_SPECS = [
+    (F1, None, None),
+    (F1DELTA, None, 1e-3),
+    (FP, 1.5, None),
+    (FP, 4.0, None),
+    (FPDELTA, 4.0, 1e-3),
+    (F2, None, None),
+    (FQ, 4.0, None),
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 3]),
+    case=st.sampled_from(ALL_FAMILY_SPECS),
+    mode=st.sampled_from([U, SU]),
+    raw=st.lists(st.floats(-np.pi, np.pi), min_size=8, max_size=8),
+)
+def test_cvp_never_worse_than_zero_shift_or_babai(n, case, mode, raw):
+    family, k, delta = case
+    d = 2**n
+    theta = np.array(raw[:d])
+    if mode == SU:
+        theta[-1] = -np.sum(theta[:-1])
+    pen = None if k is None else PenaltyFunction(kind="step", k=k)
+    spec = MetricSpec(family=family, penalty=pen, mode=mode, delta=delta)
+    res = cvp_minimal_pauli_geodesic(spec, theta)
+    kind, w, h, su_sum = _cvp_problem(spec, theta)
+    zero = np.zeros(d, dtype=int)
+    if su_sum is not None:
+        zero[-1] = su_sum
+    babai = _babai_point(kind, w, h, su_sum)
+    at_zero, at_babai = _diag_value(kind, w, h, np.array([zero, babai]))
+    assert res.value <= at_zero + 1e-12
+    assert res.value <= at_babai + 1e-12
+
+
+@pytest.mark.parametrize("family, k", [(F1, None), (FP, 4.0), (F2, None), (FQ, 4.0)])
+def test_cvp_n3_beats_unit_box(family, k):
+    rng = np.random.default_rng(31)
+    box = np.array(list(itertools.product((-1, 0, 1), repeat=8)))
+    pen = None if k is None else PenaltyFunction(kind="step", k=k)
+    spec = MetricSpec(family=family, penalty=pen, mode=U)
+    for _ in range(3):
+        theta = rng.uniform(-np.pi, np.pi, 8)
+        res = cvp_minimal_pauli_geodesic(spec, theta)
+        kind, w, h, _ = _cvp_problem(spec, theta)
+        assert res.value <= np.min(_diag_value(kind, w, h, box)) + 1e-12
+
+
+@pytest.mark.parametrize("mode", [U, SU])
+def test_geodesic_hamiltonian_read_back(mode):
+    rng = np.random.default_rng(5)
+    spec = MetricSpec(family=FQ, penalty=PenaltyFunction(kind="step", k=4.0), mode=mode)
+    for n in (1, 2, 3):
+        theta = rng.uniform(-np.pi, np.pi, 2**n)
+        if mode == SU:
+            theta[-1] = -np.sum(theta[:-1])
+        res = cvp_minimal_pauli_geodesic(spec, theta)
+        H = res.geodesic_hamiltonian
+        assert isinstance(H, HermitianOperator) and H.n == n
+        diag = np.diag(H.matrix)
+        assert np.max(np.abs(np.exp(-1j * diag) - np.exp(-1j * theta))) < 1e-12
+        v = reduce_phases(theta) - 2 * np.pi * res.minimizer
+        if mode == SU:
+            v = v - np.sum(v) / 2**n
+            assert abs(np.sum(diag)) < 1e-12
+        assert np.array_equal(diag, v.astype(complex))
+        assert res.geodesic_hamiltonian is not H  # built afresh on each read
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 8, 16])
+def test_walsh_matches_scipy_hadamard(d):
+    assert np.array_equal(_walsh(d), hadamard(d).astype(float))
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sugeo.__file__)))
+    code = (
+        "import sugeo, sys; "
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')); "
+        "sys.exit(f'import sugeo loaded {loaded}' if loaded else 0)"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

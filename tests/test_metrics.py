@@ -213,6 +213,21 @@ def test_grad_f_squared_batch_rows_equal_vector_calls():
             derivative(MetricSpec(F1DELTA, delta=0.05), np.vstack([rows[:2], np.zeros(15)]))
 
 
+@pytest.mark.parametrize("spec, c", [
+    (MetricSpec(F2), 1.5e308),
+    (MetricSpec(FQ, penalty=PEN1), 1.5e308),
+    (MetricSpec(F1DELTA, delta=1e-3), 5e307),  # N is finite here, 2 N grad N is not
+], ids=lambda v: getattr(v, "family", None))
+def test_overflowing_gradient_rejected(spec, c):
+    """A gradient past the float range is a typed error, for a vector and for a stack."""
+    y = np.full(3, c)
+    with pytest.raises(NonFiniteInput):
+        grad_f_squared(spec, y)
+    with pytest.raises(NonFiniteInput):
+        grad_f_squared(spec, np.vstack([np.ones(3), y]))
+    assert np.all(np.isfinite(grad_f_squared(spec, y / 4)))
+
+
 def test_smoothed_derivatives_at_huge_finite_vectors():
     spec = MetricSpec(FPDELTA, penalty=PEN1, delta=1e-2)
     y = np.linspace(-1.0, 1.0, 15) + 0.05
