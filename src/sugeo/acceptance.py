@@ -169,20 +169,12 @@ def run_stabilizer_el():
         for name, spec in specs.items():
             curve = pauli_geodesic_curve(spec, coeffs, 1.0, num_samples=801)
             worst[name] = max(worst[name], el_residual(spec, curve))
-    rows = [
-        _row(f"stabilizer-el {name}", "< 0.0001", f"{v:.3g}", v < 1e-4)
-        for name, v in worst.items()
-    ]
-    spec_neg = MetricSpec(
-        FQ, penalty=PenaltyFunction(kind="step", k=100.0, low_weight_cutoff=1)
-    )
+    rows = [_row(f"stabilizer-el {name}", "< 0.0001", f"{v:.3g}", v < 1e-4)
+            for name, v in worst.items()]
+    spec_neg = MetricSpec(FQ, penalty=PenaltyFunction(kind="step", k=100.0, low_weight_cutoff=1))
     coeffs = PauliVector.from_terms(2, {"XI": 0.9, "ZZ": 0.7, "IY": 0.4})
-    resid = el_residual(
-        spec_neg, pauli_geodesic_curve(spec_neg, coeffs, 1.0, num_samples=801)
-    )
-    rows.append(
-        _row("stabilizer-el generic Fq k=100", "> 0.01", f"{resid:.3g}", resid > 1e-2)
-    )
+    resid = el_residual(spec_neg, pauli_geodesic_curve(spec_neg, coeffs, 1.0, num_samples=801))
+    rows.append(_row("stabilizer-el generic Fq k=100", "> 0.01", f"{resid:.3g}", resid > 1e-2))
     return rows
 
 
@@ -368,9 +360,7 @@ def run_isometry():
     """Catalogued conjugation maps preserve the norms; the excluded pairs fail."""
     rng = np.random.default_rng(_SEED)
     pen = PenaltyFunction(kind="step", k=4.0, low_weight_cutoff=1)
-    p_sum = float(
-        np.sum([pen.weight_value(int(j)) for j in weights_array(2, SU)])
-    )
+    p_sum = float(np.sum([pen.weight_value(int(j)) for j in weights_array(2, SU)]))
     specs = {
         F1: MetricSpec(F1),
         F2: MetricSpec(F2),
@@ -398,32 +388,13 @@ def run_isometry():
             res = isometry_check(iso, spec)
             worst = max(worst, res.max_deviation)
             pairs += 1
-    neg_cnot = isometry_check(isos["clifford"], specs[FQ])
-    neg_f1 = isometry_check(isos["unitary"], specs[F1])
-    return [
-        _row(
-            f"isometry catalogue ({pairs} pairs)",
-            "< 1e-10",
-            f"{worst:.3g}",
-            worst < 1e-10,
-        ),
-        _row(
-            "isometry cnot-Fq breaks",
-            "> 1e-06 + counterexample",
-            f"{neg_cnot.max_deviation:.3g}",
-            neg_cnot.max_deviation > 1e-6
-            and not neg_cnot.applicable
-            and neg_cnot.counterexample is not None,
-        ),
-        _row(
-            "isometry unitary-F1 breaks",
-            "> 1e-06 + counterexample",
-            f"{neg_f1.max_deviation:.3g}",
-            neg_f1.max_deviation > 1e-6
-            and not neg_f1.applicable
-            and neg_f1.counterexample is not None,
-        ),
-    ]
+    rows = [_row(f"isometry catalogue ({pairs} pairs)", "< 1e-10", f"{worst:.3g}", worst < 1e-10)]
+    for name, iso, family in (("cnot-Fq", "clifford", FQ), ("unitary-F1", "unitary", F1)):
+        res = isometry_check(isos[iso], specs[family])
+        broken = res.max_deviation > 1e-6 and not res.applicable and res.counterexample is not None
+        rows.append(_row(f"isometry {name} breaks", "> 1e-06 + counterexample",
+                         f"{res.max_deviation:.3g}", broken))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ identity.  The signs follow from the power series: vec(E_X) = f(-iA) with
 f(s) = (e^s - 1)/s and A = vec(ad_X), so the non-kernel part is
 (U* kron U - I) (-iA)^+ = +i (U* kron U - I) A^+.
 
-The production route (apply_bch) diagonalizes X = V L V^T* and applies E_X
+The production route (apply_bch) diagonalizes X = V L V^+ and applies E_X
 as an entrywise filter in the eigenbasis; the pinv and series routes above
 stay as test oracles:
 
@@ -34,9 +34,14 @@ stay as test oracles:
     phi(s) = (e^{-is} - 1)/(-is),  phi(0) = 1  (entire function).
 
 The pinv and filter routes cluster eigenvalues within 1e-8 (relative) and
-treat clustered pairs as exact kernel directions.  E_-X is the transpose of
-E_X (Phi^T = conj(Phi)) and bch_x_gradient differentiates tr(G E_X(Z)) in X,
-so no caller needs the matrix M(x) of E_X (change_matrices, a test oracle).
+treat clustered pairs as exact kernel directions.
+
+One eigendecomposition (_Eigenbasis) serves the filter, its transpose E_-X
+(filter Phi^T = conj(Phi), no second eigh) and bch_x_gradient, the
+Daleckii-Krein derivative of tr(G E_X(Z)) in X written as matrix products
+in the eigenbasis, with phi' taken from Phi.  geodesic.f_squared_gradients
+reads both gradients of F^2 from one, so no caller needs the matrix M(x)
+of E_X (change_matrices, a test oracle).
 """
 
 from __future__ import annotations
@@ -138,7 +143,7 @@ def _ad_vec(X: np.ndarray) -> np.ndarray:
 
 
 def _pinv_parts(X):
-    """Eigenvalues, vec(ad_X), U* kron U - 1 and vecP for the pinv formulas.
+    """Eigenvalue gaps, vec(ad_X), U* kron U - 1 and vecP for the pinv formulas.
 
     vecP projects onto the commutant of X: in the eigenbasis it keeps the
     entries of the pairs that _gap_data clusters, vec(P) = W diag(vec(mask)) W^+
@@ -149,7 +154,8 @@ def _pinv_parts(X):
     U = V @ np.diag(np.exp(-1j * lam)) @ V.conj().T
     B = np.kron(U.conj(), U) - np.eye(M.shape[0] ** 2)
     W = np.kron(V.conj(), V)
-    return lam, _ad_vec(M), B, (W * vec(_gap_data(lam)[1])) @ W.conj().T
+    gaps, mask = _gap_data(lam)
+    return gaps, _ad_vec(M), B, (W * vec(mask)) @ W.conj().T
 
 
 def bch_E(X) -> Superoperator:
@@ -162,8 +168,7 @@ def bch_E(X) -> Superoperator:
     return Superoperator(vecP + 1j * B @ pinvA @ (np.eye(len(vecP)) - vecP))
 
 
-def _resonance_check(lam: np.ndarray):
-    gaps = lam[..., :, None] - lam[..., None, :]
+def _resonance_check(gaps: np.ndarray):
     k = np.round(gaps / (2 * np.pi))
     resonant = (k != 0) & (np.abs(gaps - 2 * np.pi * k) < _CLUSTER_TOL)
     if np.any(resonant):
@@ -175,8 +180,8 @@ def _resonance_check(lam: np.ndarray):
 
 def bch_E_inverse(X) -> Superoperator:
     """Inverse of bch_E: vecP - i ad_X pinv(U* kron U - 1) off the kernel."""
-    lam, A, B, vecP = _pinv_parts(X)
-    _resonance_check(lam)
+    gaps, A, B, vecP = _pinv_parts(X)
+    _resonance_check(gaps)
     pinvB = np.linalg.pinv(B, rcond=_PINV_CUTOFF)
     return Superoperator(vecP - 1j * A @ pinvB @ (np.eye(len(vecP)) - vecP))
 
@@ -208,33 +213,13 @@ def _phi(gaps: np.ndarray, cluster_mask: np.ndarray) -> np.ndarray:
     return np.where(cluster_mask, 1.0 + 0.0j, out)
 
 
-def _dphi(gaps: np.ndarray) -> np.ndarray:
-    """phi'(s) = (e^{-is} - phi(s))/s elementwise, its Taylor series near 0."""
-    s = np.where(np.abs(gaps) < 1e-3, 1.0, gaps)
-    out = (np.exp(-1j * s) - np.expm1(-1j * s) / (-1j * s)) / s
-    series = -0.5j - gaps / 3.0 + 1j * gaps**2 / 8.0 + gaps**3 / 30.0 - 1j * gaps**4 / 144.0
-    return np.where(np.abs(gaps) < 1e-3, series, out)
-
-
-def bch_x_gradient(X: np.ndarray, Z: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Gamma with d/de tr(G E_{X+eS}(Z)) = tr(Gamma S) at e = 0, for all Hermitian S.
-
-    The Daleckii-Krein derivative of E_X(Z) = sum_ab phi(l_a - l_b) P_a Z P_b
-    (hats: eigenbasis of X): Gamma^_qp = sum_b T_pqb Z^_qb G^_bp +
-    conj(T_pqb) G^_qb Z^_bp, T_pqb = (phi(l_p - l_b) - phi(l_q - l_b)) /
-    (l_p - l_q), or phi'(l_p - l_b) where _gap_data clusters (p, q).
-    X, Z and G may be stacks of matrices, shape (m, D, D), taken pairwise.
-    """
-    lam, V = np.linalg.eigh(X)
-    gaps, mask = _gap_data(lam)
-    Phi = _phi(gaps, mask)
-    quotient = (Phi[..., :, None, :] - Phi[..., None, :, :]) / np.where(mask, 1.0, gaps)[..., None]
-    T = np.where(mask[..., None], _dphi(gaps)[..., :, None, :], quotient)
-    Vh = np.swapaxes(V.conj(), -1, -2)
-    Zh, Gh = Vh @ Z @ V, Vh @ G @ V
-    Gamma = np.einsum("...pqb,...qb,...bp->...qp", T, Zh, Gh)
-    Gamma += np.einsum("...pqb,...qb,...bp->...qp", T.conj(), Gh, Zh)
-    return V @ Gamma @ Vh
+def _dphi(gaps: np.ndarray, Phi: np.ndarray) -> np.ndarray:
+    """phi'(s) = (1 - (1 + is) phi(s))/s from Phi = phi(gaps), its Taylor series near 0."""
+    small = np.abs(gaps) < 1e-3
+    s = np.where(small, 1.0, gaps)
+    g2 = gaps * gaps  # -i/2 - s/3 + i s^2/8 + s^3/30 - i s^4/144, without slow float powers
+    series = gaps * (g2 / 30.0 - 1.0 / 3.0) + 1j * (g2 * (0.125 - g2 / 144.0) - 0.5)
+    return np.where(small, series, (1.0 - (1.0 + 1j * s) * Phi) / s)
 
 
 def _gap_data(lam: np.ndarray):
@@ -244,20 +229,62 @@ def _gap_data(lam: np.ndarray):
     return gaps, mask
 
 
+class _Eigenbasis:
+    """X = V diag(l) V^+ for a Hermitian stack: V, V^+, gaps l_a - l_b, cluster mask, Phi.
+
+    A hat is a matrix in this basis (hat and unhat change to and from it).
+    """
+
+    def __init__(self, X: np.ndarray):
+        lam, self.V = np.linalg.eigh(X)
+        self.Vh = np.swapaxes(self.V.conj(), -1, -2)
+        self.gaps, self.mask = _gap_data(lam)
+        self.Phi = _phi(self.gaps, self.mask)
+
+    def hat(self, Z: np.ndarray) -> np.ndarray:
+        return self.Vh @ Z @ self.V
+
+    def unhat(self, Zh: np.ndarray) -> np.ndarray:
+        return self.V @ Zh @ self.Vh
+
+    def x_gradient(self, Zh, Gh, A, B) -> np.ndarray:
+        """Gamma^ of bch_x_gradient, given A = Phi o Z^ and B = conj(Phi) o G^."""
+        quotient = (Zh @ B - B @ Zh + Gh @ A - A @ Gh) / np.where(self.mask, 1.0, -self.gaps)
+        dPhiT = np.swapaxes(_dphi(self.gaps, self.Phi), -1, -2)
+        clustered = Zh @ (dPhiT * Gh) + Gh @ (dPhiT.conj() * Zh)
+        return np.where(self.mask, clustered, quotient)
+
+
+def bch_x_gradient(X: np.ndarray, Z: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Gamma with d/de tr(G E_{X+eS}(Z)) = tr(Gamma S) at e = 0, for all Hermitian S.
+
+    The Daleckii-Krein derivative of E_X(Z) = sum_ab phi(l_a - l_b) P_a Z P_b,
+    from the one eigendecomposition of X (hats: its eigenbasis).  The sum
+    over b of T_pqb = (phi(l_p - l_b) - phi(l_q - l_b)) / (l_p - l_q) is,
+    since Phi^T = conj(Phi), a sum of matrix products with A = Phi o Z^ and
+    B = conj(Phi) o G^ (no (m, D, D, D) tensor):
+
+        Gamma^_qp = [Z^ B - B Z^ + G^ A - A G^]_qp / (l_p - l_q),
+        Gamma^_qp = [Z^ (phi'^T o G^) + G^ (conj(phi')^T o Z^)]_qp  (clustered p, q),
+
+    with phi'(s) = (1 - (1 + is) phi(s))/s read from Phi (Taylor series
+    below |s| = 1e-3).  X, Z and G may be stacks (m, D, D), taken pairwise.
+    """
+    E = _Eigenbasis(X)
+    Zh, Gh = E.hat(Z), E.hat(G)
+    return E.unhat(E.x_gradient(Zh, Gh, E.Phi * Zh, E.Phi.conj() * Gh))
+
+
 def apply_bch(X: np.ndarray, Z: np.ndarray, inverse: bool = False) -> np.ndarray:
     """E_X(Z) (or its inverse) via the eigenbasis filter; equals the pinv route.
 
     X and Z may also be stacks of matrices, shape (m, D, D), mapped pairwise.
     """
-    lam, V = np.linalg.eigh(X)
-    gaps, mask = _gap_data(lam)
+    E = _Eigenbasis(X)
     if inverse:
-        _resonance_check(lam)
-        Phi = 1.0 / _phi(gaps, mask)
-    else:
-        Phi = _phi(gaps, mask)
-    Vh = np.swapaxes(V.conj(), -1, -2)
-    return V @ (Phi * (Vh @ Z @ V)) @ Vh
+        _resonance_check(E.gaps)
+        return E.unhat(E.hat(Z) / E.Phi)
+    return E.unhat(E.Phi * E.hat(Z))
 
 
 def change_coords_forward(x: PauliVector, y_pauli: PauliVector) -> PauliVector:
@@ -284,12 +311,10 @@ def change_matrices(xs: np.ndarray, n: int, mode: str = SU) -> np.ndarray:
     one vector it needs with apply_bch and never forms M.
     """
     stack = basis_stack(n, mode)
-    lam, V = np.linalg.eigh(algebra(xs, n, mode))
-    gaps, mask = _gap_data(lam)
-    Phi = _phi(gaps, mask)
+    E = _Eigenbasis(algebra(xs, n, mode))
     # T1[m, t, a, b] = (V^+ sigma_t V)[a, b]
-    T1 = np.einsum("mpa,tpq,mqb->mtab", V.conj(), stack, V, optimize=True)
-    M = np.einsum("mtab,mba,msba->mts", T1, Phi, T1, optimize=True) / 2**n
+    T1 = np.einsum("mpa,tpq,mqb->mtab", E.V.conj(), stack, E.V, optimize=True)
+    M = np.einsum("mtab,mba,msba->mts", T1, E.Phi, T1, optimize=True) / 2**n
     return M.real
 
 
@@ -363,27 +388,29 @@ def pauli_log(U, mode: str = SU) -> PauliVector:
 
     Undefined when U has an eigenvalue at -1 (the chart's branch cut).
     """
+    return _pauli_log_phase(U, mode)[0]
+
+
+def _pauli_log_phase(U, mode: str):
+    """pauli_log(U, mode) and max |eigenphase of U|, which is max |eig(x.sigma)|.
+
+    In SU mode project_to_pauli checks that the phases sum to zero, so none is lost.
+    """
+    from scipy.linalg import schur  # Schur vectors: orthonormal eigenvectors of a unitary
+
     M = matrix_of(U)
-    n = qubit_count(M)
-    lam, V = _unitary_eig(M)
-    phases = np.angle(lam)
-    if np.min(np.pi - np.abs(phases)) < _BRANCH_TOL:
+    qubit_count(M)
+    T, V = schur(M, output="complex")
+    phases = np.angle(np.diag(T))
+    top = float(np.max(np.abs(phases)))
+    if np.pi - top < _BRANCH_TOL:
         raise BranchCut("an eigenvalue of U lies within tolerance of -1")
-    H = V @ np.diag(-phases) @ V.conj().T
+    H = (V * -phases) @ V.conj().T
     H = 0.5 * (H + H.conj().T)
-    return project_to_pauli(H, mode)
-
-
-def _unitary_eig(M: np.ndarray):
-    """Eigendecomposition of a unitary with orthonormal eigenvectors (via Schur)."""
-    from scipy.linalg import schur
-
-    T, Z = schur(M, output="complex")
-    return np.diag(T).copy(), Z
+    return project_to_pauli(H, mode), top
 
 
 def unitary_from_coords(x: PauliVector) -> np.ndarray:
     """exp(-i x.sigma) as a dense matrix (eigendecomposition, exact unitarity)."""
-    H = to_matrix(x)
-    lam, V = np.linalg.eigh(H)
-    return V @ np.diag(np.exp(-1j * lam)) @ V.conj().T
+    lam, V = np.linalg.eigh(to_matrix(x))
+    return (V * np.exp(-1j * lam)) @ V.conj().T

@@ -31,7 +31,8 @@ from functools import lru_cache
 import numpy as np
 
 from .config import SHOOT_N_CAP, env_n_cap
-from .coords import UnitaryOperator, apply_bch, bch_x_gradient, pauli_log, unitary_from_coords
+from .coords import UnitaryOperator, _Eigenbasis, _pauli_log_phase, apply_bch, pauli_log
+from .coords import unitary_from_coords
 # perfbench's test_tracer_self_time_and_patching asserts this binding
 from .coords import change_matrices  # noqa: F401
 from .errors import (
@@ -96,23 +97,18 @@ class Curve:
         return unitary_from_coords(PauliVector(self.n, self.mode, self.xs[i])) @ self.anchors[seg]
 
     def to_json(self) -> dict:
-        samples = []
-        for i in range(len(self.ts)):
-            samples.append(
-                {
-                    "t": float(self.ts[i]),
-                    "x": PauliVector(self.n, self.mode, self.xs[i]).to_json(),
-                    "y": PauliVector(self.n, self.mode, self.ys[i]).to_json(),
-                    "speed": float(self.speeds[i]),
-                }
-            )
+        def vector(row):
+            return PauliVector(self.n, self.mode, row).to_json()
+
+        samples = [
+            {"t": float(t), "x": vector(x), "y": vector(y), "speed": float(v)}
+            for t, x, y, v in zip(self.ts, self.xs, self.ys, self.speeds)
+        ]
         return {
             "metric": self.spec.to_json(),
             "samples": samples,
             "segments": [int(s) for s in self.segments],
-            "anchors": [
-                [[[z.real, z.imag] for z in row] for row in A] for A in self.anchors
-            ],
+            "anchors": [[[[z.real, z.imag] for z in row] for row in A] for A in self.anchors],
         }
 
     @classmethod
@@ -145,13 +141,7 @@ class Curve:
 
 
 def _entries_of(v) -> np.ndarray:
-    if isinstance(v, PauliVector):
-        return np.asarray(v.entries, dtype=float)
-    return np.asarray(v, dtype=float)
-
-
-def _max_eigphase(x: np.ndarray, n: int, mode: str) -> float:
-    return float(np.max(np.abs(np.linalg.eigvalsh(algebra(x[None, :], n, mode)[0]))))
+    return np.asarray(v.entries if isinstance(v, PauliVector) else v, dtype=float)
 
 
 def _adapted(xs: np.ndarray, ys: np.ndarray, n: int, mode: str) -> np.ndarray:
@@ -265,8 +255,9 @@ def shoot_geodesic(
         lam, V = np.linalg.eigh(K)
         U = (V * np.exp(-1j * lam)) @ V.conj().T @ U
         h, k = h_next, k_next
-        x = pauli_log(U @ anchors[-1].conj().T, mode).entries
-        if _max_eigphase(x, n, mode) >= np.pi - _REANCHOR_MARGIN:
+        x, top = _pauli_log_phase(U @ anchors[-1].conj().T, mode)
+        hs[i], xs[i] = h, x.entries
+        if top >= np.pi - _REANCHOR_MARGIN:
             if len(segments) == max_segments:
                 raise StepLimitExceeded(
                     f"more than {max_segments} chart re-anchorings; "
@@ -274,8 +265,7 @@ def shoot_geodesic(
                 )
             anchors.append(U)
             segments.append(i)
-            x = np.zeros_like(x)
-        hs[i], xs[i] = h, x
+            xs[i] = 0.0
 
     ys = coefficients(apply_bch(algebra(xs, n, mode), algebra(hs, n, mode), inverse=True), n, mode)
     speeds = norms_batch(spec, hs)
@@ -298,13 +288,18 @@ def f_squared_gradients(spec: MetricSpec, xs: np.ndarray, ys: np.ndarray) -> tup
 
     With h = E_x(y) and G = grad N^2(h).sigma: dF^2/dy = E_-x(G), since the
     transpose of E_x is E_-x, and dF^2/dx_j = Re tr(Gamma sigma_j) / 2^n
-    with Gamma = coords.bch_x_gradient(X, Y, G).
+    with Gamma = coords.bch_x_gradient(X, Y, G).  All three come from one
+    eigendecomposition of the X stack: E_-x is the filter conj(Phi).
     """
     mode = spec.mode
     n = qubits_of_dimension(xs.shape[1], mode)
-    X, Y = algebra(xs, n, mode), algebra(ys, n, mode)
-    G = algebra(grad_f_squared(spec, coefficients(apply_bch(X, Y), n, mode)), n, mode)
-    return coefficients(bch_x_gradient(X, Y, G), n, mode), coefficients(apply_bch(-X, G), n, mode)
+    E = _Eigenbasis(algebra(xs, n, mode))
+    Yh = E.hat(algebra(ys, n, mode))
+    A = E.Phi * Yh
+    Gh = E.hat(algebra(grad_f_squared(spec, coefficients(E.unhat(A), n, mode)), n, mode))
+    B = E.Phi.conj() * Gh
+    gx = coefficients(E.unhat(E.x_gradient(Yh, Gh, A, B)), n, mode)
+    return gx, coefficients(E.unhat(B), n, mode)
 
 
 def el_residual(spec: MetricSpec, curve: Curve) -> float:
@@ -343,9 +338,7 @@ def pauli_geodesic(S: StabilizerSubgroup, coeffs: PauliVector, t: float):
     for s, v in coeffs.terms().items():
         if abs(v) > 1e-12 and s not in elements:
             raise UnsupportedCoefficient(f"coefficient on {s} is outside the subgroup")
-    H0 = to_matrix(coeffs)
-    lam, V = np.linalg.eigh(H0)
-    U = V @ np.diag(np.exp(-1j * lam * t)) @ V.conj().T
+    U = unitary_from_coords(PauliVector(coeffs.n, coeffs.mode, t * coeffs.entries))
     return UnitaryOperator(coeffs.n, U)
 
 
@@ -402,12 +395,6 @@ def embed_pauli_vector(v: PauliVector, n_total: int, offset: int) -> PauliVector
     return PauliVector(n_total, v.mode, out)
 
 
-def _weight_fn(spec: MetricSpec, j: int) -> float:
-    if spec.penalty is None:
-        return 1.0
-    return spec.penalty.weight_value(j)
-
-
 def tensor_product_curve(curve_a: Curve, curve_b: Curve, spec_ab: MetricSpec) -> Curve:
     """Samples of W(t) = U_A(t) (x) U_B(t) as a curve on the product group.
 
@@ -459,9 +446,13 @@ def additive_triple_check(
         n_a = curve_a.n
     if curve_b is not None:
         n_b = curve_b.n
+
+    def weight(spec, j):
+        return 1.0 if spec.penalty is None else spec.penalty.weight_value(j)
+
     for name, spec, n_f in (("A", spec_a, n_a), ("B", spec_b, n_b)):
         for j in range(n_f + 1):
-            if abs(_weight_fn(spec, j) - _weight_fn(spec_ab, j)) > 1e-12:
+            if abs(weight(spec, j) - weight(spec_ab, j)) > 1e-12:
                 raise InconsistentPenalties(f"{name}/AB penalty mismatch at weight {j}")
     if rng is None:
         rng = np.random.default_rng(20260822)

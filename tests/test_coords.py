@@ -7,6 +7,7 @@ from sugeo.coords import (
     Superoperator,
     UnitaryOperator,
     apply_bch,
+    bch_x_gradient,
     bch_E,
     bch_E_inverse,
     bch_E_series,
@@ -244,3 +245,47 @@ def test_change_matrix_transpose_is_change_matrix_at_minus_x(n, raw, diagonal):
         x *= [set(s) <= {"I", "Z"} for s in pauli_strings(n, SU)]
     M, M_minus = change_matrices(np.array([x, -x]), n)
     assert np.max(np.abs(M.T - M_minus)) < 1e-12
+
+
+def _rotated(levels, seed=5):
+    V = _unitary_from_seed(seed, len(levels))
+    return (V * np.array(levels)) @ V.conj().T
+
+
+# X = 0, stabilizer-supported X with exactly repeated eigenvalues, a pair
+# split just inside (5e-9) and just outside (2e-8) the 1e-8 cluster
+# tolerance, and a clustered pair 0.9e-3 or 1.1e-3 from a third eigenvalue,
+# either side of the |s| = 1e-3 switch between phi' and its Taylor series
+BCH_X_GRADIENT_POINTS = {
+    "zero-n1": np.zeros((2, 2)),
+    "zero-n2": np.zeros((4, 4)),
+    "zero-n3": np.zeros((8, 8)),
+    "stabilizer-n2": to_matrix(PauliVector.from_terms(2, {"XX": 0.5, "YY": 0.5})),
+    "stabilizer-n3": to_matrix(PauliVector.from_terms(3, {"XXI": 0.5, "YYI": 0.5, "IIZ": 0.3})),
+    "inside-n1": _rotated([0.3, 0.3 + 5e-9]),
+    "outside-n1": _rotated([0.3, 0.3 + 2e-8]),
+    "inside-n2": _rotated([0.3, 0.3 + 5e-9, -0.2, 0.9]),
+    "outside-n2": _rotated([0.3, 0.3 + 2e-8, -0.2, 0.9]),
+    "inside-n3": _rotated([0.3, 0.3 + 5e-9, -0.2, 0.9, 0.0, -0.6, 1.2, 0.5]),
+    "outside-n3": _rotated([0.3, 0.3 + 2e-8, -0.2, 0.9, 0.0, -0.6, 1.2, 0.5]),
+    "series-n2": _rotated([0.2, 0.2, 0.2 + 0.9e-3, -0.5]),
+    "formula-n2": _rotated([0.2, 0.2, 0.2 + 1.1e-3, -0.5]),
+    "series-n3": _rotated([0.2, 0.2, 0.2 + 0.9e-3, -0.5, 0.7, 0.7, -0.1, 0.4]),
+    "formula-n3": _rotated([0.2, 0.2, 0.2 + 1.1e-3, -0.5, 0.7, 0.7, -0.1, 0.4]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BCH_X_GRADIENT_POINTS))
+def test_bch_x_gradient_matches_central_difference(name):
+    """tr(Gamma S) = d/de tr(G E_{X+eS}(Z)) at e = 0, by central differences of apply_bch."""
+    X = BCH_X_GRADIENT_POINTS[name]
+    dim = len(X)
+    rng = np.random.default_rng(dim)
+    Z, G = _random_hermitian(rng, dim), _random_hermitian(rng, dim)
+    Gamma = bch_x_gradient(X, Z, G)
+    eps = 1e-5
+    for _ in range(3):
+        S = _random_hermitian(rng, dim)
+        fd = (np.trace(G @ apply_bch(X + eps * S, Z)) - np.trace(G @ apply_bch(X - eps * S, Z))) / (2 * eps)
+        # the divided difference over the 2e-8 gap loses about 1e-16/2e-8
+        assert abs(np.trace(Gamma @ S) - fd) < 1e-7

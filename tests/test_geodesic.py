@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sugeo.coords import change_coords_forward, pauli_log, unitary_from_coords
+from sugeo.coords import apply_bch, change_coords_forward, unitary_from_coords
 from sugeo.errors import (
     DimensionLimit,
     DimensionMismatch,
@@ -29,7 +29,7 @@ from sugeo.geodesic import (
     shoot_geodesic,
 )
 from sugeo.metrics import F1, F1DELTA, F2, FP, FPDELTA, FQ, MetricSpec, PenaltyFunction, norm
-from sugeo.pauli import SU, PauliVector, stabilizer_span, to_matrix
+from sugeo.pauli import SU, PauliVector, algebra, coefficients, stabilizer_span, to_matrix
 
 from oracles import fd_el_residual, fd_f_squared_gradients
 
@@ -75,12 +75,13 @@ def test_step_limit():
 def test_step_limit_stops_at_the_extra_anchor(monkeypatch):
     """x is recovered step by step, so the run stops at the first re-anchoring past the limit."""
     calls = []
+    log = geodesic._pauli_log_phase
 
     def counting_log(U, mode):
         calls.append(1)
-        return pauli_log(U, mode)
+        return log(U, mode)
 
-    monkeypatch.setattr(geodesic, "pauli_log", counting_log)
+    monkeypatch.setattr(geodesic, "_pauli_log_phase", counting_log)
     with pytest.raises(StepLimitExceeded):
         shoot_geodesic(F2_SPEC, np.zeros(3), np.array([3.0, 0.0, 0.0]), 3.0, max_segments=1)
     # |y0| = 3 reaches the margin pi - 0.2 at t = 0.98, step 980 of 3000
@@ -363,6 +364,33 @@ def test_adjoint_gradients_match_finite_differences(n, family, raw_x, raw_y, deg
     if np.linalg.norm(y) < 0.1:
         y[0] = 1.0
     _assert_gradients_match_fd(spec, x, y)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_one_eigendecomposition_per_gradient_call(monkeypatch, n, degenerate):
+    """One eigh of the X stack and one grad_f_squared per call; dF^2/dy = E_-X(G).
+
+    The y-gradient is the filter conj(Phi) on the eigenbasis of X; it must
+    equal apply_bch at -X, which diagonalises -X on its own.
+    """
+    rng = np.random.default_rng(17 + n)
+    xs, ys = 0.4 * rng.standard_normal((2, 6, 4**n - 1))
+    if degenerate:  # x on one Pauli string (eigenvalues +-x_0, 2^(n-1) times each) or x = 0
+        xs[:, 1:] = 0.0
+        xs[-1] = 0.0
+    for spec in (MetricSpec(FQ, penalty=PEN1), MetricSpec(FPDELTA, penalty=PEN1, delta=1e-3)):
+        eighs, grads = [], []
+        eigh, grad = np.linalg.eigh, geodesic.grad_f_squared
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigh", lambda *a: eighs.append(1) or eigh(*a))
+            m.setattr(geodesic, "grad_f_squared", lambda *a: grads.append(1) or grad(*a))
+            _, gy = f_squared_gradients(spec, xs, ys)
+        assert (len(eighs), len(grads)) == (1, 1)
+        X, Y = algebra(xs, n, SU), algebra(ys, n, SU)
+        G = algebra(grad(spec, coefficients(apply_bch(X, Y), n, SU)), n, SU)
+        expected = coefficients(apply_bch(-X, G), n, SU)
+        assert np.max(np.abs(gy - expected)) <= 1e-12 * max(np.max(np.abs(expected)), 1.0)
 
 
 def test_adjoint_gradients_at_degenerate_stabilizer_point_n3():
