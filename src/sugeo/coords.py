@@ -55,6 +55,8 @@ from .config import DEFAULT_TOLERANCES
 from .errors import (
     BranchCut,
     DimensionMismatch,
+    NoConvergence,
+    NonFiniteInput,
     OutsidePatch,
     ResonantSpectrum,
 )
@@ -64,6 +66,8 @@ from .pauli import (
     algebra,
     basis_stack,
     check_n,
+    check_traceless,
+    coefficients,
     matrix_of,
     project_to_pauli,
     qubit_count,
@@ -388,26 +392,32 @@ def pauli_log(U, mode: str = SU) -> PauliVector:
 
     Undefined when U has an eigenvalue at -1 (the chart's branch cut).
     """
-    return _pauli_log_phase(U, mode)[0]
+    return PauliVector(qubit_count(matrix_of(U)), mode, _pauli_log_phase(U, mode)[0])
 
 
 def _pauli_log_phase(U, mode: str):
-    """pauli_log(U, mode) and max |eigenphase of U|, which is max |eig(x.sigma)|.
+    """The entries of pauli_log(U, mode) and max |eigenphase of U|, which is max |eig(x.sigma)|.
 
-    In SU mode project_to_pauli checks that the phases sum to zero, so none is lost.
+    The Schur vectors of a unitary (one LAPACK zgees call) are orthonormal
+    eigenvectors.  In SU mode check_traceless checks that the phases sum to zero.
     """
-    from scipy.linalg import schur  # Schur vectors: orthonormal eigenvectors of a unitary
+    from scipy.linalg.lapack import zgees
 
     M = matrix_of(U)
-    qubit_count(M)
-    T, V = schur(M, output="complex")
-    phases = np.angle(np.diag(T))
-    top = float(np.max(np.abs(phases)))
+    n = qubit_count(M)
+    if not np.isfinite(M).all():
+        raise NonFiniteInput("unitary includes NaN or infinity")
+    _, _, w, V, _, info = zgees(lambda w: 0, M)  # no reordering
+    if info:
+        raise NoConvergence(f"the Schur QR iteration did not converge (LAPACK info {info})")
+    phases = np.angle(w)
+    top = float(np.abs(phases).max())
     if np.pi - top < _BRANCH_TOL:
         raise BranchCut("an eigenvalue of U lies within tolerance of -1")
-    H = (V * -phases) @ V.conj().T
-    H = 0.5 * (H + H.conj().T)
-    return project_to_pauli(H, mode), top
+    H = ((V * -phases) @ V.conj().T)[None]
+    if mode == SU:
+        check_traceless(H)
+    return coefficients(H, n, mode)[0], top
 
 
 def unitary_from_coords(x: PauliVector) -> np.ndarray:

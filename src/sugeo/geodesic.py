@@ -7,11 +7,13 @@ equation an ODE for H alone, the Euler-Arnold equation
     Hess_N(H) dH/dt = proj(-i[H, P]),   P = sum_s p_s sigma_s,  p = grad(F^2)/2 at H,
 
 with Hess_N = (1/2) d^2 F^2 and proj the Pauli coefficients.  Since F^2/2
-is 2-homogeneous, p = Hess_N(H) h (Euler), so each evaluation solves the
-norm once, in its hessian call.  shoot_geodesic advances H by RK4 and U by
-the 4th-order Magnus step U <- exp(Omega) U, Omega taken at the Gauss
-points of each step's cubic Hermite interpolant of H, so U stays unitary.
-It starts at H0 = E_x0(y0), U0 = exp(-i x0.sigma).
+is 2-homogeneous, p = Hess_N(H) h (Euler): a smoothed family solves the
+norm once per evaluation (hessian), F2/Fq never (Hess_N = diag(q)).  proj
+of a bracket is pauli.bracket, from structure constants.  shoot_geodesic
+advances H by RK4 and U by the 4th-order Magnus step U <- exp(-i K) U,
+K = dt/2 (H1 + H2) + sqrt(3)/12 dt^2 proj(-i[H2, H1]) at the Gauss points
+of each step's cubic Hermite interpolant of H, so U stays unitary.  It
+starts at H0 = E_x0(y0), U0 = exp(-i x0.sigma).
 
 Curves are returned in Pauli coordinates, U = exp(-i x.sigma) A, with
 h = E_x(y) given by coords.apply_bch (the filter; y = E_x^-1(h) by its
@@ -46,12 +48,13 @@ from .errors import (
     UnsupportedCoefficient,
     ZeroVector,
 )
-from .metrics import MetricSpec, grad_f_squared, hessian, norm, norms_batch
+from .metrics import F2, FQ, MetricSpec, grad_f_squared, hessian, norm, norms_batch, penalty_vector
 from .pauli import (
     PauliVector,
     StabilizerSubgroup,
     algebra,
     basis_dimension,
+    bracket,
     coefficients,
     string_index,
     pauli_strings,
@@ -211,28 +214,29 @@ def shoot_geodesic(
     dt = t_end / steps
     mode = spec.mode
     dim = 2**n
-    min_eig = np.inf
+    # F2/Fq: Hess_N is the constant diag(q), q >= 1, so p = q h and no evaluation solves
+    q = penalty_vector(spec, n) if spec.family in (F2, FQ) else None
+    min_eig = np.inf if q is None else float(q.min())
 
     def f(h):
         """dH/dt = Hess_N(H)^-1 proj(-i[H, P]) with P the momentum at H."""
         nonlocal min_eig
-        G = hessian(spec, h)
-        w, V = np.linalg.eigh(G)
-        min_eig = min(min_eig, w[0])
-        if w[0] < _MIN_G_EIG:
-            raise SingularHessian(f"min eigenvalue of the norm Hessian is {w[0]:.3e}")
+        if q is None:
+            G = hessian(spec, h)
+            w, V = np.linalg.eigh(G)
+            min_eig = min(min_eig, w[0])
+            if w[0] < _MIN_G_EIG:
+                raise SingularHessian(f"min eigenvalue of the norm Hessian is {w[0]:.3e}")
         # F^2/2 is 2-homogeneous, so its gradient is G h (Euler), and
         # h . G h = F(H)^2, which the geodesic conserves
-        p = G @ h
+        p = q * h if q is not None else G @ h
         if not 0.5 <= (p @ h) / energy <= 2.0:
             raise SingularHessian(
                 f"F(H)^2 = {p @ h:.6g} left [F0^2/2, 2 F0^2] (F0^2 = {energy:.6g}); "
                 "the step is too long for the curvature of the norm"
             )
-        H, P = algebra(np.array([h, p]), n, mode)
-        # proj(-i[H, P])_s = 2 Im tr(sigma_s H P) / dim = Re tr(sigma_s (-2i H P)) / dim
-        r = coefficients(-2j * (H @ P)[None], n, mode)[0]
-        return V @ ((V.T @ r) / w)
+        r = bracket(h, p, n, mode)
+        return r / q if q is not None else V @ ((V.T @ r) / w)
 
     h = _adapted(xe[None, :], ye[None, :], n, mode)[0]
     energy = norm(spec, h) ** 2
@@ -249,14 +253,13 @@ def shoot_geodesic(
         k4 = f(h + dt * k3)
         h_next = h + (dt / 6.0) * (k + 2 * k2 + 2 * k3 + k4)
         k_next = f(h_next)
-        H1, H2 = algebra(_HERMITE @ np.array([h, dt * k, h_next, dt * k_next]), n, mode)
-        B = H2 @ H1
-        K = 0.5 * dt * (H1 + H2) - 1j * (np.sqrt(3.0) / 12.0) * dt**2 * (B - B.conj().T)
-        lam, V = np.linalg.eigh(K)
+        h1, h2 = _HERMITE @ np.array([h, dt * k, h_next, dt * k_next])
+        kappa = 0.5 * dt * (h1 + h2) + (np.sqrt(3.0) / 12.0) * dt**2 * bracket(h2, h1, n, mode)
+        lam, V = np.linalg.eigh(algebra(kappa[None], n, mode)[0])
         U = (V * np.exp(-1j * lam)) @ V.conj().T @ U
         h, k = h_next, k_next
-        x, top = _pauli_log_phase(U @ anchors[-1].conj().T, mode)
-        hs[i], xs[i] = h, x.entries
+        hs[i] = h
+        xs[i], top = _pauli_log_phase(U @ anchors[-1].conj().T, mode)
         if top >= np.pi - _REANCHOR_MARGIN:
             if len(segments) == max_segments:
                 raise StepLimitExceeded(

@@ -219,10 +219,9 @@ def matrix_of(H) -> np.ndarray:
 
 def qubit_count(matrix: np.ndarray) -> int:
     dim = matrix.shape[0]
-    n = int(round(np.log2(dim)))
-    if matrix.shape != (dim, dim) or 2**n != dim:
+    if matrix.shape != (dim, dim) or dim < 1 or dim & (dim - 1):
         raise DimensionMismatch(f"matrix shape {matrix.shape} is not 2^n x 2^n")
-    return n
+    return dim.bit_length() - 1
 
 
 @lru_cache(maxsize=None)
@@ -243,6 +242,33 @@ def coefficients(mats: np.ndarray, n: int, mode: str) -> np.ndarray:
     return (mats.reshape(len(mats), -1) @ _dual_basis(n, mode)).real
 
 
+@lru_cache(maxsize=None)
+def _structure_constants(n: int, mode: str) -> tuple:
+    """(c, a, b, f) over the anticommuting ordered pairs: -i[sigma_a, sigma_b] = f sigma_c, f = +-2.
+
+    A U-mode index is its string in base 4 (I, X, Y, Z = 0, 1, 2, 3), and
+    letters multiply by XOR of these digits (XOR of their (x, z) bits,
+    relabelled), so sigma_a sigma_b = i^k sigma_(a XOR b) with k summed over
+    the letters.  The pair anticommutes iff k is odd; then f = -2i i^k = 4 - 2k.
+    """
+    # i^k in sigma_l sigma_r for the letters l, r = I, X, Y, Z: XY = iZ, YZ = iX, ZX = iY
+    phase = np.array([[0, 0, 0, 0], [0, 0, 1, 3], [0, 3, 0, 1], [0, 1, 3, 0]])
+    idx = np.arange(4**n)
+    k = sum(phase[np.ix_(d, d)] for d in (idx >> 2 * q & 3 for q in range(n))) % 4
+    a, b = np.nonzero(k % 2)
+    offset = 1 if mode == SU else 0  # the identity, index 0 in U mode, never occurs
+    table = ((a ^ b) - offset, a - offset, b - offset, 4.0 - 2.0 * k[a, b])
+    for t in table:
+        t.setflags(write=False)
+    return table
+
+
+def bracket(a: np.ndarray, b: np.ndarray, n: int, mode: str) -> np.ndarray:
+    """Coefficients of -i[a.sigma, b.sigma], from the structure constants (no matrices)."""
+    c, ia, ib, f = _structure_constants(n, mode)
+    return np.bincount(c, weights=f * a[ia] * b[ib], minlength=basis_dimension(n, mode))
+
+
 def check_traceless(mats: np.ndarray) -> None:
     """Raise NonTracelessInSUMode unless each matrix of a (m, 2^n, 2^n) stack is traceless.
 
@@ -250,9 +276,9 @@ def check_traceless(mats: np.ndarray) -> None:
     silently drop the trace part, so an SU projection checks this first.
     """
     traces = np.trace(mats, axis1=-2, axis2=-1)
-    bad = np.flatnonzero(np.abs(traces) > 1e-10 * mats.shape[-1])
-    if bad.size:
-        raise NonTracelessInSUMode(f"trace {traces[bad[0]]:.3e} in SU mode")
+    bad = np.abs(traces) > 1e-10 * mats.shape[-1]
+    if bad.any():
+        raise NonTracelessInSUMode(f"trace {traces[bad][0]:.3e} in SU mode")
 
 
 def project_to_pauli(H, mode: str = SU) -> PauliVector:

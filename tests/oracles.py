@@ -4,14 +4,16 @@ change_matrix builds M(x), the d x d matrix of E_X in Pauli coordinates,
 and fd_el_residual is the Euler-Lagrange residual with M(x) formed at
 every sample and the x-gradient taken by central differences over 2d
 perturbed base points.  Both are slow; the library never forms M(x).
+matrix_shoot is shoot_geodesic with every commutator a matrix product
+and every Hessian from metrics.hessian.
 """
 
 import numpy as np
 
-from sugeo.coords import change_matrices
-from sugeo.geodesic import metric_in_pauli_coords
-from sugeo.metrics import grad_f_squared, norms_batch
-from sugeo.pauli import SU
+from sugeo.coords import apply_bch, change_matrices, pauli_log
+from sugeo.geodesic import _HERMITE, metric_in_pauli_coords
+from sugeo.metrics import grad_f_squared, hessian, norms_batch
+from sugeo.pauli import SU, algebra, coefficients, qubits_of_dimension
 
 _CHUNK = 2048
 
@@ -73,3 +75,45 @@ def fd_f_squared_gradients(spec, x, y, h):
         gx[j] = (f2(x + e, y) - f2(x - e, y)) / (2 * h)
         gy[j] = (f2(x, y + e) - f2(x, y - e)) / (2 * h)
     return gx, gy
+
+
+def matrix_shoot(spec, y0, t_end, steps):
+    """(xs, ys, speeds) of shoot_geodesic from x0 = 0, on one chart, with matrix commutators.
+
+    RK4 on Hess_N(H) dH/dt = Re proj(-2i H P), P = Hess_N(H) h, and the
+    Magnus exponent K = dt/2 (H1 + H2) - i sqrt(3)/12 dt^2 (B - B^+),
+    B = H2 H1, as 2^n x 2^n matrices.  The curve must not reach the chart edge.
+    """
+    mode = spec.mode
+    n = qubits_of_dimension(len(y0), mode)
+    dt = t_end / steps
+
+    def f(h):
+        G = hessian(spec, h)
+        w, V = np.linalg.eigh(G)
+        H, P = algebra(np.array([h, G @ h]), n, mode)
+        r = coefficients(-2j * (H @ P)[None], n, mode)[0]
+        return V @ ((V.T @ r) / w)
+
+    h = np.array(y0, dtype=float)
+    U = np.eye(2**n, dtype=complex)
+    hs, xs = [h], [np.zeros_like(h)]
+    k = f(h)
+    for _ in range(steps):
+        k2 = f(h + 0.5 * dt * k)
+        k3 = f(h + 0.5 * dt * k2)
+        k4 = f(h + dt * k3)
+        h_next = h + (dt / 6.0) * (k + 2 * k2 + 2 * k3 + k4)
+        k_next = f(h_next)
+        H1, H2 = algebra(_HERMITE @ np.array([h, dt * k, h_next, dt * k_next]), n, mode)
+        B = H2 @ H1
+        K = 0.5 * dt * (H1 + H2) - 1j * (np.sqrt(3.0) / 12.0) * dt**2 * (B - B.conj().T)
+        lam, V = np.linalg.eigh(K)
+        U = (V * np.exp(-1j * lam)) @ V.conj().T @ U
+        h, k = h_next, k_next
+        hs.append(h)
+        xs.append(pauli_log(U, mode).entries)
+    hs, xs = np.array(hs), np.array(xs)
+    assert np.max(np.abs(np.linalg.eigvalsh(algebra(xs, n, mode)))) < np.pi - 0.2
+    ys = coefficients(apply_bch(algebra(xs, n, mode), algebra(hs, n, mode), inverse=True), n, mode)
+    return xs, ys, norms_batch(spec, hs)

@@ -23,7 +23,7 @@ from sugeo.coords import (
     vec,
     unvec,
 )
-from sugeo.errors import BranchCut, OutsidePatch, ResonantSpectrum
+from sugeo.errors import BranchCut, NonFiniteInput, OutsidePatch, ResonantSpectrum
 from sugeo.pauli import SU, U, PauliVector, pauli_matrix, pauli_strings, to_matrix
 
 from oracles import change_matrix
@@ -178,6 +178,14 @@ def test_pauli_log_roundtrip():
 def test_pauli_log_branch_cut():
     with pytest.raises(BranchCut):
         pauli_log(np.diag([-1.0 + 0j, 1.0]), SU)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pauli_log_rejects_non_finite(bad):
+    Uop = np.eye(4, dtype=complex)
+    Uop[1, 2] = bad
+    with pytest.raises(NonFiniteInput):
+        pauli_log(Uop, SU)
 
 
 def test_pauli_log_u_mode_takes_global_phase():

@@ -31,7 +31,7 @@ from sugeo.geodesic import (
 from sugeo.metrics import F1, F1DELTA, F2, FP, FPDELTA, FQ, MetricSpec, PenaltyFunction, norm
 from sugeo.pauli import SU, PauliVector, algebra, coefficients, stabilizer_span, to_matrix
 
-from oracles import fd_el_residual, fd_f_squared_gradients
+from oracles import fd_el_residual, fd_f_squared_gradients, matrix_shoot
 
 F2_SPEC = MetricSpec(family=F2)
 PEN1 = PenaltyFunction(kind="step", k=4.0, low_weight_cutoff=1)
@@ -105,6 +105,45 @@ def test_one_norm_solve_per_right_hand_side(monkeypatch):
     evaluations = 1 + 4 * steps  # k at h0, then k2, k3, k4 and k_next per step
     # plus F0 at the start and the batch of speeds at the end
     assert calls == [1] * (evaluations + 1) + [steps + 1]
+
+
+def test_constant_hessian_families_make_no_hessian_call(monkeypatch):
+    """Fq's Hessian is the constant diag(q); FpDelta still takes one per evaluation."""
+    calls = []
+    counted = geodesic.hessian
+
+    def counting_hessian(spec, y):
+        calls.append(spec.family)
+        return counted(spec, y)
+
+    monkeypatch.setattr(geodesic, "hessian", counting_hessian)
+    steps = 5
+    y0 = np.linspace(0.5, 1.0, 15)
+    y0 /= np.linalg.norm(y0)
+    curve = shoot_geodesic(MetricSpec(family=FQ, penalty=PEN1), np.zeros(15), y0, 0.05, steps=steps)
+    assert calls == []
+    assert curve.stats["min_hessian_eig"] == 1.0
+    shoot_geodesic(MetricSpec(family=FPDELTA, penalty=PEN1, delta=1e-2), np.zeros(15), y0, 0.01, steps=steps)
+    assert calls == [FPDELTA] * (1 + 4 * steps)
+
+
+@pytest.mark.parametrize("n, spec, t_end, steps", [
+    (2, MetricSpec(family=FQ, penalty=PEN1), 0.4, 40),
+    (2, MetricSpec(family=FPDELTA, penalty=PEN1, delta=1e-2), 0.1, 20),
+    (3, MetricSpec(family=FQ, penalty=PEN1), 0.04, 10),
+])
+def test_shot_matches_the_matrix_commutator_oracle(n, spec, t_end, steps):
+    """The structure-constant bracket and the constant Legendre map leave the path as it was."""
+    d = 4**n - 1
+    rng = np.random.default_rng(10 + n)
+    y0 = rng.uniform(0.5, 1.0, d) * rng.choice([-1.0, 1.0], d)
+    y0 /= np.linalg.norm(y0)
+    curve = shoot_geodesic(spec, np.zeros(d), y0, t_end, steps=steps)
+    xs, ys, speeds = matrix_shoot(spec, y0, t_end, steps)
+    assert curve.segments == [0]
+    assert np.max(np.abs(curve.xs - xs)) < 1e-12
+    assert np.max(np.abs(curve.ys - ys)) < 1e-12
+    assert np.max(np.abs(curve.speeds - speeds)) < 1e-12
 
 
 def test_zero_velocity_rejected():

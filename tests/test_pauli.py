@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sugeo.errors import (
     DimensionLimit,
@@ -14,13 +16,17 @@ from sugeo.pauli import (
     U,
     HermitianOperator,
     PauliVector,
+    algebra,
     basis_dimension,
     basis_stack,
+    bracket,
     check_n,
+    coefficients,
     commutes,
     pauli_matrix,
     pauli_strings,
     project_to_pauli,
+    qubit_count,
     qubits_of_dimension,
     stabilizer_span,
     string_index,
@@ -168,3 +174,31 @@ def test_string_index_matches_order():
     strings = pauli_strings(2, SU)
     for i, s in enumerate(strings):
         assert idx[s] == i
+
+
+def test_qubit_count():
+    for n in range(5):
+        assert qubit_count(np.eye(2**n)) == n
+    for shape in [(3, 3), (6, 6), (0, 0), (2, 4)]:
+        with pytest.raises(DimensionMismatch, match=r"is not 2\^n x 2\^n"):
+            qubit_count(np.zeros(shape))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), mode=st.sampled_from([SU, U]), data=st.data())
+def test_bracket_is_the_projected_commutator(n, mode, data):
+    d = basis_dimension(n, mode)
+    entries = st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d).map(np.array)
+    a, b = data.draw(entries), data.draw(entries)
+    A, B = algebra(np.array([a, b]), n, mode)
+    ab = bracket(a, b, n, mode)
+    assert np.max(np.abs(ab - coefficients(-1j * (A @ B - B @ A)[None], n, mode)[0])) < 1e-12
+    assert np.max(np.abs(ab + bracket(b, a, n, mode))) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(raw=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6))
+def test_su2_bracket_is_twice_the_cross_product(raw):
+    a, b = np.array(raw[:3]), np.array(raw[3:])
+    assert np.max(np.abs(bracket(a, b, 1, SU) - 2 * np.cross(a, b))) < 1e-12
+
