@@ -104,7 +104,7 @@ def run_and_cvp():
             elapsed = time.perf_counter() - t0
             expected = np.pi * (k - (2 + n + n * n) / 2 ** (n + 1) * (k - 1.0))
             rel = abs(res.value - expected) / abs(expected)
-            ok = rel < 1e-9 and (n < 3 or elapsed < 60.0)
+            ok = rel < 1e-9 and res.certified and (n < 3 or elapsed < 60.0)
             rows.append(
                 _row(
                     f"and-cvp n={n} k={k:g}",

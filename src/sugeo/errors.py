@@ -74,10 +74,6 @@ class InconsistentPenalties(SugeoError):
     """Penalty functions of a direct-sum triple disagree on a shared weight."""
 
 
-class WindowTooSmall(SugeoError):
-    """The lattice search ran out of its node budget before proving optimality."""
-
-
 class NoConvergence(SugeoError):
     """An iterative solve missed its tolerance within its iteration cap."""
 

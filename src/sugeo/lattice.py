@@ -13,23 +13,22 @@ Pauli coefficients of a diagonal vector v are its scaled Walsh-Hadamard
 transform (W v)/2^n, where W[s, z] = (-1)^{popcount(s & z)}; bit s marks
 the Z positions (leftmost letter = most significant bit).
 
-The CVP is solved exactly by a Schnorr-Euchner sphere decoder (Fincke &
-Pohst 1985; Agrell, Eriksson, Vardy & Zeger, IEEE Trans. IT 48, 2002): a
-depth-first search over integer m, pruned by the quadratic lower bound
-F(v) >= sqrt(Q(v)), Q(v) = sum_s c_s y_s^2 with y = W v / 2^n.  For the
-quadratic families c_s = w_s and the bound is F itself; for the taxicab
-families c_s = w_s^2, since a weighted l1 norm dominates the weighted l2
-norm.  In SU mode the identity weight is 0, and the search runs over the
-first 2^n - 1 coordinates with the last fixed by sum(m) = sum(h)/2pi.
-Every leaf that survives the bound is scored with the exact F.  The
-search starts from the zero shift, so the result is never worse than it,
-and stops after a fixed node budget: a finished search is exact
-(certified=True); one that runs out returns its best point uncertified.
-`window_used` is max|m_z| of the returned minimizer; `stats` counts nodes
-and leaves.  To keep the fixed cost of a solve small, all that depends on
-(spec, n) is one cached plan; leaves are scored in Python floats from
-y = W h/2^n, less m_z times the scaled Walsh row z per nonzero m_z; and the
-result keeps the diagonal h - 2*pi*m, building the Hamiltonian when read.
+The CVP is solved exactly by coset decoding.  With d = 2^n and
+tau = W h/2pi, the Pauli coefficients are y = (2*pi/d)(tau - v) for v in the
+phase lattice L = W Z^d, and every objective here is separable in y: a
+weighted sum of |y_s| (F1, Fp) or of y_s^2 (F2, Fq).  Since W W = d I, L
+contains d Z^d, so L is the union of the d^{d/2} cosets c + d Z^d (2, 16
+and 4096 at n = 1, 2, 3; cf. the (u | u+v) structure of Barnes-Wall
+lattices, Forney, IEEE Trans. IT 34, 1988).  Within one coset each
+coordinate v_s = c_s + d t_s rounds to tau_s on its own, so scoring every
+coset's rounding and taking the best is the exact minimum: every result
+is certified.  The minimizer is m = W v/d.  In SU mode the constraint
+sum(m) = sum(h)/2pi fixes v_0 = sum(m), whose weight is 0: only the
+cosets with c_0 = sum(h)/2pi mod d are scored, and v_0 is set to the sum.
+The table of coset representatives is built once per n; `window_used` is
+max|m_z| of the returned minimizer and `stats` counts the cosets scored.
+The result keeps the diagonal h - 2*pi*m and builds the Hamiltonian when
+read.
 
 The smoothed families are evaluated through their Delta -> 0 limits (F1Delta
 as F1, FpDelta as Fp): the objective needs no smoothness and the limit is
@@ -51,7 +50,6 @@ from .errors import (
     NonFiniteInput,
     NonTracelessInSUMode,
     UnsupportedSpec,
-    WindowTooSmall,
 )
 from .metrics import F1, F1DELTA, F2, FP, FPDELTA, FQ, MetricSpec
 from .pauli import SU, U, PauliVector, HermitianOperator, basis_dimension, string_index
@@ -102,7 +100,7 @@ class CvpResult:
     certified: bool
     window_used: int
     diagonal: np.ndarray  # h - 2*pi*m, mean removed in SU mode
-    stats: dict  # nodes visited, leaves scored, node budget
+    stats: dict  # {"cosets": number of cosets scored}
 
     @property
     def geodesic_hamiltonian(self) -> HermitianOperator:
@@ -134,13 +132,21 @@ def _walsh(dim: int) -> np.ndarray:
     return W
 
 
+def _phase_vector(theta) -> tuple[np.ndarray, int]:
+    """(theta as a float vector, n); DimensionMismatch unless its length is 2^n."""
+    theta = np.asarray(theta, dtype=float)
+    dim = theta.size
+    if theta.ndim != 1 or dim == 0 or dim & (dim - 1):
+        raise DimensionMismatch(
+            f"phase vector must be 1-D with a power-of-two length, got shape {theta.shape}"
+        )
+    return theta, dim.bit_length() - 1
+
+
 def diagonal_to_pauli(h: np.ndarray) -> PauliVector:
     """U-mode Pauli coefficients of diag(h): the Walsh-Hadamard transform /2^n."""
-    h = np.asarray(h, dtype=float)
+    h, n = _phase_vector(h)
     dim = len(h)
-    n = int(round(math.log2(dim)))
-    if 2**n != dim:
-        raise DimensionMismatch(f"phase vector length {dim} is not a power of two")
     y = _walsh(dim) @ h / dim
     entries = np.zeros(basis_dimension(n, U))
     entries[_z_index_map(n)] = y
@@ -164,157 +170,99 @@ def _diag_weights(spec: MetricSpec, n: int):
     return ("quadratic" if spec.family in (F2, FQ) else "taxicab"), weights
 
 
-# Node budget of the sphere-decoding search.  The search visits 650k-750k
-# nodes/s (CPython 3.11, one core of a 2-core Xeon VM), so one that runs out
-# stops after 1.3-1.6 s.
-_NODE_BUDGET = 1_000_000
-
-
-def cvp_minimal_pauli_geodesic(spec: MetricSpec, U_diag,
-                               require_certified: bool = False) -> CvpResult:
-    """Minimize F(diag(h) - 2*pi*diag(m)) over integer m by sphere decoding.
+def cvp_minimal_pauli_geodesic(spec: MetricSpec, U_diag) -> CvpResult:
+    """Minimize F(diag(h) - 2*pi*diag(m)) over integer m by coset decoding.
 
     SU mode adds the constraint sum(m) = sum(h)/2pi, fixing the trace of the
-    Hamiltonian to zero.  The search is exact unless it runs out of its node
-    budget; then the best m found is returned with certified=False (or
-    WindowTooSmall is raised if require_certified).  `window_used` reports
-    max|m_z| of the returned minimizer.
+    Hamiltonian to zero.  The minimum is exact, so `certified` is always
+    True; `window_used` reports max|m_z| of the returned minimizer.
     """
     if not isinstance(U_diag, DiagonalUnitary):
-        theta = np.asarray(U_diag, dtype=float)
-        U_diag = DiagonalUnitary(int(round(math.log2(len(theta)))), theta)
+        theta, n = _phase_vector(U_diag)
+        U_diag = DiagonalUnitary(n, theta)
     n = U_diag.n
     cap = min(env_n_cap(default=DEFAULT_N_CAP), 3)
     if not 1 <= n <= cap:
-        raise DimensionLimit(f"CVP search needs 1 <= n <= {cap}, got n={n}")
+        raise DimensionLimit(f"CVP needs 1 <= n <= {cap}, got n={n}")
     h = reduce_phases(U_diag.phases)
+    kind, w, cosets = _cvp_plan(spec, n)
+    dim = 2**n
+    tau = _walsh(dim) @ h / (2 * math.pi)
     su_sum = None
     if spec.mode == SU:
-        total = sum(h.tolist()) / (2 * math.pi)
+        total = float(tau[0])  # sum(h)/2pi
         su_sum = round(total)
         if abs(total - su_sum) > 1e-9:
             raise NonTracelessInSUMode(
                 "phase sum is not a multiple of 2*pi; U is not special unitary"
             )
+        cosets = cosets[su_sum % dim]
 
-    m, value, certified, stats = _sphere_decode(_cvp_plan(spec, n), h, su_sum)
-    if require_certified and not certified:
-        raise WindowTooSmall(
-            f"search stopped after {_NODE_BUDGET} nodes without proving optimality "
-            f"(incumbent {value:.6g})"
-        )
-    window = max(map(abs, m))
-    m = np.array(m)
-    v = h - 2 * np.pi * m
+    R = tau - cosets
+    scores = _round_and_score(R, kind, w)
+    best = int(np.argmin(scores))
+    value = float(_distance(scores[best], kind, dim))
+    v = tau - R[best]
     if su_sum is not None:
-        v = v - np.sum(v) / 2**n
-    return CvpResult(m, value, certified, window, diagonal=v, stats=stats)
+        v[0] = su_sum
+    m = np.rint(_walsh(dim) @ v / dim).astype(int)
+    diagonal = h - 2 * np.pi * m
+    if su_sum is not None:
+        diagonal -= np.sum(diagonal) / dim
+    return CvpResult(m, value, True, int(np.max(np.abs(m))), diagonal=diagonal,
+                     stats={"cosets": len(cosets)})
+
+
+def _round_and_score(R: np.ndarray, kind: str, w: np.ndarray) -> np.ndarray:
+    """Round each row of R = tau - c in place to its coset's nearest point; score it.
+
+    Subtracting d*round(R/d) moves each coordinate of v = c + d t to the
+    nearest to tau.  The score is sum_s w_s |R_s| (taxicab) or sum_s w_s R_s^2.
+    """
+    dim = R.shape[-1]
+    R -= dim * np.round(R / dim)
+    return np.abs(R) @ w if kind == "taxicab" else (R * R) @ w
+
+
+def _distance(score, kind: str, dim: int):
+    """F of y = (2*pi/d) R from its score."""
+    return 2 * np.pi / dim * (score if kind == "taxicab" else np.sqrt(score))
+
+
+@lru_cache(maxsize=None)
+def _coset_table(n: int) -> np.ndarray:
+    """Representatives, entries in [0, d), of the d^{d/2} cosets of d Z^d in W Z^d.
+
+    The representatives are the sums of multiples of the columns of W mod d
+    (d = 2^n), accumulated one column at a time.  Rows are ordered by c_0,
+    and c_0 = sum(m) mod d takes each value equally often, so the rows with
+    c_0 = r form the r-th of d equal blocks.
+    """
+    dim = 2**n
+    columns = (_walsh(dim).T % dim).astype(np.uint8)  # bytes keep the build's peak memory low
+    row = np.dtype((np.void, dim))  # one row as one sortable item, for np.unique
+    table = np.zeros((1, dim), dtype=np.uint8)
+    for col in columns:
+        multiples = (table[:, None, :] + np.arange(dim, dtype=np.uint8)[:, None] * col) % dim
+        table = np.unique(multiples.reshape(-1, dim).view(row)).view(np.uint8).reshape(-1, dim)
+    table = table[np.argsort(table[:, 0], kind="stable")].astype(float)
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=256)
 def _cvp_plan(spec: MetricSpec, n: int) -> tuple:
-    """(kind, w, q, r, rows) of (spec, n) as Python lists, for _sphere_decode.
+    """(kind, w, cosets) of (spec, n) for cvp_minimal_pauli_geodesic.
 
-    w are the weights, with w_0 = 0 in SU mode; rows[z] = 2*pi/2^n W[z].
-    q = R_ii^2 and r = R_ij/R_ii come from the upper Cholesky factor R of the
-    pruning form A = W^T diag(c) W / 4^n, c = w (quadratic) or w^2 (taxicab),
-    so that F(h - 2*pi*m) >= 2*pi*sqrt((t - m)^T A (t - m)) with t = h/2pi.
-    In SU mode A is singular along the all-ones vector; it is replaced by
-    B^T A B, B = [I; -1^T], the form in the first d - 1 coordinates of m.
+    w are the weights, with w_0 = 0 in SU mode.  cosets is the coset table;
+    in SU mode it is grouped by c_0, so that cosets[r] holds those with c_0 = r.
     """
     kind, w = _diag_weights(spec, n)
+    cosets = _coset_table(n)
     if spec.mode == SU:
         w = np.concatenate([[0.0], w[1:]])  # identity coefficient is projected out
-    c = w if kind == "quadratic" else w**2
-    dim = 2**n
-    W = _walsh(dim)
-    A = W.T @ (c[:, None] * W) / dim**2
-    if spec.mode == SU:
-        B = np.vstack([np.eye(dim - 1), -np.ones(dim - 1)])
-        A = B.T @ A @ B
-    R = np.linalg.cholesky(A).T
-    diag = np.diag(R)
-    r = (R / diag[:, None]).tolist()
-    return kind, w.tolist(), (diag**2).tolist(), r, (2 * np.pi / dim * W).tolist()
-
-
-def _sphere_decode(plan: tuple, h: np.ndarray, su_sum):
-    """Schnorr-Euchner depth-first search for argmin_m F(h - 2*pi*m).
-
-    Levels run from the last coordinate to the first; each level visits
-    integers in zig-zag order around its projected centre, so the partial
-    distance never decreases along a level and the first prune ends it.
-    Returns (m over all 2^n coordinates, F at m, certified, stats);
-    certified is False if the node budget ran out.
-    """
-    dim = len(h)
-    kind, weights, q, r, rows = plan
-    y_h = (_walsh(dim) @ h / dim).tolist()
-    a = [x / (2 * math.pi) for x in h.tolist()]
-    if su_sum is not None:
-        # A kills the all-ones vector, so removing the mean leaves Q unchanged
-        # and puts t in the range of B even when sum(h)/2pi is off by rounding
-        a[-1] -= su_sum
-        mean = sum(a) / dim
-        a = [x - mean for x in a[:-1]]
-    depth = len(a)
-
-    def full(mr):
-        return mr if su_sum is None else mr + [su_sum - sum(mr)]
-
-    def value_at(mr):
-        y = y_h
-        for z, mz in enumerate(full(mr)):
-            if mz:
-                y = [ys - mz * rs for ys, rs in zip(y, rows[z])]
-        if kind == "taxicab":
-            return sum([w * abs(ys) for w, ys in zip(weights, y)])
-        return math.sqrt(sum([w * ys * ys for w, ys in zip(weights, y)]))
-
-    # seed with the zero shift (m = su_sum e_{d-1} in SU mode, m = 0 otherwise)
-    best_m = [0] * depth
-    best = value_at(best_m)
-    bound = (best / (2 * math.pi)) ** 2
-
-    m = [0] * depth
-    centre = [0.0] * depth
-    step = [0] * depth
-    dist = [0.0] * (depth + 1)
-
-    def enter(i):
-        ri, s = r[i], 0.0
-        for j in range(i + 1, depth):
-            s += ri[j] * (a[j] - m[j])
-        ci = centre[i] = a[i] + s
-        m[i] = round(ci)
-        step[i] = 1 if ci >= m[i] else -1
-
-    i = depth - 1
-    enter(i)
-    leaves, certified = 0, False
-    for nodes in range(1, _NODE_BUDGET + 1):
-        diff = centre[i] - m[i]
-        d_i = dist[i + 1] + q[i] * diff * diff
-        if d_i < bound:
-            if i > 0:
-                dist[i] = d_i
-                i -= 1
-                enter(i)
-                continue
-            leaves += 1
-            value = value_at(m)
-            if value < best:
-                best, best_m = value, m.copy()
-                bound = (best / (2 * math.pi)) ** 2
-        else:
-            i += 1
-            if i == depth:
-                certified = True
-                break
-        m[i] += step[i]
-        step[i] = -step[i] - (1 if step[i] > 0 else -1)
-    stats = {"nodes": nodes, "leaves": leaves, "budget": _NODE_BUDGET}
-    return full(best_m), best, certified, stats
+        cosets = cosets.reshape(2**n, -1, 2**n)
+    return kind, w, cosets
 
 
 # ---------------------------------------------------------------------------
@@ -371,31 +319,25 @@ def coverage_bound(spec: MetricSpec, f_fraction: float, n: int) -> float:
     raise UnsupportedSpec(f"no volume formula for family {spec.family}")
 
 
-# monte_carlo_coverage sweeps the (2w+1)^{2^n} lattice offsets with max|m_z| <= w.
-_COVERAGE_WINDOW = 1
-
-
 def monte_carlo_coverage(
     spec: MetricSpec, r: float, n: int, samples: int = 10000, seed: int = 20260822
 ) -> float:
     """Fraction of the fundamental cell within CVP distance r of the lattice.
 
-    Uniform phases in [-pi, pi)^{2^n}; the CVP is solved for all samples at
-    once by sweeping every lattice offset with max|m_z| <= _COVERAGE_WINDOW.
+    Uniform phases in [-pi, pi)^{2^n}; the CVP of every sample is solved
+    exactly by coset decoding, one coset at a time over the whole batch.
     """
-    if n > 2:
-        raise DimensionLimit("Monte Carlo coverage is restricted to n <= 2")
+    if not 1 <= n <= 2:
+        raise DimensionLimit(f"Monte Carlo coverage needs 1 <= n <= 2, got n={n}")
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     dim = 2**n
     kind, weights = _diag_weights(spec, n)
     rng = np.random.default_rng(seed)
-    h = rng.uniform(-np.pi, np.pi, size=(samples, dim))
-    Wt = _walsh(dim)
+    tau = rng.uniform(-np.pi, np.pi, size=(samples, dim)) @ _walsh(dim) / (2 * np.pi)
     best = np.full(samples, np.inf)
-    base = 2 * _COVERAGE_WINDOW + 1
-    for flat in range(base**dim):
-        m = np.array(np.unravel_index(flat, (base,) * dim)) - _COVERAGE_WINDOW
-        v = h - 2 * np.pi * m[None, :]
-        y = v @ Wt / dim
-        vals = np.abs(y) @ weights if kind == "taxicab" else np.sqrt(y**2 @ weights)
-        np.minimum(best, vals, out=best)
-    return float(np.mean(best <= r))
+    R = np.empty_like(tau)
+    for c in _coset_table(n):
+        np.subtract(tau, c, out=R)
+        np.minimum(best, _round_and_score(R, kind, weights), out=best)
+    return float(np.mean(_distance(best, kind, dim) <= r))

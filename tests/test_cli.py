@@ -219,6 +219,9 @@ def test_cvp_min_and_gate(capsys, tmp_path):
     obj = json.loads(out)
     assert obj["value"] == pytest.approx(np.pi, rel=1e-12)
     assert obj["certified"] is True
+    # every solve is exact: the flag is accepted and changes nothing
+    args = ["cvp-min", "--metric", metric, "--phases", phases, "--require-certified"]
+    assert run(capsys, args)[:2] == (0, out)
 
 
 def test_cvp_min_rejects_non_finite(capsys, tmp_path):

@@ -13,13 +13,14 @@ from scipy.linalg import hadamard
 import sugeo
 from sugeo.errors import (
     DimensionLimit,
+    DimensionMismatch,
     NonFiniteInput,
     NonTracelessInSUMode,
-    WindowTooSmall,
 )
 from sugeo.lattice import (
     CvpResult,
     DiagonalUnitary,
+    _coset_table,
     _walsh,
     PhaseLattice,
     coverage_bound,
@@ -101,33 +102,41 @@ def test_cvp_dimension_cap():
         cvp_minimal_pauli_geodesic(F1_U, np.zeros(16))
 
 
+@pytest.mark.parametrize("theta, error", [
+    ([], DimensionMismatch),
+    (0.5, DimensionMismatch),
+    ([0.1, 0.2, 0.3], DimensionMismatch),
+    ([[0.1, 0.2], [0.3, 0.4]], DimensionMismatch),
+    ([0.1], DimensionLimit),  # n = 0
+])
+def test_malformed_phase_vectors_raise_typed_errors(theta, error):
+    with pytest.raises(error):
+        cvp_minimal_pauli_geodesic(F1_U, theta)
+    with pytest.raises(error):
+        diagonal_to_pauli(theta)
+
+
 def test_cvp_certifies_table_penalty():
-    # window enumeration could not certify this; the sphere decoder proves it
     pen = PenaltyFunction(kind="table", values=(1.0, 200.0))
     spec = MetricSpec(family=FQ, penalty=pen, mode=U)
     theta = np.array([0.0, np.pi])
-    res = cvp_minimal_pauli_geodesic(spec, theta, require_certified=True)
+    res = cvp_minimal_pauli_geodesic(spec, theta)
     assert res.certified
     assert res.window_used == int(np.max(np.abs(res.minimizer)))
     assert res.value == pytest.approx(0.5 * np.pi * math.sqrt(201.0), rel=1e-12)
 
 
-def test_cvp_node_budget_exhausted():
-    # the weighted-l1 bound is loose at k = 100: the search runs out of nodes
-    # and returns its zero-shift incumbent, which is the closed-form optimum
-    n, k = 3, 100.0
+@pytest.mark.parametrize("k", [4.0, 16.0, 100.0])
+def test_cvp_and_oracle_n3_closed_form(k):
+    n = 3
     spec = MetricSpec(family=FP, penalty=PenaltyFunction(kind="step", k=k), mode=U)
     theta = np.zeros(2**n)
     theta[-1] = np.pi
     res = cvp_minimal_pauli_geodesic(spec, theta)
-    assert not res.certified
-    assert res.stats["nodes"] == res.stats["budget"]
-    assert np.all(res.minimizer == 0)
-    assert res.window_used == 0
+    assert res.certified
+    assert res.stats["cosets"] == 4096
     expected = np.pi * (k - (2 + n + n * n) / 2 ** (n + 1) * (k - 1.0))
     assert res.value == pytest.approx(expected, rel=1e-12)
-    with pytest.raises(WindowTooSmall):
-        cvp_minimal_pauli_geodesic(spec, theta, require_certified=True)
 
 
 def _diag_value(kind, w, h, m):
@@ -181,7 +190,7 @@ def test_cvp_exact_against_brute_force(n, case, mode, cutoff, raw):
     spec = MetricSpec(family=family, penalty=pen, mode=mode)
     res = cvp_minimal_pauli_geodesic(spec, theta)
     assert res.certified
-    assert res.stats["leaves"] <= res.stats["nodes"] < res.stats["budget"]
+    assert res.stats["cosets"] == d ** (d // 2) // (d if mode == SU else 1)
 
     kind, w, h, su_sum = _cvp_problem(spec, theta)
     zero = np.zeros(d, dtype=int)
@@ -271,6 +280,25 @@ def test_cvp_n3_beats_unit_box(family, k):
 
 
 @pytest.mark.parametrize("mode", [U, SU])
+def test_cvp_n3_large_penalty_against_brute_force(mode):
+    d = 8
+    spec = MetricSpec(family=FP, penalty=PenaltyFunction(kind="step", k=100.0), mode=mode)
+    box = np.indices((5,) * d).reshape(d, -1).T - 2  # [-2, 2]^8
+    y_box = box @ (2 * np.pi / d * hadamard(d))  # Pauli coefficients of 2 pi diag(m)
+    rng = np.random.default_rng(41)
+    for _ in range(12):
+        theta = rng.uniform(-np.pi, np.pi, d)
+        if mode == SU:
+            theta[-1] = -np.sum(theta[:-1])
+        res = cvp_minimal_pauli_geodesic(spec, theta)
+        assert res.certified and res.window_used <= 1
+        kind, w, h, su_sum = _cvp_problem(spec, theta)
+        y = hadamard(d) @ h / d - (y_box if su_sum is None else y_box[box.sum(axis=1) == su_sum])
+        brute = float(np.min(np.abs(y) @ w))
+        assert res.value == pytest.approx(brute, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", [U, SU])
 def test_geodesic_hamiltonian_read_back(mode):
     rng = np.random.default_rng(5)
     spec = MetricSpec(family=FQ, penalty=PenaltyFunction(kind="step", k=4.0), mode=mode)
@@ -289,6 +317,17 @@ def test_geodesic_hamiltonian_read_back(mode):
             assert abs(np.sum(diag)) < 1e-12
         assert np.array_equal(diag, v.astype(complex))
         assert res.geodesic_hamiltonian is not H  # built afresh on each read
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_coset_table_is_a_full_set_of_representatives(n):
+    # d^{d/2} = [W Z^d : d Z^d] distinct rows in [0, d)^d, each W m for an integer m
+    d = 2**n
+    table = _coset_table(n)
+    assert table.shape == (d ** (d // 2), d)
+    assert len(np.unique(table, axis=0)) == len(table)
+    assert np.all((table >= 0) & (table < d))
+    assert np.all((table @ hadamard(d)) % d == 0)
 
 
 @pytest.mark.parametrize("d", [1, 2, 4, 8, 16])
@@ -351,8 +390,26 @@ def test_monte_carlo_single_qubit_taxicab():
 
 
 def test_monte_carlo_restricted():
-    with pytest.raises(DimensionLimit):
-        monte_carlo_coverage(F1_U, 1.0, 3)
+    for n in (0, 3):
+        with pytest.raises(DimensionLimit):
+            monte_carlo_coverage(F1_U, 1.0, n)
+    for samples in (0, -5):
+        with pytest.raises(ValueError):
+            monte_carlo_coverage(F1_U, 1.0, 1, samples=samples)
+
+
+@pytest.mark.parametrize("spec", [F1_U, F2_U])
+def test_monte_carlo_decisions_against_brute_force(spec):
+    # one sample per seed, so each call returns that sample's decision; radii
+    # just above and below its brute-force distance pin the decoded distance
+    d = 4
+    kind, w, _, _ = _cvp_problem(spec, np.zeros(d))
+    box = np.array(list(itertools.product(range(-2, 3), repeat=d)))
+    for seed in range(200):
+        h = np.random.default_rng(seed).uniform(-np.pi, np.pi, size=(1, d))[0]
+        dist = float(np.min(_diag_value(kind, w, h, box)))
+        assert monte_carlo_coverage(spec, dist * (1 + 1e-9), 2, samples=1, seed=seed) == 1.0
+        assert monte_carlo_coverage(spec, dist * (1 - 1e-9), 2, samples=1, seed=seed) == 0.0
 
 
 def test_diagonal_unitary_json_roundtrip():
