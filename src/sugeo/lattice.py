@@ -25,10 +25,12 @@ coset's rounding and taking the best is the exact minimum: every result
 is certified.  The minimizer is m = W v/d.  In SU mode the constraint
 sum(m) = sum(h)/2pi fixes v_0 = sum(m), whose weight is 0: only the
 cosets with c_0 = sum(h)/2pi mod d are scored, and v_0 is set to the sum.
-The table of coset representatives is built once per n; `window_used` is
-max|m_z| of the returned minimizer and `stats` counts the cosets scored.
-The result keeps the diagonal h - 2*pi*m and builds the Hamiltonian when
-read.
+The coset table, W/2pi and W/d are cached per (spec, n).  On a 2-core Xeon
+a solve takes about 25 us at n = 1, 2 and, at n = 3, about 0.5 ms in U
+mode (4096 cosets) and 40 us in SU mode (512).
+`window_used` is max|m_z| of the returned minimizer, `stats` counts the
+cosets scored, and the Hamiltonian is built from the diagonal h - 2*pi*m
+when read.  The volume and coverage functions are U mode only.
 
 The smoothed families are evaluated through their Delta -> 0 limits (F1Delta
 as F1, FpDelta as Fp): the objective needs no smoothness and the limit is
@@ -63,11 +65,9 @@ class DiagonalUnitary:
     phases: np.ndarray
 
     def __post_init__(self):
-        self.phases = np.asarray(self.phases, dtype=float)
-        if self.phases.shape != (2**self.n,):
+        self.phases, n = _phase_vector(self.phases)
+        if n != self.n:
             raise DimensionMismatch(f"expected {2**self.n} phases")
-        if not np.all(np.isfinite(self.phases)):
-            raise NonFiniteInput("phases must be finite")
 
     def to_json(self) -> dict:
         return {"n": self.n, "theta": [float(t) for t in self.phases]}
@@ -110,8 +110,7 @@ class CvpResult:
 
 def reduce_phases(theta: np.ndarray) -> np.ndarray:
     """Shift each phase by a multiple of 2*pi into (-pi, pi]."""
-    theta = np.asarray(theta, dtype=float)
-    return np.pi - np.mod(np.pi - theta, 2 * np.pi)
+    return np.pi - np.mod(np.subtract(np.pi, theta), 2 * np.pi)
 
 
 @lru_cache(maxsize=None)
@@ -133,13 +132,15 @@ def _walsh(dim: int) -> np.ndarray:
 
 
 def _phase_vector(theta) -> tuple[np.ndarray, int]:
-    """(theta as a float vector, n); DimensionMismatch unless its length is 2^n."""
+    """(theta as a finite float vector, n); DimensionMismatch unless its length is 2^n."""
     theta = np.asarray(theta, dtype=float)
     dim = theta.size
     if theta.ndim != 1 or dim == 0 or dim & (dim - 1):
         raise DimensionMismatch(
             f"phase vector must be 1-D with a power-of-two length, got shape {theta.shape}"
         )
+    if not np.isfinite(theta).all():
+        raise NonFiniteInput("phases must be finite")
     return theta, dim.bit_length() - 1
 
 
@@ -159,7 +160,7 @@ def diagonal_to_pauli(h: np.ndarray) -> PauliVector:
 
 @lru_cache(maxsize=256)
 def _diag_weights(spec: MetricSpec, n: int):
-    """(kind, per-coordinate weights w_s over the 2^n diagonal strings), read-only."""
+    """(taxicab, weights w_s over the 2^n diagonal strings, read-only); taxicab: sum w|y|."""
     if spec.family in (F1, F1DELTA, F2):
         weights = np.ones(2**n)
     elif spec.family in (FP, FPDELTA, FQ):
@@ -167,7 +168,7 @@ def _diag_weights(spec: MetricSpec, n: int):
     else:
         raise UnsupportedSpec(f"no CVP objective for family {spec.family}")
     weights.flags.writeable = False
-    return ("quadratic" if spec.family in (F2, FQ) else "taxicab"), weights
+    return spec.family not in (F2, FQ), weights
 
 
 def cvp_minimal_pauli_geodesic(spec: MetricSpec, U_diag) -> CvpResult:
@@ -177,17 +178,17 @@ def cvp_minimal_pauli_geodesic(spec: MetricSpec, U_diag) -> CvpResult:
     Hamiltonian to zero.  The minimum is exact, so `certified` is always
     True; `window_used` reports max|m_z| of the returned minimizer.
     """
-    if not isinstance(U_diag, DiagonalUnitary):
+    if isinstance(U_diag, DiagonalUnitary):
+        theta, n = U_diag.phases, U_diag.n  # validated when it was built
+    else:
         theta, n = _phase_vector(U_diag)
-        U_diag = DiagonalUnitary(n, theta)
-    n = U_diag.n
     cap = min(env_n_cap(default=DEFAULT_N_CAP), 3)
     if not 1 <= n <= cap:
         raise DimensionLimit(f"CVP needs 1 <= n <= {cap}, got n={n}")
-    h = reduce_phases(U_diag.phases)
-    kind, w, cosets = _cvp_plan(spec, n)
-    dim = 2**n
-    tau = _walsh(dim) @ h / (2 * math.pi)
+    taxicab, w, to_tau, to_m, cosets = _cvp_plan(spec, n)
+    dim = len(w)
+    h = reduce_phases(theta)
+    tau = to_tau @ h
     su_sum = None
     if spec.mode == SU:
         total = float(tau[0])  # sum(h)/2pi
@@ -199,34 +200,30 @@ def cvp_minimal_pauli_geodesic(spec: MetricSpec, U_diag) -> CvpResult:
         cosets = cosets[su_sum % dim]
 
     R = tau - cosets
-    scores = _round_and_score(R, kind, w)
-    best = int(np.argmin(scores))
-    value = float(_distance(scores[best], kind, dim))
+    scores = _round_and_score(R, taxicab, w)
+    best = scores.argmin()
+    score = scores[best]
+    value = 2 * math.pi / dim * (float(score) if taxicab else math.sqrt(score))
     v = tau - R[best]
     if su_sum is not None:
         v[0] = su_sum
-    m = np.rint(_walsh(dim) @ v / dim).astype(int)
+    m = (to_m @ v).round().astype(int)
     diagonal = h - 2 * np.pi * m
     if su_sum is not None:
-        diagonal -= np.sum(diagonal) / dim
-    return CvpResult(m, value, True, int(np.max(np.abs(m))), diagonal=diagonal,
+        diagonal -= diagonal.sum() / dim
+    return CvpResult(m, value, True, max(map(abs, m.tolist())), diagonal=diagonal,
                      stats={"cosets": len(cosets)})
 
 
-def _round_and_score(R: np.ndarray, kind: str, w: np.ndarray) -> np.ndarray:
+def _round_and_score(R: np.ndarray, taxicab: bool, w: np.ndarray) -> np.ndarray:
     """Round each row of R = tau - c in place to its coset's nearest point; score it.
 
     Subtracting d*round(R/d) moves each coordinate of v = c + d t to the
     nearest to tau.  The score is sum_s w_s |R_s| (taxicab) or sum_s w_s R_s^2.
     """
     dim = R.shape[-1]
-    R -= dim * np.round(R / dim)
-    return np.abs(R) @ w if kind == "taxicab" else (R * R) @ w
-
-
-def _distance(score, kind: str, dim: int):
-    """F of y = (2*pi/d) R from its score."""
-    return 2 * np.pi / dim * (score if kind == "taxicab" else np.sqrt(score))
+    R -= dim * (R / dim).round()
+    return abs(R) @ w if taxicab else (R * R) @ w
 
 
 @lru_cache(maxsize=None)
@@ -252,17 +249,17 @@ def _coset_table(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def _cvp_plan(spec: MetricSpec, n: int) -> tuple:
-    """(kind, w, cosets) of (spec, n) for cvp_minimal_pauli_geodesic.
+    """(taxicab, w, W/2pi, W/d, cosets) of (spec, n) for cvp_minimal_pauli_geodesic.
 
     w are the weights, with w_0 = 0 in SU mode.  cosets is the coset table;
     in SU mode it is grouped by c_0, so that cosets[r] holds those with c_0 = r.
     """
-    kind, w = _diag_weights(spec, n)
-    cosets = _coset_table(n)
+    taxicab, w = _diag_weights(spec, n)
+    W, cosets = _walsh(2**n), _coset_table(n)
     if spec.mode == SU:
         w = np.concatenate([[0.0], w[1:]])  # identity coefficient is projected out
-        cosets = cosets.reshape(2**n, -1, 2**n)
-    return kind, w, cosets
+        cosets = cosets.reshape(len(W), -1, len(W))
+    return taxicab, w, W / (2 * math.pi), W / len(W), cosets
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +271,19 @@ def _log_q_product(spec: MetricSpec, n: int) -> float:
     return float(np.sum(np.log(weights)))
 
 
+def _require_u_mode(spec: MetricSpec):
+    if spec.mode == SU:
+        raise UnsupportedSpec("volumes and coverage are U mode only: the SU lattice has rank d - 1")
+
+
 def unit_ball_volume(spec: MetricSpec, r: float, n: int) -> float:
     """Volume of {F <= r} in the 2^n-dimensional diagonal subspace.
 
     Closed forms: (2r)^d/d! for F1 (the Delta -> 0 limit of F1Delta),
     (sqrt(pi) r)^d/(d/2)! for F2, and the F2 volume scaled by
-    prod_sigma 1/q(wt sigma) for Fq.  Evaluated in log space.
+    prod_sigma 1/q(wt sigma) for Fq.  Evaluated in log space.  U mode only.
     """
+    _require_u_mode(spec)
     d = 2**n
     if r <= 0:
         return 0.0
@@ -302,8 +305,9 @@ def coverage_bound(spec: MetricSpec, f_fraction: float, n: int) -> float:
 
     If a fraction f of the fundamental cell is within distance r of the
     lattice, the ball volume must be at least f times the cell volume;
-    inverting gives a lower bound on the covering radius scale.
+    inverting gives a lower bound on the covering radius scale.  U mode only.
     """
+    _require_u_mode(spec)
     if not 0.0 < f_fraction <= 1.0:
         raise ValueError("f_fraction must be in (0, 1]")
     d = 2**n
@@ -324,20 +328,22 @@ def monte_carlo_coverage(
 ) -> float:
     """Fraction of the fundamental cell within CVP distance r of the lattice.
 
-    Uniform phases in [-pi, pi)^{2^n}; the CVP of every sample is solved
-    exactly by coset decoding, one coset at a time over the whole batch.
+    Uniform phases in [-pi, pi)^{2^n} (U mode only); the CVP of every sample
+    is solved exactly by coset decoding, one coset at a time over the batch.
     """
+    _require_u_mode(spec)
     if not 1 <= n <= 2:
         raise DimensionLimit(f"Monte Carlo coverage needs 1 <= n <= 2, got n={n}")
     if samples < 1:
         raise ValueError("samples must be at least 1")
     dim = 2**n
-    kind, weights = _diag_weights(spec, n)
+    taxicab, weights = _diag_weights(spec, n)
     rng = np.random.default_rng(seed)
     tau = rng.uniform(-np.pi, np.pi, size=(samples, dim)) @ _walsh(dim) / (2 * np.pi)
     best = np.full(samples, np.inf)
     R = np.empty_like(tau)
     for c in _coset_table(n):
         np.subtract(tau, c, out=R)
-        np.minimum(best, _round_and_score(R, kind, weights), out=best)
-    return float(np.mean(_distance(best, kind, dim) <= r))
+        np.minimum(best, _round_and_score(R, taxicab, weights), out=best)
+    distance = 2 * np.pi / dim * (best if taxicab else np.sqrt(best))
+    return float(np.mean(distance <= r))

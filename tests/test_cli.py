@@ -277,6 +277,16 @@ def test_volume_bound_cli(capsys, tmp_path):
     assert json.loads(out)["r_lower"] == pytest.approx(expected, rel=1e-12)
 
 
+def test_volume_bound_rejects_su_metric(capsys, tmp_path):
+    metric = write_json(tmp_path, "f2su.json", {"family": "F2", "mode": "SU"})
+    code, out, err = run(
+        capsys, ["volume-bound", "--metric", metric, "--f", "1.0", "--n", "1"]
+    )
+    assert code == 1
+    assert out == ""
+    assert "UnsupportedSpec" in err
+
+
 def test_lower_bound_cli(capsys, tmp_path, f1_metric):
     circuit = write_json(
         tmp_path,

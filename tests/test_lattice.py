@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ import sugeo
 from sugeo.errors import (
     DimensionLimit,
     DimensionMismatch,
+    InvalidConfig,
     NonFiniteInput,
     NonTracelessInSUMode,
+    UnsupportedSpec,
 )
 from sugeo.lattice import (
     CvpResult,
@@ -349,10 +352,76 @@ def test_import_does_not_load_scipy():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_cvp_rejects_non_finite_phases(bad):
-    with pytest.raises(NonFiniteInput):
-        DiagonalUnitary(1, np.array([bad, 0.0]))
-    with pytest.raises(NonFiniteInput):
-        cvp_minimal_pauli_geodesic(F1_U, np.array([bad, 0.0]))
+    # U and SU; the bad value first (n = 1) or last (n = 2); raw arrays,
+    # lists and DiagonalUnitary inputs.  No RuntimeWarning may come first.
+    inputs = (
+        lambda theta: np.array(theta),
+        lambda theta: theta,
+        lambda theta: DiagonalUnitary(len(theta).bit_length() - 1, np.array(theta)),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for spec in (F1_U, MetricSpec(family=F2, mode=SU)):
+            for theta in ([bad, 0.0], [0.1, -0.2, 0.3, bad]):
+                for make in inputs:
+                    with pytest.raises(NonFiniteInput):
+                        cvp_minimal_pauli_geodesic(spec, make(theta))
+
+
+@pytest.mark.parametrize("family, mode, theta, value", [
+    (F1, U, [1e300, 0.3], 2.418165953062772),
+    (F2, U, [1e300, 0.3], 1.7230099501384173),
+    (F1, SU, [1e300, -1e300], 2.418165953062772),
+    (F2, SU, [1e300, -1e300], 2.418165953062772),
+])
+def test_cvp_accepts_huge_finite_phases(family, mode, theta, value):
+    res = cvp_minimal_pauli_geodesic(MetricSpec(family=family, mode=mode), np.array(theta))
+    assert res.value == pytest.approx(value, rel=1e-12)
+
+
+def test_cvp_honours_sugeo_n_cap(monkeypatch):
+    monkeypatch.setenv("SUGEO_N_CAP", "2")
+    with pytest.raises(DimensionLimit, match="n <= 2"):
+        cvp_minimal_pauli_geodesic(F1_U, np.zeros(8))
+    assert cvp_minimal_pauli_geodesic(F1_U, np.full(4, 0.5)).value == pytest.approx(0.5)
+    monkeypatch.setenv("SUGEO_N_CAP", "abc")
+    with pytest.raises(InvalidConfig):
+        cvp_minimal_pauli_geodesic(F1_U, np.zeros(4))
+    monkeypatch.setenv("SUGEO_N_CAP", "4")  # the CVP cap stays at 3
+    assert cvp_minimal_pauli_geodesic(F1_U, np.zeros(8)).value == 0.0
+    with pytest.raises(DimensionLimit, match="n <= 3"):
+        cvp_minimal_pauli_geodesic(F1_U, np.zeros(16))
+
+
+SHIFT_CASES = [(F1, None), (FP, 4.0), (F2, None), (FQ, 4.0)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 3]),
+    case=st.sampled_from(SHIFT_CASES),
+    mode=st.sampled_from([U, SU]),
+    # phases from a seed, not from hypothesis floats: its repeated values make
+    # exact ties between minimizers (equal phases swap), which a shift's last
+    # bits then break either way
+    seed=st.integers(0, 2**32 - 1),
+    k=st.lists(st.integers(-50, 50), min_size=8, max_size=8),
+)
+def test_cvp_is_invariant_under_2pi_shifts(n, case, mode, seed, k):
+    family, kval = case
+    d = 2**n
+    theta = np.random.default_rng(seed).uniform(-np.pi, np.pi, d)
+    if mode == SU:
+        theta[-1] = -np.sum(theta[:-1])
+    pen = None if kval is None else PenaltyFunction(kind="step", k=kval)
+    spec = MetricSpec(family=family, penalty=pen, mode=mode)
+    shifted = theta + 2 * np.pi * np.array(k[:d])
+    res, again = (cvp_minimal_pauli_geodesic(spec, t) for t in (theta, shifted))
+    assert again.value == pytest.approx(res.value, rel=1e-12, abs=1e-12)
+    assert np.max(np.abs(again.diagonal - res.diagonal)) <= 1e-12
+    if mode == SU:
+        su_sum = round(np.sum(reduce_phases(shifted)) / (2 * np.pi))
+        assert int(np.sum(again.minimizer)) == su_sum
 
 
 def test_unit_ball_volumes_closed_form():
@@ -387,6 +456,21 @@ def test_phase_lattice_determinant():
 def test_monte_carlo_single_qubit_taxicab():
     frac = monte_carlo_coverage(F1_U, np.pi / 2, 1, samples=3000)
     assert abs(frac - 0.25) < 0.04
+
+
+def test_volume_and_coverage_reject_su_mode():
+    # the traceless lattice has rank d - 1; no formula here covers it
+    spec = MetricSpec(family=F2, mode=SU)
+    with pytest.raises(UnsupportedSpec):
+        monte_carlo_coverage(spec, 1.5, 2, samples=100)
+    with pytest.raises(UnsupportedSpec):
+        coverage_bound(spec, 0.5, 2)
+    with pytest.raises(UnsupportedSpec):
+        unit_ball_volume(spec, 1.0, 2)
+    # the U-mode answers are unchanged
+    assert monte_carlo_coverage(F2_U, 1.5, 2, samples=20000) == 0.26085
+    assert coverage_bound(F2_U, 0.5, 2) == pytest.approx(1.7724538509055159, rel=1e-14)
+    assert unit_ball_volume(F2_U, 1.0, 2) == pytest.approx(np.pi**2 / 2, rel=1e-14)
 
 
 def test_monte_carlo_restricted():
