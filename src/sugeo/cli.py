@@ -1,8 +1,10 @@
 """Command-line surface: JSON in, JSON out, CSV for the reproduce suite.
 
 Exit codes: 0 success, 1 domain error (the error class name is printed
-verbatim), 2 usage error.  Output goes to stdout unless --out is given;
-JSON is emitted with sorted keys so fixed-seed runs are bit-reproducible.
+verbatim), 2 usage error, which includes an input file that is not JSON
+or whose JSON has the wrong shape.  Output goes to stdout unless --out
+is given; JSON is emitted with sorted keys so fixed-seed runs are
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -34,7 +36,10 @@ from .pauli import PauliVector, stabilizer_span
 
 def _load(path):
     with open(path) as f:
-        return json.load(f)
+        obj = json.load(f)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return obj
 
 
 def _emit(obj, out_path):
@@ -281,7 +286,7 @@ def dispatch(argv) -> int:
     except np.linalg.LinAlgError as e:
         print(f"LinAlgError: {e}", file=sys.stderr)
         return 1
-    except (KeyError, ValueError, OSError, json.JSONDecodeError) as e:
+    except (KeyError, ValueError, TypeError, AttributeError, OSError) as e:  # bad input files
         print(f"usage error: {e}", file=sys.stderr)
         return 2
 

@@ -2,10 +2,11 @@
 
 The qubit-count cap exists because everything here is dense: the tangent
 space has dimension 4^n (minus one in SU mode), and the coordinate change
-is a filter on 2^n x 2^n matrices (its 4^n x 4^n superoperator is built
-only by the test oracles).  n = 3 is comfortable, n = 4 is the hard
-ceiling for the algebra layer.  None of the tolerances below is a
-finite-difference step: the geodesic layer's derivatives are exact.
+is a filter on 2^n x 2^n matrices (its 4^n x 4^n matrix is built only by
+the reference power series coords.bch_E_series and the test oracles).
+n = 3 is comfortable, n = 4 is the hard ceiling for the algebra layer.
+None of the tolerances below is a finite-difference step: the geodesic
+layer's derivatives are exact.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ DEFAULT_TOLERANCES = {
     "unitarity": 1e-10,
     "branch_cut": 1e-8,
     "eig_cluster": 1e-8,
-    "pinv_cutoff": 1e-10,
 }
 
 

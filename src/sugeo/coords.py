@@ -13,35 +13,25 @@ They are related linearly by a superoperator E_X acting on the algebra,
     yt.sigma = E_X(y.sigma),   X = x.sigma,
     E_X = sum_{j>=0} (-i ad_X)^j / (j+1)!,
 
-the derivative-of-exponential map.  Vectorized (column-stacking vec, so that
-vec(ABC) = (C^T kron A) vec(B)):
-
-    vec(ad_X)        = I kron X - X* kron I            (X Hermitian)
-    vec(exp(-i ad_X)) = U* kron U
-    vec(E_X)  = vecP + i (U* kron U - I) pinv(I kron X - X* kron I) (I - vecP)
-    vec(E_X)^-1 = vecP - i (I kron X - X* kron I) pinv(U* kron U - I) (I - vecP)
-
-where vecP projects onto ker(ad_X) (the commutant of X), on which E_X is the
-identity.  The signs follow from the power series: vec(E_X) = f(-iA) with
-f(s) = (e^s - 1)/s and A = vec(ad_X), so the non-kernel part is
-(U* kron U - I) (-iA)^+ = +i (U* kron U - I) A^+.
-
-The production route (apply_bch) diagonalizes X = V L V^+ and applies E_X
-as an entrywise filter in the eigenbasis; the pinv and series routes above
-stay as test oracles:
+the derivative-of-exponential map.  The library has one implementation
+of it, the filter of _Eigenbasis: X = V L V^+ and
 
     E_X(Z) = V (Phi o (V^+ Z V)) V^+,   Phi_ab = phi(l_a - l_b),
-    phi(s) = (e^{-is} - 1)/(-is),  phi(0) = 1  (entire function).
+    phi(s) = (e^{-is} - 1)/(-is),  phi(0) = 1  (entire function),
 
-The pinv and filter routes cluster eigenvalues within 1e-8 (relative) and
-treat clustered pairs as exact kernel directions.
+with eigenvalues clustered within 1e-8 (relative) treated as exactly
+equal, so E_X is the identity on the commutant of X.  apply_bch applies
+it to matrices, change_coords to rows of coefficients, and
+change_matrices forms M(x), the matrix of E_X in Pauli coordinates, by
+filtering every basis matrix.  bch_E_series is the power series above as
+a 4^n x 4^n matrix, the paper's definition that the filter is checked
+against.
 
 One eigendecomposition (_Eigenbasis) serves the filter, its transpose E_-X
 (filter Phi^T = conj(Phi), no second eigh) and bch_x_gradient, the
 Daleckii-Krein derivative of tr(G E_X(Z)) in X written as matrix products
 in the eigenbasis, with phi' taken from Phi.  geodesic.f_squared_gradients
-reads both gradients of F^2 from one, so no caller needs the matrix M(x)
-of E_X (change_matrices, a test oracle).
+reads both gradients of F^2 from one, so no library path forms M(x).
 """
 
 from __future__ import annotations
@@ -69,29 +59,13 @@ from .pauli import (
     check_traceless,
     coefficients,
     matrix_of,
-    project_to_pauli,
     qubit_count,
     to_matrix,
 )
 
 _CLUSTER_TOL = DEFAULT_TOLERANCES["eig_cluster"]
-_PINV_CUTOFF = DEFAULT_TOLERANCES["pinv_cutoff"]
 _BRANCH_TOL = DEFAULT_TOLERANCES["branch_cut"]
-
-
-# ---------------------------------------------------------------------------
-# vectorization
-
-
-def vec(A: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(A).reshape(-1, order="F")
-
-def unvec(v: np.ndarray, m: int, n: int) -> np.ndarray:
-    v = np.asarray(v)
-    if v.size != m * n:
-        raise DimensionMismatch(f"cannot unvec length {v.size} into {m}x{n}")
-    return v.reshape((m, n), order="F")
+_SERIES_TERMS = 30
 
 
 @dataclass
@@ -105,6 +79,8 @@ class UnitaryOperator:
         dim = 2**self.n
         if self.matrix.shape != (dim, dim):
             raise DimensionMismatch(f"expected {dim}x{dim} matrix")
+        if not np.isfinite(self.matrix).all():
+            raise NonFiniteInput("unitary includes NaN or infinity")
         err = np.max(np.abs(self.matrix @ self.matrix.conj().T - np.eye(dim)))
         if err > DEFAULT_TOLERANCES["unitarity"]:
             raise ValueError(f"matrix is not unitary (deviation {err:.2e})")
@@ -121,55 +97,36 @@ class UnitaryOperator:
         return cls(int(obj["n"]), m)
 
 
-@dataclass
-class Superoperator:
-    """Linear map on 2^n x 2^n matrices, stored in vectorized (4^n x 4^n) form."""
-
-    vec_matrix: np.ndarray
-
-    def __call__(self, Z: np.ndarray) -> np.ndarray:
-        Z = np.asarray(Z, dtype=complex)
-        d = Z.shape[0]
-        return unvec(self.vec_matrix @ vec(Z), d, d)
-
-    def compose(self, other: "Superoperator") -> "Superoperator":
-        return Superoperator(self.vec_matrix @ other.vec_matrix)
-
-
 # ---------------------------------------------------------------------------
-# pinv and series routes (test oracles)
+# the defining power series (reference)
 
 
 def _ad_vec(X: np.ndarray) -> np.ndarray:
+    """vec(ad_X) = I kron X - X^T kron I for column-stacking vec (X Hermitian: X^T = X*)."""
     d = X.shape[0]
     eye = np.eye(d)
     return np.kron(eye, X) - np.kron(X.conj(), eye)
 
 
-def _pinv_parts(X):
-    """Eigenvalue gaps, vec(ad_X), U* kron U - 1 and vecP for the pinv formulas.
+def bch_E_series(X) -> np.ndarray:
+    """The 4^n x 4^n matrix S of E_X from its power series, sum_j (-i ad_X)^j/(j+1)!.
 
-    vecP projects onto the commutant of X: in the eigenbasis it keeps the
-    entries of the pairs that _gap_data clusters, vec(P) = W diag(vec(mask)) W^+
-    with W = V* kron V.
+    vec(E_X(Z)) = S vec(Z) with column-stacking vec, summed to 30 terms:
+    the reference the filter is checked against.  Trustworthy for
+    ||ad_X|| <= 4 or so; the factorial decay puts the truncation error
+    below machine precision there.
     """
-    M = matrix_of(X)
-    lam, V = np.linalg.eigh(M)
-    U = V @ np.diag(np.exp(-1j * lam)) @ V.conj().T
-    B = np.kron(U.conj(), U) - np.eye(M.shape[0] ** 2)
-    W = np.kron(V.conj(), V)
-    gaps, mask = _gap_data(lam)
-    return gaps, _ad_vec(M), B, (W * vec(mask)) @ W.conj().T
+    A = -1j * _ad_vec(matrix_of(X))
+    out = np.zeros_like(A)
+    term = np.eye(A.shape[0], dtype=complex)
+    for j in range(_SERIES_TERMS):
+        out = out + term / factorial(j + 1)
+        term = term @ A
+    return out
 
 
-def bch_E(X) -> Superoperator:
-    """The map E_X = (exp(-i ad_X) - 1)/(-i ad_X), identity on ker(ad_X).
-
-    Built from the vectorized pinv formula in the module docstring.
-    """
-    _, A, B, vecP = _pinv_parts(X)
-    pinvA = np.linalg.pinv(A, rcond=_PINV_CUTOFF, hermitian=True)
-    return Superoperator(vecP + 1j * B @ pinvA @ (np.eye(len(vecP)) - vecP))
+# ---------------------------------------------------------------------------
+# the spectral filter (the one implementation of E_X)
 
 
 def _resonance_check(gaps: np.ndarray):
@@ -180,34 +137,6 @@ def _resonance_check(gaps: np.ndarray):
             "an eigenvalue gap of X is a nonzero multiple of 2*pi; "
             "exp(-i ad_X) - 1 is not invertible off the kernel"
         )
-
-
-def bch_E_inverse(X) -> Superoperator:
-    """Inverse of bch_E: vecP - i ad_X pinv(U* kron U - 1) off the kernel."""
-    gaps, A, B, vecP = _pinv_parts(X)
-    _resonance_check(gaps)
-    pinvB = np.linalg.pinv(B, rcond=_PINV_CUTOFF)
-    return Superoperator(vecP - 1j * A @ pinvB @ (np.eye(len(vecP)) - vecP))
-
-
-def bch_E_series(X, terms: int = 30) -> Superoperator:
-    """Truncated power series sum_j (-i ad_X)^j/(j+1)! — the test oracle.
-
-    Trustworthy for ||ad_X|| <= 4 or so; the factorial decay puts the
-    truncation error below machine precision there.
-    """
-    M = matrix_of(X)
-    A = -1j * _ad_vec(M)
-    out = np.zeros_like(A)
-    term = np.eye(A.shape[0], dtype=complex)
-    for j in range(terms):
-        out = out + term / factorial(j + 1)
-        term = term @ A
-    return Superoperator(out)
-
-
-# ---------------------------------------------------------------------------
-# spectral filter route (the production path)
 
 
 def _phi(gaps: np.ndarray, cluster_mask: np.ndarray) -> np.ndarray:
@@ -251,6 +180,13 @@ class _Eigenbasis:
     def unhat(self, Zh: np.ndarray) -> np.ndarray:
         return self.V @ Zh @ self.Vh
 
+    def apply(self, Z: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """E_X(Z), or E_X^-1(Z) (ResonantSpectrum if a gap is a nonzero multiple of 2 pi)."""
+        if inverse:
+            _resonance_check(self.gaps)
+            return self.unhat(self.hat(Z) / self.Phi)
+        return self.unhat(self.Phi * self.hat(Z))
+
     def x_gradient(self, Zh, Gh, A, B) -> np.ndarray:
         """Gamma^ of bch_x_gradient, given A = Phi o Z^ and B = conj(Phi) o G^."""
         quotient = (Zh @ B - B @ Zh + Gh @ A - A @ Gh) / np.where(self.mask, 1.0, -self.gaps)
@@ -280,46 +216,46 @@ def bch_x_gradient(X: np.ndarray, Z: np.ndarray, G: np.ndarray) -> np.ndarray:
 
 
 def apply_bch(X: np.ndarray, Z: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """E_X(Z) (or its inverse) via the eigenbasis filter; equals the pinv route.
+    """E_X(Z) (or its inverse) via the eigenbasis filter.
 
     X and Z may also be stacks of matrices, shape (m, D, D), mapped pairwise.
     """
-    E = _Eigenbasis(X)
-    if inverse:
-        _resonance_check(E.gaps)
-        return E.unhat(E.hat(Z) / E.Phi)
-    return E.unhat(E.Phi * E.hat(Z))
+    return _Eigenbasis(X).apply(Z, inverse)
+
+
+def change_coords(xs: np.ndarray, ys: np.ndarray, n: int, mode: str, inverse: bool = False):
+    """Rows E_x(y), or E_x^-1(y) with inverse=True, for each row pair of two (m, d) arrays."""
+    return coefficients(apply_bch(algebra(xs, n, mode), algebra(ys, n, mode), inverse), n, mode)
+
+
+def _change_one(x: PauliVector, y: PauliVector, inverse: bool) -> PauliVector:
+    if (x.n, x.mode) != (y.n, y.mode):
+        raise DimensionMismatch("x and y on different bases")
+    entries = change_coords(x.entries[None], y.entries[None], x.n, x.mode, inverse)[0]
+    return PauliVector(x.n, x.mode, entries)
 
 
 def change_coords_forward(x: PauliVector, y_pauli: PauliVector) -> PauliVector:
     """Natural Pauli -> natural adapted coordinates: yt.sigma = E_{x.sigma}(y.sigma)."""
-    if (x.n, x.mode) != (y_pauli.n, y_pauli.mode):
-        raise DimensionMismatch("x and y on different bases")
-    out = apply_bch(to_matrix(x), to_matrix(y_pauli))
-    return project_to_pauli(out, x.mode)
+    return _change_one(x, y_pauli, inverse=False)
 
 
 def change_coords_backward(x: PauliVector, y_adapted: PauliVector) -> PauliVector:
     """Natural adapted -> natural Pauli coordinates (inverse of the forward map)."""
-    if (x.n, x.mode) != (y_adapted.n, y_adapted.mode):
-        raise DimensionMismatch("x and y on different bases")
-    out = apply_bch(to_matrix(x), to_matrix(y_adapted), inverse=True)
-    return project_to_pauli(out, x.mode)
+    return _change_one(x, y_adapted, inverse=True)
 
 
 def change_matrices(xs: np.ndarray, n: int, mode: str = SU) -> np.ndarray:
     """Batched change-of-coordinate matrices for a stack of base points.
 
-    M[m, t, s] = tr(sigma_t E_{X_m}(sigma_s)) / 2^n with X_m = xs[m].sigma.
-    A test oracle and cache warm-up only: the library applies E_X to the
-    one vector it needs with apply_bch and never forms M.
+    M[m, t, s] = tr(sigma_t E_{X_m}(sigma_s)) / 2^n with X_m = xs[m].sigma:
+    the filter applied to every basis matrix.  The test oracles and
+    perfbench's cache warm-up call it; the library applies E_X to the one
+    vector it needs with change_coords and never forms M.
     """
-    stack = basis_stack(n, mode)
-    E = _Eigenbasis(algebra(xs, n, mode))
-    # T1[m, t, a, b] = (V^+ sigma_t V)[a, b]
-    T1 = np.einsum("mpa,tpq,mqb->mtab", E.V.conj(), stack, E.V, optimize=True)
-    M = np.einsum("mtab,mba,msba->mts", T1, E.Phi, T1, optimize=True) / 2**n
-    return M.real
+    stack = basis_stack(n, mode)[:, None]  # (d, 1, D, D) against the m eigenbases
+    cols = _Eigenbasis(algebra(xs, n, mode)).apply(stack).reshape(-1, 2**n, 2**n)
+    return coefficients(cols, n, mode).reshape(len(stack), len(xs), -1).transpose(1, 2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -363,24 +299,6 @@ def su2_adapted_to_pauli(x: np.ndarray, yt: np.ndarray) -> np.ndarray:
     if r >= np.pi:
         raise OutsidePatch(f"|x| = {r:.6f} >= pi")
     return par + _z_cot_z(r) * perp + np.cross(yt, x)
-
-
-def su2_change_coords(x, v, inverse: bool = False) -> np.ndarray:
-    """Single-qubit closed form; forward maps adapted -> Pauli coordinates.
-
-    With inverse=True maps Pauli -> adapted (the E_X direction), matching
-    change_coords_forward at n = 1.
-    """
-    if inverse:
-        return su2_pauli_to_adapted(x, v)
-    return su2_adapted_to_pauli(x, v)
-
-
-def solve_cross_equation(A, B) -> np.ndarray:
-    """Unique solution of X + X cross A = B:  X = (B + A (A.B) + A cross B)/(1+|A|^2)."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    return (B + A * (A @ B) + np.cross(A, B)) / (1.0 + A @ A)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ of each step's cubic Hermite interpolant of H, so U stays unitary.  It
 starts at H0 = E_x0(y0), U0 = exp(-i x0.sigma).
 
 Curves are returned in Pauli coordinates, U = exp(-i x.sigma) A, with
-h = E_x(y) given by coords.apply_bch (the filter; y = E_x^-1(h) by its
+h = E_x(y) given by coords.change_coords (the filter; y = E_x^-1(h) by its
 inverse).  The chart only covers eigenphases in (-pi, pi): once one reaches
 pi - _REANCHOR_MARGIN, A becomes the current U and x restarts at 0, so a
 Curve consists of chart segments, each with its own anchor.  el_residual
@@ -33,9 +33,10 @@ from functools import lru_cache
 import numpy as np
 
 from .config import SHOOT_N_CAP, env_n_cap
-from .coords import UnitaryOperator, _Eigenbasis, _pauli_log_phase, apply_bch, pauli_log
+from .coords import UnitaryOperator, _Eigenbasis, _pauli_log_phase, change_coords, pauli_log
 from .coords import unitary_from_coords
-# perfbench's test_tracer_self_time_and_patching asserts this binding
+# perfbench wraps coords.change_matrices, and its test_tracer_self_time_and_patching
+# asserts that the wrapper replaces this binding too
 from .coords import change_matrices  # noqa: F401
 from .errors import (
     DimensionLimit,
@@ -147,11 +148,6 @@ def _entries_of(v) -> np.ndarray:
     return np.asarray(v.entries if isinstance(v, PauliVector) else v, dtype=float)
 
 
-def _adapted(xs: np.ndarray, ys: np.ndarray, n: int, mode: str) -> np.ndarray:
-    """Rows h = E_x(y) of natural adapted coordinates, one per row pair (x, y)."""
-    return coefficients(apply_bch(algebra(xs, n, mode), algebra(ys, n, mode)), n, mode)
-
-
 # ---------------------------------------------------------------------------
 # metric pullback
 
@@ -162,7 +158,7 @@ def metric_in_pauli_coords(spec: MetricSpec, x, y) -> float:
     if xe.shape != ye.shape:
         raise DimensionMismatch("x and y have different dimensions")
     n = qubits_of_dimension(len(xe), spec.mode)
-    return norm(spec, _adapted(xe[None, :], ye[None, :], n, spec.mode)[0])
+    return norm(spec, change_coords(xe[None, :], ye[None, :], n, spec.mode)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +234,7 @@ def shoot_geodesic(
         r = bracket(h, p, n, mode)
         return r / q if q is not None else V @ ((V.T @ r) / w)
 
-    h = _adapted(xe[None, :], ye[None, :], n, mode)[0]
+    h = change_coords(xe[None, :], ye[None, :], n, mode)[0]
     energy = norm(spec, h) ** 2
     U = unitary_from_coords(PauliVector(n, mode, xe))
     hs = np.empty((steps + 1, len(h)))
@@ -270,7 +266,7 @@ def shoot_geodesic(
             segments.append(i)
             xs[i] = 0.0
 
-    ys = coefficients(apply_bch(algebra(xs, n, mode), algebra(hs, n, mode), inverse=True), n, mode)
+    ys = change_coords(xs, hs, n, mode, inverse=True)
     speeds = norms_batch(spec, hs)
     stats = {
         "steps": steps,
@@ -415,13 +411,13 @@ def tensor_product_curve(curve_a: Curve, curve_b: Curve, spec_ab: MetricSpec) ->
     d = basis_dimension(n, mode)
 
     hs = np.zeros((k, d))
-    hs[:, _embed_indices(na, n, 0, mode)] += _adapted(curve_a.xs, curve_a.ys, na, mode)
-    hs[:, _embed_indices(nb, n, na, mode)] += _adapted(curve_b.xs, curve_b.ys, nb, mode)
+    hs[:, _embed_indices(na, n, 0, mode)] += change_coords(curve_a.xs, curve_a.ys, na, mode)
+    hs[:, _embed_indices(nb, n, na, mode)] += change_coords(curve_b.xs, curve_b.ys, nb, mode)
     xs = np.array([
         pauli_log(np.kron(curve_a.unitary_at(i), curve_b.unitary_at(i)), mode).entries
         for i in range(k)
     ])
-    ys = coefficients(apply_bch(algebra(xs, n, mode), algebra(hs, n, mode), inverse=True), n, mode)
+    ys = change_coords(xs, hs, n, mode, inverse=True)
     speeds = norms_batch(spec_ab, hs)
     return Curve(spec_ab, n, mode, curve_a.ts.copy(), xs, ys, speeds)
 

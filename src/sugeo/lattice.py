@@ -266,38 +266,32 @@ def _cvp_plan(spec: MetricSpec, n: int) -> tuple:
 # volume bounds
 
 
-def _log_q_product(spec: MetricSpec, n: int) -> float:
-    _, weights = _diag_weights(spec, n)
-    return float(np.sum(np.log(weights)))
-
-
 def _require_u_mode(spec: MetricSpec):
     if spec.mode == SU:
         raise UnsupportedSpec("volumes and coverage are U mode only: the SU lattice has rank d - 1")
 
 
-def unit_ball_volume(spec: MetricSpec, r: float, n: int) -> float:
-    """Volume of {F <= r} in the 2^n-dimensional diagonal subspace.
+def _log_unit_volume(spec: MetricSpec, n: int) -> float:
+    """log V_F(1), the volume of {F <= 1} in the 2^n-dimensional diagonal subspace.
 
-    Closed forms: (2r)^d/d! for F1 (the Delta -> 0 limit of F1Delta),
-    (sqrt(pi) r)^d/(d/2)! for F2, and the F2 volume scaled by
-    prod_sigma 1/q(wt sigma) for Fq.  Evaluated in log space.  U mode only.
+    Closed forms: 2^d/d! for F1 (the Delta -> 0 limit of F1Delta),
+    sqrt(pi)^d/(d/2)! for F2, and the F2 volume scaled by
+    prod_sigma 1/q(wt sigma) for Fq.  U mode only.
     """
     _require_u_mode(spec)
     d = 2**n
-    if r <= 0:
-        return 0.0
     if spec.family in (F1, F1DELTA):
-        return math.exp(d * math.log(2 * r) - math.lgamma(d + 1))
-    if spec.family == F2:
-        return math.exp(d * math.log(math.sqrt(math.pi) * r) - math.lgamma(d / 2 + 1))
-    if spec.family == FQ:
-        return math.exp(
-            d * math.log(math.sqrt(math.pi) * r)
-            - math.lgamma(d / 2 + 1)
-            - _log_q_product(spec, n)
-        )
+        return d * math.log(2) - math.lgamma(d + 1)
+    if spec.family in (F2, FQ):  # F2's weights are ones
+        log_q = float(np.sum(np.log(_diag_weights(spec, n)[1])))
+        return d * math.log(math.sqrt(math.pi)) - math.lgamma(d / 2 + 1) - log_q
     raise UnsupportedSpec(f"no volume formula for family {spec.family}")
+
+
+def unit_ball_volume(spec: MetricSpec, r: float, n: int) -> float:
+    """Volume of {F <= r} in the diagonal subspace: V(r) = r^d V_F(1), in log space."""
+    log_v1 = _log_unit_volume(spec, n)
+    return math.exp(2**n * math.log(r) + log_v1) if r > 0 else 0.0
 
 
 def coverage_bound(spec: MetricSpec, f_fraction: float, n: int) -> float:
@@ -305,22 +299,14 @@ def coverage_bound(spec: MetricSpec, f_fraction: float, n: int) -> float:
 
     If a fraction f of the fundamental cell is within distance r of the
     lattice, the ball volume must be at least f times the cell volume;
-    inverting gives a lower bound on the covering radius scale.  U mode only.
+    inverting V(r) = r^d V_F(1) gives a lower bound on the covering radius
+    scale, r = exp((log f + log det M - log V_F(1))/d).  U mode only.
     """
-    _require_u_mode(spec)
+    log_v1 = _log_unit_volume(spec, n)
     if not 0.0 < f_fraction <= 1.0:
         raise ValueError("f_fraction must be in (0, 1]")
-    d = 2**n
     log_rhs = math.log(f_fraction) + PhaseLattice(spec.mode, n).log_det()
-    if spec.family in (F1, F1DELTA):
-        return 0.5 * math.exp((log_rhs + math.lgamma(d + 1)) / d)
-    if spec.family == F2:
-        return math.exp((log_rhs + math.lgamma(d / 2 + 1)) / d) / math.sqrt(math.pi)
-    if spec.family == FQ:
-        return math.exp(
-            (log_rhs + math.lgamma(d / 2 + 1) + _log_q_product(spec, n)) / d
-        ) / math.sqrt(math.pi)
-    raise UnsupportedSpec(f"no volume formula for family {spec.family}")
+    return math.exp((log_rhs - log_v1) / 2**n)
 
 
 def monte_carlo_coverage(

@@ -206,6 +206,8 @@ class HermitianOperator:
         dim = 2**self.n
         if self.matrix.shape != (dim, dim):
             raise DimensionMismatch(f"expected {dim}x{dim} matrix")
+        if not np.isfinite(self.matrix).all():
+            raise NonFiniteInput("matrix includes NaN or infinity")
         if np.max(np.abs(self.matrix - self.matrix.conj().T)) > 1e-12 * max(
             1.0, np.max(np.abs(self.matrix))
         ):

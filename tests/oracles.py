@@ -1,5 +1,20 @@
 """Reference routes kept only to check the library's exact ones.
 
+pinv_E and pinv_E_inverse are the matrices of E_X and E_X^-1 from the
+vectorized pseudo-inverse formulas.  With column-stacking vec, so that
+vec(ABC) = (C^T kron A) vec(B):
+
+    vec(ad_X)         = I kron X - X* kron I            (X Hermitian)
+    vec(exp(-i ad_X)) = U* kron U,   U = exp(-iX)
+    vec(E_X)    = vecP + i (U* kron U - I) pinv(I kron X - X* kron I) (I - vecP)
+    vec(E_X)^-1 = vecP - i (I kron X - X* kron I) pinv(U* kron U - I) (I - vecP)
+
+where vecP projects onto ker(ad_X) (the commutant of X), on which E_X is
+the identity.  The signs follow from the power series: vec(E_X) = f(-iA)
+with f(s) = (e^s - 1)/s and A = vec(ad_X), so the non-kernel part is
+(U* kron U - I) (-iA)^+ = +i (U* kron U - I) A^+.  Eigenvalues are
+clustered as in the library's filter.
+
 change_matrix builds M(x), the d x d matrix of E_X in Pauli coordinates,
 and fd_el_residual is the Euler-Lagrange residual with M(x) formed at
 every sample and the x-gradient taken by central differences over 2d
@@ -10,12 +25,42 @@ and every Hessian from metrics.hessian.
 
 import numpy as np
 
-from sugeo.coords import apply_bch, change_matrices, pauli_log
+from sugeo.coords import _ad_vec, _gap_data, _resonance_check, change_coords, change_matrices, pauli_log
 from sugeo.geodesic import _HERMITE, metric_in_pauli_coords
 from sugeo.metrics import grad_f_squared, hessian, norms_batch
 from sugeo.pauli import SU, algebra, coefficients, qubits_of_dimension
 
 _CHUNK = 2048
+_PINV_CUTOFF = 1e-10
+
+
+def _pinv_parts(X):
+    """Eigenvalue gaps, vec(ad_X), U* kron U - 1 and vecP for the pinv formulas.
+
+    vecP keeps the entries of the pairs that _gap_data clusters in the
+    eigenbasis: vec(P) = W diag(vec(mask)) W^+ with W = V* kron V.
+    """
+    lam, V = np.linalg.eigh(X)
+    U = V @ np.diag(np.exp(-1j * lam)) @ V.conj().T
+    B = np.kron(U.conj(), U) - np.eye(X.shape[0] ** 2)
+    W = np.kron(V.conj(), V)
+    gaps, mask = _gap_data(lam)
+    return gaps, _ad_vec(X), B, (W * mask.reshape(-1, order="F")) @ W.conj().T
+
+
+def pinv_E(X):
+    """vec(E_X) as a 4^n x 4^n matrix, from the pinv formula."""
+    _, A, B, vecP = _pinv_parts(X)
+    pinvA = np.linalg.pinv(A, rcond=_PINV_CUTOFF, hermitian=True)
+    return vecP + 1j * B @ pinvA @ (np.eye(len(vecP)) - vecP)
+
+
+def pinv_E_inverse(X):
+    """vec(E_X)^-1 as a 4^n x 4^n matrix; ResonantSpectrum on a gap at a nonzero multiple of 2 pi."""
+    gaps, A, B, vecP = _pinv_parts(X)
+    _resonance_check(gaps)
+    pinvB = np.linalg.pinv(B, rcond=_PINV_CUTOFF)
+    return vecP - 1j * A @ pinvB @ (np.eye(len(vecP)) - vecP)
 
 
 def change_matrix(x_entries, n, mode=SU):
@@ -115,5 +160,5 @@ def matrix_shoot(spec, y0, t_end, steps):
         xs.append(pauli_log(U, mode).entries)
     hs, xs = np.array(hs), np.array(xs)
     assert np.max(np.abs(np.linalg.eigvalsh(algebra(xs, n, mode)))) < np.pi - 0.2
-    ys = coefficients(apply_bch(algebra(xs, n, mode), algebra(hs, n, mode), inverse=True), n, mode)
+    ys = change_coords(xs, hs, n, mode, inverse=True)
     return xs, ys, norms_batch(spec, hs)

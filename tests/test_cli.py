@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sugeo.cli import dispatch
 from sugeo.lattice import coverage_bound
@@ -366,3 +368,103 @@ def test_reproduce_one_suite(capsys):
 def test_reproduce_rejects_unknown_suite(capsys):
     code, _, _ = run(capsys, ["reproduce", "--suite", "not-a-suite"])
     assert code == 2
+
+
+_VEC = {"n": 1, "mode": "SU", "entries": [{"pauli": "X", "value": 0.5}]}
+# each command with a valid JSON file per flag, and the extra flags it needs
+_GOOD_FILES = {
+    "metric-eval": ({"--metric": {"family": "F2"}, "--vector": _VEC}, []),
+    "coordchange": ({"--input": {"x": _VEC, "y": _VEC}}, []),
+    "geodesic-shoot": ({"--metric": {"family": "F2"}, "--x0": _VEC, "--y0": _VEC}, ["--steps", "2"]),
+    "geodesic-residual": ({"--curve": {}}, []),
+    "cvp-min": ({"--metric": {"family": "F2"}, "--phases": {"n": 1, "theta": [0.1, -0.1]}}, []),
+    "lower-bound": (
+        {
+            "--circuit": {"n": 1, "gates": [{"pauli": "X", "alpha": 0.5, "qubits": [0]}]},
+            "--metric": {"family": "F2"},
+        },
+        [],
+    ),
+    "isometry-check": (
+        {
+            "--metric": {"family": "F2"},
+            "--operator": {"n": 1, "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
+        },
+        ["--kind", "unitary", "--n", "1", "--samples", "2"],
+    ),
+}
+_TARGETS = [
+    ("metric-eval", "--metric"),
+    ("metric-eval", "--vector"),
+    ("coordchange", "--input"),
+    ("geodesic-shoot", "--y0"),
+    ("geodesic-residual", "--curve"),
+    ("cvp-min", "--phases"),
+    ("lower-bound", "--circuit"),
+    ("isometry-check", "--operator"),
+]
+_NESTED = [
+    ("metric-eval", "--vector", {"n": 1, "entries": "XY"}),
+    ("metric-eval", "--vector", {"n": 1, "entries": [{"pauli": "X", "value": None}]}),
+    ("metric-eval", "--vector", {"n": 1, "entries": [{"pauli": 5, "value": 1.0}]}),
+    ("coordchange", "--input", {"x": {"n": 1, "entries": "XY"}, "y": _VEC}),
+    ("coordchange", "--input", {"x": _VEC, "y": {"n": 1, "entries": [{"pauli": "X", "value": None}]}}),
+    ("geodesic-shoot", "--x0", {"n": 1, "entries": [{"pauli": 5, "value": 1.0}]}),
+    ("lower-bound", "--circuit", {"n": 1, "gates": [3]}),
+    ("metric-eval", "--metric", {"family": "Fq", "penalty": [1]}),
+    ("cvp-min", "--metric", {"family": "Fq", "penalty": [1]}),
+]
+
+
+def _run_with(capsys, tmp_path, command, flag, payload):
+    files, extra = _GOOD_FILES[command]
+    argv = [command, *extra]
+    for f, good in files.items():
+        argv += [f, write_json(tmp_path, f.strip("-") + ".json", payload if f == flag else good)]
+    return run(capsys, argv)
+
+
+# test_shoot_then_residual runs geodesic-residual on a curve that geodesic-shoot wrote
+@pytest.mark.parametrize("command", sorted(set(_GOOD_FILES) - {"geodesic-residual"}))
+def test_good_files_run(capsys, tmp_path, command):
+    """The valid files that the tests below spoil one at a time."""
+    code, _, err = _run_with(capsys, tmp_path, command, None, None)
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("payload", [[1, 2], 3, "text", None], ids=["list", "number", "string", "null"])
+@pytest.mark.parametrize("command,flag", _TARGETS)
+def test_json_that_is_not_an_object_is_usage_error(capsys, tmp_path, command, flag, payload):
+    code, out, err = _run_with(capsys, tmp_path, command, flag, payload)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("command,flag,payload", _NESTED)
+def test_json_of_the_wrong_nested_shape_is_usage_error(capsys, tmp_path, command, flag, payload):
+    code, out, err = _run_with(capsys, tmp_path, command, flag, payload)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ")
+
+
+_KEYS = st.sampled_from(["x", "y", "direction", "n", "mode", "entries", "pauli", "value"])
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 5)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["X", "Z", "XY", "SU", "U", "forward", "backward"])
+    | st.text(max_size=3)
+)
+_JSON = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS | st.text(max_size=2), inner, max_size=4),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=_JSON)
+def test_coordchange_never_raises_on_arbitrary_json(capsys, tmp_path, payload):
+    code, _, _ = run(capsys, ["coordchange", "--input", write_json(tmp_path, "in.json", payload)])
+    assert code in (0, 1, 2)

@@ -4,29 +4,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sugeo.coords import (
-    Superoperator,
     UnitaryOperator,
     apply_bch,
     bch_x_gradient,
-    bch_E,
-    bch_E_inverse,
     bch_E_series,
     change_coords_backward,
     change_coords_forward,
     change_matrices,
     pauli_log,
-    solve_cross_equation,
     su2_adapted_to_pauli,
-    su2_change_coords,
     su2_pauli_to_adapted,
     unitary_from_coords,
-    vec,
-    unvec,
 )
 from sugeo.errors import BranchCut, NonFiniteInput, OutsidePatch, ResonantSpectrum
-from sugeo.pauli import SU, U, PauliVector, pauli_matrix, pauli_strings, to_matrix
+from sugeo.pauli import (
+    SU,
+    U,
+    HermitianOperator,
+    PauliVector,
+    algebra,
+    basis_stack,
+    coefficients,
+    pauli_matrix,
+    pauli_strings,
+    to_matrix,
+)
 
-from oracles import change_matrix
+from oracles import change_matrix, pinv_E, pinv_E_inverse
 
 
 def _random_hermitian(rng, dim, scale=1.0):
@@ -35,12 +39,16 @@ def _random_hermitian(rng, dim, scale=1.0):
     return H * scale / np.linalg.norm(H, 2)
 
 
-def test_vec_unvec_roundtrip():
-    M = np.array([[1.0, 2.0], [3.0, 4.0]])
-    v = vec(M)
-    # column-major stacking
-    assert np.allclose(v, [1.0, 3.0, 2.0, 4.0])
-    assert np.allclose(unvec(v, 2, 2), M)
+def _apply(S, Z):
+    """unvec(S vec(Z)) for a 4^n x 4^n matrix S, column-stacking vec."""
+    return (S @ Z.reshape(-1, order="F")).reshape(Z.shape, order="F")
+
+
+def _filter_matrix(X, inverse=False):
+    """The 4^n x 4^n matrix of apply_bch(X, .): one batched call on the matrix units."""
+    dim = len(X)
+    units = np.eye(dim * dim).reshape(-1, dim, dim).transpose(0, 2, 1)  # unvec of e_k
+    return apply_bch(X, units, inverse=inverse).transpose(0, 2, 1).reshape(dim * dim, -1).T
 
 
 def test_series_is_the_bch_expansion():
@@ -74,7 +82,7 @@ def test_pinv_route_matches_series():
     rng = np.random.default_rng(6)
     for dim in (2, 4):
         X = _random_hermitian(rng, dim, scale=0.8)
-        dev = np.max(np.abs(bch_E(X).vec_matrix - bch_E_series(X).vec_matrix))
+        dev = np.max(np.abs(pinv_E(X) - bch_E_series(X)))
         assert dev < 1e-10
 
 
@@ -82,10 +90,36 @@ def test_spectral_route_matches_superoperator():
     rng = np.random.default_rng(8)
     X = _random_hermitian(rng, 4, scale=1.5)
     Z = _random_hermitian(rng, 4)
-    via_super = unvec(bch_E(X).vec_matrix @ vec(Z), 4, 4)
+    via_super = _apply(pinv_E(X), Z)
     assert np.max(np.abs(apply_bch(X, Z) - via_super)) < 1e-10
-    via_super_inv = unvec(bch_E_inverse(X).vec_matrix @ vec(Z), 4, 4)
+    via_super_inv = _apply(pinv_E_inverse(X), Z)
     assert np.max(np.abs(apply_bch(X, Z, inverse=True) - via_super_inv)) < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_filter_matches_series(n):
+    """apply_bch is the series matrix, and apply_bch(inverse=True) its matrix inverse (||X|| <= 1.5)."""
+    rng = np.random.default_rng(30 + n)
+    for scale in (0.3, 1.0, 1.5):
+        X = _random_hermitian(rng, 2**n, scale=scale)
+        S = bch_E_series(X)
+        assert np.max(np.abs(_filter_matrix(X) - S)) < 1e-12
+        assert np.max(np.abs(_filter_matrix(X, inverse=True) - np.linalg.inv(S))) < 1e-10
+
+
+@pytest.mark.parametrize("mode", [SU, U])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_change_matrices_columns_are_the_filter_and_the_series(n, mode):
+    """Column s of M(x) is coefficients(E_X(sigma_s)), and M(x) is the series in the Pauli basis."""
+    rng = np.random.default_rng(40 + n)
+    xs = rng.standard_normal((3, 4**n - (mode == SU))) * 0.5 / n
+    stack = basis_stack(n, mode)
+    vecs = stack.transpose(0, 2, 1).reshape(len(stack), -1).T  # vec(sigma_s) as columns
+    for x, M in zip(xs, change_matrices(xs, n, mode)):
+        X = algebra(x[None], n, mode)[0]
+        assert np.max(np.abs(M - coefficients(apply_bch(X, stack), n, mode).T)) < 1e-14
+        series = (vecs.conj().T @ bch_E_series(X) @ vecs).real / 2**n
+        assert np.max(np.abs(M - series)) < 1e-12
 
 
 def test_inverse_inverts():
@@ -94,8 +128,8 @@ def test_inverse_inverts():
     Z = _random_hermitian(rng, 4)
     back = apply_bch(X, apply_bch(X, Z), inverse=True)
     assert np.max(np.abs(back - Z)) < 1e-10
-    comp = bch_E_inverse(X).compose(bch_E(X))
-    assert np.max(np.abs(comp.vec_matrix - np.eye(16))) < 1e-9
+    comp = pinv_E_inverse(X) @ pinv_E(X)
+    assert np.max(np.abs(comp - np.eye(16))) < 1e-9
 
 
 def test_commuting_directions_are_fixed():
@@ -108,7 +142,7 @@ def test_resonance_detection():
     with pytest.raises(ResonantSpectrum):
         apply_bch(X, pauli_matrix("X"), inverse=True)
     with pytest.raises(ResonantSpectrum):
-        bch_E_inverse(X)
+        pinv_E_inverse(X)
 
 
 def test_change_matrix_identity_at_origin():
@@ -145,25 +179,10 @@ def test_su2_closed_forms_match_vectorized():
         assert np.max(np.abs(su2_adapted_to_pauli(x, yt) - y)) < 1e-10
 
 
-def test_su2_change_coords_directions():
-    x = np.array([0.4, -0.1, 0.8])
-    v = np.array([0.3, 0.9, -0.5])
-    assert np.allclose(su2_change_coords(x, v, inverse=True), su2_pauli_to_adapted(x, v))
-    assert np.allclose(su2_change_coords(x, v), su2_adapted_to_pauli(x, v))
-
-
 def test_su2_outside_patch():
     x = np.array([np.pi, 0.0, 0.0])
     with pytest.raises(OutsidePatch):
         su2_pauli_to_adapted(x, np.ones(3))
-
-
-def test_solve_cross_equation():
-    rng = np.random.default_rng(18)
-    A = rng.standard_normal(3)
-    B = rng.standard_normal(3)
-    X = solve_cross_equation(A, B)
-    assert np.allclose(X + np.cross(X, A), B, atol=1e-12)
 
 
 def test_pauli_log_roundtrip():
@@ -201,18 +220,19 @@ def test_unitary_operator_validation():
         UnitaryOperator(1, np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("cls", [UnitaryOperator, HermitianOperator])
+def test_operators_reject_non_finite(cls, bad):
+    with pytest.raises(NonFiniteInput):
+        cls(1, [[bad, 0.0], [0.0, 1.0]])
+
+
 def test_unitary_operator_json_roundtrip():
     rng = np.random.default_rng(22)
     x = PauliVector(1, SU, rng.standard_normal(3) * 0.4)
     op = UnitaryOperator(1, unitary_from_coords(x))
     again = UnitaryOperator.from_json(op.to_json())
     assert np.max(np.abs(again.matrix - op.matrix)) < 1e-15
-
-
-def test_superoperator_identity():
-    s = Superoperator(np.eye(4, dtype=complex))
-    Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    assert np.allclose(s(Z), Z)
 
 
 def _unitary_from_seed(seed, dim):

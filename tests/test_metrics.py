@@ -31,7 +31,7 @@ from sugeo.metrics import (
     norms_batch,
     penalty_vector,
 )
-from sugeo.pauli import SU, U, PauliVector
+from sugeo.pauli import SU, U, PauliVector, qubits_of_dimension
 
 PEN1 = PenaltyFunction(kind="step", k=4.0, low_weight_cutoff=1)
 
@@ -396,3 +396,52 @@ def test_pauli_vector_mode_mismatch():
     v = PauliVector.from_terms(1, {"X": 1.0}, SU)
     with pytest.raises(DimensionMismatch):
         norm(spec, v)
+
+
+def _dual_norm(spec, p):
+    """N*(p) = max p.y over the unit ball, without the library's norm solver.
+
+    F2/Fq: sqrt(sum p^2/q).  Smoothed families: the ball is
+    sum w sqrt(delta^2 + y^2) <= 1, and its Lagrange conditions give
+    y_j = delta t_j / sqrt(1 - t_j^2) with t_j = p_j / (lam w_j); the
+    constraint decreases in lam > max |p_j|/w_j, so bisect on it.
+    """
+    w = penalty_vector(spec, qubits_of_dimension(len(p)))
+    if spec.family in (F2, FQ):
+        return float(np.sqrt(np.sum(p**2 / w)))
+
+    def y_of(lam):
+        t = p / (lam * w)
+        return spec.delta * t / np.sqrt(1.0 - t**2)
+
+    def excess(lam):
+        return np.sum(w * np.sqrt(spec.delta**2 + y_of(lam) ** 2)) - 1.0
+
+    lo = np.max(np.abs(p) / w)
+    hi = 2.0 * lo
+    while excess(hi) > 0.0:
+        hi *= 2.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if excess(mid) > 0.0 else (lo, mid)
+    return float(p @ y_of(hi))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        MetricSpec(family=F2),
+        MetricSpec(family=FQ, penalty=PEN1),
+        MetricSpec(family=F1DELTA, delta=1e-2),
+        MetricSpec(family=FPDELTA, penalty=PEN1, delta=1e-2),
+    ],
+    ids=lambda s: s.family,
+)
+def test_legendre_duality(spec, n):
+    """p = grad(F^2)/2 at h has dual norm N*(p) = N(h), N* computed independently."""
+    rng = np.random.default_rng(50 + n)
+    hs = rng.standard_normal((25, 4**n - 1))
+    hs[::2, ::2] *= 1e-3  # coefficients near the smoothed corners
+    ps = grad_f_squared(spec, hs) / 2.0
+    for p, N in zip(ps, norms_batch(spec, hs)):
+        assert _dual_norm(spec, p) == pytest.approx(N, rel=1e-9)
