@@ -21,10 +21,11 @@ PAULI_N_MAX = 4
 # Default cap for lattice enumeration and other exponential-cost paths.
 DEFAULT_N_CAP = 3
 
-# Shooting per unit time (1000 steps) at n = 3, one BLAS thread, 2-core Xeon:
-# F2/Fq ~0.3 s (no norm solve), FpDelta ~2.7 s (a Hessian and a 63 x 63 eigh
-# per evaluation); Fq at n = 4 ~2 s, which needs n_cap=4 or SUGEO_N_CAP.
-SHOOT_N_CAP = 3
+# Shooting per unit time (1000 steps, off-axis unit y0, step penalty k = 4 on
+# weights >= 2), one BLAS thread, 2-core Xeon VM, ranges over the load of the
+# shared host: n = 3 Fq 0.26-0.34 s, n = 3 FpDelta (delta = 2e-3) 0.7-1.3 s,
+# n = 4 FpDelta (delta = 5e-4) 2.5-3.4 s.
+SHOOT_N_CAP = 4
 
 DEFAULT_TOLERANCES = {
     "unitarity": 1e-10,

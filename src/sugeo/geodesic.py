@@ -7,8 +7,10 @@ equation an ODE for H alone, the Euler-Arnold equation
     Hess_N(H) dH/dt = proj(-i[H, P]),   P = sum_s p_s sigma_s,  p = grad(F^2)/2 at H,
 
 with Hess_N = (1/2) d^2 F^2 and proj the Pauli coefficients.  Since F^2/2
-is 2-homogeneous, p = Hess_N(H) h (Euler): a smoothed family solves the
-norm once per evaluation (hessian), F2/Fq never (Hess_N = diag(q)).  proj
+is 2-homogeneous, p = Hess_N(H) h (Euler).  F2/Fq never solve the norm
+(Hess_N = diag(q)); a smoothed family solves it once per evaluation
+(metrics.hessian_parts), and its Hess_N is diagonal plus rank 2, so the
+linear solve and the eigenvalue check cost O(d), with no d x d matrix.  proj
 of a bracket is pauli.bracket, from structure constants.  shoot_geodesic
 advances H by RK4 and U by the 4th-order Magnus step U <- exp(-i K) U,
 K = dt/2 (H1 + H2) + sqrt(3)/12 dt^2 proj(-i[H2, H1]) at the Gauss points
@@ -42,6 +44,7 @@ from .errors import (
     DimensionLimit,
     DimensionMismatch,
     InconsistentPenalties,
+    NoConvergence,
     OutsidePatch,
     SingularHessian,
     StepLimitExceeded,
@@ -49,7 +52,16 @@ from .errors import (
     UnsupportedCoefficient,
     ZeroVector,
 )
-from .metrics import F2, FQ, MetricSpec, grad_f_squared, hessian, norm, norms_batch, penalty_vector
+from .metrics import (
+    F2,
+    FQ,
+    MetricSpec,
+    grad_f_squared,
+    hessian_parts,
+    norm,
+    norms_batch,
+    penalty_vector,
+)
 from .pauli import (
     PauliVector,
     StabilizerSubgroup,
@@ -188,14 +200,27 @@ def shoot_geodesic(
     StepLimitExceeded.  curve.stats holds the step and segment counts, the
     smallest Hessian eigenvalue seen and the largest relative drift of F.
 
-    Working range: the step must resolve the curvature of the norm, which
-    for the smoothed families grows like 1/delta where a coefficient of H
-    passes near 0.  FpDelta with delta = 1e-3 and a generic unit y0 at n = 2
-    lies outside it (500 to 8000 steps per unit stop, 32000 still drift by
-    23% in F).  An evaluation raises SingularHessian when the Hessian's
-    smallest eigenvalue is below 1e-10 or when F(H)^2 = p . H, conserved
-    along the geodesic, has left [F0^2/2, 2 F0^2].
+    Cost per evaluation of the right-hand side, for the smoothed families:
+    one implicit norm solve (a few Newton steps on one row), the momentum
+    p = N gamma / D, one bracket, a Woodbury solve with Hess_N and an
+    inertia count at the running minimum of its eigenvalues, all O(d) but
+    the bracket; only when the count finds an eigenvalue below that minimum
+    is the smallest one found, by safeguarded Newton on the secular
+    equation (metrics.HessianParts).  A 1-unit FpDelta shot takes about
+    0.7 to 1.3 s at n = 3 (delta = 2e-3) and 2.5 to 3.4 s at n = 4
+    (delta = 5e-4) on one core; F2/Fq make no norm solve.
+
+    Working range: n <= 4 (config.SHOOT_N_CAP), and the step must resolve
+    the curvature of the norm, which for the smoothed families grows like
+    1/delta where a coefficient of H passes near 0.  FpDelta with
+    delta = 1e-3 and a generic unit y0 at n = 2 lies outside it (500 to
+    8000 steps per unit stop, 32000 still drift by 23% in F).  An
+    evaluation raises SingularHessian when the Hessian's smallest
+    eigenvalue is below 1e-10 or when F(H)^2 = p . H, conserved along the
+    geodesic, has left [F0^2/2, 2 F0^2].
     """
+    from scipy.linalg.lapack import zheevd
+
     xe, ye = _entries_of(x0).copy(), _entries_of(y0).copy()
     n = qubits_of_dimension(len(xe), spec.mode)
     cap = n_cap if n_cap is not None else env_n_cap(default=SHOOT_N_CAP)
@@ -218,21 +243,22 @@ def shoot_geodesic(
         """dH/dt = Hess_N(H)^-1 proj(-i[H, P]) with P the momentum at H."""
         nonlocal min_eig
         if q is None:
-            G = hessian(spec, h)
-            w, V = np.linalg.eigh(G)
-            min_eig = min(min_eig, w[0])
-            if w[0] < _MIN_G_EIG:
-                raise SingularHessian(f"min eigenvalue of the norm Hessian is {w[0]:.3e}")
-        # F^2/2 is 2-homogeneous, so its gradient is G h (Euler), and
-        # h . G h = F(H)^2, which the geodesic conserves
-        p = q * h if q is not None else G @ h
+            G = hessian_parts(spec, h)
+            min_eig = G.min_eig(min_eig)
+            if min_eig < _MIN_G_EIG:
+                raise SingularHessian(f"min eigenvalue of the norm Hessian is {min_eig:.3e}")
+            p = G.N * G.U[:, 0] / G.D
+        else:
+            p = q * h
+        # F^2/2 is 2-homogeneous, so the momentum is Hess_N(H) h (Euler), and
+        # h . p = F(H)^2, which the geodesic conserves
         if not 0.5 <= (p @ h) / energy <= 2.0:
             raise SingularHessian(
                 f"F(H)^2 = {p @ h:.6g} left [F0^2/2, 2 F0^2] (F0^2 = {energy:.6g}); "
                 "the step is too long for the curvature of the norm"
             )
         r = bracket(h, p, n, mode)
-        return r / q if q is not None else V @ ((V.T @ r) / w)
+        return r / q if q is not None else G.solve(r)
 
     h = change_coords(xe[None, :], ye[None, :], n, mode)[0]
     energy = norm(spec, h) ** 2
@@ -242,20 +268,25 @@ def shoot_geodesic(
     hs[0], xs[0] = h, xe
     segments = [0]
     anchors = [np.eye(dim, dtype=complex)]
+    back = anchors[-1]  # the inverse of the current anchor
+    half, sixth, magnus = 0.5 * dt, dt / 6.0, (np.sqrt(3.0) / 12.0) * dt**2
+    hermite = _HERMITE * np.array([1.0, dt, 1.0, dt])  # weights of (H_n, k_n, H_n+1, k_n+1)
     k = f(h)
     for i in range(1, steps + 1):
-        k2 = f(h + 0.5 * dt * k)
-        k3 = f(h + 0.5 * dt * k2)
+        k2 = f(h + half * k)
+        k3 = f(h + half * k2)
         k4 = f(h + dt * k3)
-        h_next = h + (dt / 6.0) * (k + 2 * k2 + 2 * k3 + k4)
+        h_next = h + sixth * (k + 2 * k2 + 2 * k3 + k4)
         k_next = f(h_next)
-        h1, h2 = _HERMITE @ np.array([h, dt * k, h_next, dt * k_next])
-        kappa = 0.5 * dt * (h1 + h2) + (np.sqrt(3.0) / 12.0) * dt**2 * bracket(h2, h1, n, mode)
-        lam, V = np.linalg.eigh(algebra(kappa[None], n, mode)[0])
+        h1, h2 = hermite @ np.array([h, k, h_next, k_next])
+        kappa = half * (h1 + h2) + magnus * bracket(h2, h1, n, mode)
+        lam, V, info = zheevd(algebra(kappa[None], n, mode)[0], compute_v=1, lower=1)
+        if info:
+            raise NoConvergence(f"the Magnus step's eigensolver did not converge (LAPACK info {info})")
         U = (V * np.exp(-1j * lam)) @ V.conj().T @ U
         h, k = h_next, k_next
         hs[i] = h
-        xs[i], top = _pauli_log_phase(U @ anchors[-1].conj().T, mode)
+        xs[i], top = _pauli_log_phase(U @ back, mode)
         if top >= np.pi - _REANCHOR_MARGIN:
             if len(segments) == max_segments:
                 raise StepLimitExceeded(
@@ -263,6 +294,7 @@ def shoot_geodesic(
                     "the curve is too long for this sampling"
                 )
             anchors.append(U)
+            back = U.conj().T
             segments.append(i)
             xs[i] = 0.0
 

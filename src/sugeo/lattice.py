@@ -275,8 +275,9 @@ def _log_unit_volume(spec: MetricSpec, n: int) -> float:
     """log V_F(1), the volume of {F <= 1} in the 2^n-dimensional diagonal subspace.
 
     Closed forms: 2^d/d! for F1 (the Delta -> 0 limit of F1Delta),
-    sqrt(pi)^d/(d/2)! for F2, and the F2 volume scaled by
-    prod_sigma 1/q(wt sigma) for Fq.  U mode only.
+    sqrt(pi)^d/(d/2)! for F2, and for Fq = sqrt(sum_sigma q y_sigma^2) the
+    F2 volume scaled by prod_sigma 1/sqrt(q(wt sigma)), since
+    y_sigma -> y_sigma / sqrt(q) maps the F2 ball onto the Fq ball.  U mode only.
     """
     _require_u_mode(spec)
     d = 2**n
@@ -284,7 +285,7 @@ def _log_unit_volume(spec: MetricSpec, n: int) -> float:
         return d * math.log(2) - math.lgamma(d + 1)
     if spec.family in (F2, FQ):  # F2's weights are ones
         log_q = float(np.sum(np.log(_diag_weights(spec, n)[1])))
-        return d * math.log(math.sqrt(math.pi)) - math.lgamma(d / 2 + 1) - log_q
+        return d * math.log(math.sqrt(math.pi)) - math.lgamma(d / 2 + 1) - 0.5 * log_q
     raise UnsupportedSpec(f"no volume formula for family {spec.family}")
 
 

@@ -22,7 +22,10 @@ hessian on a vector or on each row of a stack.  A single vector is a
 batch of one (norm is norms_batch on one row), so a row gives the same
 bits alone or in a batch.  grad_f_squared and hessian share one implicit
 solve per call, and by Euler's theorem for the 2-homogeneous F^2/2 the
-Hessian applied to y is the momentum grad(F^2)/2.  The plain families
+Hessian applied to y is the momentum grad(F^2)/2.  A smoothed Hessian is
+diagonal plus rank 2; hessian_parts holds that form, and its solve and
+eigenvalue methods cost O(d) where the dense matrix costs O(d^2) to build
+and O(d^3) to factor.  The plain families
 rescale by max|y_j| only when the direct sum under- or overflows.
 Non-finite coefficients, and finite ones whose norm overflows, raise
 NonFiniteInput in every family.
@@ -36,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -65,6 +68,8 @@ NEEDS_PENALTY = (FP, FQ, FPDELTA)
 _IMPLICIT_TOL = 1e-12
 # Sweeps up to P*delta = 1 - 1e-6 needed at most 6 Newton evaluations.
 _NEWTON_CAP = 50
+# Safeguarded Newton for the Hessian's smallest eigenvalue (HessianParts.min_eig).
+_EIG_CAP = 100
 
 
 @dataclass(frozen=True)
@@ -232,6 +237,13 @@ def implicit_norm(spec: MetricSpec, y) -> float:
     return norm(spec, y)
 
 
+@lru_cache(maxsize=None)
+def _implicit_plan(spec: MetricSpec, dim: int) -> tuple:
+    """(p, P = sum p, delta^2) of a smoothed spec on dim coefficients, cached per (spec, dim)."""
+    p = penalty_vector(spec, qubits_of_dimension(dim, spec.mode))
+    return p, float(np.sum(p)), spec.delta**2
+
+
 def _implicit_norms(spec: MetricSpec, rows: np.ndarray) -> np.ndarray:
     """Solve g(y/N) = 1 for N on each finite row y, g(u) = sum p_j sqrt(delta^2 + u_j^2).
 
@@ -246,29 +258,37 @@ def _implicit_norms(spec: MetricSpec, rows: np.ndarray) -> np.ndarray:
     so each row gets the same result as a batch of one.  Raises NoConvergence
     if a row still has |g - 1| >= 1e-12 after _NEWTON_CAP steps.
     """
-    p = penalty_vector(spec, qubits_of_dimension(rows.shape[1], spec.mode))
-    P = float(np.sum(p))
+    p, P, delta2 = _implicit_plan(spec, rows.shape[1])
     delta = spec.delta
     if P * delta >= 1.0:
         raise DeltaTooLarge(f"P*delta = {P * delta:.4g} >= 1 (P={P}, delta={delta})")
+    # numpy call overhead dominates at the sizes of a shot, so the loop calls
+    # ufuncs directly, on columns (s, excess and miss are (m, 1)) and in place
     a = np.abs(rows)
-    scale = a.max(axis=1)
+    scale = np.maximum.reduce(a, axis=1, keepdims=True)
+    live = scale[:, 0] > 0.0
     out = np.zeros(len(rows))
-    live = np.flatnonzero(scale > 0.0)
-    a = a[live] / scale[live, None]
-    n_p = (p * a).sum(axis=1)
-    a /= n_p[:, None]
-    s = np.full(len(live), math.sqrt(1.0 - (P * delta) ** 2))
+    if not live.all():
+        a, scale = a[live], scale[live]
+    a /= scale
+    n_p = np.add.reduce(p * a, axis=1, keepdims=True)
+    a /= n_p
+    s = np.full(n_p.shape, math.sqrt(1.0 - (P * delta) ** 2))
+    u2, root, work = np.empty((3,) + a.shape)
     for _ in range(_NEWTON_CAP):
-        u = a * s[:, None]
-        root = np.sqrt(delta**2 + u**2)
-        excess = (p * root).sum(axis=1) - 1.0
+        np.multiply(a, s, out=u2)
+        np.multiply(u2, u2, out=u2)
+        np.add(u2, delta2, out=root)
+        np.sqrt(root, out=root)
+        excess = np.add.reduce(np.multiply(p, root, out=work), 1, keepdims=True) - 1.0
         miss = np.abs(excess) >= _IMPLICIT_TOL
-        if not miss.any():
+        if not np.logical_or.reduce(miss, None):
             with np.errstate(over="ignore"):  # an overflow is _no_overflow's to report
-                out[live] = scale[live] * n_p / s
+                out[live] = (scale * n_p / s)[:, 0]
             return out
-        s *= np.where(miss, 1.0 - excess / (p * u**2 / root).sum(axis=1), 1.0)
+        np.multiply(p, u2, out=work)
+        excess = excess / np.add.reduce(np.divide(work, root, out=work), 1, keepdims=True)
+        np.multiply(s, 1.0 - excess, out=s, where=miss)
     raise NoConvergence(
         f"implicit norm: {int(miss.sum())} of {len(rows)} rows missed |g - 1| < "
         f"{_IMPLICIT_TOL:g} after {_NEWTON_CAP} Newton steps"
@@ -303,11 +323,12 @@ def _solved_point(spec: MetricSpec, v: np.ndarray) -> tuple:
     N has shape v.shape[:-1] + (1,); this is the one implicit solve behind
     grad_f_squared and hessian.  Raises ZeroVector if a row is 0.
     """
-    p = penalty_vector(spec, qubits_of_dimension(v.shape[-1], spec.mode))
-    N = _implicit_norms(spec, v.reshape(-1, len(p))).reshape(*v.shape[:-1], 1)
-    if not 0.0 < N.min() <= N.max() < math.inf:
+    p = _implicit_plan(spec, v.shape[-1])[0]
+    N = _implicit_norms(spec, v.reshape(-1, len(p)))
+    if not 0.0 < np.minimum.reduce(N) <= np.maximum.reduce(N) < math.inf:
         _no_overflow(N)  # an infinite norm raises NonFiniteInput; otherwise a row is 0
         raise ZeroVector("F^2 has no derivative at y = 0")
+    N = N.reshape(*v.shape[:-1], 1)
     return p, N, v / N
 
 
@@ -327,23 +348,189 @@ def grad_f_squared(spec: MetricSpec, y) -> np.ndarray:
     return _no_overflow(grad, "gradient of F^2")
 
 
+def _positive_eigenvalues(a: float, b: float, c: float) -> int:
+    """How many eigenvalues of [[a, b], [b, c]] are positive."""
+    det = a * c - b * b
+    if det < 0.0:
+        return 1
+    return 2 * (a + c > 0.0) if det > 0.0 else int(a + c > 0.0)
+
+
+class HessianParts(NamedTuple):
+    """H = diag(lam) + U C U^T, a smoothed norm's Hessian at a vector or at each row of a stack.
+
+    N is the norm (shape (..., 1)) and D = gamma . u (shape (..., 1)), so the
+    momentum grad(F^2)/2 = H y is N gamma / D with gamma = U[..., 0]; lam has
+    shape (..., d), U (..., d, 2) and Cinv = C^-1 (..., 2, 2).  The methods
+    work on a single vector and cost O(d) each:
+
+    solve(r)        H^-1 r by Woodbury, with the 2 x 2 capacitance
+                    K = C^-1 + U^T diag(lam)^-1 U;
+    count_below(x)  #{eigenvalues of H < x} = #{j : lam_j < x} + #{positive
+                    eigenvalues of M(x)} - 1, M(x) = C^-1 + U^T (diag(lam) - x)^-1 U
+                    (Haynsworth inertia additivity; C^-1 has one positive and
+                    one negative eigenvalue); at a pole x = lam_j, the limit
+                    of M from below;
+    min_eig(bound)  the smallest eigenvalue of H if it is below bound, else
+                    bound.  It lies in (0, lam_(2)], and at most one eigenvalue
+                    lies below lam_(1) (interlacing).  On a pole-free interval
+                    the eigenvalues of M rise with x (dM/dx = U^T (diag(lam) - x)^-2 U
+                    is PSD); the one that crosses 0 there is found by safeguarded
+                    Newton: the lower one below lam_(1), the upper one above.
+    """
+
+    N: np.ndarray
+    D: np.ndarray
+    lam: np.ndarray
+    U: np.ndarray
+    Cinv: np.ndarray
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        W = self.U / self.lam[:, None]
+        (a, b), (_, c) = (self.Cinv + self.U.T @ W).tolist()
+        z = r / self.lam
+        t0, t1 = (z @ self.U).tolist()
+        det = a * c - b * b
+        return z - W @ np.array([(c * t0 - b * t1) / det, (a * t1 - b * t0) / det])
+
+    def _secular(self, z: np.ndarray) -> tuple:
+        """((a, b, c), W) with M(x) = [[a, b], [b, c]] and W = (diag(lam) - x)^-1 U, z = lam - x."""
+        W = self.U / z[:, None]
+        (a, b), (_, c) = (self.Cinv + self.U.T @ W).tolist()
+        return (a, b, c), W
+
+    def count_below(self, x: float) -> int:
+        z = self.lam - x
+        if z.all():
+            (a, b, c), _ = self._secular(z)
+            positive = _positive_eigenvalues(a, b, c)
+        else:
+            positive = self._pole(z)[0]
+        return int(np.count_nonzero(z < 0.0)) + positive - 1
+
+    def _pole(self, z: np.ndarray) -> tuple:
+        """At a pole x (z = lam - x has zeros): (the positive eigenvalues of M as the
+        limit from below, the number of lam_j equal to x, the rank of their rows of U).
+
+        Near x, M = B + t V^T V with B regular and t -> +inf: V of rank 2 sends
+        both eigenvalues up, rank 1 one of them while the other tends to e.B e,
+        e normal to V; rank 0 (all rows vanish) is no pole.  Each missing rank
+        leaves an eigenvalue of H at x itself.
+        """
+        at = z == 0.0
+        rest = ~at
+        V = self.U[at]
+        (a, b), (_, c) = (self.Cinv + self.U[rest].T @ (self.U[rest] / z[rest, None])).tolist()
+        (g0, g1), (_, g2) = (V.T @ V).tolist()
+        if g0 * g2 - g1 * g1 > 1e-12 * (g0 + g2) ** 2:
+            return 2, len(V), 2
+        if g0 + g2 > 0.0:
+            e0, e1 = (-g1, g0) if g0 >= g2 else (-g2, g1)
+            return 1 + (a * e0 * e0 + 2 * b * e0 * e1 + c * e1 * e1 > 0.0), len(V), 1
+        return _positive_eigenvalues(a, b, c), len(V), 0
+
+    def _branch(self, x: float, upper: bool) -> tuple:
+        """The upper or lower eigenvalue of M(x) and its derivative in x."""
+        (a, b, c), W = self._secular(self.lam - x)
+        mean, radius, det = 0.5 * (a + c), math.hypot(0.5 * (a - c), b), a * c - b * b
+        if upper:  # det / (mean - radius) avoids the cancellation in mean + radius < 0
+            mu = mean + radius if mean >= 0.0 else det / (mean - radius)
+        else:
+            mu = mean - radius if mean <= 0.0 else det / (mean + radius)
+        # unit eigenvector (v0, v1) of mu, and mu' = v^T U^T (diag(lam) - x)^-2 U v
+        v0, v1 = (b, mu - a) if abs(mu - a) >= abs(mu - c) else (mu - c, b)
+        scale = math.hypot(v0, v1)
+        if scale == 0.0:  # M(x) is a multiple of the identity
+            v0, v1, scale = 1.0, 0.0, 1.0
+        w = W @ np.array([v0 / scale, v1 / scale])
+        return mu, float(w @ w)
+
+    def min_eig(self, bound: float = math.inf) -> float:
+        if bound < math.inf and self.count_below(bound) == 0:
+            return bound
+        first, second = np.partition(self.lam, 1)[:2].tolist()
+        # lam > 0, so no eigenvalue is below -||U C U^T|| >= -||C||_F ||U||_F^2
+        # (a rounded H may not be positive definite)
+        (a, b), (_, c) = self.Cinv.tolist()
+        lo = -2.0 * math.hypot(a, b, b, c) / abs(a * c - b * b) * float(np.sum(self.U**2))
+        hi, upper = min(bound, first), False
+        if bound >= first:  # which side of the pole lam_(1) is the eigenvalue on?
+            positive, size, rank = self._pole(self.lam - first)
+            if positive < 2:  # none below lam_(1)
+                if size > rank or second == first:  # lam_(1) is one
+                    return first
+                lo, hi, upper = first, min(bound, second), True
+        # Newton from hi, unless hi is a pole
+        x = hi if first != hi < second else 0.5 * (max(lo, 0.0) + hi)
+        last = before = hi - lo
+        for _ in range(_EIG_CAP):
+            mu, slope = self._branch(x, upper)
+            if mu == 0.0:
+                return x
+            lo, hi = (x, hi) if mu < 0.0 else (lo, x)
+            step = mu / slope if slope > 0.0 else math.inf
+            if abs(step) <= 1e-12 * abs(x):  # Newton converges quadratically: done
+                return x - step
+            # bisect where Newton leaves the bracket or halves no step (an inflection)
+            if not lo < x - step < hi or abs(step) > 0.5 * abs(before):
+                step = x - 0.5 * (lo + hi)
+            before, last = last, step
+            x -= step
+            if hi - lo <= 4e-16 * abs(x):
+                break
+        return x
+
+
+def hessian_parts(spec: MetricSpec, y) -> HessianParts:
+    """The Hessian of a smoothed norm as diag + rank 2, at a vector or at each row of a stack.
+
+    One implicit norm solve.  Writing u = y/N,
+    gamma_j = p_j u_j / sqrt(delta^2 + u_j^2),
+    Gamma_j = p_j delta^2 / (delta^2 + u_j^2)^(3/2), D = sum_j gamma_j u_j and
+    S2 = sum_j Gamma_j u_j^2:
+
+        N_{,l}  = gamma_l / D
+        N N_{,lk} = Gamma_l delta_lk / D - (Gamma_l u_l gamma_k + gamma_l Gamma_k u_k) / D^2
+                  + gamma_l gamma_k S2 / D^3
+        H_{lk}  = N N_{,lk} + N_{,l} N_{,k}
+
+    that is H = diag(lam) + U C U^T with lam = Gamma / D, U = [gamma, Gamma u]
+    and C = [[(S2 + D) / D^3, -1 / D^2], [-1 / D^2, 0]], whose inverse is
+    C^-1 = [[0, -D^2], [-D^2, -(S2 + D) D]].  Every part depends on u alone,
+    so no finite y overflows them.
+    """
+    if spec.family not in SMOOTHED:
+        raise UnsupportedSpec(f"hessian_parts is for {SMOOTHED}, not {spec.family}")
+    p, N, u = _solved_point(spec, _entries(spec, y))
+    U = np.empty(u.shape + (2,))
+    gamma, Gu = U[..., 0], U[..., 1]
+    u2 = u * u
+    root2 = u2 + spec.delta**2
+    root = np.sqrt(root2)
+    np.divide(p * u, root, out=gamma)
+    Gamma = p * spec.delta**2 / (root * root2)
+    np.multiply(Gamma, u, out=Gu)
+    D = np.add.reduce(gamma * u, axis=-1)
+    S2 = np.add.reduce(Gu * u, axis=-1)
+    Cinv = np.zeros(u.shape[:-1] + (2, 2))
+    Cinv[..., 0, 1] = Cinv[..., 1, 0] = -D * D
+    Cinv[..., 1, 1] = -(S2 + D) * D
+    D = D[..., None]
+    return HessianParts(N, D, Gamma / D, U, Cinv)
+
+
 def hessian(spec: MetricSpec, y) -> np.ndarray:
     """H = (1/2) d^2(F^2)/dy dy at a vector, or at each row of an (m, dim) array.
 
     Strictly positive definite for the smooth specs.  F2 -> identity;
-    Fq -> diag(q).  For the smoothed families, writing u = y/N,
-    gamma_j = p_j u_j / sqrt(delta^2 + u_j^2) and
-    Gamma_jj = p_j delta^2 / (delta^2 + u_j^2)^(3/2):
+    Fq -> diag(q).  For the smoothed families H is diagonal plus rank 2,
 
-        N_{,l}  = gamma_l / D                      with D = sum_j gamma_j u_j
-        N N_{,lk} = Gamma_ll delta_lk / D
-                  - (Gu_l gamma_k + gamma_l Gu_k) / D^2
-                  + gamma_l gamma_k S2 / D^3       with Gu = Gamma*u,
-                                                        S2 = sum Gamma_jj u_j^2
-        H_{lk}  = N N_{,lk} + N_{,l} N_{,k}
+        H = diag(Gamma / D) + U C U^T,   U = [gamma, Gamma u],
+        C = [[(S2 + D) / D^3, -1 / D^2], [-1 / D^2, 0]],
 
-    H is homogeneous of degree 0, and every term above depends on u alone,
-    so no finite y overflows it.  H y = grad(F^2)/2 (Euler's theorem).
+    (notation and derivation in hessian_parts, which holds the formula);
+    this assembles the dense matrix from those parts.  H is homogeneous of
+    degree 0, and H y = grad(F^2)/2 (Euler's theorem).
     """
     if spec.family in (F1, FP):
         raise NotSmoothMetric(f"{spec.family} is not twice differentiable off the axes")
@@ -353,17 +540,11 @@ def hessian(spec: MetricSpec, y) -> np.ndarray:
             raise ZeroVector("hessian requested at y = 0")
         p = penalty_vector(spec, qubits_of_dimension(v.shape[-1], spec.mode))
         return np.broadcast_to(np.diag(p), v.shape + p.shape).copy()
-    p, _, u = _solved_point(spec, v)
-    root = np.sqrt(spec.delta**2 + u**2)
-    gamma = p * u / root
-    Gamma = p * spec.delta**2 / root**3
-    col, row = gamma[..., :, None], gamma[..., None, :]
-    Gu = (Gamma * u)[..., :, None]
-    D = row @ u[..., None]
-    S2 = Gamma[..., None, :] @ (u**2)[..., None]
-    H = Gamma[..., :, None] * np.eye(len(p)) / D
-    H -= (Gu * row + col * Gu.swapaxes(-1, -2)) / D**2
-    H += col * row * (S2 + D) / D**3
+    parts = hessian_parts(spec, v)
+    C = np.linalg.inv(parts.Cinv)
+    H = parts.lam[..., :, None] * np.eye(v.shape[-1])
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):  # elementwise, so a row is the same alone or stacked
+        H += C[..., i, j, None, None] * parts.U[..., :, i, None] * parts.U[..., None, :, j]
     return H
 
 

@@ -16,7 +16,7 @@ from sugeo.coords import (
     su2_pauli_to_adapted,
     unitary_from_coords,
 )
-from sugeo.errors import BranchCut, NonFiniteInput, OutsidePatch, ResonantSpectrum
+from sugeo.errors import BranchCut, NonFiniteInput, NonTracelessInSUMode, OutsidePatch, ResonantSpectrum
 from sugeo.pauli import (
     SU,
     U,
@@ -212,6 +212,15 @@ def test_pauli_log_u_mode_takes_global_phase():
     x = pauli_log(Uop, U)
     assert x["I"] == pytest.approx(0.3)
     assert abs(x["X"]) < 1e-12
+
+
+def test_pauli_log_su_mode_rejects_a_global_phase():
+    """In SU mode the eigenphases must sum to 0 within 1e-10 x 2^n; tr(x.sigma) is minus their sum."""
+    with pytest.raises(NonTracelessInSUMode, match="trace 6.000e-01"):
+        pauli_log(np.exp(-0.3j) * np.eye(2), SU)
+    phases = np.array([0.4, -0.1, -0.3, 1e-12])  # sums to 1e-12, inside the tolerance
+    x = pauli_log(np.diag(np.exp(-1j * phases)), SU)
+    assert np.allclose(unitary_from_coords(x), np.diag(np.exp(-1j * (phases - phases.mean()))), atol=1e-12)
 
 
 def test_unitary_operator_validation():

@@ -108,15 +108,16 @@ def test_one_norm_solve_per_right_hand_side(monkeypatch):
 
 
 def test_constant_hessian_families_make_no_hessian_call(monkeypatch):
-    """Fq's Hessian is the constant diag(q); FpDelta still takes one per evaluation."""
+    """No shot builds a dense Hessian: Fq's is the constant diag(q), FpDelta's is diag + rank 2."""
     calls = []
-    counted = geodesic.hessian
+    counted = metrics.hessian
 
     def counting_hessian(spec, y):
         calls.append(spec.family)
         return counted(spec, y)
 
-    monkeypatch.setattr(geodesic, "hessian", counting_hessian)
+    monkeypatch.setattr(metrics, "hessian", counting_hessian)
+    assert not hasattr(geodesic, "hessian")
     steps = 5
     y0 = np.linspace(0.5, 1.0, 15)
     y0 /= np.linalg.norm(y0)
@@ -124,7 +125,25 @@ def test_constant_hessian_families_make_no_hessian_call(monkeypatch):
     assert calls == []
     assert curve.stats["min_hessian_eig"] == 1.0
     shoot_geodesic(MetricSpec(family=FPDELTA, penalty=PEN1, delta=1e-2), np.zeros(15), y0, 0.01, steps=steps)
-    assert calls == [FPDELTA] * (1 + 4 * steps)
+    assert calls == []
+
+
+def test_min_hessian_eig_is_the_smallest_eigenvalue_seen(monkeypatch):
+    """The running minimum from the inertia count equals eigvalsh at every evaluation, to 1e-9."""
+    points = []
+    parts = geodesic.hessian_parts
+
+    def recording_parts(spec, y):
+        points.append(np.array(y))
+        return parts(spec, y)
+
+    monkeypatch.setattr(geodesic, "hessian_parts", recording_parts)
+    spec = MetricSpec(family=FPDELTA, penalty=PEN1, delta=1e-2)
+    y0 = np.random.default_rng(12).uniform(0.5, 1.0, 15) * np.array([1.0, -1.0] * 7 + [1.0])
+    curve = shoot_geodesic(spec, np.zeros(15), y0 / np.linalg.norm(y0), 0.2, steps=40)
+    seen = min(np.linalg.eigvalsh(metrics.hessian(spec, h))[0] for h in points)
+    assert len(points) == 1 + 4 * 40
+    assert curve.stats["min_hessian_eig"] == pytest.approx(seen, rel=1e-9)
 
 
 @pytest.mark.parametrize("n, spec, t_end, steps", [
@@ -239,13 +258,14 @@ def test_f2_shot_from_nonzero_x0():
 
 
 def test_shooting_cap(monkeypatch):
+    """The default cap is n = 4: an n = 4 shot runs, n = 5 (1023 coefficients) is refused."""
     monkeypatch.delenv("SUGEO_N_CAP", raising=False)
-    y0 = np.zeros(63)
-    y0[[0, 7, 40]] = [0.5, -0.3, 0.2]
-    curve = shoot_geodesic(MetricSpec(FQ, penalty=PEN1), np.zeros(63), y0, 0.01, steps=2)
-    assert curve.n == 3
+    y0 = np.zeros(255)
+    y0[[0, 7, 40, 200]] = [0.5, -0.3, 0.2, 0.1]
+    curve = shoot_geodesic(MetricSpec(FPDELTA, penalty=PEN1, delta=5e-4), np.zeros(255), y0, 0.01, steps=2)
+    assert curve.n == 4
     with pytest.raises(DimensionLimit):
-        shoot_geodesic(F2_SPEC, np.zeros(255), np.ones(255), 0.01, steps=2)
+        shoot_geodesic(F2_SPEC, np.zeros(1023), np.ones(1023), 0.01, steps=2)
 
 
 def test_curve_json_roundtrip():

@@ -33,8 +33,8 @@ from sugeo.lattice import (
     reduce_phases,
     unit_ball_volume,
 )
-from sugeo.metrics import F1, F1DELTA, F2, FP, FPDELTA, FQ, MetricSpec, PenaltyFunction
-from sugeo.pauli import SU, U, HermitianOperator, to_matrix
+from sugeo.metrics import F1, F1DELTA, F2, FP, FPDELTA, FQ, MetricSpec, PenaltyFunction, norms_batch
+from sugeo.pauli import SU, U, HermitianOperator, string_index, to_matrix
 
 F1_U = MetricSpec(family=F1, mode=U)
 F2_U = MetricSpec(family=F2, mode=U)
@@ -429,8 +429,28 @@ def test_unit_ball_volumes_closed_form():
     assert unit_ball_volume(F2_U, 0.7, 1) == pytest.approx(np.pi * 0.7**2)
     pen = PenaltyFunction(kind="step", k=9.0, low_weight_cutoff=0)
     spec = MetricSpec(family=FQ, penalty=pen, mode=U)
-    assert unit_ball_volume(spec, 0.7, 1) == pytest.approx(np.pi * 0.7**2 / 9.0)
+    # Fq = sqrt(y_I^2 + 9 y_Z^2): an ellipse with semi-axes r and r/3
+    assert unit_ball_volume(spec, 0.7, 1) == pytest.approx(np.pi * 0.7**2 / 3.0)
     assert unit_ball_volume(F1_U, 0.0, 1) == 0.0
+
+
+def test_fq_unit_ball_volume_matches_monte_carlo():
+    """The fraction of a box inside {Fq <= r}, from uniform samples, times the box area.
+
+    The samples are diagonal coefficients (on I and Z); metrics.norms_batch
+    scores them as n = 1 U-mode vectors, so the test ties the volume to the
+    norm the library computes.
+    """
+    pen = PenaltyFunction(kind="step", k=9.0, low_weight_cutoff=0)
+    spec = MetricSpec(family=FQ, penalty=pen, mode=U)
+    r, samples = 0.7, 200_000
+    y = np.zeros((samples, 4))
+    diagonal = [string_index(1, U)[s] for s in ("I", "Z")]
+    y[:, diagonal] = np.random.default_rng(20260822).uniform(-r, r, size=(samples, 2))
+    inside = norms_batch(spec, y) <= r
+    estimate = (2 * r) ** 2 * inside.mean()
+    stderr = (2 * r) ** 2 * math.sqrt(inside.mean() * (1 - inside.mean()) / samples)
+    assert abs(estimate - unit_ball_volume(spec, r, 1)) < 4 * stderr
 
 
 def test_coverage_bound_inverts_volume():

@@ -25,6 +25,7 @@ from sugeo.metrics import (
     euler_identities_check,
     grad_f_squared,
     hessian,
+    hessian_parts,
     implicit_norm,
     metric_equivalence_constants,
     norm,
@@ -312,6 +313,95 @@ def test_hessian_applied_to_y_is_half_the_gradient(n, family, frac, raw):
     half_grad = grad_f_squared(spec, y) / 2.0
     scale = np.abs(half_grad).max()
     assert np.allclose(hessian(spec, y) @ y, half_grad, rtol=1e-9, atol=1e-9 * scale)
+
+
+_EPS = np.finfo(float).eps
+
+
+def _check_hessian_parts(spec, y, r):
+    """hessian_parts against the dense hessian: solve, count_below and min_eig.
+
+    Tolerances are 1e-9 relative plus the dense route's own error: eigvalsh
+    is accurate to O(eps ||H||) in each eigenvalue, np.linalg.solve to
+    O(eps cond(H)).
+    """
+    H = hessian(spec, y)
+    G = hessian_parts(spec, y)
+    ev = np.linalg.eigvalsh(H)
+    floor = 64 * _EPS * ev[-1]
+    assert abs(G.min_eig() - ev[0]) <= 1e-9 * ev[0] + floor
+    # below a bound under lambda_min the bound comes back as is; above it, lambda_min
+    assert G.min_eig(0.5 * ev[0]) == 0.5 * ev[0]
+    assert abs(G.min_eig(1.5 * ev[0]) - ev[0]) <= 1e-9 * ev[0] + floor
+    # the inertia count between and around the eigenvalues, and at every pole lam_j
+    points = np.concatenate([0.5 * (ev[1:] + ev[:-1]), [0.5 * ev[0], 2.0 * ev[-1]], G.lam])
+    for x in points:
+        if np.min(np.abs(ev - x)) > 1e-9 * x + floor:
+            assert G.count_below(x) == np.count_nonzero(ev < x)
+    k = np.linalg.solve(H, r)
+    err = np.max(np.abs(G.solve(r) - k)) / np.max(np.abs(k))
+    assert err <= 1e-9 + 64 * _EPS * ev[-1] / ev[0]
+    return G, ev
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    family=st.sampled_from([F1DELTA, FPDELTA]),
+    frac=st.floats(0.05, 0.95),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.sampled_from([0.0, 0.3]),
+    repeats=st.integers(0, 4),
+)
+def test_hessian_parts_match_the_dense_hessian(n, family, frac, seed, zeros, repeats):
+    """Woodbury solve, inertia count and smallest eigenvalue against solve and eigvalsh.
+
+    Zero coefficients give poles of M(x) whose row of U vanishes (exact
+    eigenvalues lam_j); coefficients of one magnitude give repeated lam_j.
+    """
+    penalty = PEN1 if family == FPDELTA else None
+    p = penalty_vector(MetricSpec(FQ if penalty else F2, penalty=penalty), n)
+    spec = MetricSpec(family, penalty=penalty, delta=frac / float(np.sum(p)))
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal(len(p))
+    y[rng.random(len(p)) < zeros] = 0.0
+    repeats = min(repeats, len(p))
+    if repeats > 1:
+        same = rng.choice(len(p), size=repeats, replace=False)
+        y[same] = abs(y[same[0]]) * rng.choice([-1.0, 1.0], size=repeats)
+    assume(np.any(y))
+    _check_hessian_parts(spec, y, rng.standard_normal(len(p)))
+
+
+def test_hessian_parts_eigenvalue_below_every_pole():
+    """A point whose smallest eigenvalue lies below min lam, the case interlacing allows once.
+
+    n = 1 in U mode, p = 1 on I and 4 on X, Y, Z, P delta = 0.9, and
+    y = (0.5, 1, 0, 0): the zero Y and Z coefficients are exact
+    eigenvalues lam_Y = lam_Z, and lambda_min is 1.2% below lam_I.
+    """
+    penalty = PenaltyFunction(kind="step", k=4.0, low_weight_cutoff=0)
+    spec = MetricSpec(FPDELTA, penalty=penalty, delta=0.9 / 13, mode=U)
+    G, ev = _check_hessian_parts(spec, np.array([0.5, 1.0, 0.0, 0.0]), np.array([0.3, -1.0, 2.0, 0.5]))
+    assert ev[0] < 0.99 * G.lam.min()
+    lam = np.sort(G.lam)
+    assert lam[-1] == lam[-2] and ev[-1] == pytest.approx(lam[-1], rel=1e-12)
+
+
+def test_hessian_parts_stack_and_momentum():
+    """A stack gives each row's parts; N gamma / D is the momentum grad(F^2)/2 = H y."""
+    rows = np.random.default_rng(23).standard_normal((5, 15))
+    spec = MetricSpec(FPDELTA, penalty=PEN1, delta=1e-2)
+    G = hessian_parts(spec, rows)
+    assert G.lam.shape == (5, 15) and G.U.shape == (5, 15, 2) and G.Cinv.shape == (5, 2, 2)
+    for i, y in enumerate(rows):
+        one = hessian_parts(spec, y)
+        for a, b in zip(one, G):
+            assert np.array_equal(a, b[i])
+        momentum = one.N * one.U[:, 0] / one.D
+        assert np.allclose(momentum, grad_f_squared(spec, y) / 2.0, rtol=1e-12, atol=0.0)
+    with pytest.raises(UnsupportedSpec):
+        hessian_parts(MetricSpec(FQ, penalty=PEN1), rows[0])
 
 
 def test_implicit_norm_only_for_smoothed():
