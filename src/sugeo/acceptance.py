@@ -33,6 +33,7 @@ from .coords import (
     bch_E_series,
     change_coords_backward,
     change_coords_forward,
+    pauli_log,
     su2_adapted_to_pauli,
     su2_pauli_to_adapted,
 )
@@ -43,6 +44,7 @@ from .geodesic import (
     pauli_geodesic,
     pauli_geodesic_curve,
     shoot_geodesic,
+    tensor_product_curve,
 )
 from .lattice import (
     DiagonalUnitary,
@@ -65,8 +67,9 @@ from .metrics import (
     hessian,
     norm,
     norms_batch,
+    penalty_vector,
 )
-from .pauli import SU, U, PauliVector, basis_dimension, stabilizer_span, to_matrix, weights_array
+from .pauli import SU, U, PauliVector, basis_dimension, stabilizer_span, to_matrix
 
 _SEED = 20260822
 
@@ -309,15 +312,10 @@ def run_smoothing():
     cases = []
     for n in (1, 2):
         d = basis_dimension(n, SU)
-        p_fp = np.array([pen.weight_value(int(j)) for j in weights_array(n, SU)])
+        P = float(penalty_vector(MetricSpec(FP, penalty=pen), n).sum())
         cases.append((n, MetricSpec(F1DELTA, delta=1e-4 / d), MetricSpec(F1), float(d)))
         cases.append(
-            (
-                n,
-                MetricSpec(FPDELTA, penalty=pen, delta=1e-4 / p_fp.sum()),
-                MetricSpec(FP, penalty=pen),
-                float(p_fp.sum()),
-            )
+            (n, MetricSpec(FPDELTA, penalty=pen, delta=1e-4 / P), MetricSpec(FP, penalty=pen), P)
         )
     sandwich_bad = 0
     min_eig = math.inf
@@ -362,7 +360,7 @@ def run_isometry():
     """Catalogued conjugation maps preserve the norms; the excluded pairs fail."""
     rng = np.random.default_rng(_SEED)
     pen = PenaltyFunction(kind="step", k=4.0, low_weight_cutoff=1)
-    p_sum = float(np.sum([pen.weight_value(int(j)) for j in weights_array(2, SU)]))
+    p_sum = float(penalty_vector(MetricSpec(FP, penalty=pen), 2).sum())
     specs = {
         F1: MetricSpec(F1),
         F2: MetricSpec(F2),
@@ -451,13 +449,9 @@ def run_f2_length():
         expected = math.sqrt(float(np.trace(H @ H).real) / 4.0)
         got = curve_length(spec, pauli_geodesic_curve(spec, coeffs, 1.0, num_samples=401))
         worst = max(worst, abs(got - expected))
-    worst_clamp = 0.0
-    for _ in range(20):
-        A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        lam, V = np.linalg.eigh(A + A.conj().T)
-        lam = np.clip(lam, -np.pi, np.pi)
-        Hc = V @ np.diag(lam) @ V.conj().T
-        worst_clamp = max(worst_clamp, math.sqrt(float(np.trace(Hc @ Hc).real) / 4.0))
+    # pauli_log's eigenphases lie in (-pi, pi), so F2, their root mean square, is below pi
+    spec_u, rng = MetricSpec(F2, mode=U), np.random.default_rng(_SEED)
+    worst_clamp = max(norm(spec_u, pauli_log(random_unitary(rng, 4), U)) for _ in range(20))
     return [
         _row("f2-length vs trace", "< 1e-08", f"{worst:.3g}", worst < 1e-8),
         _row(
@@ -487,7 +481,7 @@ def run_direct_sum():
     yb *= 0.7 / np.linalg.norm(yb)
     ca = shoot_geodesic(spec_a, np.zeros(3), ya, 0.5, steps=400)
     cb = shoot_geodesic(spec_b, np.zeros(3), yb, 0.5, steps=400)
-    prod = additive_triple_check(spec_a, spec_b, spec_ab, curve_a=ca, curve_b=cb)
+    prod = el_residual(spec_ab, tensor_product_curve(ca, cb, spec_ab))
     return [
         _row("direct-sum additivity", "< 1e-10", f"{ident:.3g}", ident < 1e-10),
         _row("direct-sum product-geodesic", "< 0.0001", f"{prod:.3g}", prod < 1e-4),

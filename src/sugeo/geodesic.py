@@ -45,6 +45,7 @@ from .errors import (
     DimensionMismatch,
     InconsistentPenalties,
     NoConvergence,
+    NonFiniteInput,
     OutsidePatch,
     SingularHessian,
     StepLimitExceeded,
@@ -53,8 +54,7 @@ from .errors import (
     ZeroVector,
 )
 from .metrics import (
-    F2,
-    FQ,
+    EUCLIDEAN,
     MetricSpec,
     grad_f_squared,
     hessian_parts,
@@ -73,6 +73,7 @@ from .pauli import (
     pauli_strings,
     qubits_of_dimension,
     to_matrix,
+    weights_array,
 )
 
 _MIN_G_EIG = 1e-10
@@ -157,7 +158,13 @@ class Curve:
 
 
 def _entries_of(v) -> np.ndarray:
-    return np.asarray(v.entries if isinstance(v, PauliVector) else v, dtype=float)
+    """Coefficients of a PauliVector (finite when built) or of a raw vector, checked finite."""
+    if isinstance(v, PauliVector):
+        return v.entries
+    v = np.asarray(v, dtype=float)
+    if not np.isfinite(v).all():
+        raise NonFiniteInput("vector has NaN or infinite entries")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +243,7 @@ def shoot_geodesic(
     mode = spec.mode
     dim = 2**n
     # F2/Fq: Hess_N is the constant diag(q), q >= 1, so p = q h and no evaluation solves
-    q = penalty_vector(spec, n) if spec.family in (F2, FQ) else None
+    q = penalty_vector(spec, n) if spec.family in EUCLIDEAN else None
     min_eig = np.inf if q is None else float(q.min())
 
     def f(h):
@@ -458,51 +465,39 @@ def additive_triple_check(
     spec_a: MetricSpec,
     spec_b: MetricSpec,
     spec_ab: MetricSpec,
-    curve_a: Curve = None,
-    curve_b: Curve = None,
     n_a: int = 1,
     n_b: int = 1,
     num_samples: int = 20,
     rng=None,
 ) -> float:
-    """Residual of F_AB^2(H_A + H_B) = F_A^2(H_A) + F_B^2(H_B) on samples.
+    """Largest |F_AB^2(H_A + H_B) - (F_A^2(H_A) + F_B^2(H_B))| over random samples.
 
-    When factor curves are supplied, additionally checks that their tensor
-    product satisfies the product metric's geodesic equation, and the larger
-    of the two residuals is returned.  Penalties must agree on shared
-    weights (1..n_a with A, 1..n_b with B); a mismatch raises
-    InconsistentPenalties.
+    H_A acts on the first n_a qubits and H_B on the next n_b.  Every string
+    of a factor must weigh the same there as its embedding does in the
+    product (metrics.penalty_vector); a mismatch raises
+    InconsistentPenalties.  The three specs must share the basis mode.
     """
-    if curve_a is not None:
-        n_a = curve_a.n
-    if curve_b is not None:
-        n_b = curve_b.n
-
-    def weight(spec, j):
-        return 1.0 if spec.penalty is None else spec.penalty.weight_value(j)
-
-    for name, spec, n_f in (("A", spec_a, n_a), ("B", spec_b, n_b)):
-        for j in range(n_f + 1):
-            if abs(weight(spec, j) - weight(spec_ab, j)) > 1e-12:
-                raise InconsistentPenalties(f"{name}/AB penalty mismatch at weight {j}")
+    mode = spec_ab.mode
+    if spec_a.mode != mode or spec_b.mode != mode:
+        raise DimensionMismatch("factor and product specs must share the basis mode")
+    n = n_a + n_b
+    p_ab = penalty_vector(spec_ab, n)
+    blocks = []
+    for name, spec, n_f, offset in (("A", spec_a, n_a, 0), ("B", spec_b, n_b, n_a)):
+        idx = _embed_indices(n_f, n, offset, mode)
+        bad = np.abs(penalty_vector(spec, n_f) - p_ab[idx]) > 1e-12
+        if bad.any():
+            weight = weights_array(n_f, mode)[bad.argmax()]
+            raise InconsistentPenalties(f"{name}/AB penalty mismatch at weight {weight}")
+        blocks.append(idx)
     if rng is None:
         rng = np.random.default_rng(20260822)
-    n = n_a + n_b
-    mode = spec_ab.mode
-    da = basis_dimension(n_a, mode)
-    db = basis_dimension(n_b, mode)
-    worst = 0.0
-    for _ in range(num_samples):
-        ya = rng.standard_normal(da)
-        yb = rng.standard_normal(db)
-        emb = (
-            embed_pauli_vector(PauliVector(n_a, mode, ya), n, 0).entries
-            + embed_pauli_vector(PauliVector(n_b, mode, yb), n, n_a).entries
-        )
-        lhs = norm(spec_ab, emb) ** 2
-        rhs = norm(spec_a, ya) ** 2 + norm(spec_b, yb) ** 2
-        worst = max(worst, abs(lhs - rhs))
-    if curve_a is not None and curve_b is not None:
-        product = tensor_product_curve(curve_a, curve_b, spec_ab)
-        worst = max(worst, el_residual(spec_ab, product))
-    return worst
+    da = len(blocks[0])
+    y = rng.standard_normal((num_samples, da + len(blocks[1])))
+    ya, yb = y[:, :da], y[:, da:]
+    emb = np.zeros((num_samples, basis_dimension(n, mode)))
+    emb[:, blocks[0]] += ya
+    emb[:, blocks[1]] += yb
+    split = norms_batch(spec_a, ya) ** 2 + norms_batch(spec_b, yb) ** 2
+    gap = norms_batch(spec_ab, emb) ** 2 - split
+    return float(np.max(np.abs(gap), initial=0.0))

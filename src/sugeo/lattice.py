@@ -30,7 +30,9 @@ a solve takes about 25 us at n = 1, 2 and, at n = 3, about 0.5 ms in U
 mode (4096 cosets) and 40 us in SU mode (512).
 `window_used` is max|m_z| of the returned minimizer, `stats` counts the
 cosets scored, and the Hamiltonian is built from the diagonal h - 2*pi*m
-when read.  The volume and coverage functions are U mode only.
+when read.  The volume and coverage functions are U mode only; the
+unit-ball volume has a closed form for every family (a weighted
+cross-polytope or ellipsoid).
 
 The smoothed families are evaluated through their Delta -> 0 limits (F1Delta
 as F1, FpDelta as Fp): the objective needs no smoothness and the limit is
@@ -40,7 +42,7 @@ the quantity of interest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -53,7 +55,7 @@ from .errors import (
     NonTracelessInSUMode,
     UnsupportedSpec,
 )
-from .metrics import F1, F1DELTA, F2, FP, FPDELTA, FQ, MetricSpec
+from .metrics import EUCLIDEAN, MetricSpec, penalty_vector
 from .pauli import SU, U, PauliVector, HermitianOperator, basis_dimension, string_index
 
 
@@ -160,15 +162,13 @@ def diagonal_to_pauli(h: np.ndarray) -> PauliVector:
 
 @lru_cache(maxsize=256)
 def _diag_weights(spec: MetricSpec, n: int):
-    """(taxicab, weights w_s over the 2^n diagonal strings, read-only); taxicab: sum w|y|."""
-    if spec.family in (F1, F1DELTA, F2):
-        weights = np.ones(2**n)
-    elif spec.family in (FP, FPDELTA, FQ):
-        weights = np.array([spec.penalty.weight_value(bin(s).count("1")) for s in range(2**n)])
-    else:
-        raise UnsupportedSpec(f"no CVP objective for family {spec.family}")
+    """(taxicab, weights w_s over the 2^n diagonal strings, read-only); taxicab: sum w|y|.
+
+    w_s is the metric's penalty_vector entry of the Z-type string s (U mode).
+    """
+    weights = penalty_vector(replace(spec, mode=U), n)[_z_index_map(n)]
     weights.flags.writeable = False
-    return spec.family not in (F2, FQ), weights
+    return spec.family not in EUCLIDEAN, weights
 
 
 def cvp_minimal_pauli_geodesic(spec: MetricSpec, U_diag) -> CvpResult:
@@ -274,19 +274,19 @@ def _require_u_mode(spec: MetricSpec):
 def _log_unit_volume(spec: MetricSpec, n: int) -> float:
     """log V_F(1), the volume of {F <= 1} in the 2^n-dimensional diagonal subspace.
 
-    Closed forms: 2^d/d! for F1 (the Delta -> 0 limit of F1Delta),
-    sqrt(pi)^d/(d/2)! for F2, and for Fq = sqrt(sum_sigma q y_sigma^2) the
-    F2 volume scaled by prod_sigma 1/sqrt(q(wt sigma)), since
-    y_sigma -> y_sigma / sqrt(q) maps the F2 ball onto the Fq ball.  U mode only.
+    Closed forms, with w_s the diagonal weights: 2^d/d! prod_s 1/w_s for a
+    taxicab ball {sum_s w_s |y_s| <= 1} (a smoothed norm through its
+    Delta -> 0 limit), and sqrt(pi)^d/(d/2)! prod_s 1/sqrt(w_s) for an
+    ellipsoid {sum_s w_s y_s^2 <= 1}: scaling y_s by 1/w_s (by 1/sqrt(w_s))
+    maps the unweighted ball onto the weighted one.  U mode only.
     """
     _require_u_mode(spec)
     d = 2**n
-    if spec.family in (F1, F1DELTA):
-        return d * math.log(2) - math.lgamma(d + 1)
-    if spec.family in (F2, FQ):  # F2's weights are ones
-        log_q = float(np.sum(np.log(_diag_weights(spec, n)[1])))
-        return d * math.log(math.sqrt(math.pi)) - math.lgamma(d / 2 + 1) - 0.5 * log_q
-    raise UnsupportedSpec(f"no volume formula for family {spec.family}")
+    taxicab, w = _diag_weights(spec, n)
+    log_w = float(np.sum(np.log(w)))
+    if taxicab:
+        return d * math.log(2) - math.lgamma(d + 1) - log_w
+    return d * math.log(math.sqrt(math.pi)) - math.lgamma(d / 2 + 1) - 0.5 * log_w
 
 
 def unit_ball_volume(spec: MetricSpec, r: float, n: int) -> float:

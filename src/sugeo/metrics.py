@@ -63,6 +63,7 @@ FPDELTA = "FpDelta"
 
 FAMILIES = (F1, F2, FP, FQ, F1DELTA, FPDELTA)
 SMOOTHED = (F1DELTA, FPDELTA)
+EUCLIDEAN = (F2, FQ)  # sqrt(sum p y^2); the others are taxicab, sum p |y|, or its smoothing
 NEEDS_PENALTY = (FP, FQ, FPDELTA)
 
 _IMPLICIT_TOL = 1e-12
@@ -181,7 +182,7 @@ def penalty_vector(spec: MetricSpec, n: int) -> np.ndarray:
     Cached per (spec, n) and returned read-only.
     """
     w = weights_array(n, spec.mode)
-    if spec.family in (F1, F2, F1DELTA) or spec.penalty is None:
+    if spec.family not in NEEDS_PENALTY:
         p = np.ones(len(w))
     else:
         p = np.array([spec.penalty.weight_value(int(j)) for j in w])
@@ -218,9 +219,9 @@ def norm(spec: MetricSpec, y) -> float:
 
 def _plain_norms(spec: MetricSpec, p: np.ndarray, v: np.ndarray):
     """F1/Fp/F2/Fq of each row of a matrix, as computed directly (a row sum per row)."""
-    if spec.family in (F1, FP):
-        return (p * np.abs(v)).sum(axis=-1)
-    return np.sqrt((p * v**2).sum(axis=-1))
+    if spec.family in EUCLIDEAN:
+        return np.sqrt((p * v**2).sum(axis=-1))
+    return (p * np.abs(v)).sum(axis=-1)
 
 
 def _rescaled_norms(spec: MetricSpec, p: np.ndarray, v: np.ndarray):
@@ -338,7 +339,7 @@ def grad_f_squared(spec: MetricSpec, y) -> np.ndarray:
         raise NotSmoothMetric(f"{spec.family} has no smooth gradient")
     v = _entries(spec, y)
     with np.errstate(over="ignore"):  # an overflow is _no_overflow's to report
-        if spec.family in (F2, FQ):
+        if spec.family in EUCLIDEAN:
             grad = 2.0 * penalty_vector(spec, qubits_of_dimension(v.shape[-1], spec.mode)) * v
         else:
             p, N, u = _solved_point(spec, v)
@@ -535,7 +536,7 @@ def hessian(spec: MetricSpec, y) -> np.ndarray:
     if spec.family in (F1, FP):
         raise NotSmoothMetric(f"{spec.family} is not twice differentiable off the axes")
     v = _entries(spec, y)
-    if spec.family in (F2, FQ):
+    if spec.family in EUCLIDEAN:
         if not np.any(v, axis=-1).all():
             raise ZeroVector("hessian requested at y = 0")
         p = penalty_vector(spec, qubits_of_dimension(v.shape[-1], spec.mode))

@@ -51,11 +51,6 @@ _SINGLE = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-# F2 x F2 encoding of the letters: product-up-to-phase is coordinatewise XOR.
-_F2 = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
-_F2_INV = {v: k for k, v in _F2.items()}
-
-
 def check_n(n: int):
     if not 1 <= n <= PAULI_N_MAX:
         raise DimensionLimit(f"n={n} outside supported range 1..{PAULI_N_MAX}")
@@ -316,10 +311,12 @@ def commutes(a: str, b: str) -> bool:
 
 
 def string_product(a: str, b: str) -> str:
-    """Product of two Pauli strings with the overall phase discarded."""
-    return "".join(
-        _F2_INV[(_F2[x][0] ^ _F2[y][0], _F2[x][1] ^ _F2[y][1])] for x, y in zip(a, b)
-    )
+    """Product of two Pauli strings with the overall phase discarded.
+
+    Letters multiply by XOR of their digits I, X, Y, Z = 0, 1, 2, 3, as in
+    _structure_constants.
+    """
+    return "".join(LETTERS[LETTERS.index(x) ^ LETTERS.index(y)] for x, y in zip(a, b))
 
 
 @dataclass

@@ -8,6 +8,7 @@ from sugeo.errors import (
     DimensionLimit,
     DimensionMismatch,
     InconsistentPenalties,
+    NonFiniteInput,
     OutsidePatch,
     SingularHessian,
     StepLimitExceeded,
@@ -29,7 +30,7 @@ from sugeo.geodesic import (
     shoot_geodesic,
 )
 from sugeo.metrics import F1, F1DELTA, F2, FP, FPDELTA, FQ, MetricSpec, PenaltyFunction, norm
-from sugeo.pauli import SU, PauliVector, algebra, coefficients, stabilizer_span, to_matrix
+from sugeo.pauli import SU, U, PauliVector, algebra, coefficients, stabilizer_span, to_matrix
 
 from oracles import fd_el_residual, fd_f_squared_gradients, matrix_shoot
 
@@ -353,6 +354,35 @@ def test_additive_triple_identity_holds():
     spec_2 = MetricSpec(family=FQ, penalty=pen)
     residual = additive_triple_check(spec_1, spec_1, spec_2, num_samples=20)
     assert residual < 1e-10
+
+
+def test_additive_triple_ignores_an_unused_penalty():
+    # F2 and F1Delta weigh every string 1, whatever penalty the spec carries
+    pen = PenaltyFunction(kind="step", k=3.0, low_weight_cutoff=0)
+    f2 = MetricSpec(family=F2)
+    assert additive_triple_check(f2, f2, MetricSpec(family=F2, penalty=pen)) < 1e-10
+    assert additive_triple_check(MetricSpec(family=F2, penalty=pen), f2, f2) < 1e-10
+    smoothed = MetricSpec(family=F1DELTA, delta=1e-3)
+    with_penalty = MetricSpec(family=F1DELTA, penalty=pen, delta=1e-3)
+    # a taxicab norm is not additive in F^2, but the weights agree: no InconsistentPenalties
+    assert np.isfinite(additive_triple_check(smoothed, smoothed, with_penalty))
+
+
+def test_additive_triple_needs_one_basis_mode():
+    with pytest.raises(DimensionMismatch):
+        additive_triple_check(F2_SPEC, F2_SPEC, MetricSpec(family=F2, mode=U))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_raw_vectors_raise_at_entry(bad):
+    spec = MetricSpec(family=FQ, penalty=PEN1)
+    x0 = np.zeros(3)
+    x0[1] = bad
+    y0 = np.array([0.3, 0.0, 0.1])
+    with pytest.raises(NonFiniteInput):
+        shoot_geodesic(spec, x0, y0, 0.1, steps=10)
+    with pytest.raises(NonFiniteInput):
+        metric_in_pauli_coords(spec, x0, y0)
 
 
 def test_el_residual_needs_five_samples_in_a_segment():

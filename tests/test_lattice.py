@@ -24,6 +24,7 @@ from sugeo.lattice import (
     CvpResult,
     DiagonalUnitary,
     _coset_table,
+    _diag_weights,
     _walsh,
     PhaseLattice,
     coverage_bound,
@@ -33,7 +34,20 @@ from sugeo.lattice import (
     reduce_phases,
     unit_ball_volume,
 )
-from sugeo.metrics import F1, F1DELTA, F2, FP, FPDELTA, FQ, MetricSpec, PenaltyFunction, norms_batch
+from sugeo.metrics import (
+    F1,
+    F1DELTA,
+    F2,
+    FAMILIES,
+    FP,
+    FPDELTA,
+    FQ,
+    NEEDS_PENALTY,
+    SMOOTHED,
+    MetricSpec,
+    PenaltyFunction,
+    norms_batch,
+)
 from sugeo.pauli import SU, U, HermitianOperator, string_index, to_matrix
 
 F1_U = MetricSpec(family=F1, mode=U)
@@ -434,6 +448,28 @@ def test_unit_ball_volumes_closed_form():
     assert unit_ball_volume(F1_U, 0.0, 1) == 0.0
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("mode", [U, SU])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize(
+    "pen",
+    [PenaltyFunction(kind="step", k=5.0, low_weight_cutoff=1),
+     PenaltyFunction(kind="table", values=(1.0, 2.0, 3.5, 7.0))],
+)
+def test_diag_weights_are_the_penalty_of_each_diagonal_string(family, mode, n, pen):
+    """w_s = p(popcount s) for the penalized families, 1 otherwise, in either mode."""
+    spec = MetricSpec(family=family, penalty=pen, delta=1e-3 if family in SMOOTHED else None,
+                      mode=mode)
+    taxicab, w = _diag_weights(spec, n)
+    expected = [
+        pen.weight_value(bin(s).count("1")) if family in NEEDS_PENALTY else 1.0
+        for s in range(2**n)
+    ]
+    assert w.tolist() == expected
+    assert taxicab == (family not in (F2, FQ))
+    assert not w.flags.writeable
+
+
 def test_fq_unit_ball_volume_matches_monte_carlo():
     """The fraction of a box inside {Fq <= r}, from uniform samples, times the box area.
 
@@ -451,6 +487,28 @@ def test_fq_unit_ball_volume_matches_monte_carlo():
     estimate = (2 * r) ** 2 * inside.mean()
     stderr = (2 * r) ** 2 * math.sqrt(inside.mean() * (1 - inside.mean()) / samples)
     assert abs(estimate - unit_ball_volume(spec, r, 1)) < 4 * stderr
+
+
+def test_fp_unit_ball_volume_matches_monte_carlo():
+    """As for Fq: the hit fraction of a box, scored by norms_batch, times the box area.
+
+    Fp = |y_I| + 4 |y_Z| on the diagonal at n = 1, a rhombus of area r^2/2;
+    FpDelta has the same volume, that of its Delta -> 0 limit.
+    """
+    pen = PenaltyFunction(kind="step", k=4.0, low_weight_cutoff=0)
+    spec = MetricSpec(family=FP, penalty=pen, mode=U)
+    r, samples = 0.7, 200_000
+    y = np.zeros((samples, 4))
+    diagonal = [string_index(1, U)[s] for s in ("I", "Z")]
+    y[:, diagonal] = np.random.default_rng(20260822).uniform(-r, r, size=(samples, 2))
+    inside = norms_batch(spec, y) <= r
+    estimate = (2 * r) ** 2 * inside.mean()
+    stderr = (2 * r) ** 2 * math.sqrt(inside.mean() * (1 - inside.mean()) / samples)
+    volume = unit_ball_volume(spec, r, 1)
+    assert volume == pytest.approx(r**2 / 2, rel=1e-14)
+    assert abs(estimate - volume) < 4 * stderr
+    smoothed = MetricSpec(family=FPDELTA, penalty=pen, delta=1e-3, mode=U)
+    assert unit_ball_volume(smoothed, r, 1) == volume
 
 
 def test_coverage_bound_inverts_volume():

@@ -109,6 +109,12 @@ def test_string_product():
     assert string_product("XI", "ZI") == "YI"
     assert string_product("XZ", "ZX") == "YY"
     assert string_product("XY", "XY") == "II"
+    for a in "IXYZ":
+        for b in "IXYZ":
+            c = string_product(a, b)
+            # sigma_a sigma_b = phase * sigma_c: the overlap tr(sigma_c^+ sigma_a sigma_b)/2 has modulus 1
+            overlap = np.trace(pauli_matrix(c).conj().T @ pauli_matrix(a) @ pauli_matrix(b)) / 2
+            assert abs(abs(overlap) - 1.0) < 1e-12, (a, b, c)
 
 
 def test_stabilizer_span():

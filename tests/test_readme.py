@@ -1,10 +1,14 @@
-"""The README's library example runs and prints the values its comments state."""
+"""The README's examples run and print what the README states."""
 
 import contextlib
 import io
+import json
 import math
 import re
+import shlex
 from pathlib import Path
+
+from sugeo.cli import dispatch
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -23,3 +27,25 @@ def test_library_example_prints_what_its_comments_say():
     assert float(residual_line) < 1e-6
     value, certified = cvp_line.split()
     assert float(value) == math.pi and certified == "True"
+
+
+def _cvp_min_example() -> list:
+    """The worked cvp-min example as (command, output) pairs, one per `$ ` line."""
+    section = README.read_text().split("Worked example", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    steps = re.split(r"^\$ ", block, flags=re.M)[1:]
+    return [tuple(step.split("\n", 1)) for step in steps]
+
+
+def test_cvp_min_example_prints_what_the_readme_shows(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    steps = _cvp_min_example()
+    for command, output in steps[:-1]:
+        assert command.startswith("cat ")
+        (tmp_path / command.removeprefix("cat ")).write_text(output)
+    command, output = steps[-1]
+    assert command.startswith("sugeo cvp-min ")
+    assert dispatch(shlex.split(command)[1:]) == 0
+    printed = capsys.readouterr().out
+    assert printed == output
+    assert json.loads(printed)["value"] == 3.14159
