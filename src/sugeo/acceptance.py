@@ -48,9 +48,9 @@ from .geodesic import (
 )
 from .lattice import (
     DiagonalUnitary,
-    PhaseLattice,
     coverage_bound,
     cvp_minimal_pauli_geodesic,
+    lattice_log_det,
     monte_carlo_coverage,
     unit_ball_volume,
 )
@@ -414,7 +414,7 @@ def run_volume():
         hi = stir * math.exp(1.0 / (6 * d * d))
         ok = base < r and lo * (1 - 1e-12) <= r <= hi * (1 + 1e-12)
         rows.append(_row(f"volume stirling n={n}", f"[{lo:.9g}, {hi:.9g}]", f"{r:.9g}", ok))
-    det1 = math.exp(PhaseLattice(U, 1).log_det())
+    det1 = math.exp(lattice_log_det(1))
     mc_cases = (
         ("F1 r=pi/2", MetricSpec(F1, mode=U), np.pi / 2, 0.25),
         ("F2 r=1.5", MetricSpec(F2, mode=U), 1.5, 1.5**2 / (2 * np.pi)),

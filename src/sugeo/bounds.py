@@ -35,6 +35,7 @@ from .pauli import (
     PauliVector,
     algebra,
     basis_dimension,
+    check_n,
     check_traceless,
     coefficients,
     matrix_of,
@@ -65,20 +66,6 @@ class Gate:
             raise DimensionMismatch("one Pauli letter per acted-on qubit")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError("repeated qubit in gate")
-
-
-@dataclass(frozen=True)
-class GateSet:
-    """The exactly-universal set exp(-i alpha sigma), wt(sigma) <= 2, alpha in [0,1]."""
-
-    max_weight: int = 2
-    alpha_max: float = 1.0
-
-    def validate(self, gate: Gate):
-        if weight(gate.pauli) > self.max_weight or weight(gate.pauli) == 0:
-            raise ValueError(f"gate weight {weight(gate.pauli)} outside the gate set")
-        if not 0.0 <= gate.alpha <= self.alpha_max:
-            raise ValueError(f"gate alpha {gate.alpha} outside [0, {self.alpha_max}]")
 
 
 @dataclass
@@ -132,6 +119,9 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
 # circuit-to-curve construction
 
 _SAMPLES_PER_SEGMENT = 250
+# The exactly-universal gate set: exp(-i alpha sigma), 1 <= wt(sigma) <= 2, alpha in [0, 1].
+_MAX_GATE_WEIGHT = 2
+_ALPHA_MAX = 1.0
 
 
 def regularizer(m: int):
@@ -181,7 +171,6 @@ def circuit_to_curve(circuit: Circuit, spec: MetricSpec) -> CircuitTrajectory:
     gate was checked in turn.  Each segment is sampled at
     _SAMPLES_PER_SEGMENT points.
     """
-    gate_set = GateSet()
     m = len(circuit.gates)
     dim = 2**circuit.n
     eye = np.eye(dim, dtype=complex)
@@ -194,7 +183,10 @@ def circuit_to_curve(circuit: Circuit, spec: MetricSpec) -> CircuitTrajectory:
     strings, invalid = [], None
     for g in circuit.gates:
         try:
-            gate_set.validate(g)
+            if not 1 <= weight(g.pauli) <= _MAX_GATE_WEIGHT:
+                raise ValueError(f"gate weight {weight(g.pauli)} outside the gate set")
+            if not 0.0 <= g.alpha <= _ALPHA_MAX:
+                raise ValueError(f"gate alpha {g.alpha} outside [0, {_ALPHA_MAX}]")
             strings.append(circuit.full_string(g))
         except (ValueError, DimensionMismatch) as err:
             invalid = err
@@ -301,8 +293,12 @@ def isometry_check(
     declared inapplicable, the first Hamiltonian with deviation > 1e-6 is
     kept as the counterexample.  The samples are the rows of one
     standard_normal((samples, 4^n - 1)) draw.  A pushed Hamiltonian with a
-    trace (a non-unitary operator) raises NonTracelessInSUMode.
+    trace (a non-unitary operator) raises NonTracelessInSUMode.  n is
+    checked (pauli.check_n) before the draw.
     """
+    check_n(n)
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     ys = np.random.default_rng(seed).standard_normal((samples, basis_dimension(n, SU)))
     pushed = iso.push(algebra(ys, n, SU))
     check_traceless(pushed)
@@ -311,17 +307,6 @@ def isometry_check(
     broken = np.flatnonzero(dev > 1e-6)
     counterexample = PauliVector(n, SU, ys[broken[0]]) if broken.size else None
     return IsometryCheckResult(float(dev.max(initial=0.0)), iso.applicable(spec), counterexample)
-
-
-def pauli_symmetric_check(spec: MetricSpec, samples: int = 50, n: int = 2,
-                          seed: int = 20260822) -> bool:
-    """Norm invariance under random sign flips of the coefficients, in one batch."""
-    rng = np.random.default_rng(seed)
-    shape = (samples, basis_dimension(n, spec.mode))
-    ys = rng.standard_normal(shape)
-    flipped = rng.choice([-1.0, 1.0], size=shape) * ys
-    F = norms_batch(spec, ys)
-    return bool(np.all(np.abs(norms_batch(spec, flipped) - F) <= 1e-12 * np.maximum(1.0, F)))
 
 
 # ---------------------------------------------------------------------------

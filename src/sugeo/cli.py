@@ -1,10 +1,10 @@
 """Command-line surface: JSON in, JSON out, CSV for the reproduce suite.
 
 Exit codes: 0 success, 1 domain error (the error class name is printed
-verbatim), 2 usage error, which includes an input file that is not JSON
-or whose JSON has the wrong shape.  Output goes to stdout unless --out
-is given; JSON is emitted with sorted keys so fixed-seed runs are
-bit-reproducible.
+verbatim; a failed allocation, MemoryError, counts as one), 2 usage
+error, which includes an input file that is not JSON or whose JSON has
+the wrong shape.  Output goes to stdout unless --out is given; JSON is
+emitted with sorted keys so fixed-seed runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import NonFiniteInput, SugeoError
 from .geodesic import Curve, el_residual, pauli_geodesic, shoot_geodesic
 from .lattice import DiagonalUnitary, coverage_bound, cvp_minimal_pauli_geodesic
 from .metrics import MetricSpec, grad_f_squared, norm
-from .pauli import PauliVector, stabilizer_span
+from .pauli import PauliVector, check_n, stabilizer_span
 
 
 def _load(path):
@@ -147,6 +147,7 @@ def _named_gate(name, n):
 
 def _cmd_isometry_check(args):
     spec = MetricSpec.from_json(_load(args.metric))
+    check_n(args.n)  # before any operator of size 2^n is built
     if args.kind == "pauli":
         if not args.pauli:
             raise ValueError("--kind pauli needs --pauli STRING")
@@ -219,7 +220,7 @@ def _build_parser():
     p.add_argument("--y0", required=True, help="initial velocity, PauliVector JSON")
     p.add_argument("--t", type=float, default=1.0, help="integration time")
     p.add_argument("--steps", type=int, default=None, help="RK4 steps (default 1000/unit)")
-    p.add_argument("--n-cap", type=int, default=None, help="override the qubit cap")
+    p.add_argument("--n-cap", type=int, default=None, help="lower the qubit cap (n <= 4) for this run")
 
     p = add("geodesic-residual", _cmd_geodesic_residual, "Euler-Lagrange residual of a curve")
     p.add_argument("--curve", required=True, help="Curve JSON file")
@@ -283,8 +284,8 @@ def dispatch(argv) -> int:
     except SugeoError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1
-    except np.linalg.LinAlgError as e:
-        print(f"LinAlgError: {e}", file=sys.stderr)
+    except (np.linalg.LinAlgError, MemoryError) as e:
+        print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1
     except (KeyError, ValueError, TypeError, AttributeError, OSError) as e:  # bad input files
         print(f"usage error: {e}", file=sys.stderr)

@@ -41,7 +41,6 @@ from math import factorial
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
 from .errors import (
     BranchCut,
     DimensionMismatch,
@@ -63,8 +62,10 @@ from .pauli import (
     to_matrix,
 )
 
-_CLUSTER_TOL = DEFAULT_TOLERANCES["eig_cluster"]
-_BRANCH_TOL = DEFAULT_TOLERANCES["branch_cut"]
+# None of these is a finite-difference step: the geodesic layer's derivatives are exact.
+_UNITARITY_TOL = 1e-10  # max |U U^+ - I| entry that UnitaryOperator accepts
+_BRANCH_TOL = 1e-8  # an eigenphase within this of pi raises BranchCut
+_CLUSTER_TOL = 1e-8  # eigenvalues this close (relative) count as equal in the filter
 _SERIES_TERMS = 30
 
 
@@ -82,7 +83,7 @@ class UnitaryOperator:
         if not np.isfinite(self.matrix).all():
             raise NonFiniteInput("unitary includes NaN or infinity")
         err = np.max(np.abs(self.matrix @ self.matrix.conj().T - np.eye(dim)))
-        if err > DEFAULT_TOLERANCES["unitarity"]:
+        if err > _UNITARITY_TOL:
             raise ValueError(f"matrix is not unitary (deviation {err:.2e})")
 
     def to_json(self) -> dict:

@@ -15,7 +15,7 @@ class DimensionMismatch(SugeoError):
 
 
 class DimensionLimit(SugeoError):
-    """Qubit count exceeds the configured cap for this operation."""
+    """Qubit count exceeds the cap of this operation."""
 
 
 class NonTracelessInSUMode(SugeoError):
@@ -80,10 +80,6 @@ class NoConvergence(SugeoError):
 
 class NonFiniteInput(SugeoError):
     """A numeric input, or a result bound for JSON output, is NaN or infinite."""
-
-
-class InvalidConfig(SugeoError):
-    """An environment setting such as SUGEO_N_CAP cannot be parsed."""
 
 
 class UnsupportedSpec(SugeoError):

@@ -28,13 +28,13 @@ with exact gradients, independently of the shooting.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .config import SHOOT_N_CAP, env_n_cap
 from .coords import UnitaryOperator, _Eigenbasis, _pauli_log_phase, change_coords, pauli_log
 from .coords import unitary_from_coords
 # perfbench wraps coords.change_matrices, and its test_tracer_self_time_and_patching
@@ -51,6 +51,7 @@ from .errors import (
     StepLimitExceeded,
     TooFewSamples,
     UnsupportedCoefficient,
+    UnsupportedSpec,
     ZeroVector,
 )
 from .metrics import (
@@ -63,12 +64,15 @@ from .metrics import (
     penalty_vector,
 )
 from .pauli import (
+    SU,
     PauliVector,
     StabilizerSubgroup,
     algebra,
     basis_dimension,
     bracket,
+    check_n,
     coefficients,
+    entries_of,
     string_index,
     pauli_strings,
     qubits_of_dimension,
@@ -154,26 +158,12 @@ class Curve:
 
 
 # ---------------------------------------------------------------------------
-# small shared helpers
-
-
-def _entries_of(v) -> np.ndarray:
-    """Coefficients of a PauliVector (finite when built) or of a raw vector, checked finite."""
-    if isinstance(v, PauliVector):
-        return v.entries
-    v = np.asarray(v, dtype=float)
-    if not np.isfinite(v).all():
-        raise NonFiniteInput("vector has NaN or infinite entries")
-    return v
-
-
-# ---------------------------------------------------------------------------
 # metric pullback
 
 
 def metric_in_pauli_coords(spec: MetricSpec, x, y) -> float:
     """F(x, y) = N(E_x(y)); equals norm(spec, y) at x = 0."""
-    xe, ye = _entries_of(x), _entries_of(y)
+    xe, ye = entries_of(x, spec.mode), entries_of(y, spec.mode)
     if xe.shape != ye.shape:
         raise DimensionMismatch("x and y have different dimensions")
     n = qubits_of_dimension(len(xe), spec.mode)
@@ -203,7 +193,7 @@ def shoot_geodesic(
     """Integrate the geodesic from (x0, y0) for time t_end.
 
     Fixed-step RK4 on the Euler-Arnold equation, default 1000 steps per unit
-    time, one sample per step; more than max_segments charts raise
+    time (of |t_end|), one sample per step; more than max_segments charts raise
     StepLimitExceeded.  curve.stats holds the step and segment counts, the
     smallest Hessian eigenvalue seen and the largest relative drift of F.
 
@@ -217,7 +207,9 @@ def shoot_geodesic(
     0.7 to 1.3 s at n = 3 (delta = 2e-3) and 2.5 to 3.4 s at n = 4
     (delta = 5e-4) on one core; F2/Fq make no norm solve.
 
-    Working range: n <= 4 (config.SHOOT_N_CAP), and the step must resolve
+    Working range: n <= 4 (pauli.PAULI_N_MAX; n_cap= lowers it for one
+    call), steps >= 1 (ValueError otherwise), a finite t_end with a
+    finite dt^2 (NonFiniteInput otherwise), and the step must resolve
     the curvature of the norm, which for the smoothed families grows like
     1/delta where a coefficient of H passes near 0.  FpDelta with
     delta = 1e-3 and a generic unit y0 at n = 2 lies outside it (500 to
@@ -228,18 +220,22 @@ def shoot_geodesic(
     """
     from scipy.linalg.lapack import zheevd
 
-    xe, ye = _entries_of(x0).copy(), _entries_of(y0).copy()
+    xe, ye = entries_of(x0, spec.mode).copy(), entries_of(y0, spec.mode).copy()
     n = qubits_of_dimension(len(xe), spec.mode)
-    cap = n_cap if n_cap is not None else env_n_cap(default=SHOOT_N_CAP)
-    if n > cap:
-        raise DimensionLimit(
-            f"shooting at n={n} exceeds cap {cap}; raise it via n_cap= or SUGEO_N_CAP"
-        )
+    check_n(n)
+    if n_cap is not None and n > n_cap:
+        raise DimensionLimit(f"shooting at n={n} exceeds n_cap={n_cap}")
+    if not math.isfinite(t_end):
+        raise NonFiniteInput(f"t_end={t_end} is not finite")
     if steps is None:
-        steps = max(1, int(round(1000 * t_end)))
+        steps = max(1, int(round(1000 * abs(t_end))))
+    if steps < 1:
+        raise ValueError(f"steps={steps} must be at least 1")
     if not np.any(ye):
         raise ZeroVector("y0 must be nonzero")
     dt = t_end / steps
+    if not math.isfinite(dt * dt):
+        raise NonFiniteInput(f"the step t_end/steps = {dt:.3g} overflows when squared")
     mode = spec.mode
     dim = 2**n
     # F2/Fq: Hess_N is the constant diag(q), q >= 1, so p = q h and no evaluation solves
@@ -370,8 +366,10 @@ def pauli_geodesic(S: StabilizerSubgroup, coeffs: PauliVector, t: float):
     """exp(-i H0 t) with H0 supported on the stabilizer subgroup S.
 
     Such curves are geodesics of every Pauli-symmetric metric; they are
-    straight lines through the origin in Pauli coordinates.
+    straight lines through the origin in Pauli coordinates.  t must be finite.
     """
+    if not math.isfinite(t):
+        raise NonFiniteInput(f"t={t} is not finite")
     elements = set(S.elements)
     for s, v in coeffs.terms().items():
         if abs(v) > 1e-12 and s not in elements:
@@ -420,17 +418,12 @@ def curve_length(spec: MetricSpec, curve: Curve) -> float:
 
 @lru_cache(maxsize=None)
 def _embed_indices(n_from: int, n_total: int, offset: int, mode: str) -> np.ndarray:
+    """Product-basis index of each n_from-qubit string padded with identities onto
+    qubits [offset, offset + n_from) of n_total."""
     idx = string_index(n_total, mode)
     pad_l = "I" * offset
     pad_r = "I" * (n_total - offset - n_from)
     return np.array([idx[pad_l + s + pad_r] for s in pauli_strings(n_from, mode)])
-
-
-def embed_pauli_vector(v: PauliVector, n_total: int, offset: int) -> PauliVector:
-    """Pad strings with identities: qubits [offset, offset + v.n) carry v."""
-    out = np.zeros(basis_dimension(n_total, v.mode))
-    out[_embed_indices(v.n, n_total, offset, v.mode)] = v.entries
-    return PauliVector(n_total, v.mode, out)
 
 
 def tensor_product_curve(curve_a: Curve, curve_b: Curve, spec_ab: MetricSpec) -> Curve:
@@ -475,11 +468,16 @@ def additive_triple_check(
     H_A acts on the first n_a qubits and H_B on the next n_b.  Every string
     of a factor must weigh the same there as its embedding does in the
     product (metrics.penalty_vector); a mismatch raises
-    InconsistentPenalties.  The three specs must share the basis mode.
+    InconsistentPenalties.  The three specs must share the basis mode, and
+    it must be SU: in U mode both factors' identity strings embed onto the
+    product's identity, so F_AB^2 picks up a cross term and the check
+    cannot pass; U mode raises UnsupportedSpec.
     """
     mode = spec_ab.mode
     if spec_a.mode != mode or spec_b.mode != mode:
         raise DimensionMismatch("factor and product specs must share the basis mode")
+    if mode != SU:
+        raise UnsupportedSpec("the additive triple check is SU mode only")
     n = n_a + n_b
     p_ab = penalty_vector(spec_ab, n)
     blocks = []

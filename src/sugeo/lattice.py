@@ -47,7 +47,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import DEFAULT_N_CAP, env_n_cap
 from .errors import (
     DimensionLimit,
     DimensionMismatch,
@@ -57,6 +56,9 @@ from .errors import (
 )
 from .metrics import EUCLIDEAN, MetricSpec, penalty_vector
 from .pauli import SU, U, PauliVector, HermitianOperator, basis_dimension, string_index
+
+# The coset decoder scores d^{d/2} cosets (4096 at n = 3); at n = 4 it would be 16^8.
+CVP_N_MAX = 3
 
 
 @dataclass
@@ -77,22 +79,6 @@ class DiagonalUnitary:
     @classmethod
     def from_json(cls, obj: dict) -> "DiagonalUnitary":
         return cls(int(obj["n"]), np.array(obj["theta"], dtype=float))
-
-
-@dataclass
-class PhaseLattice:
-    """The lattice 2*pi * diag(m); SU mode restricts to trace zero."""
-
-    mode: str
-    n: int
-
-    def basis_matrix(self) -> np.ndarray:
-        """Columns = Pauli coefficients of the U-mode basis 2*pi |z><z|."""
-        return 2 * np.pi * _walsh(2**self.n) / 2**self.n
-
-    def log_det(self) -> float:
-        d = 2**self.n
-        return d * (math.log(2 * np.pi) - 0.5 * self.n * math.log(2.0))
 
 
 @dataclass
@@ -182,9 +168,8 @@ def cvp_minimal_pauli_geodesic(spec: MetricSpec, U_diag) -> CvpResult:
         theta, n = U_diag.phases, U_diag.n  # validated when it was built
     else:
         theta, n = _phase_vector(U_diag)
-    cap = min(env_n_cap(default=DEFAULT_N_CAP), 3)
-    if not 1 <= n <= cap:
-        raise DimensionLimit(f"CVP needs 1 <= n <= {cap}, got n={n}")
+    if not 1 <= n <= CVP_N_MAX:
+        raise DimensionLimit(f"CVP needs 1 <= n <= {CVP_N_MAX}, got n={n}")
     taxicab, w, to_tau, to_m, cosets = _cvp_plan(spec, n)
     dim = len(w)
     h = reduce_phases(theta)
@@ -289,6 +274,15 @@ def _log_unit_volume(spec: MetricSpec, n: int) -> float:
     return d * math.log(math.sqrt(math.pi)) - math.lgamma(d / 2 + 1) - 0.5 * log_w
 
 
+def lattice_log_det(n: int) -> float:
+    """log |det| of the U-mode phase lattice in Pauli coordinates, basis 2*pi W/2^n.
+
+    W W = d I, so |det W| = d^{d/2} and the determinant is (2 pi)^d d^{-d/2}.
+    """
+    d = 2**n
+    return d * (math.log(2 * math.pi) - 0.5 * n * math.log(2.0))
+
+
 def unit_ball_volume(spec: MetricSpec, r: float, n: int) -> float:
     """Volume of {F <= r} in the diagonal subspace: V(r) = r^d V_F(1), in log space."""
     log_v1 = _log_unit_volume(spec, n)
@@ -306,7 +300,7 @@ def coverage_bound(spec: MetricSpec, f_fraction: float, n: int) -> float:
     log_v1 = _log_unit_volume(spec, n)
     if not 0.0 < f_fraction <= 1.0:
         raise ValueError("f_fraction must be in (0, 1]")
-    log_rhs = math.log(f_fraction) + PhaseLattice(spec.mode, n).log_det()
+    log_rhs = math.log(f_fraction) + lattice_log_det(n)
     return math.exp((log_rhs - log_v1) / 2**n)
 
 

@@ -52,7 +52,7 @@ from .errors import (
     UnsupportedSpec,
     ZeroVector,
 )
-from .pauli import SU, U, PauliVector, qubits_of_dimension, weights_array
+from .pauli import SU, U, entries_of, qubits_of_dimension, weights_array
 
 F1 = "F1"
 F2 = "F2"
@@ -190,17 +190,6 @@ def penalty_vector(spec: MetricSpec, n: int) -> np.ndarray:
     return p
 
 
-def _entries(spec: MetricSpec, y) -> np.ndarray:
-    if isinstance(y, PauliVector):
-        if y.mode != spec.mode:
-            raise DimensionMismatch(f"vector mode {y.mode} vs spec mode {spec.mode}")
-        return y.entries
-    y = np.asarray(y, dtype=float)
-    if not np.isfinite(y).all():
-        raise NonFiniteInput("vector has NaN or infinite entries")
-    return y
-
-
 # ---------------------------------------------------------------------------
 # norm evaluation
 
@@ -214,7 +203,7 @@ def _no_overflow(out: np.ndarray, what: str = "norm") -> np.ndarray:
 
 def norm(spec: MetricSpec, y) -> float:
     """F(y) for any family: norms_batch on a batch of one."""
-    return float(norms_batch(spec, _entries(spec, y)[None, :])[0])
+    return float(norms_batch(spec, entries_of(y, spec.mode)[None, :])[0])
 
 
 def _plain_norms(spec: MetricSpec, p: np.ndarray, v: np.ndarray):
@@ -337,7 +326,7 @@ def grad_f_squared(spec: MetricSpec, y) -> np.ndarray:
     """Analytic gradient of F^2 at a vector, or at each row of an (m, dim) array."""
     if spec.family in (F1, FP):
         raise NotSmoothMetric(f"{spec.family} has no smooth gradient")
-    v = _entries(spec, y)
+    v = entries_of(y, spec.mode)
     with np.errstate(over="ignore"):  # an overflow is _no_overflow's to report
         if spec.family in EUCLIDEAN:
             grad = 2.0 * penalty_vector(spec, qubits_of_dimension(v.shape[-1], spec.mode)) * v
@@ -502,7 +491,7 @@ def hessian_parts(spec: MetricSpec, y) -> HessianParts:
     """
     if spec.family not in SMOOTHED:
         raise UnsupportedSpec(f"hessian_parts is for {SMOOTHED}, not {spec.family}")
-    p, N, u = _solved_point(spec, _entries(spec, y))
+    p, N, u = _solved_point(spec, entries_of(y, spec.mode))
     U = np.empty(u.shape + (2,))
     gamma, Gu = U[..., 0], U[..., 1]
     u2 = u * u
@@ -535,7 +524,7 @@ def hessian(spec: MetricSpec, y) -> np.ndarray:
     """
     if spec.family in (F1, FP):
         raise NotSmoothMetric(f"{spec.family} is not twice differentiable off the axes")
-    v = _entries(spec, y)
+    v = entries_of(y, spec.mode)
     if spec.family in EUCLIDEAN:
         if not np.any(v, axis=-1).all():
             raise ZeroVector("hessian requested at y = 0")
@@ -564,7 +553,7 @@ def euler_identities_check(spec: MetricSpec, y) -> tuple:
     All three vanish for a positively homogeneous norm; residuals materially
     above the finite-difference floor indicate a broken Hessian or solver.
     """
-    v = _entries(spec, y)
+    v = entries_of(y, spec.mode)
     F2sq = norm(spec, v) ** 2
     r1 = abs(float(grad_f_squared(spec, v) @ v) - 2.0 * F2sq)
     h = 1e-4 * float(np.linalg.norm(v))
@@ -574,18 +563,3 @@ def euler_identities_check(spec: MetricSpec, y) -> tuple:
     dH = (H[1 : len(v) + 1] - H[len(v) + 1 :]) / h  # dH[l] = 2 dH/dy_l
     r3 = float(np.max(np.abs(v @ dH)))
     return r1, r2, r3
-
-
-def metric_equivalence_constants(spec_a: MetricSpec, spec_b: MetricSpec, samples) -> tuple:
-    """Empirical (min, max) of norm_b/norm_a over sample vectors.
-
-    `samples` is an array of shape (m, dim) of nonzero vectors; both specs
-    must share the basis mode.
-    """
-    if spec_a.mode != spec_b.mode:
-        raise DimensionMismatch("specs on different basis modes")
-    a = norms_batch(spec_a, samples)
-    if not a.all():
-        raise ZeroVector("sample with zero norm")
-    ratios = norms_batch(spec_b, samples) / a
-    return float(np.min(ratios)), float(np.max(ratios))

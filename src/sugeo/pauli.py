@@ -18,7 +18,13 @@ unitary, and tangent-vector coordinates alike.
 `algebra` (coefficients -> matrices) and `coefficients` (matrices ->
 coefficients) are the only conversions between the two: they act on
 stacks, and `to_matrix`/`project_to_pauli` call them on a batch of one.
-`check_traceless` is the SU-mode trace check of a stack.
+`check_traceless` is the SU-mode trace check of a stack, and `entries_of`
+the one input check of a coefficient vector.
+
+Everything here is dense: the tangent space has dimension 4^n (minus one
+in SU mode), and the coordinate change is a filter on 2^n x 2^n matrices.
+n = 3 is comfortable, and n = 4 (255 tangent dimensions) is the hard
+ceiling, PAULI_N_MAX, that check_n enforces for every layer.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from itertools import product
 
 import numpy as np
 
-from .config import PAULI_N_MAX
 from .errors import (
     DimensionLimit,
     DimensionMismatch,
@@ -42,6 +47,8 @@ from .errors import (
 SU = "SU"
 U = "U"
 
+PAULI_N_MAX = 4
+
 LETTERS = "IXYZ"
 
 _SINGLE = {
@@ -50,6 +57,7 @@ _SINGLE = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+
 
 def check_n(n: int):
     if not 1 <= n <= PAULI_N_MAX:
@@ -207,6 +215,18 @@ class HermitianOperator:
             1.0, np.max(np.abs(self.matrix))
         ):
             raise ValueError("matrix is not Hermitian within tolerance")
+
+
+def entries_of(v, mode: str) -> np.ndarray:
+    """Coefficients of a PauliVector in `mode` (finite when built) or of a raw vector, checked finite."""
+    if isinstance(v, PauliVector):
+        if v.mode != mode:
+            raise DimensionMismatch(f"vector mode {v.mode} vs spec mode {mode}")
+        return v.entries
+    v = np.asarray(v, dtype=float)
+    if not np.isfinite(v).all():
+        raise NonFiniteInput("vector has NaN or infinite entries")
+    return v
 
 
 def matrix_of(H) -> np.ndarray:

@@ -4,7 +4,6 @@ import pytest
 from sugeo.bounds import (
     Circuit,
     Gate,
-    GateSet,
     IsometryMap,
     circuit_to_curve,
     circuit_unitary,
@@ -13,15 +12,16 @@ from sugeo.bounds import (
     hadamard_matrix,
     isometry_check,
     local_unitary,
-    pauli_symmetric_check,
     random_unitary,
     regularizer,
     s_matrix,
     swap_matrix,
 )
 from sugeo.errors import DimensionMismatch, NonTracelessInSUMode, NotGBounding
-from sugeo.metrics import F1, F1DELTA, F2, FP, FPDELTA, FQ, MetricSpec, PenaltyFunction, norm
-from sugeo.pauli import SU, PauliVector, project_to_pauli, string_index, to_matrix
+from sugeo.metrics import (
+    F1, F1DELTA, F2, FP, FPDELTA, FQ, MetricSpec, PenaltyFunction, norm, norms_batch,
+)
+from sugeo.pauli import SU, PauliVector, basis_dimension, project_to_pauli, string_index, to_matrix
 
 PEN1 = PenaltyFunction(kind="step", k=4.0, low_weight_cutoff=1)
 F1_SPEC = MetricSpec(family=F1)
@@ -49,13 +49,12 @@ def test_gate_validation():
         Gate("XX", 0.5, (0,))
     with pytest.raises(ValueError):
         Gate("XX", 0.5, (0, 0))
-    gs = GateSet()
-    with pytest.raises(ValueError):
-        gs.validate(Gate("XXX", 0.5, (0, 1, 2)))
-    with pytest.raises(ValueError):
-        gs.validate(Gate("X", 1.5, (0,)))
-    with pytest.raises(ValueError):
-        gs.validate(Gate("I", 0.5, (0,)))
+    # the gate set: 1 <= weight <= 2, alpha in [0, 1]
+    for gate in (Gate("XXX", 0.5, (0, 1, 2)), Gate("X", 1.5, (0,)), Gate("X", -0.1, (0,)),
+                 Gate("I", 0.5, (0,))):
+        with pytest.raises(ValueError):
+            circuit_to_curve(Circuit(3, [gate]), F2_SPEC)
+    assert circuit_to_curve(Circuit(3, [Gate("XY", 1.0, (0, 2))]), F2_SPEC).bound_holds
 
 
 def test_full_string_places_letters_by_qubit():
@@ -153,6 +152,16 @@ def test_closed_form_trajectory(n, spec):
     products = np.einsum("kij,klj->kil", traj.unitaries, traj.unitaries.conj())
     assert np.max(np.abs(products - eye)) < 1e-12
     assert len(traj.ts) == len(traj.unitaries) == len(traj.speeds)
+
+
+def pauli_symmetric_check(spec, samples=50, n=2, seed=20260822):
+    """Norm invariance under random sign flips of the coefficients, in one batch."""
+    rng = np.random.default_rng(seed)
+    shape = (samples, basis_dimension(n, spec.mode))
+    ys = rng.standard_normal(shape)
+    flipped = rng.choice([-1.0, 1.0], size=shape) * ys
+    F = norms_batch(spec, ys)
+    return bool(np.all(np.abs(norms_batch(spec, flipped) - F) <= 1e-12 * np.maximum(1.0, F)))
 
 
 def test_all_families_are_pauli_symmetric():

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -468,3 +469,161 @@ _JSON = st.recursive(
 def test_coordchange_never_raises_on_arbitrary_json(capsys, tmp_path, payload):
     code, _, _ = run(capsys, ["coordchange", "--input", write_json(tmp_path, "in.json", payload)])
     assert code in (0, 1, 2)
+
+
+def _shoot_argv(tmp_path, *extra):
+    metric = write_json(tmp_path, "fq.json", {"family": "Fq", "penalty": {"kind": "step", "k": 4.0}})
+    x0 = write_json(tmp_path, "x0.json", PauliVector.zero(2).to_json())
+    y0 = write_json(tmp_path, "y0.json", PauliVector.from_terms(2, {"XI": 0.4, "ZZ": -0.3}).to_json())
+    return ["geodesic-shoot", "--metric", metric, "--x0", x0, "--y0", y0, *extra]
+
+
+def test_shoot_backwards_takes_the_default_step_count(capsys, tmp_path):
+    code, out, err = run(capsys, _shoot_argv(tmp_path, "--t", "-0.05"))
+    assert code == 0, err
+    default = json.loads(out)
+    code, out, _ = run(capsys, _shoot_argv(tmp_path, "--t", "-0.05", "--steps", "50"))
+    assert code == 0 and json.loads(out) == default
+    assert len(default["samples"]) == 51 and default["samples"][-1]["t"] == pytest.approx(-0.05)
+
+
+@pytest.mark.parametrize("extra, code, error", [
+    (["--steps", "0"], 2, "usage error"),
+    (["--steps", "-1"], 2, "usage error"),
+    (["--t", "1e300", "--steps", "10"], 1, "NonFiniteInput"),
+    (["--t", "inf"], 1, "NonFiniteInput"),
+    (["--t=-inf", "--steps", "5"], 1, "NonFiniteInput"),
+    (["--t", "nan", "--steps", "3"], 1, "NonFiniteInput"),
+])
+def test_shoot_rejects_bad_time_arguments(capsys, tmp_path, extra, code, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run(capsys, _shoot_argv(tmp_path, *extra))
+    assert (got, out) == (code, "")
+    assert err.startswith(error)
+
+
+@pytest.mark.parametrize("t", ["inf", "-inf"])
+def test_pauli_geodesic_rejects_infinite_time(capsys, tmp_path, t):
+    # --t=VALUE: argparse would read a bare "-inf" as an option
+    coeffs = write_json(tmp_path, "z.json", PauliVector.from_terms(1, {"Z": 0.5}).to_json())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            capsys, ["pauli-geodesic", "--generators", "Z", "--coeffs", coeffs, f"--t={t}"]
+        )
+    assert (code, out) == (1, "")
+    assert err.startswith("NonFiniteInput")
+
+
+@pytest.mark.parametrize("extra, error", [
+    (["--n", "20"], "DimensionLimit"),
+    (["--n", "20", "--kind", "clifford", "--gate", "hadamard"], "DimensionLimit"),
+    (["--samples", "100000000000000"], "MemoryError"),
+])
+def test_isometry_check_refuses_before_it_allocates(capsys, f1_metric, extra, error):
+    argv = ["isometry-check", "--kind", "complex_conjugation", "--metric", f1_metric, *extra]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(error)
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz: every subcommand, bounded numbers; exit 0, 1 or 2, never a traceback
+
+_SPECS = [
+    {"family": "F1"},
+    {"family": "F2", "mode": "U"},
+    {"family": "Fq", "penalty": {"kind": "step", "k": 4.0, "low_weight_cutoff": 1}},
+    {"family": "FpDelta", "penalty": {"kind": "table", "values": [1, 2, 3]}, "delta": 1e-2},
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    from sugeo.geodesic import shoot_geodesic
+
+    root = tmp_path_factory.mktemp("fuzz")
+
+    def put(name, obj):
+        path = root / name
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    v1 = PauliVector.from_terms(1, {"Z": 0.5, "X": 0.1})
+    v2 = PauliVector.from_terms(2, {"ZZ": 0.3, "XI": -0.2})
+    curve = shoot_geodesic(MetricSpec(family=F2), v1.zero(1), v1, 0.01, steps=8)
+    z1, z2 = put("z1.json", PauliVector.zero(1).to_json()), put("z2.json", PauliVector.zero(2).to_json())
+    return {
+        "metric": [put(f"m{i}.json", s) for i, s in enumerate(_SPECS)],
+        "vector": [put("v1.json", v1.to_json()), put("v2.json", v2.to_json()), z1,
+                   put("u1.json", PauliVector.from_terms(1, {"I": 0.2, "Z": 0.1}, mode=U).to_json())],
+        "input": [put("cc.json", {"x": v1.to_json(), "y": v1.to_json()}),
+                  put("cc2.json", {"x": v2.to_json(), "y": v2.to_json(), "direction": "backward"})],
+        "curve": [put("curve.json", curve.to_json())],
+        "phases": [put("p1.json", {"n": 1, "theta": [0.4, -0.4]}),
+                   put("p2.json", {"n": 2, "theta": [0.1, 2.0, -3.0, 0.9]})],
+        "x0": {1: z1, 2: z2},
+        "circuit": [put("c.json", {"n": 2, "gates": [{"pauli": "ZZ", "alpha": 0.3, "qubits": [0, 1]},
+                                                     {"pauli": "X", "alpha": 0.9, "qubits": [1]}]})],
+    }
+
+
+_N = st.integers(-2, 6).map(str)
+_STEPS = st.integers(-2, 60).map(str)
+_T = (st.floats(-0.06, 0.06) | st.sampled_from([np.nan, np.inf, -np.inf])).map(repr)
+_SAMPLES = st.integers(-2, 50).map(str)
+
+
+def _fuzz_argv(draw, files):
+    def pick(key):
+        return draw(st.sampled_from(files[key]))
+
+    def maybe(flag, values):  # one word, so that argparse reads "-1e-05" as a value
+        return [f"{flag}={draw(values)}"] if draw(st.booleans()) else []
+
+    command = draw(st.sampled_from([
+        "metric-eval", "coordchange", "geodesic-shoot", "geodesic-residual", "pauli-geodesic",
+        "cvp-min", "volume-bound", "lower-bound", "isometry-check", "reproduce",
+    ]))
+    if command == "metric-eval":
+        return [command, "--metric", pick("metric"), "--vector", pick("vector"),
+                *(["--gradient"] if draw(st.booleans()) else [])]
+    if command == "coordchange":
+        return [command, "--input", pick("input")]
+    if command == "geodesic-shoot":
+        y0 = pick("vector")
+        x0 = files["x0"][2 if y0.endswith("v2.json") else 1]
+        return [command, "--metric", pick("metric"), "--x0", x0, "--y0", y0,
+                *maybe("--t", _T), *maybe("--steps", _STEPS), *maybe("--n-cap", _N)]
+    if command == "geodesic-residual":
+        return [command, "--curve", pick("curve")]
+    if command == "pauli-geodesic":
+        gens = draw(st.sampled_from(["Z", "X,Z", "ZI,IZ", "ZZ,XX", "Q", ""]))
+        return [command, "--generators", gens, "--coeffs", pick("vector"), *maybe("--t", _T),
+                *maybe("--metric", st.sampled_from(files["metric"]))]
+    if command == "cvp-min":
+        return [command, "--metric", pick("metric"), "--phases", pick("phases")]
+    if command == "volume-bound":
+        f = (st.floats(-0.5, 1.5) | st.sampled_from([np.nan, np.inf])).map(repr)
+        return [command, "--metric", pick("metric"), "--n", draw(_N), *maybe("--f", f)]
+    if command == "lower-bound":
+        return [command, "--circuit", pick("circuit"), "--metric", pick("metric")]
+    if command == "isometry-check":
+        kind = draw(st.sampled_from(["pauli", "complex_conjugation", "clifford", "local_unitary", "unitary"]))
+        return [command, "--kind", kind, "--metric", pick("metric"), *maybe("--n", _N),
+                *maybe("--samples", _SAMPLES), *maybe("--gate", st.sampled_from(["cnot", "hadamard", "s"])),
+                *maybe("--pauli", st.sampled_from(["X", "XY", "ZZZ"])),
+                *maybe("--seed", st.integers(-2, 5).map(str))]
+    return [command, "--suite", draw(st.sampled_from(["and-cvp", "isometry", "volume", "nope"]))]
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_argv_fuzz(capsys, fuzz_files, data):
+    argv = _fuzz_argv(data.draw, fuzz_files)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, argv)
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err, (argv, err)

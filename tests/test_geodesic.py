@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from sugeo.errors import (
     StepLimitExceeded,
     TooFewSamples,
     UnsupportedCoefficient,
+    UnsupportedSpec,
     ZeroVector,
 )
 from sugeo import geodesic, metrics
@@ -21,8 +24,8 @@ from sugeo.geodesic import (
     Curve,
     additive_triple_check,
     curve_length,
+    _embed_indices,
     el_residual,
-    embed_pauli_vector,
     f_squared_gradients,
     metric_in_pauli_coords,
     pauli_geodesic,
@@ -258,9 +261,8 @@ def test_f2_shot_from_nonzero_x0():
     assert np.max(np.abs(curve.ys[0] - y0.entries)) < 1e-12
 
 
-def test_shooting_cap(monkeypatch):
-    """The default cap is n = 4: an n = 4 shot runs, n = 5 (1023 coefficients) is refused."""
-    monkeypatch.delenv("SUGEO_N_CAP", raising=False)
+def test_shooting_cap():
+    """The cap is n = 4: an n = 4 shot runs, n = 5 (1023 coefficients) is refused."""
     y0 = np.zeros(255)
     y0[[0, 7, 40, 200]] = [0.5, -0.3, 0.2, 0.1]
     curve = shoot_geodesic(MetricSpec(FPDELTA, penalty=PEN1, delta=5e-4), np.zeros(255), y0, 0.01, steps=2)
@@ -331,12 +333,12 @@ def test_metric_in_pauli_coords_at_origin():
         metric_in_pauli_coords(spec, np.zeros(3), y.entries)
 
 
-def test_embed_pauli_vector_offsets():
+def test_embed_indices_offsets():
     v = PauliVector.from_terms(1, {"X": 1.0, "Z": 0.5})
-    left = embed_pauli_vector(v, 2, 0)
-    right = embed_pauli_vector(v, 2, 1)
-    assert left.terms() == {"XI": 1.0, "ZI": 0.5}
-    assert right.terms() == {"IX": 1.0, "IZ": 0.5}
+    for offset, terms in ((0, {"XI": 1.0, "ZI": 0.5}), (1, {"IX": 1.0, "IZ": 0.5})):
+        out = np.zeros(15)
+        out[_embed_indices(1, 2, offset, SU)] = v.entries
+        assert PauliVector(2, SU, out).terms() == terms
 
 
 def test_additive_triple_penalty_mismatch():
@@ -488,3 +490,44 @@ def test_adjoint_gradients_at_degenerate_stabilizer_point_n3():
     y = np.random.default_rng(31).standard_normal(63)
     for spec in (MetricSpec(FQ, penalty=PEN1), MetricSpec(FPDELTA, penalty=PEN1, delta=1e-3)):
         _assert_gradients_match_fd(spec, x, y)
+
+
+def test_additive_triple_rejects_u_mode():
+    # both factors' identity strings land on the product's identity coefficient
+    f2_u = MetricSpec(family=F2, mode=U)
+    with pytest.raises(UnsupportedSpec):
+        additive_triple_check(f2_u, f2_u, f2_u)
+    assert additive_triple_check(F2_SPEC, F2_SPEC, F2_SPEC) < 1e-12
+
+
+def test_shoot_default_steps_follow_abs_t_end():
+    y0 = PauliVector.from_terms(2, {"XI": 0.4, "ZZ": -0.3, "YX": 0.2}).entries
+    spec = MetricSpec(family=FQ, penalty=PEN1)
+    back = shoot_geodesic(spec, np.zeros(15), y0, -0.1)
+    assert back.stats["steps"] == 100
+    again = shoot_geodesic(spec, np.zeros(15), y0, -0.1, steps=100)
+    assert np.array_equal(back.xs, again.xs) and back.ts[-1] == pytest.approx(-0.1)
+
+
+@pytest.mark.parametrize("t_end, steps, error", [
+    (0.5, 0, ValueError),
+    (0.5, -1, ValueError),
+    (1e300, 10, NonFiniteInput),
+    (np.inf, None, NonFiniteInput),
+    (-np.inf, 5, NonFiniteInput),
+    (np.nan, None, NonFiniteInput),
+])
+def test_shoot_rejects_bad_time_arguments(t_end, steps, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            shoot_geodesic(F2_SPEC, np.zeros(3), np.array([0.5, 0.0, 0.0]), t_end, steps=steps)
+
+
+def test_shoot_n_cap_only_lowers_the_cap():
+    y0 = np.array([0.5, 0.0, 0.0])
+    with pytest.raises(DimensionLimit, match="n_cap=0"):
+        shoot_geodesic(F2_SPEC, np.zeros(3), y0, 0.01, steps=2, n_cap=0)
+    assert shoot_geodesic(F2_SPEC, np.zeros(3), y0, 0.01, steps=2, n_cap=1).n == 1
+    with pytest.raises(DimensionLimit):
+        shoot_geodesic(F2_SPEC, np.zeros(1023), np.ones(1023), 0.01, steps=2, n_cap=9)

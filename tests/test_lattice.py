@@ -15,7 +15,6 @@ import sugeo
 from sugeo.errors import (
     DimensionLimit,
     DimensionMismatch,
-    InvalidConfig,
     NonFiniteInput,
     NonTracelessInSUMode,
     UnsupportedSpec,
@@ -26,10 +25,10 @@ from sugeo.lattice import (
     _coset_table,
     _diag_weights,
     _walsh,
-    PhaseLattice,
     coverage_bound,
     cvp_minimal_pauli_geodesic,
     diagonal_to_pauli,
+    lattice_log_det,
     monte_carlo_coverage,
     reduce_phases,
     unit_ball_volume,
@@ -115,7 +114,8 @@ def test_cvp_matches_brute_force():
 
 
 def test_cvp_dimension_cap():
-    with pytest.raises(DimensionLimit):
+    assert cvp_minimal_pauli_geodesic(F1_U, np.zeros(8)).value == 0.0
+    with pytest.raises(DimensionLimit, match="n <= 3"):
         cvp_minimal_pauli_geodesic(F1_U, np.zeros(16))
 
 
@@ -393,20 +393,6 @@ def test_cvp_accepts_huge_finite_phases(family, mode, theta, value):
     assert res.value == pytest.approx(value, rel=1e-12)
 
 
-def test_cvp_honours_sugeo_n_cap(monkeypatch):
-    monkeypatch.setenv("SUGEO_N_CAP", "2")
-    with pytest.raises(DimensionLimit, match="n <= 2"):
-        cvp_minimal_pauli_geodesic(F1_U, np.zeros(8))
-    assert cvp_minimal_pauli_geodesic(F1_U, np.full(4, 0.5)).value == pytest.approx(0.5)
-    monkeypatch.setenv("SUGEO_N_CAP", "abc")
-    with pytest.raises(InvalidConfig):
-        cvp_minimal_pauli_geodesic(F1_U, np.zeros(4))
-    monkeypatch.setenv("SUGEO_N_CAP", "4")  # the CVP cap stays at 3
-    assert cvp_minimal_pauli_geodesic(F1_U, np.zeros(8)).value == 0.0
-    with pytest.raises(DimensionLimit, match="n <= 3"):
-        cvp_minimal_pauli_geodesic(F1_U, np.zeros(16))
-
-
 SHIFT_CASES = [(F1, None), (FP, 4.0), (F2, None), (FQ, 4.0)]
 
 
@@ -518,7 +504,7 @@ def test_coverage_bound_inverts_volume():
         for n in (1, 2):
             f = 0.37
             r = coverage_bound(spec, f, n)
-            det = math.exp(PhaseLattice(spec.mode, n).log_det())
+            det = math.exp(lattice_log_det(n))
             assert unit_ball_volume(spec, r, n) == pytest.approx(f * det, rel=1e-12)
     with pytest.raises(ValueError):
         coverage_bound(F2_U, 0.0, 1)
@@ -526,9 +512,9 @@ def test_coverage_bound_inverts_volume():
 
 def test_phase_lattice_determinant():
     for n in (1, 2, 3):
-        L = PhaseLattice(U, n)
-        sign, logdet = np.linalg.slogdet(L.basis_matrix())
-        assert abs(logdet - L.log_det()) < 1e-12
+        d = 2**n
+        sign, logdet = np.linalg.slogdet(2 * np.pi * _walsh(d) / d)
+        assert abs(logdet - lattice_log_det(n)) < 1e-12
 
 
 def test_monte_carlo_single_qubit_taxicab():

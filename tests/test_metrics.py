@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -27,7 +29,6 @@ from sugeo.metrics import (
     hessian,
     hessian_parts,
     implicit_norm,
-    metric_equivalence_constants,
     norm,
     norms_batch,
     penalty_vector,
@@ -112,6 +113,17 @@ def test_spec_json_roundtrip():
     assert parsed == spec
     table = MetricSpec(FQ, penalty=PenaltyFunction(kind="table", values=(1.0, 3.0)))
     assert MetricSpec.from_json(table.to_json()) == table
+    for penalty in (
+        PenaltyFunction(kind="step", k=4.0, low_weight_cutoff=0),
+        PenaltyFunction(kind="step", k=2.5, low_weight_cutoff=1),
+        PenaltyFunction(kind="table", values=(1.0, 2.0, 7.5)),
+    ):
+        for family in (FP, FQ, FPDELTA):
+            spec = MetricSpec(family, penalty=penalty, delta=1e-3 if family == FPDELTA else None)
+            obj = json.loads(json.dumps(spec.to_json()))
+            assert MetricSpec.from_json(obj) == spec
+            if penalty.kind == "step":
+                assert obj["penalty"]["low_weight_cutoff"] == penalty.low_weight_cutoff
 
 
 def test_smoothed_sandwich():
@@ -469,6 +481,12 @@ def test_euler_identities():
         y /= np.linalg.norm(y)
         r1, r2, r3 = euler_identities_check(spec, y)
         assert r1 < 1e-5 and r2 < 1e-5 and r3 < 1e-5
+
+
+def metric_equivalence_constants(spec_a, spec_b, samples):
+    """Empirical (min, max) of norm_b/norm_a over the rows of `samples`."""
+    ratios = norms_batch(spec_b, samples) / norms_batch(spec_a, samples)
+    return float(np.min(ratios)), float(np.max(ratios))
 
 
 def test_equivalence_constants():
