@@ -234,11 +234,6 @@ def _build_parser():
     p = add("cvp-min", _cmd_cvp_min, "minimal Pauli geodesic of a diagonal unitary")
     p.add_argument("--metric", required=True)
     p.add_argument("--phases", required=True, help='JSON file {"n": int, "theta": [floats]}')
-    p.add_argument(
-        "--require-certified",
-        action="store_true",
-        help="accepted for compatibility: every solve is exact, so the result is always certified",
-    )
 
     p = add("volume-bound", _cmd_volume_bound, "coverage lower bound on the geodesic radius")
     p.add_argument("--metric", required=True)

@@ -59,7 +59,6 @@ from .pauli import (
     coefficients,
     matrix_of,
     qubit_count,
-    to_matrix,
 )
 
 # None of these is a finite-difference step: the geodesic layer's derivatives are exact.
@@ -342,7 +341,15 @@ def _pauli_log_phase(U, mode: str):
     return coefficients(((V * -phases) @ V.conj().T)[None], n, mode)[0], top
 
 
+def unitaries_from_coords(xs: np.ndarray, n: int, mode: str) -> np.ndarray:
+    """exp(-i x.sigma) for each row of an (m, d) array by one stacked eigh (else NoConvergence)."""
+    try:
+        lam, V = np.linalg.eigh(algebra(xs, n, mode))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"the eigensolver of exp(-i x.sigma) did not converge: {exc}") from exc
+    return (V * np.exp(-1j * lam)[:, None, :]) @ np.swapaxes(V.conj(), -1, -2)
+
+
 def unitary_from_coords(x: PauliVector) -> np.ndarray:
-    """exp(-i x.sigma) as a dense matrix (eigendecomposition, exact unitarity)."""
-    lam, V = np.linalg.eigh(to_matrix(x))
-    return (V * np.exp(-1j * lam)) @ V.conj().T
+    """exp(-i x.sigma) as a dense matrix, a stack of one for unitaries_from_coords."""
+    return unitaries_from_coords(x.entries[None], x.n, x.mode)[0]

@@ -12,18 +12,20 @@ is 2-homogeneous, p = Hess_N(H) h (Euler).  F2/Fq never solve the norm
 (metrics.hessian_parts), and its Hess_N is diagonal plus rank 2, so the
 linear solve and the eigenvalue check cost O(d), with no d x d matrix.  proj
 of a bracket is pauli.bracket, from structure constants.  shoot_geodesic
-advances H by RK4 and U by the 4th-order Magnus step U <- exp(-i K) U,
+first runs RK4 on H alone from H0 = E_x0(y0), then rebuilds U from
+U0 = exp(-i x0.sigma) by the 4th-order Magnus step U <- exp(-i K) U,
 K = dt/2 (H1 + H2) + sqrt(3)/12 dt^2 proj(-i[H2, H1]) at the Gauss points
-of each step's cubic Hermite interpolant of H, so U stays unitary.  It
-starts at H0 = E_x0(y0), U0 = exp(-i x0.sigma).
+of each step's cubic Hermite interpolant of H (one stacked eigh for all
+the exponentials, so U stays unitary): reduction, then reconstruction.
 
 Curves are returned in Pauli coordinates, U = exp(-i x.sigma) A, with
 h = E_x(y) given by coords.change_coords (the filter; y = E_x^-1(h) by its
 inverse).  The chart only covers eigenphases in (-pi, pi): once one reaches
 pi - _REANCHOR_MARGIN, A becomes the current U and x restarts at 0, so a
-Curve consists of chart segments, each with its own anchor.  el_residual
-checks the Euler-Lagrange equations of F(x, y) = N(E_x(y)) in the chart,
-with exact gradients, independently of the shooting.
+Curve consists of chart segments, each with its own anchor (_chart_curve,
+for shots and tensor products alike).  el_residual checks the
+Euler-Lagrange equations of F(x, y) = N(E_x(y)) in the chart, with exact
+gradients, independently of the shooting.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coords import UnitaryOperator, _Eigenbasis, _pauli_log_phase, change_coords, pauli_log
-from .coords import unitary_from_coords
+from .coords import UnitaryOperator, _Eigenbasis, _pauli_log_phase, change_coords
+from .coords import unitaries_from_coords, unitary_from_coords
 # perfbench wraps coords.change_matrices, and its test_tracer_self_time_and_patching
 # asserts that the wrapper replaces this binding too
 from .coords import change_matrices  # noqa: F401
@@ -44,8 +46,8 @@ from .errors import (
     DimensionLimit,
     DimensionMismatch,
     InconsistentPenalties,
-    NoConvergence,
     NonFiniteInput,
+    NotSmoothMetric,
     OutsidePatch,
     SingularHessian,
     StepLimitExceeded,
@@ -56,6 +58,8 @@ from .errors import (
 )
 from .metrics import (
     EUCLIDEAN,
+    F1,
+    FP,
     MetricSpec,
     grad_f_squared,
     hessian_parts,
@@ -83,6 +87,7 @@ from .pauli import (
 _MIN_G_EIG = 1e-10
 # A chart is left once an eigenphase of x.sigma comes this close to pi.
 _REANCHOR_MARGIN = 0.2
+_MAX_SEGMENTS = 64  # more charts raise StepLimitExceeded
 
 
 @dataclass
@@ -181,45 +186,46 @@ _HERMITE = np.array([
 ])
 
 
-def shoot_geodesic(
-    spec: MetricSpec,
-    x0,
-    y0,
-    t_end: float,
-    steps: int = None,
-    n_cap: int = None,
-    max_segments: int = 64,
-) -> Curve:
-    """Integrate the geodesic from (x0, y0) for time t_end.
+def shoot_geodesic(spec: MetricSpec, x0, y0, t_end: float, steps: int = None,
+                   n_cap: int = None) -> Curve:
+    """Integrate the geodesic from (x0, y0) for time t_end, one sample per step.
 
-    Fixed-step RK4 on the Euler-Arnold equation, default 1000 steps per unit
-    time (of |t_end|), one sample per step; more than max_segments charts raise
-    StepLimitExceeded.  curve.stats holds the step and segment counts, the
+    Two phases.  RK4 on the Euler-Arnold equation for H alone, default 1000
+    steps per unit time (of |t_end|), stores H and k = dH/dt, with no
+    exponential and no chart log.  The reconstruction builds each step's
+    Magnus exponent from (H_i, k_i, H_i+1, k_i+1), takes all exponentials
+    in one stacked eigh, forms U_i+1 = E_i U_i and recovers x with
+    _chart_curve.  curve.stats holds the step and segment counts, the
     smallest Hessian eigenvalue seen and the largest relative drift of F.
 
-    Cost per evaluation of the right-hand side, for the smoothed families:
-    one implicit norm solve (a few Newton steps on one row), the momentum
-    p = N gamma / D, one bracket, a Woodbury solve with Hess_N and an
-    inertia count at the running minimum of its eigenvalues, all O(d) but
-    the bracket; only when the count finds an eigenvalue below that minimum
-    is the smallest one found, by safeguarded Newton on the secular
-    equation (metrics.HessianParts).  A 1-unit FpDelta shot takes about
-    0.7 to 1.3 s at n = 3 (delta = 2e-3) and 2.5 to 3.4 s at n = 4
-    (delta = 5e-4) on one core; F2/Fq make no norm solve.
+    Cost per step: four right-hand sides, each one bracket and, for the
+    smoothed families, one implicit norm solve (a few Newton steps), a
+    Woodbury solve with Hess_N and an inertia count, all O(d) but the
+    bracket (metrics.HessianParts; F2/Fq make no norm solve).  The
+    reconstruction adds a bracket, a share of the eigh stack, a matrix
+    product and the chart log, its largest part (cProfile, n = 3 Fq: RK4
+    0.11 s, eigh stack 0.03 s, chart 0.16 s of which the log 0.11 s).  A
+    1-unit shot (1000 steps, one BLAS thread, 2-core Xeon) takes 0.24 to
+    0.37 s under Fq and 0.76 to 1.2 s under FpDelta (delta = 2e-3) at
+    n = 3, 1.8 to 2.3 s and 3.1 to 3.4 s (delta = 5e-4) at n = 4.  Memory:
+    H, k, x and y are (steps + 1, d) float arrays; the stack of U costs
+    about as much as two more.
 
     Working range: n <= 4 (pauli.PAULI_N_MAX; n_cap= lowers it for one
-    call), steps >= 1 (ValueError otherwise), a finite t_end with a
-    finite dt^2 (NonFiniteInput otherwise), and the step must resolve
-    the curvature of the norm, which for the smoothed families grows like
-    1/delta where a coefficient of H passes near 0.  FpDelta with
-    delta = 1e-3 and a generic unit y0 at n = 2 lies outside it (500 to
-    8000 steps per unit stop, 32000 still drift by 23% in F).  An
-    evaluation raises SingularHessian when the Hessian's smallest
-    eigenvalue is below 1e-10 or when F(H)^2 = p . H, conserved along the
-    geodesic, has left [F0^2/2, 2 F0^2].
+    call), a smooth family (NotSmoothMetric at entry for F1 and Fp),
+    steps >= 1 (else ValueError), a finite t_end and dt^2 (else
+    NonFiniteInput), and a step that resolves the norm's curvature, which
+    for the smoothed families grows like 1/delta where a coefficient of H
+    nears 0 (FpDelta, delta = 1e-3, a generic unit y0 at n = 2: 500 to
+    8000 steps per unit stop, 32000 drift by 23% in F).  SingularHessian:
+    the Hessian's smallest eigenvalue is below 1e-10, or F(H)^2 = p . H,
+    conserved, left [F0^2/2, 2 F0^2].  Failures come in phase order, each
+    at its first sample: SingularHessian (RK4), NoConvergence (the eigh
+    stack), then BranchCut, NonTracelessInSUMode or StepLimitExceeded (the
+    chart); of two faults the earlier phase's is reported.
     """
-    from scipy.linalg.lapack import zheevd
-
+    if spec.family in (F1, FP):
+        raise NotSmoothMetric(f"{spec.family} has no smooth square, so no geodesic equation")
     xe, ye = entries_of(x0, spec.mode).copy(), entries_of(y0, spec.mode).copy()
     n = qubits_of_dimension(len(xe), spec.mode)
     check_n(n)
@@ -237,7 +243,6 @@ def shoot_geodesic(
     if not math.isfinite(dt * dt):
         raise NonFiniteInput(f"the step t_end/steps = {dt:.3g} overflows when squared")
     mode = spec.mode
-    dim = 2**n
     # F2/Fq: Hess_N is the constant diag(q), q >= 1, so p = q h and no evaluation solves
     q = penalty_vector(spec, n) if spec.family in EUCLIDEAN else None
     min_eig = np.inf if q is None else float(q.min())
@@ -256,61 +261,66 @@ def shoot_geodesic(
         # F^2/2 is 2-homogeneous, so the momentum is Hess_N(H) h (Euler), and
         # h . p = F(H)^2, which the geodesic conserves
         if not 0.5 <= (p @ h) / energy <= 2.0:
-            raise SingularHessian(
-                f"F(H)^2 = {p @ h:.6g} left [F0^2/2, 2 F0^2] (F0^2 = {energy:.6g}); "
-                "the step is too long for the curvature of the norm"
-            )
+            raise SingularHessian(f"F(H)^2 = {p @ h:.6g} left [F0^2/2, 2 F0^2] (F0^2 = "
+                                  f"{energy:.6g}); the step is too long for the norm's curvature")
         r = bracket(h, p, n, mode)
         return r / q if q is not None else G.solve(r)
 
     h = change_coords(xe[None, :], ye[None, :], n, mode)[0]
     energy = norm(spec, h) ** 2
-    U = unitary_from_coords(PauliVector(n, mode, xe))
     hs = np.empty((steps + 1, len(h)))
-    xs = np.empty_like(hs)
-    hs[0], xs[0] = h, xe
-    segments = [0]
-    anchors = [np.eye(dim, dtype=complex)]
-    back = anchors[-1]  # the inverse of the current anchor
-    half, sixth, magnus = 0.5 * dt, dt / 6.0, (np.sqrt(3.0) / 12.0) * dt**2
-    hermite = _HERMITE * np.array([1.0, dt, 1.0, dt])  # weights of (H_n, k_n, H_n+1, k_n+1)
-    k = f(h)
-    for i in range(1, steps + 1):
+    ks = np.empty_like(hs)
+    hs[0], ks[0] = h, f(h)
+    half, sixth = 0.5 * dt, dt / 6.0
+    for i in range(steps):
+        h, k = hs[i], ks[i]
         k2 = f(h + half * k)
         k3 = f(h + half * k2)
         k4 = f(h + dt * k3)
-        h_next = h + sixth * (k + 2 * k2 + 2 * k3 + k4)
-        k_next = f(h_next)
-        h1, h2 = hermite @ np.array([h, k, h_next, k_next])
-        kappa = half * (h1 + h2) + magnus * bracket(h2, h1, n, mode)
-        lam, V, info = zheevd(algebra(kappa[None], n, mode)[0], compute_v=1, lower=1)
-        if info:
-            raise NoConvergence(f"the Magnus step's eigensolver did not converge (LAPACK info {info})")
-        U = (V * np.exp(-1j * lam)) @ V.conj().T @ U
-        h, k = h_next, k_next
-        hs[i] = h
-        xs[i], top = _pauli_log_phase(U @ back, mode)
+        hs[i + 1] = h + sixth * (k + 2 * k2 + 2 * k3 + k4)
+        ks[i + 1] = f(hs[i + 1])
+
+    hermite = _HERMITE * np.array([1.0, dt, 1.0, dt])  # weights of (H_i, k_i, H_i+1, k_i+1)
+    gauss = hermite @ np.stack([hs[:-1], ks[:-1], hs[1:], ks[1:]], axis=1)
+    brackets = np.array([bracket(h2, h1, n, mode) for h1, h2 in gauss])
+    Us = np.empty((steps + 1, 2**n, 2**n), dtype=complex)
+    Us[0] = unitary_from_coords(PauliVector(n, mode, xe))
+    kappas = half * (gauss[:, 0] + gauss[:, 1]) + (np.sqrt(3.0) / 12.0) * dt**2 * brackets
+    Us[1:] = unitaries_from_coords(kappas, n, mode)
+    for i in range(1, steps + 1):
+        Us[i] = Us[i] @ Us[i - 1]
+    curve = _chart_curve(spec, dt * np.arange(steps + 1), hs, Us, xe)
+    v = curve.speeds
+    curve.stats = {"steps": steps, "segments": len(curve.segments),
+                   "min_hessian_eig": float(min_eig),
+                   "speed_drift": float(np.max(np.abs(v - v[0])) / v[0])}
+    return curve
+
+
+def _chart_curve(spec: MetricSpec, ts: np.ndarray, hs: np.ndarray, Us: np.ndarray, x0) -> Curve:
+    """The Curve of the samples U_i = Us[i], H_i = hs[i].sigma at times ts; x0 charts Us[0].
+
+    x is logged sample by sample against the current anchor; a sample whose
+    top eigenphase reaches pi - _REANCHOR_MARGIN becomes the anchor, and the
+    one past _MAX_SEGMENTS charts raises StepLimitExceeded.
+    """
+    mode = spec.mode
+    n = qubits_of_dimension(hs.shape[1], mode)
+    xs = np.empty_like(hs)
+    xs[0] = x0
+    segments, anchors = [0], [np.eye(2**n, dtype=complex)]
+    back = anchors[0]  # the inverse of the current anchor
+    for i in range(1, len(ts)):
+        xs[i], top = _pauli_log_phase(Us[i] @ back, mode)
         if top >= np.pi - _REANCHOR_MARGIN:
-            if len(segments) == max_segments:
-                raise StepLimitExceeded(
-                    f"more than {max_segments} chart re-anchorings; "
-                    "the curve is too long for this sampling"
-                )
-            anchors.append(U)
-            back = U.conj().T
+            if len(segments) == _MAX_SEGMENTS:
+                raise StepLimitExceeded(f"more than {_MAX_SEGMENTS} charts; the curve is too long")
+            anchors.append(Us[i].copy())  # a view would keep the whole stack alive
+            back = anchors[-1].conj().T
             segments.append(i)
             xs[i] = 0.0
-
     ys = change_coords(xs, hs, n, mode, inverse=True)
-    speeds = norms_batch(spec, hs)
-    stats = {
-        "steps": steps,
-        "segments": len(segments),
-        "min_hessian_eig": float(min_eig),
-        "speed_drift": float(np.max(np.abs(speeds - speeds[0])) / speeds[0]),
-    }
-    ts = dt * np.arange(steps + 1)
-    return Curve(spec, n, mode, ts, xs, ys, speeds, segments, anchors, stats)
+    return Curve(spec, n, mode, ts, xs, ys, norms_batch(spec, hs), segments, anchors)
 
 
 # ---------------------------------------------------------------------------
@@ -429,29 +439,20 @@ def _embed_indices(n_from: int, n_total: int, offset: int, mode: str) -> np.ndar
 def tensor_product_curve(curve_a: Curve, curve_b: Curve, spec_ab: MetricSpec) -> Curve:
     """Samples of W(t) = U_A(t) (x) U_B(t) as a curve on the product group.
 
-    Requires matching sample times; the product must stay inside the Pauli
-    patch (eigenphases of W away from pi).
+    Requires matching sample times.  The chart is followed as in a shot
+    (_chart_curve): W re-anchors wherever an eigenphase nears pi.
     """
     if curve_a.mode != curve_b.mode or curve_a.mode != spec_ab.mode:
         raise DimensionMismatch("curves and product spec must share the basis mode")
     if len(curve_a.ts) != len(curve_b.ts) or not np.allclose(curve_a.ts, curve_b.ts):
         raise DimensionMismatch("curves must be sampled at the same times")
-    na, nb = curve_a.n, curve_b.n
+    na, nb, mode = curve_a.n, curve_b.n, spec_ab.mode
     n = na + nb
-    mode = spec_ab.mode
-    k = len(curve_a.ts)
-    d = basis_dimension(n, mode)
-
-    hs = np.zeros((k, d))
+    hs = np.zeros((len(curve_a.ts), basis_dimension(n, mode)))
     hs[:, _embed_indices(na, n, 0, mode)] += change_coords(curve_a.xs, curve_a.ys, na, mode)
     hs[:, _embed_indices(nb, n, na, mode)] += change_coords(curve_b.xs, curve_b.ys, nb, mode)
-    xs = np.array([
-        pauli_log(np.kron(curve_a.unitary_at(i), curve_b.unitary_at(i)), mode).entries
-        for i in range(k)
-    ])
-    ys = change_coords(xs, hs, n, mode, inverse=True)
-    speeds = norms_batch(spec_ab, hs)
-    return Curve(spec_ab, n, mode, curve_a.ts.copy(), xs, ys, speeds)
+    Ws = np.array([np.kron(curve_a.unitary_at(i), curve_b.unitary_at(i)) for i in range(len(hs))])
+    return _chart_curve(spec_ab, curve_a.ts.copy(), hs, Ws, _pauli_log_phase(Ws[0], mode)[0])
 
 
 def additive_triple_check(

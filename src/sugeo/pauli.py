@@ -171,13 +171,9 @@ class PauliVector:
     def __getitem__(self, s: str) -> float:
         return float(self.entries[string_index(self.n, self.mode)[s]])
 
-    def terms(self, cutoff: float = 0.0) -> dict:
+    def terms(self) -> dict:
         labels = pauli_strings(self.n, self.mode)
-        return {
-            s: float(v)
-            for s, v in zip(labels, self.entries)
-            if abs(v) > cutoff or (cutoff == 0.0 and v != 0.0)
-        }
+        return {s: float(v) for s, v in zip(labels, self.entries) if v != 0.0}
 
     def to_json(self) -> dict:
         return {

@@ -10,7 +10,9 @@ from sugeo.errors import (
     DimensionLimit,
     DimensionMismatch,
     InconsistentPenalties,
+    NoConvergence,
     NonFiniteInput,
+    NotSmoothMetric,
     OutsidePatch,
     SingularHessian,
     StepLimitExceeded,
@@ -31,6 +33,7 @@ from sugeo.geodesic import (
     pauli_geodesic,
     pauli_geodesic_curve,
     shoot_geodesic,
+    tensor_product_curve,
 )
 from sugeo.metrics import F1, F1DELTA, F2, FP, FPDELTA, FQ, MetricSpec, PenaltyFunction, norm
 from sugeo.pauli import SU, U, PauliVector, algebra, coefficients, stabilizer_span, to_matrix
@@ -71,13 +74,14 @@ def test_reanchoring_and_unitary_at():
         assert np.max(np.abs(curve.unitary_at(i) - expected)) < 1e-6
 
 
-def test_step_limit():
+def test_step_limit(monkeypatch):
+    monkeypatch.setattr(geodesic, "_MAX_SEGMENTS", 1)
     with pytest.raises(StepLimitExceeded):
-        shoot_geodesic(F2_SPEC, np.zeros(3), np.array([3.0, 0.0, 0.0]), 3.0, max_segments=1)
+        shoot_geodesic(F2_SPEC, np.zeros(3), np.array([3.0, 0.0, 0.0]), 3.0)
 
 
 def test_step_limit_stops_at_the_extra_anchor(monkeypatch):
-    """x is recovered step by step, so the run stops at the first re-anchoring past the limit."""
+    """x is recovered step by step, so the chart stops at the first re-anchoring past the limit."""
     calls = []
     log = geodesic._pauli_log_phase
 
@@ -86,10 +90,81 @@ def test_step_limit_stops_at_the_extra_anchor(monkeypatch):
         return log(U, mode)
 
     monkeypatch.setattr(geodesic, "_pauli_log_phase", counting_log)
+    monkeypatch.setattr(geodesic, "_MAX_SEGMENTS", 1)
     with pytest.raises(StepLimitExceeded):
-        shoot_geodesic(F2_SPEC, np.zeros(3), np.array([3.0, 0.0, 0.0]), 3.0, max_segments=1)
+        shoot_geodesic(F2_SPEC, np.zeros(3), np.array([3.0, 0.0, 0.0]), 3.0)
     # |y0| = 3 reaches the margin pi - 0.2 at t = 0.98, step 980 of 3000
     assert 975 <= len(calls) <= 985
+
+
+def test_reconstruction_takes_one_stacked_exponential(monkeypatch):
+    """The RK4 phase takes no exponential and no chart log; the rebuild takes one eigh stack."""
+    rows, logs = [], []
+    stacked, log = geodesic.unitaries_from_coords, geodesic._pauli_log_phase
+
+    def counting_stack(xs, n, mode):
+        rows.append(len(xs))
+        return stacked(xs, n, mode)
+
+    def counting_log(U, mode):
+        logs.append(1)
+        return log(U, mode)
+
+    monkeypatch.setattr(geodesic, "unitaries_from_coords", counting_stack)
+    monkeypatch.setattr(geodesic, "_pauli_log_phase", counting_log)
+    steps = 37
+    shoot_geodesic(MetricSpec(family=FQ, penalty=PEN1), np.zeros(15), np.linspace(0.1, 0.5, 15), 0.2, steps=steps)
+    assert rows == [steps]
+    assert len(logs) == steps
+
+
+def test_failed_eigensolver_is_no_convergence(monkeypatch):
+    """A LinAlgError of the stacked exponential is NoConvergence, in shots and single exponentials."""
+    eigh = np.linalg.eigh
+    steps = 20
+
+    def failing_eigh(a, *args, **kwargs):
+        if len(a) == steps:  # only the reconstruction's stack
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    with pytest.raises(NoConvergence):
+        shoot_geodesic(F2_SPEC, np.zeros(3), np.array([0.3, 0.1, 0.0]), 0.2, steps=steps)
+    curve = pauli_geodesic_curve(F2_SPEC, PauliVector(1, SU, np.array([0.0, 0.0, 0.4])), 1.0, num_samples=11)
+
+    def broken_eigh(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", broken_eigh)
+    with pytest.raises(NoConvergence):
+        curve.unitary_at(3)
+    with pytest.raises(NoConvergence):
+        pauli_geodesic(stabilizer_span(["Z"]), PauliVector(1, SU, np.array([0.0, 0.0, 0.4])), 1.0)
+
+
+@pytest.mark.parametrize("family, penalty", [(F1, None), (FP, PEN1)])
+def test_non_smooth_families_cannot_shoot(family, penalty):
+    """F1 and Fp have no smooth F^2: NotSmoothMetric at entry, before y0 is even checked."""
+    spec = MetricSpec(family=family, penalty=penalty)
+    with pytest.raises(NotSmoothMetric):
+        shoot_geodesic(spec, np.zeros(3), np.zeros(3), 1.0, steps=10)
+
+
+def test_tensor_product_curve_re_anchors():
+    """A product of two factor geodesics whose phases add up past the margin follows the chart."""
+    spec = MetricSpec(FQ, penalty=PenaltyFunction(kind="step", k=3.0, low_weight_cutoff=1))
+    steps = 960
+    ca = shoot_geodesic(spec, np.zeros(3), np.array([0.9, 0.5, -0.3]), 2.4, steps=steps)
+    cb = shoot_geodesic(spec, np.zeros(3), np.array([-0.4, 0.8, 0.6]), 2.4, steps=steps)
+    prod = tensor_product_curve(ca, cb, spec)
+    assert len(prod.segments) >= 2
+    for a, b in prod.segment_bounds():
+        assert np.max(np.abs(np.diff(prod.xs[a:b], axis=0))) < 0.1
+    for i in range(steps + 1):
+        kron = np.kron(ca.unitary_at(i), cb.unitary_at(i))
+        assert np.max(np.abs(prod.unitary_at(i) - kron)) < 1e-12
+    assert el_residual(spec, prod) < 1e-8
 
 
 def test_one_norm_solve_per_right_hand_side(monkeypatch):
