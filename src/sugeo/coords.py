@@ -32,6 +32,17 @@ One eigendecomposition (_Eigenbasis) serves the filter, its transpose E_-X
 Daleckii-Krein derivative of tr(G E_X(Z)) in X written as matrix products
 in the eigenbasis, with phi' taken from Phi.  geodesic.f_squared_gradients
 reads both gradients of F^2 from one, so no library path forms M(x).
+Every Hermitian eigensolve goes through _eigh, which turns LAPACK's
+failure to converge into NoConvergence.
+
+The chart, pauli_log, inverts exp(-i x.sigma) on principal eigenphases
+in (-pi, pi).  One Schur factorisation U = V diag(e^{i phases}) V^+
+(_schur_phases, LAPACK zgees: the Schur vectors of a unitary are
+orthonormal eigenvectors) gives the spectrum (-phases, V) of x.sigma.
+_log_rows reads x from a stack of such spectra; in SU mode x.sigma must
+be traceless, checked by pauli.check_traceless, the one trace rule.  The
+same spectra build an _Eigenbasis, so a shot's chart (geodesic's
+_chart_curve) gets x and y = E_x^-1(h) from one factorisation a sample.
 """
 
 from __future__ import annotations
@@ -46,7 +57,6 @@ from .errors import (
     DimensionMismatch,
     NoConvergence,
     NonFiniteInput,
-    NonTracelessInSUMode,
     OutsidePatch,
     ResonantSpectrum,
 )
@@ -56,6 +66,7 @@ from .pauli import (
     algebra,
     basis_stack,
     check_n,
+    check_traceless,
     coefficients,
     matrix_of,
     qubit_count,
@@ -162,15 +173,23 @@ def _gap_data(lam: np.ndarray):
     return gaps, mask
 
 
+def _eigh(X: np.ndarray):
+    """np.linalg.eigh of a Hermitian stack; a LinAlgError becomes NoConvergence."""
+    try:
+        return np.linalg.eigh(X)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"the Hermitian eigensolver did not converge: {exc}") from exc
+
+
 class _Eigenbasis:
-    """X = V diag(l) V^+ for a Hermitian stack: V, V^+, gaps l_a - l_b, cluster mask, Phi.
+    """X = V diag(l) V^+ from the spectrum (l, V) of a Hermitian stack: V^+, gaps, mask, Phi.
 
     A hat is a matrix in this basis (hat and unhat change to and from it).
     """
 
-    def __init__(self, X: np.ndarray):
-        lam, self.V = np.linalg.eigh(X)
-        self.Vh = np.swapaxes(self.V.conj(), -1, -2)
+    def __init__(self, lam: np.ndarray, V: np.ndarray):
+        self.V = V
+        self.Vh = np.swapaxes(V.conj(), -1, -2)
         self.gaps, self.mask = _gap_data(lam)
         self.Phi = _phi(self.gaps, self.mask)
 
@@ -210,7 +229,7 @@ def bch_x_gradient(X: np.ndarray, Z: np.ndarray, G: np.ndarray) -> np.ndarray:
     with phi'(s) = (1 - (1 + is) phi(s))/s read from Phi (Taylor series
     below |s| = 1e-3).  X, Z and G may be stacks (m, D, D), taken pairwise.
     """
-    E = _Eigenbasis(X)
+    E = _Eigenbasis(*_eigh(X))
     Zh, Gh = E.hat(Z), E.hat(G)
     return E.unhat(E.x_gradient(Zh, Gh, E.Phi * Zh, E.Phi.conj() * Gh))
 
@@ -220,7 +239,7 @@ def apply_bch(X: np.ndarray, Z: np.ndarray, inverse: bool = False) -> np.ndarray
 
     X and Z may also be stacks of matrices, shape (m, D, D), mapped pairwise.
     """
-    return _Eigenbasis(X).apply(Z, inverse)
+    return _Eigenbasis(*_eigh(X)).apply(Z, inverse)
 
 
 def change_coords(xs: np.ndarray, ys: np.ndarray, n: int, mode: str, inverse: bool = False):
@@ -254,7 +273,7 @@ def change_matrices(xs: np.ndarray, n: int, mode: str = SU) -> np.ndarray:
     vector it needs with change_coords and never forms M.
     """
     stack = basis_stack(n, mode)[:, None]  # (d, 1, D, D) against the m eigenbases
-    cols = _Eigenbasis(algebra(xs, n, mode)).apply(stack).reshape(-1, 2**n, 2**n)
+    cols = _Eigenbasis(*_eigh(algebra(xs, n, mode))).apply(stack).reshape(-1, 2**n, 2**n)
     return coefficients(cols, n, mode).reshape(len(stack), len(xs), -1).transpose(1, 2, 0)
 
 
@@ -310,43 +329,42 @@ def pauli_log(U, mode: str = SU) -> PauliVector:
 
     Undefined when U has an eigenvalue at -1 (the chart's branch cut).
     """
-    return PauliVector(qubit_count(matrix_of(U)), mode, _pauli_log_phase(U, mode)[0])
-
-
-def _pauli_log_phase(U, mode: str):
-    """The entries of pauli_log(U, mode) and max |eigenphase of U|, which is max |eig(x.sigma)|.
-
-    The Schur vectors of a unitary (one LAPACK zgees call) are orthonormal
-    eigenvectors.  In SU mode the phases must sum to zero: tr(x.sigma) is
-    minus their sum, held to check_traceless's tolerance 1e-10 x 2^n.
-    """
-    from scipy.linalg.lapack import zgees
-
     M = matrix_of(U)
     n = qubit_count(M)
     if not np.isfinite(M).all():
         raise NonFiniteInput("unitary includes NaN or infinity")
+    phases, V, _ = _schur_phases(M)
+    return PauliVector(n, mode, _log_rows(-phases[None], V[None], n, mode)[0])
+
+
+def _schur_phases(M: np.ndarray):
+    """(phases, V, top): M = V diag(e^{i phases}) V^+ by one LAPACK zgees call, top = max |phases|.
+
+    The Schur vectors of a unitary are orthonormal eigenvectors; -phases is the spectrum of i log M.
+    """
+    from scipy.linalg.lapack import zgees
+
     _, _, w, V, _, info = zgees(lambda w: 0, M)  # no reordering
     if info:
         raise NoConvergence(f"the Schur QR iteration did not converge (LAPACK info {info})")
     phases = np.angle(w)
-    listed = phases.tolist()  # 2^n values: Python's max and sum beat numpy's call overhead
-    top = max(map(abs, listed))
+    top = max(map(abs, phases.tolist()))  # 2^n values: Python's max beats numpy's call overhead
     if np.pi - top < _BRANCH_TOL:
         raise BranchCut("an eigenvalue of U lies within tolerance of -1")
+    return phases, V, top
+
+
+def _log_rows(lam: np.ndarray, V: np.ndarray, n: int, mode: str) -> np.ndarray:
+    """Coefficients of X = V diag(lam) V^+ per row of a spectrum stack (SU: check_traceless)."""
+    X = (V * lam[:, None, :]) @ np.swapaxes(V.conj(), -1, -2)
     if mode == SU:
-        trace = -sum(listed)
-        if abs(trace) > 1e-10 * len(listed):
-            raise NonTracelessInSUMode(f"trace {trace:.3e} in SU mode")
-    return coefficients(((V * -phases) @ V.conj().T)[None], n, mode)[0], top
+        check_traceless(X)
+    return coefficients(X, n, mode)
 
 
 def unitaries_from_coords(xs: np.ndarray, n: int, mode: str) -> np.ndarray:
     """exp(-i x.sigma) for each row of an (m, d) array by one stacked eigh (else NoConvergence)."""
-    try:
-        lam, V = np.linalg.eigh(algebra(xs, n, mode))
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"the eigensolver of exp(-i x.sigma) did not converge: {exc}") from exc
+    lam, V = _eigh(algebra(xs, n, mode))
     return (V * np.exp(-1j * lam)[:, None, :]) @ np.swapaxes(V.conj(), -1, -2)
 
 

@@ -19,11 +19,11 @@ of each step's cubic Hermite interpolant of H (one stacked eigh for all
 the exponentials, so U stays unitary): reduction, then reconstruction.
 
 Curves are returned in Pauli coordinates, U = exp(-i x.sigma) A, with
-h = E_x(y) given by coords.change_coords (the filter; y = E_x^-1(h) by its
-inverse).  The chart only covers eigenphases in (-pi, pi): once one reaches
+h = E_x(y) (the filter of coords; y = E_x^-1(h) by its inverse).  The
+chart only covers eigenphases in (-pi, pi): once one reaches
 pi - _REANCHOR_MARGIN, A becomes the current U and x restarts at 0, so a
 Curve consists of chart segments, each with its own anchor (_chart_curve,
-for shots and tensor products alike).  el_residual checks the
+for shots and tensor products alike, one Schur factorisation a sample).  el_residual checks the
 Euler-Lagrange equations of F(x, y) = N(E_x(y)) in the chart, with exact
 gradients, independently of the shooting.
 """
@@ -37,8 +37,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coords import UnitaryOperator, _Eigenbasis, _pauli_log_phase, change_coords
-from .coords import unitaries_from_coords, unitary_from_coords
+from .coords import UnitaryOperator, _Eigenbasis, _eigh, _log_rows, _schur_phases, change_coords
+from .coords import pauli_log, unitaries_from_coords, unitary_from_coords
 # perfbench wraps coords.change_matrices, and its test_tracer_self_time_and_patching
 # asserts that the wrapper replaces this binding too
 from .coords import change_matrices  # noqa: F401
@@ -88,6 +88,10 @@ _MIN_G_EIG = 1e-10
 # A chart is left once an eigenphase of x.sigma comes this close to pi.
 _REANCHOR_MARGIN = 0.2
 _MAX_SEGMENTS = 64  # more charts raise StepLimitExceeded
+# More steps raise StepLimitExceeded at entry: 100 units of time at the default rate.  A shot
+# peaks at about 770 B (n = 1) to 52 KB (n = 4) per step in its (steps + 1)-row arrays, so
+# 77 MB to 5.2 GB here.
+_MAX_STEPS = 10**5
 
 
 @dataclass
@@ -203,26 +207,31 @@ def shoot_geodesic(spec: MetricSpec, x0, y0, t_end: float, steps: int = None,
     Woodbury solve with Hess_N and an inertia count, all O(d) but the
     bracket (metrics.HessianParts; F2/Fq make no norm solve).  The
     reconstruction adds a bracket, a share of the eigh stack, a matrix
-    product and the chart log, its largest part (cProfile, n = 3 Fq: RK4
-    0.11 s, eigh stack 0.03 s, chart 0.16 s of which the log 0.11 s).  A
-    1-unit shot (1000 steps, one BLAS thread, 2-core Xeon) takes 0.24 to
-    0.37 s under Fq and 0.76 to 1.2 s under FpDelta (delta = 2e-3) at
-    n = 3, 1.8 to 2.3 s and 3.1 to 3.4 s (delta = 5e-4) at n = 4.  Memory:
-    H, k, x and y are (steps + 1, d) float arrays; the stack of U costs
-    about as much as two more.
+    product and the chart's Schur call (cProfile of a 1-unit n = 3 Fq
+    shot, 0.20 s under the profiler: RK4 0.08 s, eigh stack 0.02 s, chart
+    0.06 s of which the Schur calls 0.04 s).  A 1-unit shot (1000 steps,
+    one BLAS thread, 2-core Xeon) takes 0.24 to 0.37 s under Fq and 0.76
+    to 1.2 s under FpDelta (delta = 2e-3) at n = 3, 1.8 to 2.3 s and 3.1
+    to 3.4 s (delta = 5e-4) at n = 4.  Memory: H, k, x and y are
+    (steps + 1, d) float arrays, and the stacks of U and of the chart's
+    eigenvectors cost about as much as two more each: a peak of about
+    770 B a step at n = 1 and 52 KB at n = 4 (tracemalloc).
 
     Working range: n <= 4 (pauli.PAULI_N_MAX; n_cap= lowers it for one
     call), a smooth family (NotSmoothMetric at entry for F1 and Fp),
-    steps >= 1 (else ValueError), a finite t_end and dt^2 (else
-    NonFiniteInput), and a step that resolves the norm's curvature, which
-    for the smoothed families grows like 1/delta where a coefficient of H
-    nears 0 (FpDelta, delta = 1e-3, a generic unit y0 at n = 2: 500 to
-    8000 steps per unit stop, 32000 drift by 23% in F).  SingularHessian:
+    1 <= steps <= _MAX_STEPS = 10^5, given or default (else ValueError,
+    or StepLimitExceeded at entry, before any allocation), a finite t_end
+    and dt^2 (else NonFiniteInput), and a step that resolves the norm's
+    curvature, which for the smoothed families grows like 1/delta where a
+    coefficient of H nears 0 (FpDelta, delta = 1e-3, a generic unit y0 at
+    n = 2: 500 to 8000 steps per unit stop, 32000 drift by 23% in F).  SingularHessian:
     the Hessian's smallest eigenvalue is below 1e-10, or F(H)^2 = p . H,
     conserved, left [F0^2/2, 2 F0^2].  Failures come in phase order, each
     at its first sample: SingularHessian (RK4), NoConvergence (the eigh
-    stack), then BranchCut, NonTracelessInSUMode or StepLimitExceeded (the
-    chart); of two faults the earlier phase's is reported.
+    stack), then NoConvergence, BranchCut or StepLimitExceeded (the
+    chart's Schur calls), then NonTracelessInSUMode (its stacked pass); of
+    two faults the earlier phase's is reported.  Every eigensolver failure
+    is NoConvergence, that of H0 = E_x0(y0) at entry included.
     """
     if spec.family in (F1, FP):
         raise NotSmoothMetric(f"{spec.family} has no smooth square, so no geodesic equation")
@@ -233,10 +242,12 @@ def shoot_geodesic(spec: MetricSpec, x0, y0, t_end: float, steps: int = None,
         raise DimensionLimit(f"shooting at n={n} exceeds n_cap={n_cap}")
     if not math.isfinite(t_end):
         raise NonFiniteInput(f"t_end={t_end} is not finite")
-    if steps is None:
-        steps = max(1, int(round(1000 * abs(t_end))))
+    if steps is None:  # capped before the conversion, which overflows for |t_end| > 1.8e305
+        steps = max(1, int(round(min(1000 * abs(t_end), _MAX_STEPS + 1))))
     if steps < 1:
         raise ValueError(f"steps={steps} must be at least 1")
+    if steps > _MAX_STEPS:
+        raise StepLimitExceeded(f"more than {_MAX_STEPS} steps (t_end={t_end:g}); shoot in pieces")
     if not np.any(ye):
         raise ZeroVector("y0 must be nonzero")
     dt = t_end / steps
@@ -300,26 +311,31 @@ def shoot_geodesic(spec: MetricSpec, x0, y0, t_end: float, steps: int = None,
 def _chart_curve(spec: MetricSpec, ts: np.ndarray, hs: np.ndarray, Us: np.ndarray, x0) -> Curve:
     """The Curve of the samples U_i = Us[i], H_i = hs[i].sigma at times ts; x0 charts Us[0].
 
-    x is logged sample by sample against the current anchor; a sample whose
-    top eigenphase reaches pi - _REANCHOR_MARGIN becomes the anchor, and the
-    one past _MAX_SEGMENTS charts raises StepLimitExceeded.
+    One Schur call per sample on U_i A^-1 (A the anchor) gives the spectrum (-phases, V) of
+    x_i.sigma.  A sample whose top phase reaches pi - _REANCHOR_MARGIN becomes the anchor, with
+    spectrum (0, I); the one past _MAX_SEGMENTS raises StepLimitExceeded.  One stacked pass reads
+    x and y = E_x^-1(h) from these spectra (row 0: eigh(x0.sigma)), with no second eigensolve.
     """
     mode = spec.mode
     n = qubits_of_dimension(hs.shape[1], mode)
-    xs = np.empty_like(hs)
-    xs[0] = x0
+    lam = np.zeros((len(ts), 2**n))
+    Vs = np.tile(np.eye(2**n, dtype=complex), (len(ts), 1, 1))
+    lam[:1], Vs[:1] = _eigh(algebra(x0[None], n, mode))
     segments, anchors = [0], [np.eye(2**n, dtype=complex)]
     back = anchors[0]  # the inverse of the current anchor
     for i in range(1, len(ts)):
-        xs[i], top = _pauli_log_phase(Us[i] @ back, mode)
-        if top >= np.pi - _REANCHOR_MARGIN:
-            if len(segments) == _MAX_SEGMENTS:
-                raise StepLimitExceeded(f"more than {_MAX_SEGMENTS} charts; the curve is too long")
-            anchors.append(Us[i].copy())  # a view would keep the whole stack alive
-            back = anchors[-1].conj().T
-            segments.append(i)
-            xs[i] = 0.0
-    ys = change_coords(xs, hs, n, mode, inverse=True)
+        phases, V, top = _schur_phases(Us[i] @ back)
+        if top < np.pi - _REANCHOR_MARGIN:
+            lam[i], Vs[i] = -phases, V
+            continue
+        if len(segments) == _MAX_SEGMENTS:
+            raise StepLimitExceeded(f"more than {_MAX_SEGMENTS} charts; the curve is too long")
+        anchors.append(Us[i].copy())  # a view would keep the whole stack alive
+        back = anchors[-1].conj().T
+        segments.append(i)
+    xs = _log_rows(lam, Vs, n, mode)
+    xs[0] = x0
+    ys = coefficients(_Eigenbasis(lam, Vs).apply(algebra(hs, n, mode), inverse=True), n, mode)
     return Curve(spec, n, mode, ts, xs, ys, norms_batch(spec, hs), segments, anchors)
 
 
@@ -337,7 +353,7 @@ def f_squared_gradients(spec: MetricSpec, xs: np.ndarray, ys: np.ndarray) -> tup
     """
     mode = spec.mode
     n = qubits_of_dimension(xs.shape[1], mode)
-    E = _Eigenbasis(algebra(xs, n, mode))
+    E = _Eigenbasis(*_eigh(algebra(xs, n, mode)))
     Yh = E.hat(algebra(ys, n, mode))
     A = E.Phi * Yh
     Gh = E.hat(algebra(grad_f_squared(spec, coefficients(E.unhat(A), n, mode)), n, mode))
@@ -358,8 +374,7 @@ def el_residual(spec: MetricSpec, curve: Curve) -> float:
     bounds = [(a, b) for a, b in curve.segment_bounds() if b - a >= 5]
     if not bounds:
         raise TooFewSamples(f"no chart segment of {len(curve.ts)} samples has 5 or more")
-    worst = 0.0
-    rhs_scale = 0.0
+    worst = rhs_scale = 0.0
     for a, b in bounds:
         rhs, lhs = f_squared_gradients(spec, curve.xs[a:b], curve.ys[a:b])
         res = np.abs(np.gradient(lhs, curve.ts[a:b], axis=0) - rhs)[1:-1]
@@ -414,12 +429,8 @@ def curve_length(spec: MetricSpec, curve: Curve) -> float:
     """Composite-Simpson quadrature of the speed over each chart segment."""
     from scipy.integrate import simpson
 
-    total = 0.0
-    for a, b in curve.segment_bounds():
-        if b - a < 2:
-            continue
-        total += float(simpson(curve.speeds[a:b], x=curve.ts[a:b]))
-    return total
+    bounds = [(a, b) for a, b in curve.segment_bounds() if b - a >= 2]
+    return float(sum(simpson(curve.speeds[a:b], x=curve.ts[a:b]) for a, b in bounds))
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +463,7 @@ def tensor_product_curve(curve_a: Curve, curve_b: Curve, spec_ab: MetricSpec) ->
     hs[:, _embed_indices(na, n, 0, mode)] += change_coords(curve_a.xs, curve_a.ys, na, mode)
     hs[:, _embed_indices(nb, n, na, mode)] += change_coords(curve_b.xs, curve_b.ys, nb, mode)
     Ws = np.array([np.kron(curve_a.unitary_at(i), curve_b.unitary_at(i)) for i in range(len(hs))])
-    return _chart_curve(spec_ab, curve_a.ts.copy(), hs, Ws, _pauli_log_phase(Ws[0], mode)[0])
+    return _chart_curve(spec_ab, curve_a.ts.copy(), hs, Ws, pauli_log(Ws[0], mode).entries)
 
 
 def additive_triple_check(
@@ -491,12 +502,10 @@ def additive_triple_check(
         blocks.append(idx)
     if rng is None:
         rng = np.random.default_rng(20260822)
-    da = len(blocks[0])
-    y = rng.standard_normal((num_samples, da + len(blocks[1])))
-    ya, yb = y[:, :da], y[:, da:]
+    y = rng.standard_normal((num_samples, len(blocks[0]) + len(blocks[1])))
+    ya, yb = np.split(y, [len(blocks[0])], axis=1)
     emb = np.zeros((num_samples, basis_dimension(n, mode)))
-    emb[:, blocks[0]] += ya
-    emb[:, blocks[1]] += yb
+    emb[:, np.concatenate(blocks)] = y  # SU mode: the two blocks are disjoint
     split = norms_batch(spec_a, ya) ** 2 + norms_batch(spec_b, yb) ** 2
     gap = norms_batch(spec_ab, emb) ** 2 - split
     return float(np.max(np.abs(gap), initial=0.0))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sugeo import geodesic
 from sugeo.cli import dispatch
 from sugeo.lattice import coverage_bound
 from sugeo.metrics import F2, MetricSpec
@@ -501,6 +502,10 @@ def test_shoot_backwards_takes_the_default_step_count(capsys, tmp_path):
     (["--t", "inf"], 1, "NonFiniteInput"),
     (["--t=-inf", "--steps", "5"], 1, "NonFiniteInput"),
     (["--t", "nan", "--steps", "3"], 1, "NonFiniteInput"),
+    (["--t", "1e300"], 1, "StepLimitExceeded"),
+    (["--t", "1e12"], 1, "StepLimitExceeded"),
+    (["--t=-1e306"], 1, "StepLimitExceeded"),
+    (["--steps", str(geodesic._MAX_STEPS + 1)], 1, "StepLimitExceeded"),
 ])
 def test_shoot_rejects_bad_time_arguments(capsys, tmp_path, extra, code, error):
     with warnings.catch_warnings():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sugeo.coords import apply_bch, change_coords_forward, unitary_from_coords
+from sugeo.coords import apply_bch, change_coords, change_coords_forward, unitary_from_coords
 from sugeo.errors import (
     DimensionLimit,
     DimensionMismatch,
@@ -81,15 +81,15 @@ def test_step_limit(monkeypatch):
 
 
 def test_step_limit_stops_at_the_extra_anchor(monkeypatch):
-    """x is recovered step by step, so the chart stops at the first re-anchoring past the limit."""
+    """x is charted step by step, so the chart stops at the first re-anchoring past the limit."""
     calls = []
-    log = geodesic._pauli_log_phase
+    schur = geodesic._schur_phases
 
-    def counting_log(U, mode):
+    def counting_schur(M):
         calls.append(1)
-        return log(U, mode)
+        return schur(M)
 
-    monkeypatch.setattr(geodesic, "_pauli_log_phase", counting_log)
+    monkeypatch.setattr(geodesic, "_schur_phases", counting_schur)
     monkeypatch.setattr(geodesic, "_MAX_SEGMENTS", 1)
     with pytest.raises(StepLimitExceeded):
         shoot_geodesic(F2_SPEC, np.zeros(3), np.array([3.0, 0.0, 0.0]), 3.0)
@@ -98,28 +98,39 @@ def test_step_limit_stops_at_the_extra_anchor(monkeypatch):
 
 
 def test_reconstruction_takes_one_stacked_exponential(monkeypatch):
-    """The RK4 phase takes no exponential and no chart log; the rebuild takes one eigh stack."""
-    rows, logs = [], []
-    stacked, log = geodesic.unitaries_from_coords, geodesic._pauli_log_phase
+    """The RK4 phase takes no exponential and no chart log; the rebuild takes one eigh stack.
+
+    The chart factors each sample once (one Schur call) and reads both x and
+    y from that factorisation: no eigh runs on a stack of all the samples.
+    """
+    rows, schurs, eighs = [], [], []
+    stacked, schur, eigh = geodesic.unitaries_from_coords, geodesic._schur_phases, np.linalg.eigh
 
     def counting_stack(xs, n, mode):
         rows.append(len(xs))
         return stacked(xs, n, mode)
 
-    def counting_log(U, mode):
-        logs.append(1)
-        return log(U, mode)
+    def counting_schur(M):
+        schurs.append(1)
+        return schur(M)
+
+    def counting_eigh(a, *args, **kwargs):
+        eighs.append(len(a))
+        return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(geodesic, "unitaries_from_coords", counting_stack)
-    monkeypatch.setattr(geodesic, "_pauli_log_phase", counting_log)
+    monkeypatch.setattr(geodesic, "_schur_phases", counting_schur)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     steps = 37
     shoot_geodesic(MetricSpec(family=FQ, penalty=PEN1), np.zeros(15), np.linspace(0.1, 0.5, 15), 0.2, steps=steps)
     assert rows == [steps]
-    assert len(logs) == steps
+    assert len(schurs) == steps
+    assert steps in eighs and steps + 1 not in eighs
 
 
 def test_failed_eigensolver_is_no_convergence(monkeypatch):
-    """A LinAlgError of the stacked exponential is NoConvergence, in shots and single exponentials."""
+    """A LinAlgError of any Hermitian eigensolve is NoConvergence: the stacked exponential,
+    single exponentials, the change of coordinates and the Euler-Lagrange gradients."""
     eigh = np.linalg.eigh
     steps = 20
 
@@ -141,6 +152,12 @@ def test_failed_eigensolver_is_no_convergence(monkeypatch):
         curve.unitary_at(3)
     with pytest.raises(NoConvergence):
         pauli_geodesic(stabilizer_span(["Z"]), PauliVector(1, SU, np.array([0.0, 0.0, 0.4])), 1.0)
+    with pytest.raises(NoConvergence):
+        change_coords(np.zeros((1, 3)), np.ones((1, 3)), 1, SU)
+    with pytest.raises(NoConvergence):
+        el_residual(F2_SPEC, curve)
+    with pytest.raises(NoConvergence):  # the first eigensolve of a shot: H0 = E_x0(y0)
+        shoot_geodesic(F2_SPEC, np.zeros(3), np.array([0.3, 0.1, 0.0]), 0.2, steps=steps)
 
 
 @pytest.mark.parametrize("family, penalty", [(F1, None), (FP, PEN1)])
@@ -591,6 +608,10 @@ def test_shoot_default_steps_follow_abs_t_end():
     (np.inf, None, NonFiniteInput),
     (-np.inf, 5, NonFiniteInput),
     (np.nan, None, NonFiniteInput),
+    (1e300, None, StepLimitExceeded),
+    (1e12, None, StepLimitExceeded),
+    (-1e306, None, StepLimitExceeded),
+    (0.5, geodesic._MAX_STEPS + 1, StepLimitExceeded),
 ])
 def test_shoot_rejects_bad_time_arguments(t_end, steps, error):
     with warnings.catch_warnings():
