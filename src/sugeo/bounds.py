@@ -17,8 +17,9 @@ Fq survive), and arbitrary unitary conjugation leaves only F2.
 
 Each check is one batched pass: the gate norms of a circuit, and the
 random samples of an isometry or sign-flip check, go through one
-norms_batch call per metric.  random_unitary draws the conjugating
-unitaries.
+norms_batch call per metric, and every sample of a circuit's curve comes
+from one batched product against the circuit's prefix products.
+random_unitary draws the conjugating unitaries.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteInput, NotGBounding
+from .errors import DimensionMismatch, NonFiniteInput, NotGBounding, StepLimitExceeded
 from .metrics import F1, F1DELTA, F2, FP, FPDELTA, FQ, MetricSpec, norms_batch
 from .pauli import (
     SU,
@@ -106,13 +107,27 @@ def gate_unitary(circuit: Circuit, gate: Gate) -> np.ndarray:
     return np.cos(gate.alpha) * np.eye(dim) - 1j * np.sin(gate.alpha) * sigma
 
 
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Product U_m ... U_1 (gate 1 applied first)."""
+def _prefix_products(circuit: Circuit, strings: list) -> np.ndarray:
+    """pairs[j] = (V_j, W_j): V_j the product of the first j gates, W_j = -i sigma_j V_j.
+
+    sigma_j^2 = I, so V_{j+1} = cos(alpha_j) V_j + sin(alpha_j) W_j: one
+    matrix product per gate.  pairs has m + 1 rows; its last W is zero.
+    """
     dim = 2**circuit.n
-    U = np.eye(dim, dtype=complex)
-    for g in circuit.gates:
-        U = gate_unitary(circuit, g) @ U
-    return U
+    pairs = np.zeros((len(strings) + 1, 2, dim, dim), dtype=complex)
+    pairs[0, 0] = np.eye(dim)
+    for j, (g, s) in enumerate(zip(circuit.gates, strings)):
+        V, W = pairs[j]
+        np.matmul(pauli_matrix(s), V, out=W)
+        W *= -1j
+        pairs[j + 1, 0] = np.cos(g.alpha) * V + np.sin(g.alpha) * W
+    return pairs
+
+
+def circuit_unitary(circuit: Circuit) -> np.ndarray:
+    """Product U_m ... U_1 (gate 1 applied first); n is checked first."""
+    check_n(circuit.n)
+    return _prefix_products(circuit, [circuit.full_string(g) for g in circuit.gates])[-1, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +137,9 @@ _SAMPLES_PER_SEGMENT = 250
 # The exactly-universal gate set: exp(-i alpha sigma), 1 <= wt(sigma) <= 2, alpha in [0, 1].
 _MAX_GATE_WEIGHT = 2
 _ALPHA_MAX = 1.0
+# The sample stack takes (250 m + 1) 4^n 16 B, 1 MiB a gate at n = 4.  1 GiB
+# fits a workstation's memory and still admits 1048 gates at n = 4.
+_MAX_STACK_BYTES = 2**30
 
 
 def regularizer(m: int):
@@ -152,6 +170,11 @@ class CircuitTrajectory:
         return len(self.circuit.gates)
 
     @property
+    def stats(self) -> dict:
+        return {"gates": self.gate_count, "samples": len(self.ts),
+                "stack_bytes": self.unitaries.nbytes}
+
+    @property
     def bound_holds(self) -> bool:
         return self.length <= self.gate_count + 1e-6
 
@@ -160,24 +183,31 @@ def circuit_to_curve(circuit: Circuit, spec: MetricSpec) -> CircuitTrajectory:
     """The trajectory of dV/dt = -i r(t) m alpha_j sigma_j V, in closed form.
 
     sigma_j^2 = I, so on segment j (t in [j/m, (j+1)/m], 0-based) the curve is
-    V(t) = (cos theta I - i sin theta sigma_j) V_j with V_j the product of the
-    first j gates and theta(t) = alpha_j (m t - j - sin(2 pi m t) / (2 pi)).
-    The speed is r(t) m alpha_j F(sigma_j) and the length is exactly
-    sum_j alpha_j F(sigma_j), which never exceeds the gate count for a
-    G-bounding metric.  Every gate Hamiltonian is checked against the metric
-    at entry, all gate norms in one norms_batch call (G-bounding is a
-    property of the penalties, not of the spec label); the error raised is
+    V(t) = cos theta V_j + sin theta W_j, with V_j the product of the first j
+    gates, W_j = -i sigma_j V_j and theta(t) = alpha_j (m t - j - sin(2 pi m t)
+    / (2 pi)).  The speed is r(t) m alpha_j F(sigma_j) and the length is
+    exactly sum_j alpha_j F(sigma_j), which never exceeds the gate count for
+    a G-bounding metric.  n is checked first, then every gate Hamiltonian
+    against the metric, all gate norms in one norms_batch call (G-bounding is
+    a property of the penalties, not of the spec label); the error raised is
     that of the first gate that is malformed or over the bound, as when each
-    gate was checked in turn.  Each segment is sampled at
-    _SAMPLES_PER_SEGMENT points.
+    gate was checked in turn.
+
+    Cost: one matrix product per gate (_prefix_products), then one batched
+    product of every (cos theta, sin theta) pair against its (V_j, W_j),
+    written straight into the stack of _SAMPLES_PER_SEGMENT samples a
+    segment, so the peak memory is about the stack, (250 m + 1) 4^n complex
+    numbers.  Working range: n <= 4 and a stack of at most _MAX_STACK_BYTES
+    (1048 gates at n = 4); a longer circuit raises StepLimitExceeded after
+    the gate checks and before any allocation.
     """
+    check_n(circuit.n)
     m = len(circuit.gates)
     dim = 2**circuit.n
-    eye = np.eye(dim, dtype=complex)
     if m == 0:
         ts = np.array([0.0, 1.0])
         return CircuitTrajectory(
-            circuit, spec, ts, np.array([eye, eye]), np.zeros(2), 0.0, 0.0
+            circuit, spec, ts, np.array([np.eye(dim, dtype=complex)] * 2), np.zeros(2), 0.0, 0.0
         )
 
     strings, invalid = [], None
@@ -208,26 +238,37 @@ def circuit_to_curve(circuit: Circuit, spec: MetricSpec) -> CircuitTrajectory:
         raise invalid
 
     k = _SAMPLES_PER_SEGMENT
-    ts = np.arange(m * k + 1) / (m * k)
-    r = regularizer(m)(ts)
-    V = eye
-    unitaries = [V[None]]
-    speeds = [np.zeros(1)]
-    for j, (g, s, gate_norm) in enumerate(zip(circuit.gates, strings, gate_norms)):
-        seg = slice(j * k + 1, (j + 1) * k + 1)
-        theta = g.alpha * (m * ts[seg] - j - np.sin(2 * np.pi * m * ts[seg]) / (2 * np.pi))
-        sigma_V = pauli_matrix(s) @ V
-        unitaries.append(
-            np.cos(theta)[:, None, None] * V - 1j * np.sin(theta)[:, None, None] * sigma_V
+    stack_bytes = (m * k + 1) * dim * dim * np.dtype(complex).itemsize
+    if stack_bytes > _MAX_STACK_BYTES:
+        raise StepLimitExceeded(
+            f"{m} gates at n={circuit.n} need a {stack_bytes} B sample stack, "
+            f"over the {_MAX_STACK_BYTES} B cap"
         )
-        speeds.append(r[seg] * m * gate_norm)
-        V = gate_unitary(circuit, g) @ V
 
-    unitaries = np.concatenate(unitaries)
-    endpoint_error = float(np.max(np.abs(unitaries[-1] - V)))
+    ts = np.arange(m * k + 1) / (m * k)
+    speeds = regularizer(m)(ts)
+    speeds *= m
+    segment_speeds = speeds[1:].reshape(m, k)
+    segment_speeds *= gate_norms[:, None]
+    T = ts[1:].reshape(m, k)
+    alphas = np.array([g.alpha for g in circuit.gates])
+    theta = alphas[:, None] * (
+        m * T - np.arange(m)[:, None] - np.sin(2 * np.pi * m * T) / (2 * np.pi)
+    )
+
+    pairs = _prefix_products(circuit, strings)
+    unitaries = np.empty((m * k + 1, dim, dim), dtype=complex)
+    unitaries[0] = pairs[0, 0]
+    # sample i of segment j is cos theta_ji V_j + sin theta_ji W_j: one real
+    # product on the interleaved (re, im) views gives both parts at once
+    np.matmul(
+        np.stack((np.cos(theta), np.sin(theta)), axis=-1),
+        pairs[:-1].view(float).reshape(m, 2, 2 * dim * dim),
+        out=unitaries[1:].view(float).reshape(m, k, 2 * dim * dim),
+    )
+    endpoint_error = float(np.max(np.abs(unitaries[-1] - pairs[-1, 0])))
     return CircuitTrajectory(
-        circuit, spec, ts, unitaries, np.concatenate(speeds), float(sum(gate_norms)),
-        endpoint_error,
+        circuit, spec, ts, unitaries, speeds, float(sum(gate_norms)), endpoint_error
     )
 
 

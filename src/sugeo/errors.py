@@ -59,7 +59,8 @@ class SingularHessian(SugeoError):
 
 
 class StepLimitExceeded(SugeoError):
-    """Geodesic integration re-anchored or stepped more than the configured limit."""
+    """Geodesic integration re-anchored or stepped more than its limit, or a
+    circuit's sample stack would exceed its byte cap."""
 
 
 class TooFewSamples(SugeoError):

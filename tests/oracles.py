@@ -20,15 +20,20 @@ and fd_el_residual is the Euler-Lagrange residual with M(x) formed at
 every sample and the x-gradient taken by central differences over 2d
 perturbed base points.  Both are slow; the library never forms M(x).
 matrix_shoot is shoot_geodesic with every commutator a matrix product
-and every Hessian from metrics.hessian.
+and every Hessian from metrics.hessian.  segment_curve is circuit_to_curve
+built one segment at a time, each sample as (cos theta I - i sin theta
+sigma_j) V_j, with V_j from the product of gate_unitary matrices.
 """
 
 import numpy as np
 
+from sugeo.bounds import _SAMPLES_PER_SEGMENT, gate_unitary, regularizer
 from sugeo.coords import _ad_vec, _gap_data, _resonance_check, change_coords, change_matrices, pauli_log
 from sugeo.geodesic import _HERMITE, metric_in_pauli_coords
 from sugeo.metrics import grad_f_squared, hessian, norms_batch
-from sugeo.pauli import SU, algebra, coefficients, qubits_of_dimension
+from sugeo.pauli import (
+    SU, algebra, basis_dimension, coefficients, pauli_matrix, qubits_of_dimension, string_index,
+)
 
 _CHUNK = 2048
 _PINV_CUTOFF = 1e-10
@@ -162,3 +167,28 @@ def matrix_shoot(spec, y0, t_end, steps):
     assert np.max(np.abs(np.linalg.eigvalsh(algebra(xs, n, mode)))) < np.pi - 0.2
     ys = change_coords(xs, hs, n, mode, inverse=True)
     return xs, ys, norms_batch(spec, hs)
+
+
+def segment_curve(circuit, spec):
+    """(ts, unitaries, speeds, length) of circuit_to_curve, one segment at a time."""
+    m, dim = len(circuit.gates), 2**circuit.n
+    strings = [circuit.full_string(g) for g in circuit.gates]
+    idx = string_index(circuit.n, spec.mode)
+    hamiltonians = np.zeros((m, basis_dimension(circuit.n, spec.mode)))
+    hamiltonians[np.arange(m), [idx[s] for s in strings]] = [g.alpha for g in circuit.gates]
+    gate_norms = norms_batch(spec, hamiltonians)
+    k = _SAMPLES_PER_SEGMENT
+    ts = np.arange(m * k + 1) / (m * k)
+    r = regularizer(m)(ts)
+    V = np.eye(dim, dtype=complex)
+    unitaries, speeds = [V[None]], [np.zeros(1)]
+    for j, (g, s, gate_norm) in enumerate(zip(circuit.gates, strings, gate_norms)):
+        seg = slice(j * k + 1, (j + 1) * k + 1)
+        theta = g.alpha * (m * ts[seg] - j - np.sin(2 * np.pi * m * ts[seg]) / (2 * np.pi))
+        sigma_V = pauli_matrix(s) @ V
+        unitaries.append(
+            np.cos(theta)[:, None, None] * V - 1j * np.sin(theta)[:, None, None] * sigma_V
+        )
+        speeds.append(r[seg] * m * gate_norm)
+        V = gate_unitary(circuit, g) @ V
+    return ts, np.concatenate(unitaries), np.concatenate(speeds), float(sum(gate_norms))

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from oracles import segment_curve
 
+from sugeo import bounds
 from sugeo.bounds import (
     Circuit,
     Gate,
@@ -17,7 +21,9 @@ from sugeo.bounds import (
     s_matrix,
     swap_matrix,
 )
-from sugeo.errors import DimensionMismatch, NonTracelessInSUMode, NotGBounding
+from sugeo.errors import (
+    DimensionLimit, DimensionMismatch, NonTracelessInSUMode, NotGBounding, StepLimitExceeded,
+)
 from sugeo.metrics import (
     F1, F1DELTA, F2, FP, FPDELTA, FQ, MetricSpec, PenaltyFunction, norm, norms_batch,
 )
@@ -152,6 +158,102 @@ def test_closed_form_trajectory(n, spec):
     products = np.einsum("kij,klj->kil", traj.unitaries, traj.unitaries.conj())
     assert np.max(np.abs(products - eye)) < 1e-12
     assert len(traj.ts) == len(traj.unitaries) == len(traj.speeds)
+
+
+def random_circuit(n, m, seed):
+    """m gates of weight 1 or 2 (1 at n = 1) with alpha in [0.05, 1]."""
+    rng = np.random.default_rng(seed)
+    gates = []
+    for _ in range(m):
+        size = int(rng.integers(1, min(n, 2) + 1))
+        qubits = tuple(int(q) for q in rng.choice(n, size=size, replace=False))
+        letters = "".join("XYZ"[j] for j in rng.integers(3, size=size))
+        gates.append(Gate(letters, float(rng.uniform(0.05, 1.0)), qubits))
+    return Circuit(n, gates)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("spec", [
+    F1_SPEC,
+    F2_SPEC,
+    MetricSpec(family=FP, penalty=PenaltyFunction(kind="step", k=4.0)),
+    MetricSpec(family=FQ, penalty=PenaltyFunction(kind="step", k=4.0)),
+], ids=lambda spec: spec.family)
+def test_batched_curve_matches_the_per_segment_formula(n, spec):
+    c = random_circuit(n, 5, 7 * n)
+    traj = circuit_to_curve(c, spec)
+    ts, unitaries, speeds, length = segment_curve(c, spec)
+    assert np.array_equal(traj.ts, ts)
+    assert np.max(np.abs(traj.unitaries - unitaries)) < 1e-14
+    assert np.array_equal(traj.speeds, speeds)
+    assert traj.length == length
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_joint_samples_are_the_prefix_circuits(n):
+    c = random_circuit(n, 6, 11 * n)
+    traj = circuit_to_curve(c, F2_SPEC)
+    k = (len(traj.ts) - 1) // len(c.gates)
+    for j in range(len(c.gates) + 1):
+        prefix = circuit_unitary(Circuit(n, c.gates[:j]))
+        assert np.max(np.abs(traj.unitaries[j * k] - prefix)) < 1e-14
+    assert traj.endpoint_error == np.max(np.abs(traj.unitaries[-1] - circuit_unitary(c)))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_curve_peak_memory_is_about_the_stack(n):
+    c = random_circuit(n, 8, n)
+    tracemalloc.start()
+    try:
+        traj = circuit_to_curve(c, F2_SPEC)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * traj.unitaries.nbytes
+
+
+def test_trajectory_stats():
+    traj = circuit_to_curve(random_circuit(2, 3, 0), F2_SPEC)
+    assert traj.stats == {"gates": 3, "samples": len(traj.ts), "stack_bytes": traj.unitaries.nbytes}
+    assert traj.stats["samples"] == 3 * 250 + 1
+    assert circuit_to_curve(Circuit(2, []), F2_SPEC).stats == {
+        "gates": 0, "samples": 2, "stack_bytes": 2 * 16 * 16}
+
+
+@pytest.mark.parametrize("n", [-1, 0, 5, 9, 30])
+def test_circuits_check_the_qubit_range(n):
+    gate = Gate("X", 0.5, (0,))
+    for gates in ([], [gate]):
+        with pytest.raises(DimensionLimit):
+            circuit_to_curve(Circuit(n, gates), F2_SPEC)
+        with pytest.raises(DimensionLimit):
+            circuit_unitary(Circuit(n, gates))
+
+
+def test_sample_stack_cap_refuses_before_it_allocates():
+    per_gate = 250 * 4**4 * 16
+    m = (bounds._MAX_STACK_BYTES - 4**4 * 16) // per_gate + 1  # one gate over the cap at n = 4
+    c = Circuit(4, [Gate("Z", 0.5, (0,))] * m)
+    tracemalloc.start()
+    try:
+        with pytest.raises(StepLimitExceeded):
+            circuit_to_curve(c, F2_SPEC)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the gate norms take a few MB; the refused stack would take over 1 GiB
+    assert peak < bounds._MAX_STACK_BYTES / 100
+    # the first gate at fault is still the one named
+    with pytest.raises(ValueError, match="weight"):
+        circuit_to_curve(Circuit(4, [*c.gates, Gate("XXX", 0.1, (0, 1, 2))]), F2_SPEC)
+
+
+def test_sample_stack_cap_edge(monkeypatch):
+    c = random_circuit(2, 3, 1)
+    monkeypatch.setattr(bounds, "_MAX_STACK_BYTES", (3 * 250 + 1) * 16 * 16)
+    assert circuit_to_curve(c, F2_SPEC).stats["stack_bytes"] == bounds._MAX_STACK_BYTES
+    with pytest.raises(StepLimitExceeded):
+        circuit_to_curve(Circuit(2, [*c.gates, Gate("X", 0.1, (0,))]), F2_SPEC)
 
 
 def pauli_symmetric_check(spec, samples=50, n=2, seed=20260822):

@@ -328,6 +328,19 @@ def test_lower_bound_rejects_nan_alpha(capsys, tmp_path, f1_metric):
     assert "NonFiniteInput" in err
 
 
+@pytest.mark.parametrize("n, gates", [
+    (30, []),
+    (-1, []),
+    (0, []),
+    (9, [{"pauli": "X", "alpha": 0.5, "qubits": [0]}]),
+])
+def test_lower_bound_checks_the_qubit_range(capsys, tmp_path, f1_metric, n, gates):
+    circuit = write_json(tmp_path, "circ.json", {"n": n, "gates": gates})
+    code, out, err = run(capsys, ["lower-bound", "--circuit", circuit, "--metric", f1_metric])
+    assert (code, out) == (1, "")
+    assert err.startswith("DimensionLimit")
+
+
 def test_isometry_check_cli(capsys, tmp_path, f1_metric):
     fq = write_json(
         tmp_path,
