@@ -100,13 +100,6 @@ class Circuit:
         return cls(int(obj["n"]), gates)
 
 
-def gate_unitary(circuit: Circuit, gate: Gate) -> np.ndarray:
-    """exp(-i alpha sigma) = cos(alpha) I - i sin(alpha) sigma (sigma^2 = I)."""
-    sigma = pauli_matrix(circuit.full_string(gate))
-    dim = 2**circuit.n
-    return np.cos(gate.alpha) * np.eye(dim) - 1j * np.sin(gate.alpha) * sigma
-
-
 def _prefix_products(circuit: Circuit, strings: list) -> np.ndarray:
     """pairs[j] = (V_j, W_j): V_j the product of the first j gates, W_j = -i sigma_j V_j.
 

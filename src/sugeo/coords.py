@@ -28,7 +28,7 @@ a 4^n x 4^n matrix, the paper's definition that the filter is checked
 against.
 
 One eigendecomposition (_Eigenbasis) serves the filter, its transpose E_-X
-(filter Phi^T = conj(Phi), no second eigh) and bch_x_gradient, the
+(filter Phi^T = conj(Phi), no second eigh) and its x_gradient, the
 Daleckii-Krein derivative of tr(G E_X(Z)) in X written as matrix products
 in the eigenbasis, with phi' taken from Phi.  geodesic.f_squared_gradients
 reads both gradients of F^2 from one, so no library path forms M(x).
@@ -207,31 +207,22 @@ class _Eigenbasis:
         return self.unhat(self.Phi * self.hat(Z))
 
     def x_gradient(self, Zh, Gh, A, B) -> np.ndarray:
-        """Gamma^ of bch_x_gradient, given A = Phi o Z^ and B = conj(Phi) o G^."""
+        """Gamma^ with d/de tr(G E_{X+eS}(Z)) = tr(Gamma S) at e = 0, for all Hermitian S.
+
+        The Daleckii-Krein derivative of E_X(Z) = sum_ab phi(l_a - l_b) P_a Z P_b.
+        The sum over b of T_pqb = (phi(l_p - l_b) - phi(l_q - l_b)) / (l_p - l_q)
+        is, since Phi^T = conj(Phi), a sum of matrix products with A = Phi o Z^
+        and B = conj(Phi) o G^ (no (m, D, D, D) tensor):
+
+            Gamma^_qp = [Z^ B - B Z^ + G^ A - A G^]_qp / (l_p - l_q),
+            Gamma^_qp = [Z^ (phi'^T o G^) + G^ (conj(phi')^T o Z^)]_qp  (clustered p, q),
+
+        with phi'(s) = (1 - (1 + is) phi(s))/s read from Phi (Taylor series below |s| = 1e-3).
+        """
         quotient = (Zh @ B - B @ Zh + Gh @ A - A @ Gh) / np.where(self.mask, 1.0, -self.gaps)
         dPhiT = np.swapaxes(_dphi(self.gaps, self.Phi), -1, -2)
         clustered = Zh @ (dPhiT * Gh) + Gh @ (dPhiT.conj() * Zh)
         return np.where(self.mask, clustered, quotient)
-
-
-def bch_x_gradient(X: np.ndarray, Z: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Gamma with d/de tr(G E_{X+eS}(Z)) = tr(Gamma S) at e = 0, for all Hermitian S.
-
-    The Daleckii-Krein derivative of E_X(Z) = sum_ab phi(l_a - l_b) P_a Z P_b,
-    from the one eigendecomposition of X (hats: its eigenbasis).  The sum
-    over b of T_pqb = (phi(l_p - l_b) - phi(l_q - l_b)) / (l_p - l_q) is,
-    since Phi^T = conj(Phi), a sum of matrix products with A = Phi o Z^ and
-    B = conj(Phi) o G^ (no (m, D, D, D) tensor):
-
-        Gamma^_qp = [Z^ B - B Z^ + G^ A - A G^]_qp / (l_p - l_q),
-        Gamma^_qp = [Z^ (phi'^T o G^) + G^ (conj(phi')^T o Z^)]_qp  (clustered p, q),
-
-    with phi'(s) = (1 - (1 + is) phi(s))/s read from Phi (Taylor series
-    below |s| = 1e-3).  X, Z and G may be stacks (m, D, D), taken pairwise.
-    """
-    E = _Eigenbasis(*_eigh(X))
-    Zh, Gh = E.hat(Z), E.hat(G)
-    return E.unhat(E.x_gradient(Zh, Gh, E.Phi * Zh, E.Phi.conj() * Gh))
 
 
 def apply_bch(X: np.ndarray, Z: np.ndarray, inverse: bool = False) -> np.ndarray:

@@ -7,16 +7,17 @@ equation an ODE for H alone, the Euler-Arnold equation
     Hess_N(H) dH/dt = proj(-i[H, P]),   P = sum_s p_s sigma_s,  p = grad(F^2)/2 at H,
 
 with Hess_N = (1/2) d^2 F^2 and proj the Pauli coefficients.  Since F^2/2
-is 2-homogeneous, p = Hess_N(H) h (Euler).  F2/Fq never solve the norm
-(Hess_N = diag(q)); a smoothed family solves it once per evaluation
-(metrics.hessian_parts), and its Hess_N is diagonal plus rank 2, so the
-linear solve and the eigenvalue check cost O(d), with no d x d matrix.  proj
-of a bracket is pauli.bracket, from structure constants.  shoot_geodesic
-first runs RK4 on H alone from H0 = E_x0(y0), then rebuilds U from
-U0 = exp(-i x0.sigma) by the 4th-order Magnus step U <- exp(-i K) U,
-K = dt/2 (H1 + H2) + sqrt(3)/12 dt^2 proj(-i[H2, H1]) at the Gauss points
-of each step's cubic Hermite interpolant of H (one stacked eigh for all
-the exponentials, so U stays unitary): reduction, then reconstruction.
+is 2-homogeneous, p = Hess_N(H) h (Euler).  Under F2/Fq, Hess_N = diag(q), so
+the right side is a fixed quadratic form in h (_euclidean_field); it is zero
+under F2, whose geodesics are exp(-i t H0) U0 (the bi-invariant case).  A
+smoothed family solves the norm once per evaluation (metrics.hessian_parts);
+its Hess_N is diagonal plus rank 2, so the solve and the eigenvalue check cost
+O(d), and its bracket is pauli.bracket.  shoot_geodesic first runs RK4 on H
+alone from H0 = E_x0(y0), then rebuilds U from U0 = exp(-i x0.sigma) by the
+4th-order Magnus step U <- exp(-i K) U, K = dt/2 (H1 + H2) + sqrt(3)/12 dt^2
+proj(-i[H2, H1]) at the Gauss points of each step's cubic Hermite interpolant
+of H (stacked matrix commutators, then one stacked eigh, so U stays unitary):
+reduction, then reconstruction.
 
 Curves are returned in Pauli coordinates, U = exp(-i x.sigma) A, with
 h = E_x(y) (the filter of coords; y = E_x^-1(h) by its inverse).  The
@@ -71,6 +72,7 @@ from .pauli import (
     SU,
     PauliVector,
     StabilizerSubgroup,
+    _structure_constants,
     algebra,
     basis_dimension,
     bracket,
@@ -88,10 +90,10 @@ _MIN_G_EIG = 1e-10
 # A chart is left once an eigenphase of x.sigma comes this close to pi.
 _REANCHOR_MARGIN = 0.2
 _MAX_SEGMENTS = 64  # more charts raise StepLimitExceeded
-# More steps raise StepLimitExceeded at entry: 100 units of time at the default rate.  A shot
-# peaks at about 770 B (n = 1) to 52 KB (n = 4) per step in its (steps + 1)-row arrays, so
-# 77 MB to 5.2 GB here.
+# More steps (100 units of time at the default rate) raise StepLimitExceeded at entry.  A shot
+# peaks at about 670 B (n = 1) to 44 KB (n = 4) a step, so 67 MB to 4.4 GB here.
 _MAX_STEPS = 10**5
+_ROWS = 256  # steps whose Magnus commutators are formed at once: bounds the temporaries
 
 
 @dataclass
@@ -167,20 +169,21 @@ class Curve:
 
 
 # ---------------------------------------------------------------------------
-# metric pullback
-
-
-def metric_in_pauli_coords(spec: MetricSpec, x, y) -> float:
-    """F(x, y) = N(E_x(y)); equals norm(spec, y) at x = 0."""
-    xe, ye = entries_of(x, spec.mode), entries_of(y, spec.mode)
-    if xe.shape != ye.shape:
-        raise DimensionMismatch("x and y have different dimensions")
-    n = qubits_of_dimension(len(xe), spec.mode)
-    return norm(spec, change_coords(xe[None, :], ye[None, :], n, spec.mode)[0])
-
-
-# ---------------------------------------------------------------------------
 # shooting
+
+
+@lru_cache(maxsize=None)
+def _euclidean_field(spec: MetricSpec, n: int) -> tuple:
+    """(c, a, b, g) with q^-1 proj(-i[H, q h]) = bincount(c, g h_a h_b) under F2/Fq.
+
+    f_ab = -f_ba, so the pairs (a, b) and (b, a) of the structure constants add up to
+    f_ab (q_b - q_a) h_a h_b: a < b with q_a != q_b is kept, g = f_ab (q_b - q_a) / q_c.
+    """
+    q = penalty_vector(spec, n)
+    c, a, b, f = _structure_constants(n, spec.mode)
+    keep = (a < b) & (q[a] != q[b])
+    return c[keep], a[keep], b[keep], f[keep] * (q[b] - q[a])[keep] / q[c[keep]]
+
 
 # Cubic Hermite weights of (H_n, dt k_n, H_n+1, dt k_n+1) at the two Gauss
 # points c = 1/2 -+ sqrt(3)/6 of the 4th-order Magnus step.
@@ -202,20 +205,22 @@ def shoot_geodesic(spec: MetricSpec, x0, y0, t_end: float, steps: int = None,
     _chart_curve.  curve.stats holds the step and segment counts, the
     smallest Hessian eigenvalue seen and the largest relative drift of F.
 
-    Cost per step: four right-hand sides, each one bracket and, for the
-    smoothed families, one implicit norm solve (a few Newton steps), a
-    Woodbury solve with Hess_N and an inertia count, all O(d) but the
-    bracket (metrics.HessianParts; F2/Fq make no norm solve).  The
-    reconstruction adds a bracket, a share of the eigh stack, a matrix
-    product and the chart's Schur call (cProfile of a 1-unit n = 3 Fq
-    shot, 0.20 s under the profiler: RK4 0.08 s, eigh stack 0.02 s, chart
-    0.06 s of which the Schur calls 0.04 s).  A 1-unit shot (1000 steps,
-    one BLAS thread, 2-core Xeon) takes 0.24 to 0.37 s under Fq and 0.76
-    to 1.2 s under FpDelta (delta = 2e-3) at n = 3, 1.8 to 2.3 s and 3.1
-    to 3.4 s (delta = 5e-4) at n = 4.  Memory: H, k, x and y are
-    (steps + 1, d) float arrays, and the stacks of U and of the chart's
-    eigenvectors cost about as much as two more each: a peak of about
-    770 B a step at n = 1 and 52 KB at n = 4 (tracemalloc).
+    Cost per step: four right-hand sides.  Under F2/Fq each is one bincount
+    over the table, with no bracket and no solve (0, 36, 270 and 1512 terms
+    at n = 1..4 for a step penalty above weight 1).  Under the smoothed
+    families each is one bracket, one implicit norm solve (a few Newton
+    steps), a Woodbury solve with Hess_N and an inertia count, all O(d) but
+    the bracket (metrics.HessianParts).  The reconstruction adds a share of
+    one stacked pass of matrix commutators and of the eigh stack, a matrix
+    product and the chart's Schur call (cProfile of a 1-unit n = 3 Fq shot,
+    0.18 s under the profiler: RK4 0.04 s, commutators 0.01 s, eigh stack
+    0.02 s, chart 0.08 s of which Schur 0.06 s).  A 1-unit shot (1000 steps,
+    one BLAS thread, 2-core Xeon) takes 0.11 to 0.21 s under Fq and 0.88 to
+    1.05 s under FpDelta (delta = 2e-3) at n = 3, 0.39 to 0.59 s and 1.7 to
+    2.2 s (delta = 5e-4) at n = 4.  Memory: H, k, x and y are (steps + 1, d)
+    float arrays, and the stacks of U and of the chart's eigenvectors cost
+    about as much as two more each: a peak of about 670 B a step at n = 1
+    and 44 KB at n = 4 (tracemalloc).
 
     Working range: n <= 4 (pauli.PAULI_N_MAX; n_cap= lowers it for one
     call), a smooth family (NotSmoothMetric at entry for F1 and Fp),
@@ -257,6 +262,8 @@ def shoot_geodesic(spec: MetricSpec, x0, y0, t_end: float, steps: int = None,
     # F2/Fq: Hess_N is the constant diag(q), q >= 1, so p = q h and no evaluation solves
     q = penalty_vector(spec, n) if spec.family in EUCLIDEAN else None
     min_eig = np.inf if q is None else float(q.min())
+    if q is not None:
+        c, a, b, g = _euclidean_field(spec, n)
 
     def f(h):
         """dH/dt = Hess_N(H)^-1 proj(-i[H, P]) with P the momentum at H."""
@@ -274,8 +281,9 @@ def shoot_geodesic(spec: MetricSpec, x0, y0, t_end: float, steps: int = None,
         if not 0.5 <= (p @ h) / energy <= 2.0:
             raise SingularHessian(f"F(H)^2 = {p @ h:.6g} left [F0^2/2, 2 F0^2] (F0^2 = "
                                   f"{energy:.6g}); the step is too long for the norm's curvature")
-        r = bracket(h, p, n, mode)
-        return r / q if q is not None else G.solve(r)
+        if q is None:
+            return G.solve(bracket(h, p, n, mode))
+        return np.bincount(c, weights=g * h[a] * h[b], minlength=len(h))
 
     h = change_coords(xe[None, :], ye[None, :], n, mode)[0]
     energy = norm(spec, h) ** 2
@@ -291,13 +299,9 @@ def shoot_geodesic(spec: MetricSpec, x0, y0, t_end: float, steps: int = None,
         hs[i + 1] = h + sixth * (k + 2 * k2 + 2 * k3 + k4)
         ks[i + 1] = f(hs[i + 1])
 
-    hermite = _HERMITE * np.array([1.0, dt, 1.0, dt])  # weights of (H_i, k_i, H_i+1, k_i+1)
-    gauss = hermite @ np.stack([hs[:-1], ks[:-1], hs[1:], ks[1:]], axis=1)
-    brackets = np.array([bracket(h2, h1, n, mode) for h1, h2 in gauss])
     Us = np.empty((steps + 1, 2**n, 2**n), dtype=complex)
     Us[0] = unitary_from_coords(PauliVector(n, mode, xe))
-    kappas = half * (gauss[:, 0] + gauss[:, 1]) + (np.sqrt(3.0) / 12.0) * dt**2 * brackets
-    Us[1:] = unitaries_from_coords(kappas, n, mode)
+    Us[1:] = unitaries_from_coords(_magnus_exponents(hs, ks, dt, n, mode), n, mode)
     for i in range(1, steps + 1):
         Us[i] = Us[i] @ Us[i - 1]
     curve = _chart_curve(spec, dt * np.arange(steps + 1), hs, Us, xe)
@@ -306,6 +310,18 @@ def shoot_geodesic(spec: MetricSpec, x0, y0, t_end: float, steps: int = None,
                    "min_hessian_eig": float(min_eig),
                    "speed_drift": float(np.max(np.abs(v - v[0])) / v[0])}
     return curve
+
+
+def _magnus_exponents(hs: np.ndarray, ks: np.ndarray, dt: float, n: int, mode: str) -> np.ndarray:
+    """K_i = dt/2 (H1 + H2) + sqrt(3)/12 dt^2 proj(-i[H2, H1]), H1 and H2 at the Gauss points
+    of step i's cubic Hermite interpolant; the commutators are matrix products, _ROWS steps at a time."""
+    hermite = _HERMITE * np.array([1.0, dt, 1.0, dt])  # weights of (H_i, k_i, H_i+1, k_i+1)
+    gauss = hermite @ np.stack([hs[:-1], ks[:-1], hs[1:], ks[1:]], axis=1)
+    kappas, weight = 0.5 * dt * (gauss[:, 0] + gauss[:, 1]), (np.sqrt(3.0) / 12.0) * dt**2
+    for s in range(0, len(kappas), _ROWS):
+        H1, H2 = (algebra(gauss[s:s + _ROWS, j], n, mode) for j in (0, 1))
+        kappas[s:s + _ROWS] += weight * coefficients(-1j * (H2 @ H1 - H1 @ H2), n, mode)
+    return kappas
 
 
 def _chart_curve(spec: MetricSpec, ts: np.ndarray, hs: np.ndarray, Us: np.ndarray, x0) -> Curve:
@@ -348,7 +364,7 @@ def f_squared_gradients(spec: MetricSpec, xs: np.ndarray, ys: np.ndarray) -> tup
 
     With h = E_x(y) and G = grad N^2(h).sigma: dF^2/dy = E_-x(G), since the
     transpose of E_x is E_-x, and dF^2/dx_j = Re tr(Gamma sigma_j) / 2^n
-    with Gamma = coords.bch_x_gradient(X, Y, G).  All three come from one
+    with Gamma from _Eigenbasis.x_gradient.  All three come from one
     eigendecomposition of the X stack: E_-x is the filter conj(Phi).
     """
     mode = spec.mode

@@ -15,6 +15,9 @@ with f(s) = (e^s - 1)/s and A = vec(ad_X), so the non-kernel part is
 (U* kron U - I) (-iA)^+ = +i (U* kron U - I) A^+.  Eigenvalues are
 clustered as in the library's filter.
 
+metric_in_pauli_coords is F(x, y) = N(E_x(y)) for one pair, gate_unitary
+the closed-form exp(-i alpha sigma) of one gate, and bch_x_gradient the
+x-gradient of tr(G E_X(Z)) at one X stack; no library code calls them.
 change_matrix builds M(x), the d x d matrix of E_X in Pauli coordinates,
 and fd_el_residual is the Euler-Lagrange residual with M(x) formed at
 every sample and the x-gradient taken by central differences over 2d
@@ -27,12 +30,16 @@ sigma_j) V_j, with V_j from the product of gate_unitary matrices.
 
 import numpy as np
 
-from sugeo.bounds import _SAMPLES_PER_SEGMENT, gate_unitary, regularizer
-from sugeo.coords import _ad_vec, _gap_data, _resonance_check, change_coords, change_matrices, pauli_log
-from sugeo.geodesic import _HERMITE, metric_in_pauli_coords
-from sugeo.metrics import grad_f_squared, hessian, norms_batch
+from sugeo.bounds import _SAMPLES_PER_SEGMENT, regularizer
+from sugeo.coords import (
+    _Eigenbasis, _ad_vec, _eigh, _gap_data, _resonance_check, change_coords, change_matrices, pauli_log,
+)
+from sugeo.errors import DimensionMismatch
+from sugeo.geodesic import _HERMITE
+from sugeo.metrics import grad_f_squared, hessian, norm, norms_batch
 from sugeo.pauli import (
-    SU, algebra, basis_dimension, coefficients, pauli_matrix, qubits_of_dimension, string_index,
+    SU, algebra, basis_dimension, coefficients, entries_of, pauli_matrix, qubits_of_dimension,
+    string_index,
 )
 
 _CHUNK = 2048
@@ -66,6 +73,13 @@ def pinv_E_inverse(X):
     _resonance_check(gaps)
     pinvB = np.linalg.pinv(B, rcond=_PINV_CUTOFF)
     return vecP - 1j * A @ pinvB @ (np.eye(len(vecP)) - vecP)
+
+
+def bch_x_gradient(X, Z, G):
+    """Gamma with d/de tr(G E_{X+eS}(Z)) = tr(Gamma S) at e = 0: _Eigenbasis.x_gradient at X alone."""
+    E = _Eigenbasis(*_eigh(X))
+    Zh, Gh = E.hat(Z), E.hat(G)
+    return E.unhat(E.x_gradient(Zh, Gh, E.Phi * Zh, E.Phi.conj() * Gh))
 
 
 def change_matrix(x_entries, n, mode=SU):
@@ -110,6 +124,15 @@ def fd_el_residual(spec, curve, h=1e-5):
             worst = max(worst, float(res.max()))
             rhs_scale = max(rhs_scale, float(np.abs(rhs).max()))
     return worst / (rhs_scale + 1.0)
+
+
+def metric_in_pauli_coords(spec, x, y):
+    """F(x, y) = N(E_x(y)); equals norm(spec, y) at x = 0."""
+    xe, ye = entries_of(x, spec.mode), entries_of(y, spec.mode)
+    if xe.shape != ye.shape:
+        raise DimensionMismatch("x and y have different dimensions")
+    n = qubits_of_dimension(len(xe), spec.mode)
+    return norm(spec, change_coords(xe[None, :], ye[None, :], n, spec.mode)[0])
 
 
 def fd_f_squared_gradients(spec, x, y, h):
@@ -167,6 +190,12 @@ def matrix_shoot(spec, y0, t_end, steps):
     assert np.max(np.abs(np.linalg.eigvalsh(algebra(xs, n, mode)))) < np.pi - 0.2
     ys = change_coords(xs, hs, n, mode, inverse=True)
     return xs, ys, norms_batch(spec, hs)
+
+
+def gate_unitary(circuit, gate):
+    """exp(-i alpha sigma) = cos(alpha) I - i sin(alpha) sigma (sigma^2 = I)."""
+    sigma = pauli_matrix(circuit.full_string(gate))
+    return np.cos(gate.alpha) * np.eye(2**circuit.n) - 1j * np.sin(gate.alpha) * sigma
 
 
 def segment_curve(circuit, spec):

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import segment_curve
+from oracles import gate_unitary, segment_curve
 
 from sugeo import bounds
 from sugeo.bounds import (
@@ -12,7 +12,6 @@ from sugeo.bounds import (
     circuit_to_curve,
     circuit_unitary,
     cnot_matrix,
-    gate_unitary,
     hadamard_matrix,
     isometry_check,
     local_unitary,

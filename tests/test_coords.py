@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from sugeo.coords import (
     UnitaryOperator,
     apply_bch,
-    bch_x_gradient,
     bch_E_series,
     change_coords_backward,
     change_coords_forward,
@@ -30,7 +29,7 @@ from sugeo.pauli import (
     to_matrix,
 )
 
-from oracles import change_matrix, pinv_E, pinv_E_inverse
+from oracles import bch_x_gradient, change_matrix, pinv_E, pinv_E_inverse
 
 
 def _random_hermitian(rng, dim, scale=1.0):

@@ -1,4 +1,6 @@
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,19 +31,19 @@ from sugeo.geodesic import (
     _embed_indices,
     el_residual,
     f_squared_gradients,
-    metric_in_pauli_coords,
     pauli_geodesic,
     pauli_geodesic_curve,
     shoot_geodesic,
     tensor_product_curve,
 )
 from sugeo.metrics import F1, F1DELTA, F2, FP, FPDELTA, FQ, MetricSpec, PenaltyFunction, norm
-from sugeo.pauli import SU, U, PauliVector, algebra, coefficients, stabilizer_span, to_matrix
+from sugeo.pauli import SU, U, PauliVector, algebra, bracket, coefficients, stabilizer_span, to_matrix
 
-from oracles import fd_el_residual, fd_f_squared_gradients, matrix_shoot
+from oracles import fd_el_residual, fd_f_squared_gradients, matrix_shoot, metric_in_pauli_coords
 
 F2_SPEC = MetricSpec(family=F2)
 PEN1 = PenaltyFunction(kind="step", k=4.0, low_weight_cutoff=1)
+PEN2 = PenaltyFunction(kind="step", k=4.0, low_weight_cutoff=2)
 
 
 def test_f2_straight_line_through_origin():
@@ -224,6 +226,99 @@ def test_constant_hessian_families_make_no_hessian_call(monkeypatch):
     assert calls == []
 
 
+FIELD_SPECS = {
+    "F2": F2_SPEC,
+    "Fq-cutoff1": MetricSpec(family=FQ, penalty=PEN1),
+    "Fq-cutoff2": MetricSpec(family=FQ, penalty=PEN2),
+    "Fq-table": MetricSpec(FQ, penalty=PenaltyFunction(kind="table", values=(1.0, 1.5, 2.5, 4.0, 7.0))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_SPECS))
+@pytest.mark.parametrize("mode", [SU, U])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_euclidean_field_is_the_bracket_over_q(n, mode, name):
+    """bincount(c, g h_a h_b) = bracket(h, q h) / q, to round-off of max(q) |h|^2.
+
+    Strings of equal penalty cancel in the bracket, so the table is empty
+    exactly when q is constant off the identity (which commutes with all):
+    under F2, and at n = 1 under a step cutoff of 1 or more.
+    """
+    spec = replace(FIELD_SPECS[name], mode=mode)
+    q = metrics.penalty_vector(spec, n)
+    c, a, b, g = geodesic._euclidean_field(spec, n)
+    off_identity = q[metrics.weights_array(n, mode) > 0]
+    assert (len(c) == 0) == (off_identity.min() == off_identity.max())
+    if name == "F2" or (n == 1 and name != "Fq-table"):
+        assert len(c) == 0
+    rng = np.random.default_rng(n)
+    for scale in (1e-3, 1.0, 1e3):
+        h = scale * rng.standard_normal(len(q))
+        field = np.bincount(c, weights=g * h[a] * h[b], minlength=len(q))
+        expected = bracket(h, q * h, n, mode) / q
+        assert np.max(np.abs(field - expected)) <= 1e-13 * q.max() * (h @ h)
+
+
+@pytest.mark.parametrize("spec, x0, y0", [
+    (F2_SPEC, PauliVector.from_terms(2, {"XI": 0.3, "ZZ": -0.5, "YX": 0.2}),
+     PauliVector.from_terms(2, {"IZ": 0.4, "XY": -0.3, "ZI": 0.2})),
+    (MetricSpec(family=FQ, penalty=PEN1), PauliVector.from_terms(1, {"X": 0.4, "Z": -0.2}),
+     PauliVector.from_terms(1, {"X": 0.1, "Y": 0.5, "Z": 0.3})),
+], ids=["F2-n2", "Fq-n1"])
+def test_bi_invariant_shot_keeps_h0(monkeypatch, spec, x0, y0):
+    """Constant q: the field is zero, every H is H0 bit for bit and U(t) = exp(-i t H0) U0."""
+    seen = []
+    chart = geodesic._chart_curve
+
+    def recording_chart(spec, ts, hs, Us, x0):
+        seen.append(hs)
+        return chart(spec, ts, hs, Us, x0)
+
+    monkeypatch.setattr(geodesic, "_chart_curve", recording_chart)
+    curve = shoot_geodesic(spec, x0, y0, 1.3, steps=130)
+    h0 = change_coords_forward(x0, y0).entries
+    assert np.array_equal(seen[0], np.tile(h0, (131, 1)))
+    lam, V = np.linalg.eigh(algebra(h0[None], x0.n, spec.mode)[0])
+    expected = (V * np.exp(-1.3j * lam)) @ V.conj().T @ unitary_from_coords(x0)
+    assert np.max(np.abs(curve.unitary_at(130) - expected)) < 1e-12
+
+
+def test_bracket_calls_per_shot(monkeypatch):
+    """F2/Fq shots call no bracket; a smoothed shot calls it once per right-hand side."""
+    calls = []
+    counted = geodesic.bracket
+    monkeypatch.setattr(geodesic, "bracket", lambda *args: calls.append(1) or counted(*args))
+    steps = 7
+    y0 = np.linspace(0.5, 1.0, 15)
+    y0 /= np.linalg.norm(y0)
+    for spec in (F2_SPEC, MetricSpec(family=FQ, penalty=PEN1)):
+        shoot_geodesic(spec, np.zeros(15), y0, 0.05, steps=steps)
+    assert calls == []
+    shoot_geodesic(MetricSpec(family=FPDELTA, penalty=PEN1, delta=1e-2), np.zeros(15), y0, 0.01, steps=steps)
+    assert len(calls) == 1 + 4 * steps
+
+
+@pytest.mark.parametrize("n, steps, per_step", [(3, 600, 11_500), (4, 300, 46_000)])
+def test_shot_peak_memory_per_step(n, steps, per_step):
+    """tracemalloc peak of an Fq shot: about 11 KB a step at n = 3 and 44 KB at n = 4.
+
+    The (steps + 1)-row arrays of H, k, x, y, U and the chart's eigenvectors
+    set it; the Gauss points and the commutators of the rebuild stay below it.
+    """
+    spec = MetricSpec(family=FQ, penalty=PEN1)
+    d = 4**n - 1
+    y0 = np.linspace(0.5, 1.0, d)
+    y0 /= np.linalg.norm(y0)
+    shoot_geodesic(spec, np.zeros(d), y0, 0.01, steps=2)  # fill the module caches first
+    tracemalloc.start()
+    try:
+        shoot_geodesic(spec, np.zeros(d), y0, 0.1, steps=steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= per_step * steps
+
+
 def test_min_hessian_eig_is_the_smallest_eigenvalue_seen(monkeypatch):
     """The running minimum from the inertia count equals eigvalsh at every evaluation, to 1e-9."""
     points = []
@@ -246,9 +341,13 @@ def test_min_hessian_eig_is_the_smallest_eigenvalue_seen(monkeypatch):
     (2, MetricSpec(family=FQ, penalty=PEN1), 0.4, 40),
     (2, MetricSpec(family=FPDELTA, penalty=PEN1, delta=1e-2), 0.1, 20),
     (3, MetricSpec(family=FQ, penalty=PEN1), 0.04, 10),
+    (4, MetricSpec(family=FQ, penalty=PEN1), 0.02, 5),
+    (3, MetricSpec(family=FQ, penalty=PEN2), 0.04, 10),
+    (2, F2_SPEC, 0.4, 40),
 ])
 def test_shot_matches_the_matrix_commutator_oracle(n, spec, t_end, steps):
-    """The structure-constant bracket and the constant Legendre map leave the path as it was."""
+    """The quadratic-field table, the structure-constant bracket and the stacked commutators
+    of the reconstruction follow the all-matrix shot."""
     d = 4**n - 1
     rng = np.random.default_rng(10 + n)
     y0 = rng.uniform(0.5, 1.0, d) * rng.choice([-1.0, 1.0], d)
