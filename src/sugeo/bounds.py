@@ -181,8 +181,9 @@ def circuit_to_curve(circuit: Circuit, spec: MetricSpec) -> CircuitTrajectory:
     / (2 pi)).  The speed is r(t) m alpha_j F(sigma_j) and the length is
     exactly sum_j alpha_j F(sigma_j), which never exceeds the gate count for
     a G-bounding metric.  n is checked first, then every gate Hamiltonian
-    against the metric, all gate norms in one norms_batch call (G-bounding is
-    a property of the penalties, not of the spec label); the error raised is
+    against the metric, each distinct string normed once in one norms_batch
+    call (G-bounding is a property of the penalties, not of the spec label),
+    so it forms at most 4^n rows, not one a gate; the error raised is
     that of the first gate that is malformed or over the bound, as when each
     gate was checked in turn.
 
@@ -214,14 +215,15 @@ def circuit_to_curve(circuit: Circuit, spec: MetricSpec) -> CircuitTrajectory:
         except (ValueError, DimensionMismatch) as err:
             invalid = err
             break
-    # the gates before the first malformed one are bounded first, so the
-    # error raised is that of the first gate at fault, malformed or over
+    # the gates before the first malformed one are bounded first, so the error raised is that of
+    # the first gate at fault; F is 1-homogeneous, so each distinct string is normed once
     idx = string_index(circuit.n, spec.mode)
-    hamiltonians = np.zeros((len(strings), basis_dimension(circuit.n, spec.mode)))
-    hamiltonians[np.arange(len(strings)), [idx[s] for s in strings]] = [
-        g.alpha for g in circuit.gates[: len(strings)]
-    ]
-    gate_norms = norms_batch(spec, hamiltonians)
+    distinct = {}  # basis index of each distinct string -> its row of units
+    which = [distinct.setdefault(idx[s], len(distinct)) for s in strings]
+    units = np.zeros((len(distinct), basis_dimension(circuit.n, spec.mode)))
+    units[np.arange(len(distinct)), list(distinct)] = 1.0
+    alphas = np.array([g.alpha for g in circuit.gates[: len(strings)]])
+    gate_norms = alphas * norms_batch(spec, units)[which]
     for g, s, gate_norm in zip(circuit.gates, strings, gate_norms):
         if gate_norm > 1.0 + 1e-12:
             raise NotGBounding(
@@ -244,7 +246,6 @@ def circuit_to_curve(circuit: Circuit, spec: MetricSpec) -> CircuitTrajectory:
     segment_speeds = speeds[1:].reshape(m, k)
     segment_speeds *= gate_norms[:, None]
     T = ts[1:].reshape(m, k)
-    alphas = np.array([g.alpha for g in circuit.gates])
     theta = alphas[:, None] * (
         m * T - np.arange(m)[:, None] - np.sin(2 * np.pi * m * T) / (2 * np.pi)
     )

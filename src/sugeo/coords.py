@@ -17,10 +17,11 @@ the derivative-of-exponential map.  The library has one implementation
 of it, the filter of _Eigenbasis: X = V L V^+ and
 
     E_X(Z) = V (Phi o (V^+ Z V)) V^+,   Phi_ab = phi(l_a - l_b),
-    phi(s) = (e^{-is} - 1)/(-is),  phi(0) = 1  (entire function),
+    phi(s) = (e^{-is} - 1)/(-is) = (sin s - 2i sin^2(s/2))/s,  phi(0) = 1,
 
-with eigenvalues clustered within 1e-8 (relative) treated as exactly
-equal, so E_X is the identity on the commutant of X.  apply_bch applies
+an entire function that _phi evaluates in real sines, with eigenvalues
+clustered within 1e-8 (relative) treated as exactly equal, so E_X is the
+identity on the commutant of X.  apply_bch applies
 it to matrices, change_coords to rows of coefficients, and
 change_matrices forms M(x), the matrix of E_X in Pauli coordinates, by
 filtering every basis matrix.  bch_E_series is the power series above as
@@ -42,7 +43,8 @@ orthonormal eigenvectors) gives the spectrum (-phases, V) of x.sigma.
 _log_rows reads x from a stack of such spectra; in SU mode x.sigma must
 be traceless, checked by pauli.check_traceless, the one trace rule.  The
 same spectra build an _Eigenbasis, so a shot's chart (geodesic's
-_chart_curve) gets x and y = E_x^-1(h) from one factorisation a sample.
+_chart_curve) gets x and y = E_x^-1(h) from one factorisation a sample,
+and the curve keeps them for the gradients of el_residual.
 """
 
 from __future__ import annotations
@@ -151,10 +153,11 @@ def _resonance_check(gaps: np.ndarray):
 
 
 def _phi(gaps: np.ndarray, cluster_mask: np.ndarray) -> np.ndarray:
-    """phi(s) = (e^{-is} - 1)/(-is) elementwise, exact 1 on clustered pairs."""
+    """phi(s) = sin(s)/s - 2i sin^2(s/2)/s elementwise, exact 1 on clustered pairs."""
     s = np.where(cluster_mask, 1.0, gaps)  # avoid 0/0; value replaced below
-    out = np.expm1(-1j * s) / (-1j * s)
-    return np.where(cluster_mask, 1.0 + 0.0j, out)
+    out = (np.sin(s) - 2j * np.sin(0.5 * s) ** 2) / s
+    out[cluster_mask] = 1.0
+    return out
 
 
 def _dphi(gaps: np.ndarray, Phi: np.ndarray) -> np.ndarray:
@@ -214,15 +217,22 @@ class _Eigenbasis:
         is, since Phi^T = conj(Phi), a sum of matrix products with A = Phi o Z^
         and B = conj(Phi) o G^ (no (m, D, D, D) tensor):
 
-            Gamma^_qp = [Z^ B - B Z^ + G^ A - A G^]_qp / (l_p - l_q),
+            Gamma^_qp = [C - C^+]_qp / (l_p - l_q),   C = Z^ B + G^ A,
             Gamma^_qp = [Z^ (phi'^T o G^) + G^ (conj(phi')^T o Z^)]_qp  (clustered p, q),
 
         with phi'(s) = (1 - (1 + is) phi(s))/s read from Phi (Taylor series below |s| = 1e-3).
+        Z and G must be Hermitian: then A and B are, C^+ = B Z^ + A G^, and the diagonal is
+        2 Re sum_b phi'(l_p - l_b) Z^_pb conj(G^_pb).  The products run only where a cluster is
+        off-diagonal.
         """
-        quotient = (Zh @ B - B @ Zh + Gh @ A - A @ Gh) / np.where(self.mask, 1.0, -self.gaps)
-        dPhiT = np.swapaxes(_dphi(self.gaps, self.Phi), -1, -2)
-        clustered = Zh @ (dPhiT * Gh) + Gh @ (dPhiT.conj() * Zh)
-        return np.where(self.mask, clustered, quotient)
+        C = Zh @ B + Gh @ A
+        out = (C - np.swapaxes(C.conj(), -1, -2)) / np.where(self.mask, 1.0, -self.gaps)
+        dPhi, i = _dphi(self.gaps, self.Phi), np.arange(out.shape[-1])
+        out[..., i, i] = 2.0 * (dPhi * Zh * Gh.conj()).sum(-1).real
+        rows = self.mask.sum((-2, -1)) > len(i)  # the stack's matrices with an off-diagonal cluster
+        z, g, dPhiT = Zh[rows], Gh[rows], np.swapaxes(dPhi[rows], -1, -2)
+        out[rows] = np.where(self.mask[rows], z @ (dPhiT * g) + g @ (dPhiT.conj() * z), out[rows])
+        return out
 
 
 def apply_bch(X: np.ndarray, Z: np.ndarray, inverse: bool = False) -> np.ndarray:
@@ -353,10 +363,14 @@ def _log_rows(lam: np.ndarray, V: np.ndarray, n: int, mode: str) -> np.ndarray:
     return coefficients(X, n, mode)
 
 
+def _exp_spectrum(lam: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """exp(-i X) for each X = V diag(lam) V^+ of a spectrum stack."""
+    return (V * np.exp(-1j * lam)[:, None, :]) @ np.swapaxes(V.conj(), -1, -2)
+
+
 def unitaries_from_coords(xs: np.ndarray, n: int, mode: str) -> np.ndarray:
     """exp(-i x.sigma) for each row of an (m, d) array by one stacked eigh (else NoConvergence)."""
-    lam, V = _eigh(algebra(xs, n, mode))
-    return (V * np.exp(-1j * lam)[:, None, :]) @ np.swapaxes(V.conj(), -1, -2)
+    return _exp_spectrum(*_eigh(algebra(xs, n, mode)))
 
 
 def unitary_from_coords(x: PauliVector) -> np.ndarray:

@@ -24,9 +24,10 @@ h = E_x(y) (the filter of coords; y = E_x^-1(h) by its inverse).  The
 chart only covers eigenphases in (-pi, pi): once one reaches
 pi - _REANCHOR_MARGIN, A becomes the current U and x restarts at 0, so a
 Curve consists of chart segments, each with its own anchor (_chart_curve,
-for shots and tensor products alike, one Schur factorisation a sample).  el_residual checks the
-Euler-Lagrange equations of F(x, y) = N(E_x(y)) in the chart, with exact
-gradients, independently of the shooting.
+for shots and tensor products alike, one Schur factorisation a sample).
+el_residual checks the Euler-Lagrange equations of F(x, y) = N(E_x(y)) in
+the chart, with exact gradients, from the samples x, y and the spectra of
+x the curve keeps: it never reads the shot's H or its equation.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coords import UnitaryOperator, _Eigenbasis, _eigh, _log_rows, _schur_phases, change_coords
-from .coords import pauli_log, unitaries_from_coords, unitary_from_coords
+from .coords import UnitaryOperator, _Eigenbasis, _eigh, _exp_spectrum, _log_rows, _schur_phases
+from .coords import change_coords, pauli_log, unitaries_from_coords, unitary_from_coords
 # perfbench wraps coords.change_matrices, and its test_tracer_self_time_and_patching
 # asserts that the wrapper replaces this binding too
 from .coords import change_matrices  # noqa: F401
@@ -82,7 +83,6 @@ from .pauli import (
     string_index,
     pauli_strings,
     qubits_of_dimension,
-    to_matrix,
     weights_array,
 )
 
@@ -102,7 +102,8 @@ class Curve:
 
     segments[i] is the index of the first sample of chart i; anchors[i] is
     the unitary U_i with the curve given by exp(-i x(t).sigma) U_i on that
-    segment.  x/y samples are chart-local.
+    segment.  x/y samples are chart-local.  spectrum = (lam, V) describes xs,
+    xs[i].sigma = V[i] diag(lam[i]) V[i]^+: kept if the constructor has it, never serialised.
     """
 
     spec: MetricSpec
@@ -115,6 +116,7 @@ class Curve:
     segments: list = field(default_factory=lambda: [0])
     anchors: list = field(default_factory=list)
     stats: dict = field(default_factory=dict)
+    spectrum: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.anchors:
@@ -236,7 +238,7 @@ def shoot_geodesic(spec: MetricSpec, x0, y0, t_end: float, steps: int = None,
     stack), then NoConvergence, BranchCut or StepLimitExceeded (the
     chart's Schur calls), then NonTracelessInSUMode (its stacked pass); of
     two faults the earlier phase's is reported.  Every eigensolver failure
-    is NoConvergence, that of H0 = E_x0(y0) at entry included.
+    is NoConvergence, that of x0 at entry (for H0, U0 and x's row 0) included.
     """
     if spec.family in (F1, FP):
         raise NotSmoothMetric(f"{spec.family} has no smooth square, so no geodesic equation")
@@ -285,7 +287,8 @@ def shoot_geodesic(spec: MetricSpec, x0, y0, t_end: float, steps: int = None,
             return G.solve(bracket(h, p, n, mode))
         return np.bincount(c, weights=g * h[a] * h[b], minlength=len(h))
 
-    h = change_coords(xe[None, :], ye[None, :], n, mode)[0]
+    lam0, V0 = _eigh(algebra(xe[None], n, mode))  # x0's one eigensolve: H0, U0 and chart row 0
+    h = coefficients(_Eigenbasis(lam0, V0).apply(algebra(ye[None], n, mode)), n, mode)[0]
     energy = norm(spec, h) ** 2
     hs = np.empty((steps + 1, len(h)))
     ks = np.empty_like(hs)
@@ -300,11 +303,11 @@ def shoot_geodesic(spec: MetricSpec, x0, y0, t_end: float, steps: int = None,
         ks[i + 1] = f(hs[i + 1])
 
     Us = np.empty((steps + 1, 2**n, 2**n), dtype=complex)
-    Us[0] = unitary_from_coords(PauliVector(n, mode, xe))
+    Us[0] = _exp_spectrum(lam0, V0)[0]
     Us[1:] = unitaries_from_coords(_magnus_exponents(hs, ks, dt, n, mode), n, mode)
     for i in range(1, steps + 1):
         Us[i] = Us[i] @ Us[i - 1]
-    curve = _chart_curve(spec, dt * np.arange(steps + 1), hs, Us, xe)
+    curve = _chart_curve(spec, dt * np.arange(steps + 1), hs, Us, (xe, lam0, V0))
     v = curve.speeds
     curve.stats = {"steps": steps, "segments": len(curve.segments),
                    "min_hessian_eig": float(min_eig),
@@ -324,19 +327,20 @@ def _magnus_exponents(hs: np.ndarray, ks: np.ndarray, dt: float, n: int, mode: s
     return kappas
 
 
-def _chart_curve(spec: MetricSpec, ts: np.ndarray, hs: np.ndarray, Us: np.ndarray, x0) -> Curve:
-    """The Curve of the samples U_i = Us[i], H_i = hs[i].sigma at times ts; x0 charts Us[0].
+def _chart_curve(spec: MetricSpec, ts: np.ndarray, hs: np.ndarray, Us: np.ndarray, row0: tuple) -> Curve:
+    """The Curve of the samples U_i = Us[i], H_i = hs[i].sigma at times ts.
 
+    row0 = (x0, lam0, V0): x0 charts Us[0], with x0.sigma = V0 diag(lam0) V0^+ (stacks of one).
     One Schur call per sample on U_i A^-1 (A the anchor) gives the spectrum (-phases, V) of
     x_i.sigma.  A sample whose top phase reaches pi - _REANCHOR_MARGIN becomes the anchor, with
     spectrum (0, I); the one past _MAX_SEGMENTS raises StepLimitExceeded.  One stacked pass reads
-    x and y = E_x^-1(h) from these spectra (row 0: eigh(x0.sigma)), with no second eigensolve.
+    x and y = E_x^-1(h) from these spectra, with no second eigensolve; the curve keeps them.
     """
     mode = spec.mode
     n = qubits_of_dimension(hs.shape[1], mode)
     lam = np.zeros((len(ts), 2**n))
     Vs = np.tile(np.eye(2**n, dtype=complex), (len(ts), 1, 1))
-    lam[:1], Vs[:1] = _eigh(algebra(x0[None], n, mode))
+    lam[:1], Vs[:1] = row0[1:]
     segments, anchors = [0], [np.eye(2**n, dtype=complex)]
     back = anchors[0]  # the inverse of the current anchor
     for i in range(1, len(ts)):
@@ -350,26 +354,27 @@ def _chart_curve(spec: MetricSpec, ts: np.ndarray, hs: np.ndarray, Us: np.ndarra
         back = anchors[-1].conj().T
         segments.append(i)
     xs = _log_rows(lam, Vs, n, mode)
-    xs[0] = x0
+    xs[0] = row0[0]
     ys = coefficients(_Eigenbasis(lam, Vs).apply(algebra(hs, n, mode), inverse=True), n, mode)
-    return Curve(spec, n, mode, ts, xs, ys, norms_batch(spec, hs), segments, anchors)
+    return Curve(spec, n, mode, ts, xs, ys, norms_batch(spec, hs), segments, anchors, spectrum=(lam, Vs))
 
 
 # ---------------------------------------------------------------------------
 # Euler-Lagrange residual
 
 
-def f_squared_gradients(spec: MetricSpec, xs: np.ndarray, ys: np.ndarray) -> tuple:
+def f_squared_gradients(spec: MetricSpec, xs: np.ndarray, ys: np.ndarray, spectrum: tuple = None) -> tuple:
     """Exact (dF^2/dx, dF^2/dy) of F(x, y) = N(E_x(y)) at each row pair of two (m, d) arrays.
 
     With h = E_x(y) and G = grad N^2(h).sigma: dF^2/dy = E_-x(G), since the
     transpose of E_x is E_-x, and dF^2/dx_j = Re tr(Gamma sigma_j) / 2^n
     with Gamma from _Eigenbasis.x_gradient.  All three come from one
-    eigendecomposition of the X stack: E_-x is the filter conj(Phi).
+    eigendecomposition of the X stack: E_-x is the filter conj(Phi).  It is
+    spectrum, (lam, V) of the rows of xs, when given, else one stacked eigh.
     """
     mode = spec.mode
     n = qubits_of_dimension(xs.shape[1], mode)
-    E = _Eigenbasis(*_eigh(algebra(xs, n, mode)))
+    E = _Eigenbasis(*(_eigh(algebra(xs, n, mode)) if spectrum is None else spectrum))
     Yh = E.hat(algebra(ys, n, mode))
     A = E.Phi * Yh
     Gh = E.hat(algebra(grad_f_squared(spec, coefficients(E.unhat(A), n, mode)), n, mode))
@@ -382,17 +387,20 @@ def el_residual(spec: MetricSpec, curve: Curve) -> float:
     """Max residual of d/dt(dF^2/dy^j) = dF^2/dx^j along the curve, F(x, y) = N(E_x(y)).
 
     Both gradients are exact (f_squared_gradients); only the time
-    derivative is a finite difference, np.gradient over the samples.
-    Normalized by max |dF^2/dx| + 1; evaluated on the interior samples of
-    each chart segment with at least 5 samples.  Raises TooFewSamples when
-    no segment has that many.
+    derivative is a finite difference, np.gradient over the samples.  A
+    curve with a spectrum (shots, tensor products, Pauli geodesics) runs no
+    eigensolve; one without (from_json, or built by hand) takes one stacked
+    eigh a segment.  Normalized by max |dF^2/dx| + 1; evaluated on the
+    interior samples of each chart segment with at least 5 samples.  Raises
+    TooFewSamples when no segment has that many.
     """
     bounds = [(a, b) for a, b in curve.segment_bounds() if b - a >= 5]
     if not bounds:
         raise TooFewSamples(f"no chart segment of {len(curve.ts)} samples has 5 or more")
     worst = rhs_scale = 0.0
     for a, b in bounds:
-        rhs, lhs = f_squared_gradients(spec, curve.xs[a:b], curve.ys[a:b])
+        part = None if curve.spectrum is None else tuple(s[a:b] for s in curve.spectrum)
+        rhs, lhs = f_squared_gradients(spec, curve.xs[a:b], curve.ys[a:b], part)
         res = np.abs(np.gradient(lhs, curve.ts[a:b], axis=0) - rhs)[1:-1]
         worst = max(worst, float(res.max()))
         rhs_scale = max(rhs_scale, float(np.abs(rhs).max()))
@@ -426,19 +434,19 @@ def pauli_geodesic_curve(
 
     x = t h0 commutes with y = h0, so E_x(y) = h0 and every speed is exactly
     F(h0).  Must stay inside the coordinate patch: max |eig(H0)| * t_end < pi.
+    One eigh, H0 = V0 diag(lam0) V0^+, gives every sample's spectrum (t lam0, V0).
     """
     if coeffs.mode != spec.mode:
         raise DimensionMismatch("coefficient mode does not match the metric spec")
     h0 = np.asarray(coeffs.entries, dtype=float)
-    lam = np.linalg.eigvalsh(to_matrix(coeffs))
-    if float(np.max(np.abs(lam))) * t_end >= np.pi:
-        raise OutsidePatch("exp(-i H0 t) leaves the coordinate patch before t_end")
     n, mode = coeffs.n, spec.mode
+    lam0, V0 = _eigh(algebra(h0[None], n, mode))
+    if float(np.max(np.abs(lam0))) * t_end >= np.pi:
+        raise OutsidePatch("exp(-i H0 t) leaves the coordinate patch before t_end")
     ts = np.linspace(0.0, t_end, num_samples)
-    xs = np.outer(ts, h0)
-    ys = np.tile(h0, (num_samples, 1))
-    speeds = np.full(num_samples, norm(spec, h0))
-    return Curve(spec, n, mode, ts, xs, ys, speeds)
+    V = np.repeat(V0, num_samples, axis=0)  # not a broadcast view, which is slow in matmul
+    return Curve(spec, n, mode, ts, np.outer(ts, h0), np.tile(h0, (num_samples, 1)),
+                 np.full(num_samples, norm(spec, h0)), spectrum=(np.outer(ts, lam0[0]), V))
 
 
 def curve_length(spec: MetricSpec, curve: Curve) -> float:
@@ -479,7 +487,8 @@ def tensor_product_curve(curve_a: Curve, curve_b: Curve, spec_ab: MetricSpec) ->
     hs[:, _embed_indices(na, n, 0, mode)] += change_coords(curve_a.xs, curve_a.ys, na, mode)
     hs[:, _embed_indices(nb, n, na, mode)] += change_coords(curve_b.xs, curve_b.ys, nb, mode)
     Ws = np.array([np.kron(curve_a.unitary_at(i), curve_b.unitary_at(i)) for i in range(len(hs))])
-    return _chart_curve(spec_ab, curve_a.ts.copy(), hs, Ws, pauli_log(Ws[0], mode).entries)
+    x0 = pauli_log(Ws[0], mode).entries
+    return _chart_curve(spec_ab, curve_a.ts.copy(), hs, Ws, (x0, *_eigh(algebra(x0[None], n, mode))))
 
 
 def additive_triple_check(

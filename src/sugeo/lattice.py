@@ -55,7 +55,7 @@ from .errors import (
     UnsupportedSpec,
 )
 from .metrics import EUCLIDEAN, MetricSpec, penalty_vector
-from .pauli import SU, U, PauliVector, HermitianOperator, basis_dimension, string_index
+from .pauli import SU, U, PauliVector, basis_dimension, string_index
 
 # The coset decoder scores d^{d/2} cosets (4096 at n = 3); at n = 4 it would be 16^8.
 CVP_N_MAX = 3
@@ -89,11 +89,6 @@ class CvpResult:
     window_used: int
     diagonal: np.ndarray  # h - 2*pi*m, mean removed in SU mode
     stats: dict  # {"cosets": number of cosets scored}
-
-    @property
-    def geodesic_hamiltonian(self) -> HermitianOperator:
-        n = len(self.diagonal).bit_length() - 1
-        return HermitianOperator(n, np.diag(self.diagonal.astype(complex)))
 
 
 def reduce_phases(theta: np.ndarray) -> np.ndarray:

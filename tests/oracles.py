@@ -22,6 +22,7 @@ change_matrix builds M(x), the d x d matrix of E_X in Pauli coordinates,
 and fd_el_residual is the Euler-Lagrange residual with M(x) formed at
 every sample and the x-gradient taken by central differences over 2d
 perturbed base points.  Both are slow; the library never forms M(x).
+geodesic_hamiltonian is diag(h - 2 pi m) of a CVP result as a Hermitian operator.
 matrix_shoot is shoot_geodesic with every commutator a matrix product
 and every Hessian from metrics.hessian.  segment_curve is circuit_to_curve
 built one segment at a time, each sample as (cos theta I - i sin theta
@@ -38,8 +39,8 @@ from sugeo.errors import DimensionMismatch
 from sugeo.geodesic import _HERMITE
 from sugeo.metrics import grad_f_squared, hessian, norm, norms_batch
 from sugeo.pauli import (
-    SU, algebra, basis_dimension, coefficients, entries_of, pauli_matrix, qubits_of_dimension,
-    string_index,
+    SU, HermitianOperator, algebra, basis_dimension, coefficients, entries_of, pauli_matrix,
+    qubits_of_dimension, string_index,
 )
 
 _CHUNK = 2048
@@ -190,6 +191,12 @@ def matrix_shoot(spec, y0, t_end, steps):
     assert np.max(np.abs(np.linalg.eigvalsh(algebra(xs, n, mode)))) < np.pi - 0.2
     ys = change_coords(xs, hs, n, mode, inverse=True)
     return xs, ys, norms_batch(spec, hs)
+
+
+def geodesic_hamiltonian(res):
+    """The CvpResult's minimal geodesic Hamiltonian, diag(res.diagonal), as a HermitianOperator."""
+    n = len(res.diagonal).bit_length() - 1
+    return HermitianOperator(n, np.diag(res.diagonal.astype(complex)))
 
 
 def gate_unitary(circuit, gate):

@@ -247,6 +247,21 @@ def test_sample_stack_cap_refuses_before_it_allocates():
         circuit_to_curve(Circuit(4, [*c.gates, Gate("XXX", 0.1, (0, 1, 2))]), F2_SPEC)
 
 
+def test_gate_norms_take_no_row_per_gate():
+    """10^4 gates at n = 4 are refused with a peak under 5 MB: each distinct string is normed
+    once, where a (gates, 255) matrix of gate Hamiltonians alone would take 20 MB."""
+    gates = [Gate("XZ", 0.5, (0, 3)), Gate("Z", 0.25, (1,)), Gate("YY", 0.75, (1, 2))] * 3334
+    c = Circuit(4, gates)
+    tracemalloc.start()
+    try:
+        with pytest.raises(StepLimitExceeded):
+            circuit_to_curve(c, MetricSpec(family=FQ, penalty=PenaltyFunction(kind="step", k=4.0)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+
+
 def test_sample_stack_cap_edge(monkeypatch):
     c = random_circuit(2, 3, 1)
     monkeypatch.setattr(bounds, "_MAX_STACK_BYTES", (3 * 250 + 1) * 16 * 16)

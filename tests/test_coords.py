@@ -325,3 +325,28 @@ def test_bch_x_gradient_matches_central_difference(name):
         fd = (np.trace(G @ apply_bch(X + eps * S, Z)) - np.trace(G @ apply_bch(X - eps * S, Z))) / (2 * eps)
         # the divided difference over the 2e-8 gap loses about 1e-16/2e-8
         assert abs(np.trace(Gamma @ S) - fd) < 1e-7
+
+
+def test_bch_x_gradient_on_a_stack_with_clustered_rows():
+    """x_gradient on one stack mixing X with off-diagonal clusters (0.3 ZI, 0, XX + YY) and
+    generic X: only those rows take the clustered matrix products, every row matches central
+    differences of apply_bch, and each row equals x_gradient at that X alone."""
+    rng = np.random.default_rng(23)
+    X = np.array([
+        _random_hermitian(rng, 4),
+        to_matrix(PauliVector.from_terms(2, {"ZI": 0.3})),
+        _random_hermitian(rng, 4, scale=2.0),
+        np.zeros((4, 4)),
+        to_matrix(PauliVector.from_terms(2, {"XX": 0.5, "YY": 0.5})),
+    ])
+    Z = np.array([_random_hermitian(rng, 4) for _ in X])
+    G = np.array([_random_hermitian(rng, 4) for _ in X])
+    Gamma = bch_x_gradient(X, Z, G)
+    eps = 1e-5
+    for k in range(len(X)):
+        assert np.max(np.abs(Gamma[k] - bch_x_gradient(X[k], Z[k], G[k]))) < 1e-14
+        for _ in range(3):
+            S = _random_hermitian(rng, 4)
+            fd = (np.trace(G[k] @ apply_bch(X[k] + eps * S, Z[k]))
+                  - np.trace(G[k] @ apply_bch(X[k] - eps * S, Z[k]))) / (2 * eps)
+            assert abs(np.trace(Gamma[k] @ S) - fd) < 1e-8

@@ -130,6 +130,65 @@ def test_reconstruction_takes_one_stacked_exponential(monkeypatch):
     assert steps in eighs and steps + 1 not in eighs
 
 
+def test_one_eigendecomposition_of_x0_per_shot(monkeypatch):
+    """A shot runs two Hermitian eigensolves: x0, whose spectrum gives H0, U0 and the chart's
+    row 0, and the reconstruction's stacked exponential."""
+    eighs, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: eighs.append(len(a)) or eigh(a, *args))
+    x0 = PauliVector.from_terms(2, {"XI": 0.3, "ZZ": -0.5, "YX": 0.2}).entries
+    curve = shoot_geodesic(MetricSpec(family=FQ, penalty=PEN1), x0, np.linspace(0.1, 0.5, 15), 0.2, steps=37)
+    assert eighs == [1, 37]
+    assert np.array_equal(curve.xs[0], x0)
+    assert np.max(np.abs(curve.ys[0] - np.linspace(0.1, 0.5, 15))) < 1e-13
+
+
+def _residual_curves():
+    """A shot over three charts, a Pauli geodesic and a tensor product, each with its spectrum."""
+    fq = MetricSpec(FQ, penalty=PEN1)
+    shot = shoot_geodesic(fq, np.zeros(15), 2.0 * (np.linspace(-1.0, 1.0, 15) + 0.1), 1.0, steps=200)
+    line = pauli_geodesic_curve(fq, PauliVector.from_terms(2, {"ZI": 0.7, "IZ": 0.2, "ZZ": -0.3}), 1.0)
+    spec1 = MetricSpec(FQ, penalty=PenaltyFunction(kind="step", k=3.0, low_weight_cutoff=1))
+    ca = shoot_geodesic(spec1, np.zeros(3), np.array([0.9, 0.5, -0.3]), 2.4, steps=480)
+    cb = shoot_geodesic(spec1, np.zeros(3), np.array([-0.4, 0.8, 0.6]), 2.4, steps=480)
+    return [(fq, shot), (fq, line), (spec1, tensor_product_curve(ca, cb, spec1))]
+
+
+def test_el_residual_reads_the_stored_spectrum(monkeypatch):
+    """el_residual runs no eigh on a shot, a Pauli geodesic or a tensor product; the same curve
+    read back from JSON has no spectrum, eigensolves, and gives the same residual."""
+    curves = _residual_curves()
+    assert len(curves[0][1].segments) == 3 and len(curves[2][1].segments) >= 2
+    eighs, eigh = [], np.linalg.eigh
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigh", lambda *a: eighs.append(1) or eigh(*a))
+        stored = [el_residual(spec, curve) for spec, curve in curves]
+    assert eighs == []
+    read = [el_residual(spec, Curve.from_json(curve.to_json())) for spec, curve in curves]
+    assert all(Curve.from_json(curve.to_json()).spectrum is None for _, curve in curves)
+    assert stored[0] == pytest.approx(read[0], rel=1e-6)  # np.gradient's error in d/dt
+    assert max(stored[1:] + read[1:]) < 1e-8  # rounding only: x(t) is exact on both
+
+
+@pytest.mark.parametrize("spec, coeffs, stabilizer", [
+    (MetricSpec(FPDELTA, penalty=PEN1, delta=1e-4), {"XX": 0.5, "ZZ": -0.4, "YY": 0.3}, True),
+    (MetricSpec(FQ, penalty=PEN1), {"ZI": 0.7, "IZ": 0.2, "ZZ": -0.3}, True),
+    (MetricSpec(FQ, penalty=PEN1), {"ZZ": 0.6}, True),  # doubly degenerate: clustered on every sample
+    (MetricSpec(FPDELTA, penalty=PEN1, delta=1e-4), {"XX": 0.5, "YY": 0.5}, True),
+    (MetricSpec(FQ, penalty=PenaltyFunction(kind="step", k=100.0, low_weight_cutoff=1)),
+     {"XI": 0.9, "ZZ": 0.7, "IY": 0.4}, False),
+])
+def test_stored_spectrum_matches_the_eigh_path(spec, coeffs, stabilizer):
+    """A Pauli geodesic's spectrum (t lam0, V0) against one eigh per sample after a JSON round trip."""
+    curve = pauli_geodesic_curve(spec, PauliVector.from_terms(2, coeffs), 1.0, num_samples=801)
+    lam, V = curve.spectrum
+    assert np.max(np.abs((V * lam[:, None, :]) @ np.swapaxes(V.conj(), -1, -2) - algebra(curve.xs, 2, SU))) < 1e-14
+    stored, read = el_residual(spec, curve), el_residual(spec, Curve.from_json(curve.to_json()))
+    if stabilizer:
+        assert stored < 1e-6 and read < 1e-6
+    else:
+        assert stored > 1e-2 and stored == pytest.approx(read, rel=1e-9)
+
+
 def test_failed_eigensolver_is_no_convergence(monkeypatch):
     """A LinAlgError of any Hermitian eigensolve is NoConvergence: the stacked exponential,
     single exponentials, the change of coordinates and the Euler-Lagrange gradients."""
@@ -145,6 +204,7 @@ def test_failed_eigensolver_is_no_convergence(monkeypatch):
     with pytest.raises(NoConvergence):
         shoot_geodesic(F2_SPEC, np.zeros(3), np.array([0.3, 0.1, 0.0]), 0.2, steps=steps)
     curve = pauli_geodesic_curve(F2_SPEC, PauliVector(1, SU, np.array([0.0, 0.0, 0.4])), 1.0, num_samples=11)
+    read = Curve.from_json(curve.to_json())  # no stored spectrum: el_residual eigensolves
 
     def broken_eigh(a, *args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -157,7 +217,7 @@ def test_failed_eigensolver_is_no_convergence(monkeypatch):
     with pytest.raises(NoConvergence):
         change_coords(np.zeros((1, 3)), np.ones((1, 3)), 1, SU)
     with pytest.raises(NoConvergence):
-        el_residual(F2_SPEC, curve)
+        el_residual(F2_SPEC, read)
     with pytest.raises(NoConvergence):  # the first eigensolve of a shot: H0 = E_x0(y0)
         shoot_geodesic(F2_SPEC, np.zeros(3), np.array([0.3, 0.1, 0.0]), 0.2, steps=steps)
 
