@@ -180,12 +180,11 @@ def circuit_to_curve(circuit: Circuit, spec: MetricSpec) -> CircuitTrajectory:
     gates, W_j = -i sigma_j V_j and theta(t) = alpha_j (m t - j - sin(2 pi m t)
     / (2 pi)).  The speed is r(t) m alpha_j F(sigma_j) and the length is
     exactly sum_j alpha_j F(sigma_j), which never exceeds the gate count for
-    a G-bounding metric.  n is checked first, then every gate Hamiltonian
-    against the metric, each distinct string normed once in one norms_batch
-    call (G-bounding is a property of the penalties, not of the spec label),
-    so it forms at most 4^n rows, not one a gate; the error raised is
-    that of the first gate that is malformed or over the bound, as when each
-    gate was checked in turn.
+    a G-bounding metric.  n is checked first, then each gate in turn: its
+    weight, its alpha, its string and its norm alpha F(sigma) <= 1, with
+    F(sigma) read from one norms_batch call over the 4^n unit strings
+    (G-bounding is a property of the penalties, not of the spec label), not
+    one row a gate; the first gate at fault raises.
 
     Cost: one matrix product per gate (_prefix_products), then one batched
     product of every (cos theta, sin theta) pair against its (V_j, W_j),
@@ -204,33 +203,22 @@ def circuit_to_curve(circuit: Circuit, spec: MetricSpec) -> CircuitTrajectory:
             circuit, spec, ts, np.array([np.eye(dim, dtype=complex)] * 2), np.zeros(2), 0.0, 0.0
         )
 
-    strings, invalid = [], None
-    for g in circuit.gates:
-        try:
-            if not 1 <= weight(g.pauli) <= _MAX_GATE_WEIGHT:
-                raise ValueError(f"gate weight {weight(g.pauli)} outside the gate set")
-            if not 0.0 <= g.alpha <= _ALPHA_MAX:
-                raise ValueError(f"gate alpha {g.alpha} outside [0, {_ALPHA_MAX}]")
-            strings.append(circuit.full_string(g))
-        except (ValueError, DimensionMismatch) as err:
-            invalid = err
-            break
-    # the gates before the first malformed one are bounded first, so the error raised is that of
-    # the first gate at fault; F is 1-homogeneous, so each distinct string is normed once
+    # F is 1-homogeneous, so a gate's norm is alpha F(sigma): every string is normed once
+    unit_norms = norms_batch(spec, np.eye(basis_dimension(circuit.n, spec.mode)))
     idx = string_index(circuit.n, spec.mode)
-    distinct = {}  # basis index of each distinct string -> its row of units
-    which = [distinct.setdefault(idx[s], len(distinct)) for s in strings]
-    units = np.zeros((len(distinct), basis_dimension(circuit.n, spec.mode)))
-    units[np.arange(len(distinct)), list(distinct)] = 1.0
-    alphas = np.array([g.alpha for g in circuit.gates[: len(strings)]])
-    gate_norms = alphas * norms_batch(spec, units)[which]
-    for g, s, gate_norm in zip(circuit.gates, strings, gate_norms):
-        if gate_norm > 1.0 + 1e-12:
+    strings, gate_norms = [], np.empty(m)
+    for j, g in enumerate(circuit.gates):
+        if not 1 <= weight(g.pauli) <= _MAX_GATE_WEIGHT:
+            raise ValueError(f"gate weight {weight(g.pauli)} outside the gate set")
+        if not 0.0 <= g.alpha <= _ALPHA_MAX:
+            raise ValueError(f"gate alpha {g.alpha} outside [0, {_ALPHA_MAX}]")
+        strings.append(circuit.full_string(g))
+        gate_norms[j] = g.alpha * unit_norms[idx[strings[-1]]]
+        if gate_norms[j] > 1.0 + 1e-12:
             raise NotGBounding(
-                f"gate Hamiltonian {g.alpha:.3g}*{s} has norm {gate_norm:.6f} > 1"
+                f"gate Hamiltonian {g.alpha:.3g}*{strings[-1]} has norm {gate_norms[j]:.6f} > 1"
             )
-    if invalid is not None:
-        raise invalid
+    alphas = np.array([g.alpha for g in circuit.gates])
 
     k = _SAMPLES_PER_SEGMENT
     stack_bytes = (m * k + 1) * dim * dim * np.dtype(complex).itemsize

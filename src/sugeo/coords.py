@@ -368,11 +368,6 @@ def _exp_spectrum(lam: np.ndarray, V: np.ndarray) -> np.ndarray:
     return (V * np.exp(-1j * lam)[:, None, :]) @ np.swapaxes(V.conj(), -1, -2)
 
 
-def unitaries_from_coords(xs: np.ndarray, n: int, mode: str) -> np.ndarray:
-    """exp(-i x.sigma) for each row of an (m, d) array by one stacked eigh (else NoConvergence)."""
-    return _exp_spectrum(*_eigh(algebra(xs, n, mode)))
-
-
 def unitary_from_coords(x: PauliVector) -> np.ndarray:
-    """exp(-i x.sigma) as a dense matrix, a stack of one for unitaries_from_coords."""
-    return unitaries_from_coords(x.entries[None], x.n, x.mode)[0]
+    """exp(-i x.sigma) as a dense matrix, by one eigh (else NoConvergence)."""
+    return _exp_spectrum(*_eigh(algebra(x.entries[None], x.n, x.mode)))[0]

@@ -14,10 +14,9 @@ smoothed family solves the norm once per evaluation (metrics.hessian_parts);
 its Hess_N is diagonal plus rank 2, so the solve and the eigenvalue check cost
 O(d), and its bracket is pauli.bracket.  shoot_geodesic first runs RK4 on H
 alone from H0 = E_x0(y0), then rebuilds U from U0 = exp(-i x0.sigma) by the
-4th-order Magnus step U <- exp(-i K) U, K = dt/2 (H1 + H2) + sqrt(3)/12 dt^2
-proj(-i[H2, H1]) at the Gauss points of each step's cubic Hermite interpolant
-of H (stacked matrix commutators, then one stacked eigh, so U stays unitary):
-reduction, then reconstruction.
+4th-order Magnus step U <- exp(-i K) U, K = dt/2 (H1 + H2) - i sqrt(3)/12 dt^2
+[H2, H1] at the Gauss points of each step's cubic Hermite interpolant of H
+(K as stacked matrices, exponentiated by stacked eighs, so U stays unitary).
 
 Curves are returned in Pauli coordinates, U = exp(-i x.sigma) A, with
 h = E_x(y) (the filter of coords; y = E_x^-1(h) by its inverse).  The
@@ -25,9 +24,10 @@ chart only covers eigenphases in (-pi, pi): once one reaches
 pi - _REANCHOR_MARGIN, A becomes the current U and x restarts at 0, so a
 Curve consists of chart segments, each with its own anchor (_chart_curve,
 for shots and tensor products alike, one Schur factorisation a sample).
-el_residual checks the Euler-Lagrange equations of F(x, y) = N(E_x(y)) in
-the chart, with exact gradients, from the samples x, y and the spectra of
-x the curve keeps: it never reads the shot's H or its equation.
+Every Curve carries the spectrum (lam, V) of its xs, and every exponential
+(coords._exp_spectrum) and gradient here reads it.  el_residual checks the
+Euler-Lagrange equations of F(x, y) = N(E_x(y)) in the chart, with exact
+gradients, from the samples: it never reads the shot's H or its equation.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coords import UnitaryOperator, _Eigenbasis, _eigh, _exp_spectrum, _log_rows, _schur_phases
-from .coords import change_coords, pauli_log, unitaries_from_coords, unitary_from_coords
+from .coords import unitary_from_coords
 # perfbench wraps coords.change_matrices, and its test_tracer_self_time_and_patching
 # asserts that the wrapper replaces this binding too
 from .coords import change_matrices  # noqa: F401
@@ -100,10 +100,11 @@ _ROWS = 256  # steps whose Magnus commutators are formed at once: bounds the tem
 class Curve:
     """Sampled curve in Pauli coordinates, possibly split into chart segments.
 
-    segments[i] is the index of the first sample of chart i; anchors[i] is
-    the unitary U_i with the curve given by exp(-i x(t).sigma) U_i on that
-    segment.  x/y samples are chart-local.  spectrum = (lam, V) describes xs,
-    xs[i].sigma = V[i] diag(lam[i]) V[i]^+: kept if the constructor has it, never serialised.
+    segments[i] is the index of the first sample of chart i; anchors[i] is the unitary U_i with
+    the curve given by exp(-i x(t).sigma) U_i on that segment.  x/y samples are chart-local.
+    spectrum = (lam, V), xs[i].sigma = V[i] diag(lam[i]) V[i]^+, serves every exponential and
+    gradient of the curve: the constructor's, else (from_json, by hand) one stacked eigh of xs
+    in __post_init__.  It is never serialised.
     """
 
     spec: MetricSpec
@@ -121,14 +122,24 @@ class Curve:
     def __post_init__(self):
         if not self.anchors:
             self.anchors = [np.eye(2**self.n, dtype=complex)]
+        if self.spectrum is None:
+            self.spectrum = _eigh(algebra(self.xs, self.n, self.mode))
 
     def segment_bounds(self) -> list:
         stops = list(self.segments[1:]) + [len(self.ts)]
         return list(zip(self.segments, stops))
 
     def unitary_at(self, i: int) -> np.ndarray:
-        seg = bisect_right(self.segments, i) - 1
-        return unitary_from_coords(PauliVector(self.n, self.mode, self.xs[i])) @ self.anchors[seg]
+        i = range(len(self.ts))[i]  # a negative index counts from the end
+        U = _exp_spectrum(*(s[i][None] for s in self.spectrum))[0]
+        return U @ self.anchors[bisect_right(self.segments, i) - 1]
+
+    def unitaries(self) -> np.ndarray:
+        """Every sample's exp(-i x.sigma) A: one stacked exponential, one anchor product a segment."""
+        Us = _exp_spectrum(*self.spectrum)
+        for (a, b), A in zip(self.segment_bounds(), self.anchors):
+            Us[a:b] = Us[a:b] @ A
+        return Us
 
     def to_json(self) -> dict:
         def vector(row):
@@ -202,8 +213,8 @@ def shoot_geodesic(spec: MetricSpec, x0, y0, t_end: float, steps: int = None,
     Two phases.  RK4 on the Euler-Arnold equation for H alone, default 1000
     steps per unit time (of |t_end|), stores H and k = dH/dt, with no
     exponential and no chart log.  The reconstruction builds each step's
-    Magnus exponent from (H_i, k_i, H_i+1, k_i+1), takes all exponentials
-    in one stacked eigh, forms U_i+1 = E_i U_i and recovers x with
+    Magnus exponent from (H_i, k_i, H_i+1, k_i+1), exponentiates them by
+    stacked eighs (_magnus_steps), forms U_i+1 = E_i U_i and recovers x with
     _chart_curve.  curve.stats holds the step and segment counts, the
     smallest Hessian eigenvalue seen and the largest relative drift of F.
 
@@ -304,7 +315,7 @@ def shoot_geodesic(spec: MetricSpec, x0, y0, t_end: float, steps: int = None,
 
     Us = np.empty((steps + 1, 2**n, 2**n), dtype=complex)
     Us[0] = _exp_spectrum(lam0, V0)[0]
-    Us[1:] = unitaries_from_coords(_magnus_exponents(hs, ks, dt, n, mode), n, mode)
+    _magnus_steps(hs, ks, dt, n, mode, Us[1:])
     for i in range(1, steps + 1):
         Us[i] = Us[i] @ Us[i - 1]
     curve = _chart_curve(spec, dt * np.arange(steps + 1), hs, Us, (xe, lam0, V0))
@@ -315,16 +326,17 @@ def shoot_geodesic(spec: MetricSpec, x0, y0, t_end: float, steps: int = None,
     return curve
 
 
-def _magnus_exponents(hs: np.ndarray, ks: np.ndarray, dt: float, n: int, mode: str) -> np.ndarray:
-    """K_i = dt/2 (H1 + H2) + sqrt(3)/12 dt^2 proj(-i[H2, H1]), H1 and H2 at the Gauss points
-    of step i's cubic Hermite interpolant; the commutators are matrix products, _ROWS steps at a time."""
-    hermite = _HERMITE * np.array([1.0, dt, 1.0, dt])  # weights of (H_i, k_i, H_i+1, k_i+1)
-    gauss = hermite @ np.stack([hs[:-1], ks[:-1], hs[1:], ks[1:]], axis=1)
-    kappas, weight = 0.5 * dt * (gauss[:, 0] + gauss[:, 1]), (np.sqrt(3.0) / 12.0) * dt**2
-    for s in range(0, len(kappas), _ROWS):
-        H1, H2 = (algebra(gauss[s:s + _ROWS, j], n, mode) for j in (0, 1))
-        kappas[s:s + _ROWS] += weight * coefficients(-1j * (H2 @ H1 - H1 @ H2), n, mode)
-    return kappas
+def _magnus_steps(hs: np.ndarray, ks: np.ndarray, dt: float, n: int, mode: str, out: np.ndarray):
+    """out[i] = exp(-i K_i), K_i = dt/2 (H1 + H2) - i sqrt(3)/12 dt^2 (H2 H1 - H1 H2), H1 and H2
+    at the Gauss points of step i's cubic Hermite interpolant.  K is formed as matrices and
+    exponentiated by one eigh, _ROWS steps at a time, which bounds the temporaries."""
+    gauss = (_HERMITE * [1.0, dt, 1.0, dt]) @ np.stack([hs[:-1], ks[:-1], hs[1:], ks[1:]], axis=1)
+    weight = (np.sqrt(3.0) / 12.0) * dt**2
+    for s in range(0, len(gauss), _ROWS):
+        g1, g2 = gauss[s:s + _ROWS, 0], gauss[s:s + _ROWS, 1]
+        H1, H2 = algebra(g1, n, mode), algebra(g2, n, mode)
+        K = algebra(0.5 * dt * (g1 + g2), n, mode) - 1j * weight * (H2 @ H1 - H1 @ H2)
+        out[s:s + _ROWS] = _exp_spectrum(*_eigh(K))
 
 
 def _chart_curve(spec: MetricSpec, ts: np.ndarray, hs: np.ndarray, Us: np.ndarray, row0: tuple) -> Curve:
@@ -363,18 +375,17 @@ def _chart_curve(spec: MetricSpec, ts: np.ndarray, hs: np.ndarray, Us: np.ndarra
 # Euler-Lagrange residual
 
 
-def f_squared_gradients(spec: MetricSpec, xs: np.ndarray, ys: np.ndarray, spectrum: tuple = None) -> tuple:
-    """Exact (dF^2/dx, dF^2/dy) of F(x, y) = N(E_x(y)) at each row pair of two (m, d) arrays.
+def f_squared_gradients(spec: MetricSpec, ys: np.ndarray, spectrum: tuple) -> tuple:
+    """Exact (dF^2/dx, dF^2/dy) of F(x, y) = N(E_x(y)) at each row of an (m, d) array ys.
 
-    With h = E_x(y) and G = grad N^2(h).sigma: dF^2/dy = E_-x(G), since the
-    transpose of E_x is E_-x, and dF^2/dx_j = Re tr(Gamma sigma_j) / 2^n
-    with Gamma from _Eigenbasis.x_gradient.  All three come from one
-    eigendecomposition of the X stack: E_-x is the filter conj(Phi).  It is
-    spectrum, (lam, V) of the rows of xs, when given, else one stacked eigh.
+    spectrum = (lam, V) gives each row's x, x.sigma = V diag(lam) V^+ (a Curve's, or _eigh of
+    the X stack).  With h = E_x(y) and G = grad N^2(h).sigma: dF^2/dy = E_-x(G), since the
+    transpose of E_x is E_-x, and dF^2/dx_j = Re tr(Gamma sigma_j) / 2^n with Gamma from
+    _Eigenbasis.x_gradient.  All three come from that eigenbasis (E_-x is the filter conj(Phi)).
     """
     mode = spec.mode
-    n = qubits_of_dimension(xs.shape[1], mode)
-    E = _Eigenbasis(*(_eigh(algebra(xs, n, mode)) if spectrum is None else spectrum))
+    n = qubits_of_dimension(ys.shape[1], mode)
+    E = _Eigenbasis(*spectrum)
     Yh = E.hat(algebra(ys, n, mode))
     A = E.Phi * Yh
     Gh = E.hat(algebra(grad_f_squared(spec, coefficients(E.unhat(A), n, mode)), n, mode))
@@ -387,20 +398,17 @@ def el_residual(spec: MetricSpec, curve: Curve) -> float:
     """Max residual of d/dt(dF^2/dy^j) = dF^2/dx^j along the curve, F(x, y) = N(E_x(y)).
 
     Both gradients are exact (f_squared_gradients); only the time
-    derivative is a finite difference, np.gradient over the samples.  A
-    curve with a spectrum (shots, tensor products, Pauli geodesics) runs no
-    eigensolve; one without (from_json, or built by hand) takes one stacked
-    eigh a segment.  Normalized by max |dF^2/dx| + 1; evaluated on the
-    interior samples of each chart segment with at least 5 samples.  Raises
-    TooFewSamples when no segment has that many.
+    derivative is a finite difference, np.gradient over the samples.  The gradients read the
+    curve's spectrum: no eigensolve.  Normalized by max |dF^2/dx| + 1; evaluated on the interior
+    samples of each chart segment with at least 5 samples.  Raises TooFewSamples when no segment
+    has that many.
     """
     bounds = [(a, b) for a, b in curve.segment_bounds() if b - a >= 5]
     if not bounds:
         raise TooFewSamples(f"no chart segment of {len(curve.ts)} samples has 5 or more")
     worst = rhs_scale = 0.0
     for a, b in bounds:
-        part = None if curve.spectrum is None else tuple(s[a:b] for s in curve.spectrum)
-        rhs, lhs = f_squared_gradients(spec, curve.xs[a:b], curve.ys[a:b], part)
+        rhs, lhs = f_squared_gradients(spec, curve.ys[a:b], tuple(s[a:b] for s in curve.spectrum))
         res = np.abs(np.gradient(lhs, curve.ts[a:b], axis=0) - rhs)[1:-1]
         worst = max(worst, float(res.max()))
         rhs_scale = max(rhs_scale, float(np.abs(rhs).max()))
@@ -474,21 +482,25 @@ def _embed_indices(n_from: int, n_total: int, offset: int, mode: str) -> np.ndar
 def tensor_product_curve(curve_a: Curve, curve_b: Curve, spec_ab: MetricSpec) -> Curve:
     """Samples of W(t) = U_A(t) (x) U_B(t) as a curve on the product group.
 
-    Requires matching sample times.  The chart is followed as in a shot
-    (_chart_curve): W re-anchors wherever an eigenphase nears pi.
+    Requires matching sample times.  No eigh runs: each factor's E_x(y) and unitaries() come
+    from its spectrum, W is their broadcast Kronecker product and one Schur call charts W_0.
+    The chart is followed as in a shot (_chart_curve): W re-anchors wherever an eigenphase nears pi.
     """
     if curve_a.mode != curve_b.mode or curve_a.mode != spec_ab.mode:
         raise DimensionMismatch("curves and product spec must share the basis mode")
     if len(curve_a.ts) != len(curve_b.ts) or not np.allclose(curve_a.ts, curve_b.ts):
         raise DimensionMismatch("curves must be sampled at the same times")
-    na, nb, mode = curve_a.n, curve_b.n, spec_ab.mode
-    n = na + nb
-    hs = np.zeros((len(curve_a.ts), basis_dimension(n, mode)))
-    hs[:, _embed_indices(na, n, 0, mode)] += change_coords(curve_a.xs, curve_a.ys, na, mode)
-    hs[:, _embed_indices(nb, n, na, mode)] += change_coords(curve_b.xs, curve_b.ys, nb, mode)
-    Ws = np.array([np.kron(curve_a.unitary_at(i), curve_b.unitary_at(i)) for i in range(len(hs))])
-    x0 = pauli_log(Ws[0], mode).entries
-    return _chart_curve(spec_ab, curve_a.ts.copy(), hs, Ws, (x0, *_eigh(algebra(x0[None], n, mode))))
+    na, mode, m = curve_a.n, spec_ab.mode, len(curve_a.ts)
+    n = na + curve_b.n
+    hs = np.zeros((m, basis_dimension(n, mode)))
+    for c, offset in ((curve_a, 0), (curve_b, na)):  # +=: in U mode both identities land on I
+        h = _Eigenbasis(*c.spectrum).apply(algebra(c.ys, c.n, mode))
+        hs[:, _embed_indices(c.n, n, offset, mode)] += coefficients(h, c.n, mode)
+    A, B = curve_a.unitaries(), curve_b.unitaries()
+    Ws = (A[:, :, None, :, None] * B[:, None, :, None, :]).reshape(m, 2**n, 2**n)
+    phases, V, _ = _schur_phases(Ws[0])  # W_0's chart, as pauli_log reads it
+    row0 = (-phases[None], V[None])
+    return _chart_curve(spec_ab, curve_a.ts.copy(), hs, Ws, (_log_rows(*row0, n, mode)[0], *row0))
 
 
 def additive_triple_check(

@@ -376,8 +376,7 @@ class HessianParts(NamedTuple):
     Cinv: np.ndarray
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        W = self.U / self.lam[:, None]
-        (a, b), (_, c) = (self.Cinv + self.U.T @ W).tolist()
+        (a, b, c), W = self._secular(self.lam)  # the capacitance is M(0)
         z = r / self.lam
         t0, t1 = (z @ self.U).tolist()
         det = a * c - b * b

@@ -1,0 +1,69 @@
+"""Static checks of the library's own modules (src/sugeo/*.py but __init__.py), read with ast.
+
+No module imports a name it does not use (a line marked "# noqa: F401" may, to
+keep a binding others patch), and every private module-level name is
+referenced somewhere in the library other than its own definition.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "sugeo"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _parse(path: Path):
+    text = path.read_text()
+    return ast.parse(text), text.splitlines()
+
+
+def _referenced(tree: ast.AST) -> set:
+    """Every name read in the tree: plain names, attributes (module.name) and imported names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree, lines = _parse(path)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {node.value.id for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                unused.append(f"{bound} (line {alias.lineno})")
+    assert unused == []
+
+
+def test_every_private_name_is_referenced():
+    trees = {p.name: _parse(p)[0] for p in SRC.glob("*.py")}
+    referenced = set().union(*map(_referenced, trees.values()))
+    unreferenced = []
+    for name, tree in trees.items():
+        if name == "__init__.py":
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unreferenced += [f"{name}:{d}" for d in defined
+                             if d.startswith("_") and not d.startswith("__") and d not in referenced]
+    assert unreferenced == []
