@@ -29,6 +29,6 @@ from .metrics import (
     PenaltyFunction,
     norm,
 )
-from .pauli import SU, U, HermitianOperator, PauliVector, pauli_strings, stabilizer_span
+from .pauli import SU, U, PauliVector, pauli_strings, stabilizer_span
 
 __version__ = "0.1.0"

@@ -26,9 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
+from .coords import UnitaryOperator
 from .errors import DimensionMismatch, NonFiniteInput, NotGBounding, StepLimitExceeded
 from .metrics import F1, F1DELTA, F2, FP, FPDELTA, FQ, MetricSpec, norms_batch
 from .pauli import (
@@ -172,6 +174,14 @@ class CircuitTrajectory:
         return self.length <= self.gate_count + 1e-6
 
 
+@lru_cache(maxsize=256)
+def _unit_norms(spec: MetricSpec, n: int) -> np.ndarray:
+    """F(sigma) of every unit string, one norms_batch call per (spec, n), cached read-only."""
+    out = norms_batch(spec, np.eye(basis_dimension(n, spec.mode)))
+    out.setflags(write=False)
+    return out
+
+
 def circuit_to_curve(circuit: Circuit, spec: MetricSpec) -> CircuitTrajectory:
     """The trajectory of dV/dt = -i r(t) m alpha_j sigma_j V, in closed form.
 
@@ -182,9 +192,9 @@ def circuit_to_curve(circuit: Circuit, spec: MetricSpec) -> CircuitTrajectory:
     exactly sum_j alpha_j F(sigma_j), which never exceeds the gate count for
     a G-bounding metric.  n is checked first, then each gate in turn: its
     weight, its alpha, its string and its norm alpha F(sigma) <= 1, with
-    F(sigma) read from one norms_batch call over the 4^n unit strings
-    (G-bounding is a property of the penalties, not of the spec label), not
-    one row a gate; the first gate at fault raises.
+    F(sigma) read from the norms of the 4^n unit strings, computed once per
+    (spec, n) (G-bounding is a property of the penalties, not of the spec
+    label); the first gate at fault raises.
 
     Cost: one matrix product per gate (_prefix_products), then one batched
     product of every (cos theta, sin theta) pair against its (V_j, W_j),
@@ -204,7 +214,7 @@ def circuit_to_curve(circuit: Circuit, spec: MetricSpec) -> CircuitTrajectory:
         )
 
     # F is 1-homogeneous, so a gate's norm is alpha F(sigma): every string is normed once
-    unit_norms = norms_batch(spec, np.eye(basis_dimension(circuit.n, spec.mode)))
+    unit_norms = _unit_norms(spec, circuit.n)
     idx = string_index(circuit.n, spec.mode)
     strings, gate_norms = [], np.empty(m)
     for j, g in enumerate(circuit.gates):
@@ -269,7 +279,7 @@ _APPLICABLE = {
 
 @dataclass
 class IsometryMap:
-    """Pushforward H -> h(H) for one of the conjugation-type global maps."""
+    """Pushforward H -> h(H) for one of the conjugation-type global maps (operator: unitary)."""
 
     kind: str
     operator: np.ndarray = None
@@ -284,19 +294,20 @@ class IsometryMap:
         elif self.kind != "complex_conjugation":
             if self.operator is None:
                 raise ValueError(f"{self.kind} kind needs a unitary operator")
-            self.operator = np.asarray(self.operator, dtype=complex)
+            self.operator = UnitaryOperator(len(self.operator).bit_length() - 1, self.operator).matrix
 
     def applicable(self, spec: MetricSpec) -> bool:
         return spec.family in _APPLICABLE[self.kind]
 
     def push(self, H: np.ndarray) -> np.ndarray:
         H = matrix_of(H)
-        if self.kind == "pauli":
-            sigma = pauli_matrix(self.pauli)
-            return sigma @ H @ sigma
         if self.kind == "complex_conjugation":
             return -H.conj()
-        return self.operator @ H @ self.operator.conj().T
+        size = 2 ** len(self.pauli) if self.kind == "pauli" else len(self.operator)
+        if size != H.shape[-1]:  # checked before a Pauli string's matrix is built
+            raise DimensionMismatch(f"the {self.kind} map acts on dimension {size}, H on {H.shape[-1]}")
+        W = pauli_matrix(self.pauli) if self.kind == "pauli" else self.operator
+        return W @ H @ W.conj().T
 
 
 @dataclass
@@ -316,8 +327,8 @@ def isometry_check(
     declared inapplicable, the first Hamiltonian with deviation > 1e-6 is
     kept as the counterexample.  The samples are the rows of one
     standard_normal((samples, 4^n - 1)) draw.  A pushed Hamiltonian with a
-    trace (a non-unitary operator) raises NonTracelessInSUMode.  n is
-    checked (pauli.check_n) before the draw.
+    trace raises NonTracelessInSUMode.  n is checked (pauli.check_n)
+    before the draw; a map whose size is not 2^n raises DimensionMismatch.
     """
     check_n(n)
     if samples < 1:

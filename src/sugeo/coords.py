@@ -37,14 +37,15 @@ Every Hermitian eigensolve goes through _eigh, which turns LAPACK's
 failure to converge into NoConvergence.
 
 The chart, pauli_log, inverts exp(-i x.sigma) on principal eigenphases
-in (-pi, pi).  One Schur factorisation U = V diag(e^{i phases}) V^+
-(_schur_phases, LAPACK zgees: the Schur vectors of a unitary are
-orthonormal eigenvectors) gives the spectrum (-phases, V) of x.sigma.
-_log_rows reads x from a stack of such spectra; in SU mode x.sigma must
-be traceless, checked by pauli.check_traceless, the one trace rule.  The
-same spectra build an _Eigenbasis, so a shot's chart (geodesic's
-_chart_curve) gets x and y = E_x^-1(h) from one factorisation a sample,
-and the curve keeps them for the gradients of el_residual.
+in (-pi, pi).  U = V diag(e^{i phases}) V^+ is read from the Hermitian
+Cayley transform V diag(tan(phases/2)) V^+ of a whole stack by one solve
+and one eigh (_cayley_phases), well conditioned away from the cut: a
+shot's chart (geodesic's _chart_curve) stays _REANCHOR_MARGIN from it,
+and pauli_log first turns U to put -1 mid-gap (_log_spectrum).  (-phases,
+V) is the spectrum of x.sigma; _log_rows reads x from such spectra (in SU
+mode x.sigma must be traceless, checked by pauli.check_traceless, the one
+trace rule).  The same spectra build an _Eigenbasis, so the chart gets x
+and y = E_x^-1(h) from one pass, and the curve keeps them.
 """
 
 from __future__ import annotations
@@ -334,25 +335,46 @@ def pauli_log(U, mode: str = SU) -> PauliVector:
     n = qubit_count(M)
     if not np.isfinite(M).all():
         raise NonFiniteInput("unitary includes NaN or infinity")
-    phases, V, _ = _schur_phases(M)
-    return PauliVector(n, mode, _log_rows(-phases[None], V[None], n, mode)[0])
+    return PauliVector(n, mode, _log_rows(*_log_spectrum(M), n, mode)[0])
 
 
-def _schur_phases(M: np.ndarray):
-    """(phases, V, top): M = V diag(e^{i phases}) V^+ by one LAPACK zgees call, top = max |phases|.
+def _cayley_phases(M: np.ndarray):
+    """(phases, V), phases ascending, with M = V diag(e^{i phases}) V^+ for each unitary of a stack.
 
-    The Schur vectors of a unitary are orthonormal eigenvectors; -phases is the spectrum of i log M.
+    K = i (I + M)^-1 (I - M) = V diag(tan(phases/2)) V^+ by one solve, made Hermitian, and its
+    spectrum kappa by one _eigh: phases = 2 arctan(kappa), accurate while cos(phases/2) is not
+    small.  A singular I + M raises BranchCut.
     """
-    from scipy.linalg.lapack import zgees
+    eye = np.eye(M.shape[-1])
+    try:
+        K = 1j * np.linalg.solve(eye + M, eye - M)
+    except np.linalg.LinAlgError as exc:
+        raise BranchCut("an eigenvalue of U lies at -1") from exc
+    kappa, V = _eigh(0.5 * (K + np.swapaxes(K.conj(), -1, -2)))
+    return 2.0 * np.arctan(kappa), V
 
-    _, _, w, V, _, info = zgees(lambda w: 0, M)  # no reordering
-    if info:
-        raise NoConvergence(f"the Schur QR iteration did not converge (LAPACK info {info})")
-    phases = np.angle(w)
-    top = max(map(abs, phases.tolist()))  # 2^n values: Python's max beats numpy's call overhead
+
+def _check_branch(top: float):
     if np.pi - top < _BRANCH_TOL:
         raise BranchCut("an eigenvalue of U lies within tolerance of -1")
-    return phases, V, top
+
+
+def _log_spectrum(M: np.ndarray):
+    """The spectrum (lam, V) of the principal i log M, as stacks of one.
+
+    M is turned by e^{i theta} (theta from np.linalg.eigvals) to put -1 mid-way in the widest
+    gap of its spectrum, _cayley_phases runs there, and the phases are turned back into [-pi, pi).
+    """
+    try:
+        w = np.sort(np.angle(np.linalg.eigvals(M)))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"the eigenvalue solver did not converge: {exc}") from exc
+    gaps = np.diff(w, append=w[0] + 2.0 * np.pi)
+    theta = np.pi - (w + 0.5 * gaps)[np.argmax(gaps)]  # -1 to the middle of the widest gap
+    phases, V = _cayley_phases(np.exp(1j * theta) * M[None])
+    phases = (phases - theta + np.pi) % (2.0 * np.pi) - np.pi
+    _check_branch(float(np.max(np.abs(phases))))
+    return -phases, V
 
 
 def _log_rows(lam: np.ndarray, V: np.ndarray, n: int, mode: str) -> np.ndarray:

@@ -23,7 +23,7 @@ h = E_x(y) (the filter of coords; y = E_x^-1(h) by its inverse).  The
 chart only covers eigenphases in (-pi, pi): once one reaches
 pi - _REANCHOR_MARGIN, A becomes the current U and x restarts at 0, so a
 Curve consists of chart segments, each with its own anchor (_chart_curve,
-for shots and tensor products alike, one Schur factorisation a sample).
+for shots and tensor products alike, in stacked Cayley passes).
 Every Curve carries the spectrum (lam, V) of its xs, and every exponential
 (coords._exp_spectrum) and gradient here reads it.  el_residual checks the
 Euler-Lagrange equations of F(x, y) = N(E_x(y)) in the chart, with exact
@@ -39,8 +39,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coords import UnitaryOperator, _Eigenbasis, _eigh, _exp_spectrum, _log_rows, _schur_phases
-from .coords import unitary_from_coords
+from .coords import UnitaryOperator, _Eigenbasis, _cayley_phases, _check_branch, _eigh, _exp_spectrum
+from .coords import _log_rows, _log_spectrum, unitary_from_coords
 # perfbench wraps coords.change_matrices, and its test_tracer_self_time_and_patching
 # asserts that the wrapper replaces this binding too
 from .coords import change_matrices  # noqa: F401
@@ -225,12 +225,12 @@ def shoot_geodesic(spec: MetricSpec, x0, y0, t_end: float, steps: int = None,
     steps), a Woodbury solve with Hess_N and an inertia count, all O(d) but
     the bracket (metrics.HessianParts).  The reconstruction adds a share of
     one stacked pass of matrix commutators and of the eigh stack, a matrix
-    product and the chart's Schur call (cProfile of a 1-unit n = 3 Fq shot,
-    0.18 s under the profiler: RK4 0.04 s, commutators 0.01 s, eigh stack
-    0.02 s, chart 0.08 s of which Schur 0.06 s).  A 1-unit shot (1000 steps,
-    one BLAS thread, 2-core Xeon) takes 0.11 to 0.21 s under Fq and 0.88 to
-    1.05 s under FpDelta (delta = 2e-3) at n = 3, 0.39 to 0.59 s and 1.7 to
-    2.2 s (delta = 5e-4) at n = 4.  Memory: H, k, x and y are (steps + 1, d)
+    product and the chart's Cayley passes (cProfile of a 1-unit n = 3 Fq
+    shot, 0.14 s under the profiler: RK4 0.07 s, Magnus 0.03 s, chart
+    0.04 s, of which Cayley 0.02 s).  A 1-unit shot (1000 steps, one BLAS
+    thread, 2-core Xeon) takes 0.12 to 0.14 s under Fq and 0.85 to 0.99 s
+    under FpDelta (delta = 2e-3) at n = 3, 0.46 to 0.48 s and 1.9 to 2.8 s
+    (delta = 5e-4) at n = 4.  Memory: H, k, x and y are (steps + 1, d)
     float arrays, and the stacks of U and of the chart's eigenvectors cost
     about as much as two more each: a peak of about 670 B a step at n = 1
     and 44 KB at n = 4 (tracemalloc).
@@ -246,10 +246,10 @@ def shoot_geodesic(spec: MetricSpec, x0, y0, t_end: float, steps: int = None,
     the Hessian's smallest eigenvalue is below 1e-10, or F(H)^2 = p . H,
     conserved, left [F0^2/2, 2 F0^2].  Failures come in phase order, each
     at its first sample: SingularHessian (RK4), NoConvergence (the eigh
-    stack), then NoConvergence, BranchCut or StepLimitExceeded (the
-    chart's Schur calls), then NonTracelessInSUMode (its stacked pass); of
-    two faults the earlier phase's is reported.  Every eigensolver failure
-    is NoConvergence, that of x0 at entry (for H0, U0 and x's row 0) included.
+    stack), then BranchCut, NoConvergence or StepLimitExceeded (the chart,
+    by whole passes, so a row past a pass's anchor may fail it), then
+    NonTracelessInSUMode (its stacked read); of two faults the earlier phase's is reported.
+    Every eigensolver failure is NoConvergence, x0's at entry (H0, U0, x's row 0) included.
     """
     if spec.family in (F1, FP):
         raise NotSmoothMetric(f"{spec.family} has no smooth square, so no geodesic equation")
@@ -343,10 +343,11 @@ def _chart_curve(spec: MetricSpec, ts: np.ndarray, hs: np.ndarray, Us: np.ndarra
     """The Curve of the samples U_i = Us[i], H_i = hs[i].sigma at times ts.
 
     row0 = (x0, lam0, V0): x0 charts Us[0], with x0.sigma = V0 diag(lam0) V0^+ (stacks of one).
-    One Schur call per sample on U_i A^-1 (A the anchor) gives the spectrum (-phases, V) of
-    x_i.sigma.  A sample whose top phase reaches pi - _REANCHOR_MARGIN becomes the anchor, with
-    spectrum (0, I); the one past _MAX_SEGMENTS raises StepLimitExceeded.  One stacked pass reads
-    x and y = E_x^-1(h) from these spectra, with no second eigensolve; the curve keeps them.
+    Each _cayley_phases pass of U_i A^-1 (A the anchor) over _ROWS samples gives the spectra
+    (-phases, V) of x_i.sigma up to the first whose top phase reaches pi - _REANCHOR_MARGIN: it
+    becomes the anchor, spectrum (0, I), and the next pass starts after it (at most rows +
+    segments x _ROWS rows charted); the anchor past _MAX_SEGMENTS raises StepLimitExceeded, one
+    at the cut BranchCut.  One stacked pass reads x and y = E_x^-1(h), and the curve keeps them.
     """
     mode = spec.mode
     n = qubits_of_dimension(hs.shape[1], mode)
@@ -354,17 +355,20 @@ def _chart_curve(spec: MetricSpec, ts: np.ndarray, hs: np.ndarray, Us: np.ndarra
     Vs = np.tile(np.eye(2**n, dtype=complex), (len(ts), 1, 1))
     lam[:1], Vs[:1] = row0[1:]
     segments, anchors = [0], [np.eye(2**n, dtype=complex)]
-    back = anchors[0]  # the inverse of the current anchor
-    for i in range(1, len(ts)):
-        phases, V, top = _schur_phases(Us[i] @ back)
-        if top < np.pi - _REANCHOR_MARGIN:
-            lam[i], Vs[i] = -phases, V
-            continue
-        if len(segments) == _MAX_SEGMENTS:
-            raise StepLimitExceeded(f"more than {_MAX_SEGMENTS} charts; the curve is too long")
-        anchors.append(Us[i].copy())  # a view would keep the whole stack alive
-        back = anchors[-1].conj().T
-        segments.append(i)
+    i = 1
+    while i < len(ts):
+        phases, V = _cayley_phases(Us[i:i + _ROWS] @ anchors[-1].conj().T)
+        top = np.maximum(-phases[:, 0], phases[:, -1])  # phases ascend
+        keep = int(np.append(top >= np.pi - _REANCHOR_MARGIN, True).argmax())  # the first far row
+        lam[i:i + keep], Vs[i:i + keep] = -phases[:keep], V[:keep]
+        i += keep
+        if keep < len(top):  # sample i becomes the anchor
+            _check_branch(top[keep])
+            if len(segments) == _MAX_SEGMENTS:
+                raise StepLimitExceeded(f"more than {_MAX_SEGMENTS} charts; the curve is too long")
+            anchors.append(Us[i].copy())  # a view would keep the whole stack alive
+            segments.append(i)
+            i += 1
     xs = _log_rows(lam, Vs, n, mode)
     xs[0] = row0[0]
     ys = coefficients(_Eigenbasis(lam, Vs).apply(algebra(hs, n, mode), inverse=True), n, mode)
@@ -441,15 +445,20 @@ def pauli_geodesic_curve(
     """The straight line x(t) = h0 t as a sampled Curve (for residual checks).
 
     x = t h0 commutes with y = h0, so E_x(y) = h0 and every speed is exactly
-    F(h0).  Must stay inside the coordinate patch: max |eig(H0)| * t_end < pi.
-    One eigh, H0 = V0 diag(lam0) V0^+, gives every sample's spectrum (t lam0, V0).
+    F(h0).  Must stay inside the coordinate patch: max |eig(H0)| * |t_end| < pi.
+    One eigh, H0 = V0 diag(lam0) V0^+, gives every sample's spectrum (t lam0, V0).  t_end must
+    be finite (else NonFiniteInput) and num_samples at least 2 (else ValueError).
     """
+    if not math.isfinite(t_end):
+        raise NonFiniteInput(f"t_end={t_end} is not finite")
+    if num_samples < 2:
+        raise ValueError(f"num_samples={num_samples} must be at least 2")
     if coeffs.mode != spec.mode:
         raise DimensionMismatch("coefficient mode does not match the metric spec")
     h0 = np.asarray(coeffs.entries, dtype=float)
     n, mode = coeffs.n, spec.mode
     lam0, V0 = _eigh(algebra(h0[None], n, mode))
-    if float(np.max(np.abs(lam0))) * t_end >= np.pi:
+    if float(np.max(np.abs(lam0))) * abs(t_end) >= np.pi:
         raise OutsidePatch("exp(-i H0 t) leaves the coordinate patch before t_end")
     ts = np.linspace(0.0, t_end, num_samples)
     V = np.repeat(V0, num_samples, axis=0)  # not a broadcast view, which is slow in matmul
@@ -457,12 +466,32 @@ def pauli_geodesic_curve(
                  np.full(num_samples, norm(spec, h0)), spectrum=(np.outer(ts, lam0[0]), V))
 
 
-def curve_length(spec: MetricSpec, curve: Curve) -> float:
-    """Composite-Simpson quadrature of the speed over each chart segment."""
-    from scipy.integrate import simpson
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson's rule as scipy.integrate.simpson computes it: a parabola through each
+    pair of intervals of any widths, Cartwright's correction for a last odd interval and the
+    trapezoid for two points; a ratio over a zero width counts 0, as there."""
+    def ratio(a, b):
+        return np.divide(a, b, out=np.zeros(np.shape(b)), where=b != 0)
 
+    if len(y) == 2:
+        return 0.5 * (x[1] - x[0]) * (y[0] + y[1])
+    h = np.diff(x)
+    stop = len(h) - len(h) % 2
+    h0, h1 = h[0:stop:2], h[1:stop:2]
+    s = h0 + h1
+    total = np.sum(s / 6.0 * (y[0:stop:2] * (2.0 - ratio(h1, h0)) + y[1:stop:2] * s * ratio(s, h0 * h1)
+                              + y[2:stop + 1:2] * (2.0 - ratio(h0, h1))))
+    if stop < len(h):
+        a, b = h[-2], h[-1]
+        total += (ratio(2 * b * b + 3 * a * b, 6 * (a + b)) * y[-1]
+                  + ratio(b * b + 3 * a * b, 6 * a) * y[-2] - ratio(b**3, 6 * a * (a + b)) * y[-3])
+    return float(total)
+
+
+def curve_length(spec: MetricSpec, curve: Curve) -> float:
+    """Composite-Simpson quadrature of the speed over each chart segment (_simpson)."""
     bounds = [(a, b) for a, b in curve.segment_bounds() if b - a >= 2]
-    return float(sum(simpson(curve.speeds[a:b], x=curve.ts[a:b]) for a, b in bounds))
+    return float(sum(_simpson(curve.speeds[a:b], curve.ts[a:b]) for a, b in bounds))
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +511,8 @@ def _embed_indices(n_from: int, n_total: int, offset: int, mode: str) -> np.ndar
 def tensor_product_curve(curve_a: Curve, curve_b: Curve, spec_ab: MetricSpec) -> Curve:
     """Samples of W(t) = U_A(t) (x) U_B(t) as a curve on the product group.
 
-    Requires matching sample times.  No eigh runs: each factor's E_x(y) and unitaries() come
-    from its spectrum, W is their broadcast Kronecker product and one Schur call charts W_0.
+    Requires matching sample times.  Each factor's E_x(y) and unitaries() come from its spectrum
+    (no eigensolve), W is their broadcast Kronecker product, and W_0 is charted as pauli_log does.
     The chart is followed as in a shot (_chart_curve): W re-anchors wherever an eigenphase nears pi.
     """
     if curve_a.mode != curve_b.mode or curve_a.mode != spec_ab.mode:
@@ -498,8 +527,7 @@ def tensor_product_curve(curve_a: Curve, curve_b: Curve, spec_ab: MetricSpec) ->
         hs[:, _embed_indices(c.n, n, offset, mode)] += coefficients(h, c.n, mode)
     A, B = curve_a.unitaries(), curve_b.unitaries()
     Ws = (A[:, :, None, :, None] * B[:, None, :, None, :]).reshape(m, 2**n, 2**n)
-    phases, V, _ = _schur_phases(Ws[0])  # W_0's chart, as pauli_log reads it
-    row0 = (-phases[None], V[None])
+    row0 = _log_spectrum(Ws[0])  # W_0's chart, as pauli_log reads it
     return _chart_curve(spec_ab, curve_a.ts.copy(), hs, Ws, (_log_rows(*row0, n, mode)[0], *row0))
 
 

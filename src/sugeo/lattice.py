@@ -279,9 +279,14 @@ def lattice_log_det(n: int) -> float:
 
 
 def unit_ball_volume(spec: MetricSpec, r: float, n: int) -> float:
-    """Volume of {F <= r} in the diagonal subspace: V(r) = r^d V_F(1), in log space."""
+    """Volume of {F <= r} in the diagonal subspace: V(r) = r^d V_F(1), in log space (finite r)."""
     log_v1 = _log_unit_volume(spec, n)
-    return math.exp(2**n * math.log(r) + log_v1) if r > 0 else 0.0
+    if not math.isfinite(r):
+        raise NonFiniteInput(f"r={r} is not finite")
+    try:
+        return math.exp(2**n * math.log(r) + log_v1) if r > 0 else 0.0
+    except OverflowError:
+        raise NonFiniteInput(f"the volume of the radius-{r:g} ball overflows the float range") from None
 
 
 def coverage_bound(spec: MetricSpec, f_fraction: float, n: int) -> float:
@@ -308,6 +313,8 @@ def monte_carlo_coverage(
     is solved exactly by coset decoding, one coset at a time over the batch.
     """
     _require_u_mode(spec)
+    if not math.isfinite(r):
+        raise NonFiniteInput(f"r={r} is not finite")
     if not 1 <= n <= 2:
         raise DimensionLimit(f"Monte Carlo coverage needs 1 <= n <= 2, got n={n}")
     if samples < 1:

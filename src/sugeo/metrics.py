@@ -145,6 +145,8 @@ class MetricSpec:
             raise UnsupportedSpec(f"mode must be {U!r} or {SU!r}, got {self.mode!r}")
         if self.family in NEEDS_PENALTY and self.penalty is None:
             raise UnsupportedSpec(f"{self.family} requires a penalty function")
+        if self.delta is not None and not math.isfinite(self.delta):
+            raise NonFiniteInput(f"delta={self.delta} is not finite")
         if self.family in SMOOTHED:
             if self.delta is None or self.delta <= 0:
                 raise UnsupportedSpec(f"{self.family} requires delta > 0")
@@ -399,12 +401,12 @@ class HessianParts(NamedTuple):
 
     def _pole(self, z: np.ndarray) -> tuple:
         """At a pole x (z = lam - x has zeros): (the positive eigenvalues of M as the
-        limit from below, the number of lam_j equal to x, the rank of their rows of U).
+        limit from below, the number of eigenvalues of H at x itself).
 
-        Near x, M = B + t V^T V with B regular and t -> +inf: V of rank 2 sends
-        both eigenvalues up, rank 1 one of them while the other tends to e.B e,
-        e normal to V; rank 0 (all rows vanish) is no pole.  Each missing rank
-        leaves an eigenvalue of H at x itself.
+        Near x, M = B + t V^T V, V the rows of U at lam_j = x, B regular, t -> +inf:
+        V of rank 2 sends both eigenvalues up, rank 1 one of them while the other
+        tends to e.B e, e normal to V; rank 0 (all rows vanish) is no pole.  Each
+        missing rank, and a limit e.B e = 0, leaves an eigenvalue of H at x.
         """
         at = z == 0.0
         rest = ~at
@@ -412,11 +414,12 @@ class HessianParts(NamedTuple):
         (a, b), (_, c) = (self.Cinv + self.U[rest].T @ (self.U[rest] / z[rest, None])).tolist()
         (g0, g1), (_, g2) = (V.T @ V).tolist()
         if g0 * g2 - g1 * g1 > 1e-12 * (g0 + g2) ** 2:
-            return 2, len(V), 2
+            return 2, len(V) - 2
         if g0 + g2 > 0.0:
             e0, e1 = (-g1, g0) if g0 >= g2 else (-g2, g1)
-            return 1 + (a * e0 * e0 + 2 * b * e0 * e1 + c * e1 * e1 > 0.0), len(V), 1
-        return _positive_eigenvalues(a, b, c), len(V), 0
+            limit = a * e0 * e0 + 2 * b * e0 * e1 + c * e1 * e1
+            return 1 + (limit > 0.0), len(V) - 1 + (limit == 0.0)
+        return _positive_eigenvalues(a, b, c), len(V)
 
     def _branch(self, x: float, upper: bool) -> tuple:
         """The upper or lower eigenvalue of M(x) and its derivative in x."""
@@ -444,9 +447,9 @@ class HessianParts(NamedTuple):
         lo = -2.0 * math.hypot(a, b, b, c) / abs(a * c - b * b) * float(np.sum(self.U**2))
         hi, upper = min(bound, first), False
         if bound >= first:  # which side of the pole lam_(1) is the eigenvalue on?
-            positive, size, rank = self._pole(self.lam - first)
+            positive, at = self._pole(self.lam - first)
             if positive < 2:  # none below lam_(1)
-                if size > rank or second == first:  # lam_(1) is one
+                if at:  # lam_(1) is one
                     return first
                 lo, hi, upper = first, min(bound, second), True
         # Newton from hi, unless hi is a pole

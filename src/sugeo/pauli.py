@@ -192,27 +192,6 @@ class PauliVector:
         return cls.from_terms(int(obj["n"]), terms, obj.get("mode", SU))
 
 
-@dataclass
-class HermitianOperator:
-    """Dense Hermitian 2^n x 2^n matrix."""
-
-    n: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        check_n(self.n)
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        dim = 2**self.n
-        if self.matrix.shape != (dim, dim):
-            raise DimensionMismatch(f"expected {dim}x{dim} matrix")
-        if not np.isfinite(self.matrix).all():
-            raise NonFiniteInput("matrix includes NaN or infinity")
-        if np.max(np.abs(self.matrix - self.matrix.conj().T)) > 1e-12 * max(
-            1.0, np.max(np.abs(self.matrix))
-        ):
-            raise ValueError("matrix is not Hermitian within tolerance")
-
-
 def entries_of(v, mode: str) -> np.ndarray:
     """Coefficients of a PauliVector in `mode` (finite when built) or of a raw vector, checked finite."""
     if isinstance(v, PauliVector):
@@ -226,7 +205,7 @@ def entries_of(v, mode: str) -> np.ndarray:
 
 
 def matrix_of(H) -> np.ndarray:
-    """Accept HermitianOperator/UnitaryOperator or a raw ndarray."""
+    """The .matrix of an operator object (a UnitaryOperator, say), else the array itself."""
     return np.asarray(getattr(H, "matrix", H), dtype=complex)
 
 

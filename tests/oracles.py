@@ -39,7 +39,7 @@ from sugeo.errors import DimensionMismatch
 from sugeo.geodesic import _HERMITE
 from sugeo.metrics import grad_f_squared, hessian, norm, norms_batch
 from sugeo.pauli import (
-    SU, HermitianOperator, algebra, basis_dimension, coefficients, entries_of, pauli_matrix,
+    SU, algebra, basis_dimension, coefficients, entries_of, pauli_matrix,
     qubits_of_dimension, string_index,
 )
 
@@ -194,9 +194,8 @@ def matrix_shoot(spec, y0, t_end, steps):
 
 
 def geodesic_hamiltonian(res):
-    """The CvpResult's minimal geodesic Hamiltonian, diag(res.diagonal), as a HermitianOperator."""
-    n = len(res.diagonal).bit_length() - 1
-    return HermitianOperator(n, np.diag(res.diagonal.astype(complex)))
+    """The CvpResult's minimal geodesic Hamiltonian, diag(res.diagonal), as a Hermitian matrix."""
+    return np.diag(res.diagonal.astype(complex))
 
 
 def gate_unitary(circuit, gate):

@@ -21,7 +21,7 @@ from sugeo.bounds import (
     swap_matrix,
 )
 from sugeo.errors import (
-    DimensionLimit, DimensionMismatch, NonTracelessInSUMode, NotGBounding, StepLimitExceeded,
+    DimensionLimit, DimensionMismatch, NotGBounding, StepLimitExceeded,
 )
 from sugeo.metrics import (
     F1, F1DELTA, F2, FP, FPDELTA, FQ, MetricSpec, PenaltyFunction, norm, norms_batch,
@@ -317,12 +317,51 @@ def test_isometry_map_validation():
         IsometryMap(kind="clifford")
 
 
-def test_isometry_check_rejects_a_pushed_trace():
-    # IsometryMap does not check unitarity; M H M^dag then has a trace,
-    # which SU coefficients would drop
-    iso = IsometryMap(kind="unitary", operator=np.diag([2.0, 1.0, 1.0, 1.0]))
-    with pytest.raises(NonTracelessInSUMode):
-        isometry_check(iso, F2_SPEC, samples=5)
+def test_isometry_map_rejects_a_non_unitary_operator():
+    """The operator passes UnitaryOperator, so M H M^+ never gains a trace (which SU
+    coefficients would drop) and 2 I is not reported as an applicable F2 isometry."""
+    for operator in (np.diag([2.0, 1.0, 1.0, 1.0]), 2.0 * np.eye(4)):
+        with pytest.raises(ValueError, match="not unitary"):
+            IsometryMap(kind="unitary", operator=operator)
+    with pytest.raises(DimensionMismatch):
+        IsometryMap(kind="clifford", operator=np.ones(4))
+    with pytest.raises(DimensionMismatch):
+        IsometryMap(kind="unitary", operator=np.eye(3))
+
+
+@pytest.mark.parametrize("iso", [
+    IsometryMap(kind="pauli", pauli="XYZ"),
+    IsometryMap(kind="unitary", operator=np.eye(8)),
+    IsometryMap(kind="clifford", operator=np.eye(2)),
+], ids=["pauli-3", "unitary-8", "clifford-2"])
+def test_isometry_check_rejects_a_map_of_another_size(iso):
+    """A map whose size is not 2^n raised numpy's matmul ValueError; now DimensionMismatch."""
+    with pytest.raises(DimensionMismatch):
+        isometry_check(iso, F2_SPEC, samples=5, n=2)
+    with pytest.raises(DimensionMismatch):
+        iso.push(np.eye(4))
+
+
+def test_a_long_pauli_string_is_refused_before_its_matrix_is_built(monkeypatch):
+    monkeypatch.setattr(bounds, "pauli_matrix", lambda s: pytest.fail(f"built a {len(s)}-letter matrix"))
+    with pytest.raises(DimensionMismatch):
+        isometry_check(IsometryMap(kind="pauli", pauli="X" * 40), F2_SPEC, samples=5, n=2)
+
+
+def test_unit_norms_are_computed_once_per_spec_and_n(monkeypatch):
+    """circuit_to_curve norms the 4^n unit strings once per (spec, n), read-only; the
+    lengths are the same bits as with a fresh norms_batch."""
+    calls = []
+    batch = bounds.norms_batch
+    monkeypatch.setattr(bounds, "norms_batch", lambda spec, rows: calls.append(len(rows)) or batch(spec, rows))
+    spec = MetricSpec(FPDELTA, penalty=PEN1, delta=1.2345e-4)  # a spec no other test caches
+    circuit = Circuit(4, [Gate("XZ", 0.2, (0, 2)), Gate("Y", 0.5, (3,))])
+    first = circuit_to_curve(circuit, spec)
+    second = circuit_to_curve(circuit, spec)
+    assert calls == [255]
+    assert first.length == second.length == 0.2 * norm(spec, np.eye(255)[string_index(4, SU)["XIZI"]]) + 0.5 * norm(
+        spec, np.eye(255)[string_index(4, SU)["IIIY"]])
+    assert not bounds._unit_norms(spec, 4).flags.writeable
 
 
 def test_pauli_conjugation_preserves_every_family():

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -23,6 +26,7 @@ from sugeo.errors import (
     UnsupportedSpec,
     ZeroVector,
 )
+import sugeo
 from sugeo import geodesic, metrics
 from sugeo.geodesic import (
     Curve,
@@ -84,56 +88,49 @@ def test_step_limit(monkeypatch):
         shoot_geodesic(F2_SPEC, np.zeros(3), np.array([3.0, 0.0, 0.0]), 3.0)
 
 
+def _count_chart_passes(monkeypatch):
+    """Record the rows of every chart pass (geodesic._cayley_phases) and of every np.linalg.solve."""
+    passes, solves = [], []
+    cayley, solve = geodesic._cayley_phases, np.linalg.solve
+    monkeypatch.setattr(geodesic, "_cayley_phases", lambda M: passes.append(len(M)) or cayley(M))
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(len(a)) or solve(a, b))
+    return passes, solves
+
+
 def test_step_limit_stops_at_the_extra_anchor(monkeypatch):
-    """x is charted step by step, so the chart stops at the first re-anchoring past the limit."""
-    calls = []
-    schur = geodesic._schur_phases
-
-    def counting_schur(M):
-        calls.append(1)
-        return schur(M)
-
-    monkeypatch.setattr(geodesic, "_schur_phases", counting_schur)
+    """The chart runs _ROWS samples a pass and stops in the pass that holds the first
+    re-anchoring past the limit."""
+    passes, solves = _count_chart_passes(monkeypatch)
     monkeypatch.setattr(geodesic, "_MAX_SEGMENTS", 1)
     with pytest.raises(StepLimitExceeded):
         shoot_geodesic(F2_SPEC, np.zeros(3), np.array([3.0, 0.0, 0.0]), 3.0)
-    # |y0| = 3 reaches the margin pi - 0.2 at t = 0.98, step 980 of 3000
-    assert 975 <= len(calls) <= 985
+    # |y0| = 3 reaches the margin pi - 0.2 at t = 0.98, step 980 of 3000: rows 1 to 1024
+    assert passes == solves == [geodesic._ROWS] * 4
 
 
 def test_reconstruction_takes_one_stacked_exponential(monkeypatch):
     """The RK4 phase takes no exponential and no chart log; the rebuild takes one eigh stack.
 
-    The chart factors each sample once (one Schur call) and reads both x and
-    y from that factorisation: no eigh runs on a stack of all the samples.
+    The chart charts the 37 samples in one stacked Cayley pass (one solve and one eigh of
+    the whole stack, no per-sample solve) and reads both x and y from it.
     """
-    schurs, eighs = [], []
-    schur, eigh = geodesic._schur_phases, np.linalg.eigh
-
-    def counting_schur(M):
-        schurs.append(1)
-        return schur(M)
-
-    def counting_eigh(a, *args, **kwargs):
-        eighs.append(len(a))
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(geodesic, "_schur_phases", counting_schur)
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    passes, solves = _count_chart_passes(monkeypatch)
+    eighs, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: eighs.append(len(a)) or eigh(a, *args))
     steps = 37
     shoot_geodesic(MetricSpec(family=FQ, penalty=PEN1), np.zeros(15), np.linspace(0.1, 0.5, 15), 0.2, steps=steps)
-    assert len(schurs) == steps
-    assert [rows for rows in eighs if rows > 1] == [steps]
+    assert passes == solves == [steps]
+    assert [rows for rows in eighs if rows > 1] == [steps, steps]  # the rebuild, then the chart
 
 
 def test_one_eigendecomposition_of_x0_per_shot(monkeypatch):
-    """A shot runs two Hermitian eigensolves: x0, whose spectrum gives H0, U0 and the chart's
-    row 0, and the reconstruction's stacked exponential."""
+    """A shot runs three Hermitian eigensolves: x0, whose spectrum gives H0, U0 and the chart's
+    row 0, the reconstruction's stacked exponential and the chart's one pass (37 < _ROWS rows)."""
     eighs, eigh = [], np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: eighs.append(len(a)) or eigh(a, *args))
     x0 = PauliVector.from_terms(2, {"XI": 0.3, "ZZ": -0.5, "YX": 0.2}).entries
     curve = shoot_geodesic(MetricSpec(family=FQ, penalty=PEN1), x0, np.linspace(0.1, 0.5, 15), 0.2, steps=37)
-    assert eighs == [1, 37]
+    assert eighs == [1, 37, 37]
     assert np.array_equal(curve.xs[0], x0)
     assert np.max(np.abs(curve.ys[0] - np.linspace(0.1, 0.5, 15))) < 1e-13
 
@@ -672,18 +669,36 @@ def _three_chart_shot():
     return curve
 
 
-def test_curve_exponentials_and_tensor_products_run_no_eigh(monkeypatch):
-    """unitary_at, unitaries() and tensor_product_curve read the spectra the curves keep."""
+def test_curve_exponentials_run_no_eigh_and_tensor_products_chart_in_passes(monkeypatch):
+    """unitary_at and unitaries() read the spectrum the curve keeps.  tensor_product_curve reads
+    its factors' spectra too: its only eighs are W_0's chart and its own chart passes."""
     spec = MetricSpec(FQ, penalty=PenaltyFunction(kind="step", k=3.0, low_weight_cutoff=1))
-    ca = shoot_geodesic(spec, np.zeros(3), np.array([0.9, 0.5, -0.3]), 2.4, steps=240)
-    cb = shoot_geodesic(spec, np.zeros(3), np.array([-0.4, 0.8, 0.6]), 2.4, steps=240)
+    ca = shoot_geodesic(spec, np.zeros(3), np.array([0.9, 0.5, -0.3]), 2.4, steps=600)
+    cb = shoot_geodesic(spec, np.zeros(3), np.array([-0.4, 0.8, 0.6]), 2.4, steps=600)
     shot = _three_chart_shot()
     eighs, eigh = [], np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: eighs.append(1) or eigh(*a, **k))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *r, **k: eighs.append(a.shape) or eigh(a, *r, **k))
     shot.unitary_at(150)
     shot.unitaries()
-    assert len(tensor_product_curve(ca, cb, spec).segments) >= 2
     assert eighs == []
+    passes, solves = _count_chart_passes(monkeypatch)
+    prod = tensor_product_curve(ca, cb, spec)
+    assert len(prod.segments) >= 2
+    assert eighs == [(1, 4, 4)] + [(rows, 4, 4) for rows in passes] and solves == [1] + passes
+    assert len(passes) <= -(-600 // geodesic._ROWS) + len(prod.segments)
+
+
+@pytest.mark.parametrize("t_end", [0.5, 10.0])
+def test_chart_passes_are_bounded_by_rows_and_segments(monkeypatch, t_end):
+    """No per-sample solve: a shot of m steps over s charts takes at most ceil(m/_ROWS) + s
+    chart passes, each one solve, and charts at most m + s _ROWS rows."""
+    passes, solves = _count_chart_passes(monkeypatch)
+    curve = shoot_geodesic(F2_SPEC, np.zeros(3), np.array([3.0, 0.0, 0.0]), t_end)
+    steps, segments = len(curve.ts) - 1, len(curve.segments)
+    assert segments == 1 + int(3.0 * t_end / (np.pi - 0.2))
+    assert passes == solves
+    assert len(passes) <= -(-steps // geodesic._ROWS) + segments
+    assert sum(passes) <= steps + segments * geodesic._ROWS
 
 
 def test_unitaries_match_unitary_at_across_charts():
@@ -843,3 +858,48 @@ def test_shoot_n_cap_only_lowers_the_cap():
     assert shoot_geodesic(F2_SPEC, np.zeros(3), y0, 0.01, steps=2, n_cap=1).n == 1
     with pytest.raises(DimensionLimit):
         shoot_geodesic(F2_SPEC, np.zeros(1023), np.ones(1023), 0.01, steps=2, n_cap=9)
+
+
+@pytest.mark.parametrize("num", list(range(2, 13)) + [400, 401])
+def test_curve_length_is_scipy_simpson(num):
+    """The numpy composite Simpson equals scipy.integrate.simpson (the reference, a test
+    dependency only) on even and uneven grids, with Cartwright's last interval when the
+    count of intervals is odd and the trapezoid for two points."""
+    from scipy.integrate import simpson
+
+    rng = np.random.default_rng(num)
+    for ts in (np.linspace(0.0, 1.3, num), np.sort(rng.uniform(0.0, 1.3, num))):
+        speeds = 1.0 + rng.random(num)
+        curve = Curve(F2_SPEC, 1, SU, ts, np.zeros((num, 3)), np.zeros((num, 3)), speeds)
+        assert curve_length(F2_SPEC, curve) == pytest.approx(simpson(speeds, x=ts), rel=1e-12, abs=0.0)
+
+
+def test_charts_and_lengths_load_no_scipy():
+    """A shot, a tensor product, pauli_log and curve_length run on numpy alone."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sugeo.__file__)))
+    code = (
+        "import sys, numpy as np; from sugeo import geodesic, metrics, coords; "
+        "spec = metrics.MetricSpec('Fq', penalty=metrics.PenaltyFunction(k=3.0, low_weight_cutoff=1)); "
+        "a = geodesic.shoot_geodesic(spec, np.zeros(3), np.array([0.9, 0.5, -0.3]), 2.4, steps=240); "
+        "b = geodesic.shoot_geodesic(spec, np.zeros(3), np.array([-0.4, 0.8, 0.6]), 2.4, steps=240); "
+        "p = geodesic.tensor_product_curve(a, b, spec); coords.pauli_log(p.unitary_at(-1)); "
+        "geodesic.curve_length(spec, p); "
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')); "
+        "sys.exit(f'the run loaded {loaded}' if loaded else 0)"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+
+
+@pytest.mark.parametrize("t_end, num_samples, error", [
+    (np.nan, 201, NonFiniteInput), (np.inf, 201, NonFiniteInput), (-np.inf, 201, NonFiniteInput),
+    (1.0, 0, ValueError), (1.0, 1, ValueError), (-20.0, 201, OutsidePatch),
+])
+def test_pauli_geodesic_curve_rejects_bad_time_arguments(t_end, num_samples, error):
+    """A NaN t_end gave an all-NaN curve, num_samples 0 an empty one, and a negative t_end
+    skipped the patch check (x reached -6 Z, outside the chart); all three raise now."""
+    coeffs = PauliVector.from_terms(1, {"Z": 0.3})
+    with pytest.raises(error):
+        pauli_geodesic_curve(F2_SPEC, coeffs, t_end, num_samples=num_samples)
+    assert len(pauli_geodesic_curve(F2_SPEC, coeffs, 1.0, num_samples=2).ts) == 2

@@ -1,8 +1,9 @@
 """Static checks of the library's own modules (src/sugeo/*.py but __init__.py), read with ast.
 
 No module imports a name it does not use (a line marked "# noqa: F401" may, to
-keep a binding others patch), and every private module-level name is
-referenced somewhere in the library other than its own definition.
+keep a binding others patch), every private module-level name is
+referenced somewhere in the library other than its own definition, and no
+module imports scipy: the runtime dependency is numpy alone.
 """
 
 import ast
@@ -47,6 +48,14 @@ def test_no_unused_imports(path):
             if bound not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
                 unused.append(f"{bound} (line {alias.lineno})")
     assert unused == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    tree, _ = _parse(path)
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
 
 
 def test_every_private_name_is_referenced():

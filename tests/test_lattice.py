@@ -47,7 +47,7 @@ from sugeo.metrics import (
     PenaltyFunction,
     norms_batch,
 )
-from sugeo.pauli import SU, U, HermitianOperator, string_index, to_matrix
+from sugeo.pauli import SU, U, string_index, to_matrix
 
 from oracles import geodesic_hamiltonian
 
@@ -82,7 +82,7 @@ def test_cvp_single_qubit_phase_flip():
     res = cvp_minimal_pauli_geodesic(F1_U, np.array([0.0, np.pi]))
     assert res.value == pytest.approx(np.pi, abs=1e-12)
     assert res.certified
-    d = np.diag(geodesic_hamiltonian(res).matrix)
+    d = np.diag(geodesic_hamiltonian(res))
     assert np.max(np.abs(np.exp(-1j * d) - np.exp(-1j * np.array([0.0, np.pi])))) < 1e-12
 
 
@@ -91,7 +91,7 @@ def test_cvp_su_mode():
     spec = MetricSpec(family=F2, mode=SU)
     res = cvp_minimal_pauli_geodesic(spec, theta)
     assert res.value == pytest.approx(np.pi, abs=1e-12)
-    d = np.diag(geodesic_hamiltonian(res).matrix)
+    d = np.diag(geodesic_hamiltonian(res))
     assert np.sum(d) == pytest.approx(0.0, abs=1e-12)
     assert np.max(np.abs(np.exp(-1j * d) - np.exp(-1j * theta))) < 1e-12
 
@@ -327,15 +327,16 @@ def test_geodesic_hamiltonian_read_back(mode):
             theta[-1] = -np.sum(theta[:-1])
         res = cvp_minimal_pauli_geodesic(spec, theta)
         H = geodesic_hamiltonian(res)
-        assert isinstance(H, HermitianOperator) and H.n == n
-        diag = np.diag(H.matrix)
+        assert H.shape == (2**n, 2**n) and np.array_equal(H, H.conj().T)
+        assert np.array_equal(H, np.diag(np.diag(H)))
+        diag = np.diag(H)
         assert np.max(np.abs(np.exp(-1j * diag) - np.exp(-1j * theta))) < 1e-12
         v = reduce_phases(theta) - 2 * np.pi * res.minimizer
         if mode == SU:
             v = v - np.sum(v) / 2**n
             assert abs(np.sum(diag)) < 1e-12
         assert np.array_equal(diag, v.astype(complex))
-        assert not np.shares_memory(H.matrix, res.diagonal)  # built afresh from the result
+        assert not np.shares_memory(H, res.diagonal)  # built afresh from the result
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -434,6 +435,18 @@ def test_unit_ball_volumes_closed_form():
     # Fq = sqrt(y_I^2 + 9 y_Z^2): an ellipse with semi-axes r and r/3
     assert unit_ball_volume(spec, 0.7, 1) == pytest.approx(np.pi * 0.7**2 / 3.0)
     assert unit_ball_volume(F1_U, 0.0, 1) == 0.0
+
+
+def test_volumes_and_coverage_reject_non_finite_radii():
+    """r = NaN gave 0.0 and an overflowing volume a raw OverflowError."""
+    for r in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NonFiniteInput):
+            unit_ball_volume(F2_U, r, 1)
+        with pytest.raises(NonFiniteInput):
+            monte_carlo_coverage(F2_U, r, 1, samples=10)
+    with pytest.raises(NonFiniteInput, match="overflows"):
+        unit_ball_volume(F2_U, 1e300, 3)
+    assert unit_ball_volume(F2_U, 1e30, 3) == pytest.approx(1e240 * unit_ball_volume(F2_U, 1.0, 3), rel=1e-12)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -22,6 +22,7 @@ from sugeo.metrics import (
     FP,
     FPDELTA,
     FQ,
+    HessianParts,
     MetricSpec,
     PenaltyFunction,
     euler_identities_check,
@@ -85,6 +86,14 @@ def test_spec_validation():
         MetricSpec(FP)  # penalty missing
     with pytest.raises(UnsupportedSpec):
         MetricSpec(F1DELTA)  # delta missing
+
+
+@pytest.mark.parametrize("family", [F1DELTA, F2])
+def test_spec_rejects_non_finite_delta(family):
+    """delta = NaN was accepted, and norm then reported an overflow."""
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(NonFiniteInput):
+            MetricSpec(family, delta=bad)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -398,6 +407,43 @@ def test_hessian_parts_eigenvalue_below_every_pole():
     assert ev[0] < 0.99 * G.lam.min()
     lam = np.sort(G.lam)
     assert lam[-1] == lam[-2] and ev[-1] == pytest.approx(lam[-1], rel=1e-12)
+
+
+_ROWS_A = [[0.3, -1.2], [1.1, 0.4], [-0.7, 0.9], [0.5, 0.5], [-1.0, 0.2]]
+
+
+@pytest.mark.parametrize("lam, U, Cinv, bound", [
+    # two tied lam_j with independent rows of U: a rank-2 pole, inside and at lam_(1)
+    ([1.0, 2.0, 2.0, 3.0, 4.0], _ROWS_A, None, np.inf),
+    ([1.0, 1.0, 2.0, 3.0, 4.0], _ROWS_A, None, np.inf),
+    # two tied lam_j whose rows vanish: a rank-0 pole (exact eigenvalues), inside and at lam_(1)
+    ([1.0, 2.0, 2.0, 3.0, 4.0], [_ROWS_A[0], [0, 0], [0, 0]] + _ROWS_A[3:], None, np.inf),
+    ([1.0, 1.0, 2.0, 3.0, 4.0], [[0, 0], [0, 0]] + _ROWS_A[2:], None, np.inf),
+    # the smallest eigenvalue is the rank-0 pole 4, above lam_(1): the bracket collapses onto it
+    ([3.0, 4.0, 5.0], [[2, -2], [0, 0], [1, -1]], None, np.inf),
+    # U C U^T = 0, so lam_(1) = 3 is an eigenvalue: a rank-1 pole whose limit e.B e is 0
+    ([3.0, 4.0, 5.0], [[1, 1], [0, 0], [1, 1]], None, np.inf),
+    # M(1) = 2 I exactly, so Newton starts where the eigenvector of M is not unique
+    ([2.0, 3.0, 5.0], [[1, 0], [0, 2], [0, 2]], [[1, 0], [0, -1]], 1.0),
+])
+def test_hessian_parts_at_tied_and_vanishing_poles(lam, U, Cinv, bound):
+    """count_below and min_eig of hand-built parts against eigvalsh of the dense H.
+
+    C^-1 defaults to hessian_parts' form [[0, -D^2], [-D^2, -(S2 + D) D]] at D = S2 = 1; it
+    has one positive and one negative eigenvalue, as the inertia count needs.
+    """
+    Cinv = np.array(Cinv if Cinv is not None else [[0.0, -1.0], [-1.0, -2.0]], dtype=float)
+    G = HessianParts(np.ones(1), np.ones(1), np.array(lam, dtype=float), np.array(U, dtype=float), Cinv)
+    ev = np.linalg.eigvalsh(np.diag(G.lam) + G.U @ np.linalg.inv(Cinv) @ G.U.T)
+    floor = 64 * _EPS * np.abs(ev).max()
+    assert abs(G.min_eig(bound) - ev[0]) <= 1e-12 * abs(ev[0]) + floor
+    assert abs(G.min_eig(ev[0] + 0.25) - ev[0]) <= 1e-12 * abs(ev[0]) + floor
+    assert G.min_eig(ev[0] - 0.25) == ev[0] - 0.25
+    for x in G.lam:  # at a pole, an eigenvalue of H at x is not below it
+        assert G.count_below(x) == np.count_nonzero(ev < x - floor)
+    for x in np.concatenate([0.5 * (ev[1:] + ev[:-1]), [ev[0] - 1.0, ev[-1] + 1.0]]):
+        if np.min(np.abs(ev - x)) > floor:  # between distinct eigenvalues
+            assert G.count_below(x) == np.count_nonzero(ev < x)
 
 
 def test_hessian_parts_stack_and_momentum():

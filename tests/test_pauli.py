@@ -14,7 +14,6 @@ from sugeo.errors import (
 from sugeo.pauli import (
     SU,
     U,
-    HermitianOperator,
     PauliVector,
     algebra,
     basis_dimension,
@@ -90,12 +89,6 @@ def test_projection_roundtrip():
 def test_su_projection_rejects_trace():
     with pytest.raises(NonTracelessInSUMode):
         project_to_pauli(np.eye(4, dtype=complex), SU)
-
-
-def test_hermitian_operator_validation():
-    HermitianOperator(1, np.array([[0.0, 1j], [-1j, 2.0]]))
-    with pytest.raises(ValueError):
-        HermitianOperator(1, np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
 def test_commutes():
