@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from sugeo.coords import (
     UnitaryOperator,
+    _cayley_phases,
     apply_bch,
     bch_E_series,
     change_coords_backward,
@@ -195,6 +196,14 @@ def test_pauli_log_roundtrip():
 def test_pauli_log_branch_cut():
     with pytest.raises(BranchCut):
         pauli_log(np.diag([-1.0 + 0j, 1.0]), SU)
+
+
+def test_a_cayley_pass_with_an_eigenvalue_at_minus_one_is_a_branch_cut():
+    """One solve serves the whole stack, so a member with I + M singular fails the pass."""
+    with pytest.raises(BranchCut):
+        _cayley_phases(np.array([np.eye(2), np.diag([-1.0, 1.0])], dtype=complex))
+    phases, V = _cayley_phases(np.array([np.diag(np.exp([0.5j, -2.0j]))]))
+    assert np.allclose(phases, [[-2.0, 0.5]], atol=1e-15) and np.allclose(np.abs(V), [[[0, 1], [1, 0]]])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
