@@ -31,13 +31,14 @@ from functools import lru_cache
 import numpy as np
 
 from .coords import UnitaryOperator
-from .errors import DimensionMismatch, NonFiniteInput, NotGBounding, StepLimitExceeded
+from .errors import DimensionMismatch, NonFiniteInput, NotGBounding
 from .metrics import F1, F1DELTA, F2, FP, FPDELTA, FQ, MetricSpec, norms_batch
 from .pauli import (
     SU,
     PauliVector,
     algebra,
     basis_dimension,
+    check_bytes,
     check_n,
     check_traceless,
     coefficients,
@@ -132,9 +133,6 @@ _SAMPLES_PER_SEGMENT = 250
 # The exactly-universal gate set: exp(-i alpha sigma), 1 <= wt(sigma) <= 2, alpha in [0, 1].
 _MAX_GATE_WEIGHT = 2
 _ALPHA_MAX = 1.0
-# The sample stack takes (250 m + 1) 4^n 16 B, 1 MiB a gate at n = 4.  1 GiB
-# fits a workstation's memory and still admits 1048 gates at n = 4.
-_MAX_STACK_BYTES = 2**30
 
 
 def regularizer(m: int):
@@ -200,9 +198,9 @@ def circuit_to_curve(circuit: Circuit, spec: MetricSpec) -> CircuitTrajectory:
     product of every (cos theta, sin theta) pair against its (V_j, W_j),
     written straight into the stack of _SAMPLES_PER_SEGMENT samples a
     segment, so the peak memory is about the stack, (250 m + 1) 4^n complex
-    numbers.  Working range: n <= 4 and a stack of at most _MAX_STACK_BYTES
-    (1048 gates at n = 4); a longer circuit raises StepLimitExceeded after
-    the gate checks and before any allocation.
+    numbers.  Working range: n <= 4 and a stack within pauli.MAX_BYTES
+    (67108, 16777, 4194 and 1048 gates at n = 1..4); a longer circuit raises
+    StepLimitExceeded after the gate checks and before the stack is allocated.
     """
     check_n(circuit.n)
     m = len(circuit.gates)
@@ -231,22 +229,15 @@ def circuit_to_curve(circuit: Circuit, spec: MetricSpec) -> CircuitTrajectory:
     alphas = np.array([g.alpha for g in circuit.gates])
 
     k = _SAMPLES_PER_SEGMENT
-    stack_bytes = (m * k + 1) * dim * dim * np.dtype(complex).itemsize
-    if stack_bytes > _MAX_STACK_BYTES:
-        raise StepLimitExceeded(
-            f"{m} gates at n={circuit.n} need a {stack_bytes} B sample stack, "
-            f"over the {_MAX_STACK_BYTES} B cap"
-        )
+    # the sample stack; ts and the (cos, sin) pairs, then the speeds' temporaries, add 24 B a sample
+    check_bytes((m * k + 1) * dim * dim * 16, f"the sample stack of {m} gates at n={circuit.n}")
 
     ts = np.arange(m * k + 1) / (m * k)
-    speeds = regularizer(m)(ts)
-    speeds *= m
-    segment_speeds = speeds[1:].reshape(m, k)
-    segment_speeds *= gate_norms[:, None]
     T = ts[1:].reshape(m, k)
     theta = alphas[:, None] * (
         m * T - np.arange(m)[:, None] - np.sin(2 * np.pi * m * T) / (2 * np.pi)
     )
+    theta = np.stack((np.cos(theta), np.sin(theta)), axis=-1)  # as (cos, sin) pairs
 
     pairs = _prefix_products(circuit, strings)
     unitaries = np.empty((m * k + 1, dim, dim), dtype=complex)
@@ -254,10 +245,15 @@ def circuit_to_curve(circuit: Circuit, spec: MetricSpec) -> CircuitTrajectory:
     # sample i of segment j is cos theta_ji V_j + sin theta_ji W_j: one real
     # product on the interleaved (re, im) views gives both parts at once
     np.matmul(
-        np.stack((np.cos(theta), np.sin(theta)), axis=-1),
+        theta,
         pairs[:-1].view(float).reshape(m, 2, 2 * dim * dim),
         out=unitaries[1:].view(float).reshape(m, k, 2 * dim * dim),
     )
+    del theta  # before the speeds are made, so that the peak is about the stack
+    speeds = regularizer(m)(ts)
+    speeds *= m
+    segment_speeds = speeds[1:].reshape(m, k)
+    segment_speeds *= gate_norms[:, None]
     endpoint_error = float(np.max(np.abs(unitaries[-1] - pairs[-1, 0])))
     return CircuitTrajectory(
         circuit, spec, ts, unitaries, speeds, float(sum(gate_norms)), endpoint_error
@@ -329,11 +325,17 @@ def isometry_check(
     standard_normal((samples, 4^n - 1)) draw.  A pushed Hamiltonian with a
     trace raises NonTracelessInSUMode.  n is checked (pauli.check_n)
     before the draw; a map whose size is not 2^n raises DimensionMismatch.
+    Working range: n <= 4 and 1 <= samples (else ValueError), with samples
+    (8 (4^n - 1) + 48 4^n) bytes within pauli.MAX_BYTES (else StepLimitExceeded
+    before the draw): 4971026, 1209168, 300263 and 74940 samples at n = 1..4.
     """
     check_n(n)
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    ys = np.random.default_rng(seed).standard_normal((samples, basis_dimension(n, SU)))
+    # per sample: the draw, its matrix H, W H and the pushed W H W^+
+    d = basis_dimension(n, SU)
+    check_bytes(samples * (8 * d + 3 * 16 * 4**n), f"{samples} isometry samples at n={n}")
+    ys = np.random.default_rng(seed).standard_normal((samples, d))
     pushed = iso.push(algebra(ys, n, SU))
     check_traceless(pushed)
     pushed = coefficients(pushed, n, SU)

@@ -59,8 +59,8 @@ class SingularHessian(SugeoError):
 
 
 class StepLimitExceeded(SugeoError):
-    """Geodesic integration re-anchored or stepped more than its limit, or a
-    circuit's sample stack would exceed its byte cap."""
+    """A call would allocate more than the byte budget pauli.MAX_BYTES for the size its caller
+    chose (checked at entry), or a curve needs more than geodesic._MAX_SEGMENTS charts."""
 
 
 class TooFewSamples(SugeoError):

@@ -77,6 +77,7 @@ from .pauli import (
     algebra,
     basis_dimension,
     bracket,
+    check_bytes,
     check_n,
     coefficients,
     entries_of,
@@ -90,9 +91,6 @@ _MIN_G_EIG = 1e-10
 # A chart is left once an eigenphase of x.sigma comes this close to pi.
 _REANCHOR_MARGIN = 0.2
 _MAX_SEGMENTS = 64  # more charts raise StepLimitExceeded
-# More steps (100 units of time at the default rate) raise StepLimitExceeded at entry.  A shot
-# peaks at about 670 B (n = 1) to 44 KB (n = 4) a step, so 67 MB to 4.4 GB here.
-_MAX_STEPS = 10**5
 _ROWS = 256  # steps whose Magnus commutators are formed at once: bounds the temporaries
 
 
@@ -104,7 +102,10 @@ class Curve:
     the curve given by exp(-i x(t).sigma) U_i on that segment.  x/y samples are chart-local.
     spectrum = (lam, V), xs[i].sigma = V[i] diag(lam[i]) V[i]^+, serves every exponential and
     gradient of the curve: the constructor's, else (from_json, by hand) one stacked eigh of xs
-    in __post_init__.  It is never serialised.
+    in __post_init__.  It is never serialised.  __post_init__ checks every curve, however built:
+    finite ts, xs, ys and speeds (NonFiniteInput); ts strictly monotone either way, or all equal
+    (ValueError); segments that start at 0 and ascend below the sample count, one anchor each
+    (ValueError); and anchors that UnitaryOperator accepts.
     """
 
     spec: MetricSpec
@@ -120,8 +121,18 @@ class Curve:
     spectrum: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if not all(np.isfinite(a).all() for a in (self.ts, self.xs, self.ys, self.speeds)):
+            raise NonFiniteInput("a curve's times, coordinates or speeds include NaN or infinity")
+        steps = np.diff(self.ts)
+        if not (np.all(steps > 0) or np.all(steps < 0) or not steps.any()):
+            raise ValueError("sample times must be strictly monotone, or all equal")
         if not self.anchors:
             self.anchors = [np.eye(2**self.n, dtype=complex)]
+        starts = self.segments
+        ascending = starts[:1] == [0] and np.all(np.diff(starts) > 0) and starts[-1] < len(self.ts)
+        if not ascending or len(self.anchors) != len(starts):
+            raise ValueError(f"segments {starts} must ascend from 0 below {len(self.ts)}, one anchor each")
+        self.anchors = [UnitaryOperator(self.n, A).matrix for A in self.anchors]
         if self.spectrum is None:
             self.spectrum = _eigh(algebra(self.xs, self.n, self.mode))
 
@@ -172,7 +183,7 @@ class Curve:
             ts[i] = s["t"]
             xs[i] = PauliVector.from_json(s["x"]).entries
             ys[i] = PauliVector.from_json(s["y"]).entries
-            speeds[i] = s.get("speed", 0.0)
+            speeds[i] = s["speed"]
         segments = [int(s) for s in obj.get("segments", [0])]
         anchors = [
             np.array([[complex(re, im) for re, im in row] for row in A])
@@ -230,15 +241,14 @@ def shoot_geodesic(spec: MetricSpec, x0, y0, t_end: float, steps: int = None,
     0.04 s, of which Cayley 0.02 s).  A 1-unit shot (1000 steps, one BLAS
     thread, 2-core Xeon) takes 0.12 to 0.14 s under Fq and 0.85 to 0.99 s
     under FpDelta (delta = 2e-3) at n = 3, 0.46 to 0.48 s and 1.9 to 2.8 s
-    (delta = 5e-4) at n = 4.  Memory: H, k, x and y are (steps + 1, d)
-    float arrays, and the stacks of U and of the chart's eigenvectors cost
-    about as much as two more each: a peak of about 670 B a step at n = 1
-    and 44 KB at n = 4 (tracemalloc).
+    (delta = 5e-4) at n = 4.  Memory: about ten D x D complex matrices a
+    step (tracemalloc: 1.05 to 1.1 times the model that check_bytes gets).
 
     Working range: n <= 4 (pauli.PAULI_N_MAX; n_cap= lowers it for one
     call), a smooth family (NotSmoothMetric at entry for F1 and Fp),
-    1 <= steps <= _MAX_STEPS = 10^5, given or default (else ValueError,
-    or StepLimitExceeded at entry, before any allocation), a finite t_end
+    steps >= 1, given or default (else ValueError), with (steps + 1) 160 4^n bytes
+    within pauli.MAX_BYTES (else StepLimitExceeded at entry, before any allocation):
+    1677720, 419429, 104856 and 26213 steps at n = 1..4, a finite t_end
     and dt^2 (else NonFiniteInput), and a step that resolves the norm's
     curvature, which for the smoothed families grows like 1/delta where a
     coefficient of H nears 0 (FpDelta, delta = 1e-3, a generic unit y0 at
@@ -260,12 +270,13 @@ def shoot_geodesic(spec: MetricSpec, x0, y0, t_end: float, steps: int = None,
         raise DimensionLimit(f"shooting at n={n} exceeds n_cap={n_cap}")
     if not math.isfinite(t_end):
         raise NonFiniteInput(f"t_end={t_end} is not finite")
-    if steps is None:  # capped before the conversion, which overflows for |t_end| > 1.8e305
-        steps = max(1, int(round(min(1000 * abs(t_end), _MAX_STEPS + 1))))
+    if steps is None:  # int() overflows past |t_end| = 1.8e305; 10^18 steps are over the budget
+        steps = max(1, int(round(min(1000 * abs(t_end), 1e18))))
     if steps < 1:
         raise ValueError(f"steps={steps} must be at least 1")
-    if steps > _MAX_STEPS:
-        raise StepLimitExceeded(f"more than {_MAX_STEPS} steps (t_end={t_end:g}); shoot in pieces")
+    # per sample, in D x D complex matrices: U and the chart's V; H, k and x (a half each); and
+    # the stacked pass that reads y: the H stack, V^+, Phi, the gaps (a half) and three products
+    check_bytes((steps + 1) * 10 * 16 * 4**n, f"a {steps}-step shot at n={n}")
     if not np.any(ye):
         raise ZeroVector("y0 must be nonzero")
     dt = t_end / steps
@@ -405,11 +416,13 @@ def el_residual(spec: MetricSpec, curve: Curve) -> float:
     derivative is a finite difference, np.gradient over the samples.  The gradients read the
     curve's spectrum: no eigensolve.  Normalized by max |dF^2/dx| + 1; evaluated on the interior
     samples of each chart segment with at least 5 samples.  Raises TooFewSamples when no segment
-    has that many.
+    has that many, and ValueError for a curve of zero duration, which has no time derivative.
     """
     bounds = [(a, b) for a, b in curve.segment_bounds() if b - a >= 5]
     if not bounds:
         raise TooFewSamples(f"no chart segment of {len(curve.ts)} samples has 5 or more")
+    if curve.ts[0] == curve.ts[-1]:
+        raise ValueError("the curve has zero duration: no time derivative to check")
     worst = rhs_scale = 0.0
     for a, b in bounds:
         rhs, lhs = f_squared_gradients(spec, curve.ys[a:b], tuple(s[a:b] for s in curve.spectrum))
@@ -447,7 +460,9 @@ def pauli_geodesic_curve(
     x = t h0 commutes with y = h0, so E_x(y) = h0 and every speed is exactly
     F(h0).  Must stay inside the coordinate patch: max |eig(H0)| * |t_end| < pi.
     One eigh, H0 = V0 diag(lam0) V0^+, gives every sample's spectrum (t lam0, V0).  t_end must
-    be finite (else NonFiniteInput) and num_samples at least 2 (else ValueError).
+    be finite (else NonFiniteInput) and num_samples at least 2 (else ValueError), with
+    num_samples (32 4^n + 8 2^n + 16) bytes within pauli.MAX_BYTES (else StepLimitExceeded):
+    6710886, 1917396, 504577 and 128807 samples at n = 1..4.
     """
     if not math.isfinite(t_end):
         raise NonFiniteInput(f"t_end={t_end} is not finite")
@@ -457,6 +472,8 @@ def pauli_geodesic_curve(
         raise DimensionMismatch("coefficient mode does not match the metric spec")
     h0 = np.asarray(coeffs.entries, dtype=float)
     n, mode = coeffs.n, spec.mode
+    # per sample: V (a D x D complex matrix), xs and ys (d <= 4^n floats each), lam, ts, speeds
+    check_bytes(num_samples * (32 * 4**n + 8 * 2**n + 16), f"{num_samples} curve samples at n={n}")
     lam0, V0 = _eigh(algebra(h0[None], n, mode))
     if float(np.max(np.abs(lam0))) * abs(t_end) >= np.pi:
         raise OutsidePatch("exp(-i H0 t) leaves the coordinate patch before t_end")
@@ -489,9 +506,9 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> float:
 
 
 def curve_length(spec: MetricSpec, curve: Curve) -> float:
-    """Composite-Simpson quadrature of the speed over each chart segment (_simpson)."""
-    bounds = [(a, b) for a, b in curve.segment_bounds() if b - a >= 2]
-    return float(sum(_simpson(curve.speeds[a:b], curve.ts[a:b]) for a, b in bounds))
+    """|Composite-Simpson quadrature| of the speed over every sample (_simpson): the speed F(H)
+    does not depend on the chart, and a backward curve has the length of its forward run."""
+    return abs(float(_simpson(curve.speeds, curve.ts)))
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ from .errors import (
     UnsupportedSpec,
 )
 from .metrics import EUCLIDEAN, MetricSpec, penalty_vector
-from .pauli import SU, U, PauliVector, basis_dimension, string_index
+from .pauli import SU, U, PauliVector, basis_dimension, check_bytes, string_index
 
 # The coset decoder scores d^{d/2} cosets (4096 at n = 3); at n = 4 it would be 16^8.
 CVP_N_MAX = 3
@@ -311,6 +311,8 @@ def monte_carlo_coverage(
 
     Uniform phases in [-pi, pi)^{2^n} (U mode only); the CVP of every sample
     is solved exactly by coset decoding, one coset at a time over the batch.
+    Working range: n <= 2 and 1 <= samples, with samples (32 2^n + 8) bytes within
+    pauli.MAX_BYTES (else StepLimitExceeded): 14913080 and 7895160 samples at n = 1, 2.
     """
     _require_u_mode(spec)
     if not math.isfinite(r):
@@ -320,6 +322,8 @@ def monte_carlo_coverage(
     if samples < 1:
         raise ValueError("samples must be at least 1")
     dim = 2**n
+    # per sample: tau, R and two temporaries of a coset's rounding (dim floats each), and best
+    check_bytes(samples * 8 * (4 * dim + 1), f"{samples} coverage samples at n={n}")
     taxicab, weights = _diag_weights(spec, n)
     rng = np.random.default_rng(seed)
     tau = rng.uniform(-np.pi, np.pi, size=(samples, dim)) @ _walsh(dim) / (2 * np.pi)

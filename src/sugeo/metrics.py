@@ -454,6 +454,8 @@ class HessianParts(NamedTuple):
                 lo, hi, upper = first, min(bound, second), True
         # Newton from hi, unless hi is a pole
         x = hi if first != hi < second else 0.5 * (max(lo, 0.0) + hi)
+        if x in (first, second):  # lam_(1) and lam_(2) are adjacent floats, and it lies between
+            return x
         last = before = hi - lo
         for _ in range(_EIG_CAP):
             mu, slope = self._branch(x, upper)

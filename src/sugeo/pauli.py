@@ -24,7 +24,8 @@ the one input check of a coefficient vector.
 Everything here is dense: the tangent space has dimension 4^n (minus one
 in SU mode), and the coordinate change is a filter on 2^n x 2^n matrices.
 n = 3 is comfortable, and n = 4 (255 tangent dimensions) is the hard
-ceiling, PAULI_N_MAX, that check_n enforces for every layer.
+ceiling, PAULI_N_MAX, that check_n enforces for every layer.  check_bytes holds what a
+call allocates for a size its caller picks (steps, samples, gates) to one budget, MAX_BYTES.
 """
 
 from __future__ import annotations
@@ -42,12 +43,14 @@ from .errors import (
     NonTracelessInSUMode,
     NotCommuting,
     NotIndependent,
+    StepLimitExceeded,
 )
 
 SU = "SU"
 U = "U"
 
 PAULI_N_MAX = 4
+MAX_BYTES = 2**30  # 1 GiB: a workstation's memory holds it, and n = 4 still gets 25k shot steps
 
 LETTERS = "IXYZ"
 
@@ -62,6 +65,12 @@ _SINGLE = {
 def check_n(n: int):
     if not 1 <= n <= PAULI_N_MAX:
         raise DimensionLimit(f"n={n} outside supported range 1..{PAULI_N_MAX}")
+
+
+def check_bytes(nbytes: int, what: str):
+    """StepLimitExceeded if `what` would take more than MAX_BYTES (read at each call)."""
+    if nbytes > MAX_BYTES:
+        raise StepLimitExceeded(f"{what} would take {nbytes} B, over the {MAX_BYTES} B budget")
 
 
 def validate_string(s: str) -> str:

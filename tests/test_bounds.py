@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from oracles import gate_unitary, segment_curve
 
-from sugeo import bounds
+from sugeo import bounds, pauli
 from sugeo.bounds import (
     Circuit,
     Gate,
@@ -231,7 +231,7 @@ def test_circuits_check_the_qubit_range(n):
 
 def test_sample_stack_cap_refuses_before_it_allocates():
     per_gate = 250 * 4**4 * 16
-    m = (bounds._MAX_STACK_BYTES - 4**4 * 16) // per_gate + 1  # one gate over the cap at n = 4
+    m = (pauli.MAX_BYTES - 4**4 * 16) // per_gate + 1  # one gate over the budget at n = 4
     c = Circuit(4, [Gate("Z", 0.5, (0,))] * m)
     tracemalloc.start()
     try:
@@ -241,7 +241,7 @@ def test_sample_stack_cap_refuses_before_it_allocates():
     finally:
         tracemalloc.stop()
     # the gate norms take a few MB; the refused stack would take over 1 GiB
-    assert peak < bounds._MAX_STACK_BYTES / 100
+    assert m == 1049 and peak < pauli.MAX_BYTES / 100
     # the first gate at fault is still the one named
     with pytest.raises(ValueError, match="weight"):
         circuit_to_curve(Circuit(4, [*c.gates, Gate("XXX", 0.1, (0, 1, 2))]), F2_SPEC)
@@ -264,8 +264,8 @@ def test_gate_norms_take_no_row_per_gate():
 
 def test_sample_stack_cap_edge(monkeypatch):
     c = random_circuit(2, 3, 1)
-    monkeypatch.setattr(bounds, "_MAX_STACK_BYTES", (3 * 250 + 1) * 16 * 16)
-    assert circuit_to_curve(c, F2_SPEC).stats["stack_bytes"] == bounds._MAX_STACK_BYTES
+    monkeypatch.setattr(pauli, "MAX_BYTES", (3 * 250 + 1) * 16 * 16)
+    assert circuit_to_curve(c, F2_SPEC).stats["stack_bytes"] == pauli.MAX_BYTES
     with pytest.raises(StepLimitExceeded):
         circuit_to_curve(Circuit(2, [*c.gates, Gate("X", 0.1, (0,))]), F2_SPEC)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sugeo import geodesic
+from sugeo import pauli
 from sugeo.cli import dispatch
 from sugeo.lattice import coverage_bound
 from sugeo.metrics import F2, MetricSpec
@@ -518,7 +518,7 @@ def test_shoot_backwards_takes_the_default_step_count(capsys, tmp_path):
     (["--t", "1e300"], 1, "StepLimitExceeded"),
     (["--t", "1e12"], 1, "StepLimitExceeded"),
     (["--t=-1e306"], 1, "StepLimitExceeded"),
-    (["--steps", str(geodesic._MAX_STEPS + 1)], 1, "StepLimitExceeded"),
+    (["--steps", str(pauli.MAX_BYTES // 2560)], 1, "StepLimitExceeded"),  # one step over the budget at n = 2
 ])
 def test_shoot_rejects_bad_time_arguments(capsys, tmp_path, extra, code, error):
     with warnings.catch_warnings():
@@ -544,7 +544,7 @@ def test_pauli_geodesic_rejects_infinite_time(capsys, tmp_path, t):
 @pytest.mark.parametrize("extra, error", [
     (["--n", "20"], "DimensionLimit"),
     (["--n", "20", "--kind", "clifford", "--gate", "hadamard"], "DimensionLimit"),
-    (["--samples", "100000000000000"], "MemoryError"),
+    (["--samples", "100000000000000"], "StepLimitExceeded"),
 ])
 def test_isometry_check_refuses_before_it_allocates(capsys, f1_metric, extra, error):
     argv = ["isometry-check", "--kind", "complex_conjugation", "--metric", f1_metric, *extra]

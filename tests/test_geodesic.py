@@ -27,7 +27,7 @@ from sugeo.errors import (
     ZeroVector,
 )
 import sugeo
-from sugeo import geodesic, metrics
+from sugeo import geodesic, metrics, pauli
 from sugeo.geodesic import (
     Curve,
     additive_triple_check,
@@ -842,7 +842,7 @@ def test_shoot_default_steps_follow_abs_t_end():
     (1e300, None, StepLimitExceeded),
     (1e12, None, StepLimitExceeded),
     (-1e306, None, StepLimitExceeded),
-    (0.5, geodesic._MAX_STEPS + 1, StepLimitExceeded),
+    (0.5, pauli.MAX_BYTES // 640, StepLimitExceeded),  # one step over the budget: (steps + 1) 640 B at n = 1
 ])
 def test_shoot_rejects_bad_time_arguments(t_end, steps, error):
     with warnings.catch_warnings():

@@ -3,7 +3,10 @@
 No module imports a name it does not use (a line marked "# noqa: F401" may, to
 keep a binding others patch), every private module-level name is
 referenced somewhere in the library other than its own definition, and no
-module imports scipy: the runtime dependency is numpy alone.
+module imports scipy: the runtime dependency is numpy alone.  Only
+pauli.check_bytes, the one byte budget, and the chart-count limit of
+geodesic._chart_curve raise StepLimitExceeded, so no module grows a size
+cap of its own.
 """
 
 import ast
@@ -76,3 +79,19 @@ def test_every_private_name_is_referenced():
             unreferenced += [f"{name}:{d}" for d in defined
                              if d.startswith("_") and not d.startswith("__") and d not in referenced]
     assert unreferenced == []
+
+
+def test_step_limit_is_raised_only_by_the_budget_and_the_chart_limit():
+    raised = []
+    for path in MODULES:
+        tree, _ = _parse(path)
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                exc = getattr(node, "exc", None) if isinstance(node, ast.Raise) else None
+                if isinstance(exc, ast.Call):
+                    exc = exc.func
+                if isinstance(exc, ast.Name) and exc.id == "StepLimitExceeded":
+                    raised.append(f"{path.stem}.{func.name}")
+    assert sorted(raised) == ["geodesic._chart_curve", "pauli.check_bytes"]

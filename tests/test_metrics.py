@@ -409,6 +409,17 @@ def test_hessian_parts_eigenvalue_below_every_pole():
     assert lam[-1] == lam[-2] and ev[-1] == pytest.approx(lam[-1], rel=1e-12)
 
 
+def test_hessian_parts_smallest_eigenvalue_between_adjacent_poles():
+    """lam_(1) and lam_(2) one float apart, the smallest eigenvalue of H at them: min_eig's
+    bracket between the two poles holds no float inside, so it returns its end instead of
+    dividing by zero there (a generic F1Delta point at n = 2 that a shot reached)."""
+    y = np.array([0.0] * 8 + [0.5, 0.953125, 0.5078125, 0.9999999999999999, 0.0, 1.0, 0.5])
+    G, ev = _check_hessian_parts(MetricSpec(F1DELTA, delta=0.05), y / np.linalg.norm(y), np.ones(15))
+    lam = np.sort(G.lam)
+    assert lam[0] < lam[1] == np.nextafter(lam[0], np.inf)
+    assert G.min_eig() in (lam[0], lam[1])
+
+
 _ROWS_A = [[0.3, -1.2], [1.1, 0.4], [-0.7, 0.9], [0.5, 0.5], [-1.0, 0.2]]
 
 
