@@ -473,7 +473,7 @@ def run_direct_sum():
     spec_a = MetricSpec(FQ, penalty=pen)
     spec_b = MetricSpec(FQ, penalty=pen)
     spec_ab = MetricSpec(FQ, penalty=pen)
-    ident = additive_triple_check(spec_a, spec_b, spec_ab, num_samples=50)
+    ident = additive_triple_check(spec_a, spec_b, spec_ab)
     rng = np.random.default_rng(_SEED)
     ya = rng.standard_normal(3)
     ya *= 0.7 / np.linalg.norm(ya)

@@ -323,17 +323,16 @@ def isometry_check(
     declared inapplicable, the first Hamiltonian with deviation > 1e-6 is
     kept as the counterexample.  The samples are the rows of one
     standard_normal((samples, 4^n - 1)) draw.  A pushed Hamiltonian with a
-    trace raises NonTracelessInSUMode.  n is checked (pauli.check_n)
+    trace raises NonTracelessInSUMode.  n is checked (by basis_dimension)
     before the draw; a map whose size is not 2^n raises DimensionMismatch.
     Working range: n <= 4 and 1 <= samples (else ValueError), with samples
     (8 (4^n - 1) + 48 4^n) bytes within pauli.MAX_BYTES (else StepLimitExceeded
     before the draw): 4971026, 1209168, 300263 and 74940 samples at n = 1..4.
     """
-    check_n(n)
+    d = basis_dimension(n, SU)
     if samples < 1:
         raise ValueError("samples must be at least 1")
     # per sample: the draw, its matrix H, W H and the pushed W H W^+
-    d = basis_dimension(n, SU)
     check_bytes(samples * (8 * d + 3 * 16 * 4**n), f"{samples} isometry samples at n={n}")
     ys = np.random.default_rng(seed).standard_normal((samples, d))
     pushed = iso.push(algebra(ys, n, SU))

@@ -78,13 +78,11 @@ from .pauli import (
     basis_dimension,
     bracket,
     check_bytes,
-    check_n,
     coefficients,
     entries_of,
     string_index,
     pauli_strings,
     qubits_of_dimension,
-    weights_array,
 )
 
 _MIN_G_EIG = 1e-10
@@ -196,7 +194,7 @@ class Curve:
 # shooting
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _euclidean_field(spec: MetricSpec, n: int) -> tuple:
     """(c, a, b, g) with q^-1 proj(-i[H, q h]) = bincount(c, g h_a h_b) under F2/Fq.
 
@@ -265,7 +263,6 @@ def shoot_geodesic(spec: MetricSpec, x0, y0, t_end: float, steps: int = None,
         raise NotSmoothMetric(f"{spec.family} has no smooth square, so no geodesic equation")
     xe, ye = entries_of(x0, spec.mode).copy(), entries_of(y0, spec.mode).copy()
     n = qubits_of_dimension(len(xe), spec.mode)
-    check_n(n)
     if n_cap is not None and n > n_cap:
         raise DimensionLimit(f"shooting at n={n} exceeds n_cap={n_cap}")
     if not math.isfinite(t_end):
@@ -531,14 +528,20 @@ def tensor_product_curve(curve_a: Curve, curve_b: Curve, spec_ab: MetricSpec) ->
     Requires matching sample times.  Each factor's E_x(y) and unitaries() come from its spectrum
     (no eigensolve), W is their broadcast Kronecker product, and W_0 is charted as pauli_log does.
     The chart is followed as in a shot (_chart_curve): W re-anchors wherever an eigenphase nears pi.
+    Working range: n = n_A + n_B <= 4 (DimensionLimit) and m 160 4^n bytes within MAX_BYTES
+    (StepLimitExceeded), both checked before any allocation: m <= 419430, 104857, 26214 at n = 2..4.
     """
     if curve_a.mode != curve_b.mode or curve_a.mode != spec_ab.mode:
         raise DimensionMismatch("curves and product spec must share the basis mode")
-    if len(curve_a.ts) != len(curve_b.ts) or not np.allclose(curve_a.ts, curve_b.ts):
-        raise DimensionMismatch("curves must be sampled at the same times")
     na, mode, m = curve_a.n, spec_ab.mode, len(curve_a.ts)
     n = na + curve_b.n
-    hs = np.zeros((m, basis_dimension(n, mode)))
+    d = basis_dimension(n, mode)
+    # per sample, in D x D complex matrices, as in a shot's chart: W and V; hs, xs and ys (a half
+    # each); and the stacked pass that reads y (H, V^+, Phi, the gaps and three products)
+    check_bytes(m * 160 * 4**n, f"a product of {m} samples at n={n}")
+    if len(curve_b.ts) != m or not np.allclose(curve_a.ts, curve_b.ts):
+        raise DimensionMismatch("curves must be sampled at the same times")
+    hs = np.zeros((m, d))
     for c, offset in ((curve_a, 0), (curve_b, na)):  # +=: in U mode both identities land on I
         h = _Eigenbasis(*c.spectrum).apply(algebra(c.ys, c.n, mode))
         hs[:, _embed_indices(c.n, n, offset, mode)] += coefficients(h, c.n, mode)
@@ -548,46 +551,33 @@ def tensor_product_curve(curve_a: Curve, curve_b: Curve, spec_ab: MetricSpec) ->
     return _chart_curve(spec_ab, curve_a.ts.copy(), hs, Ws, (_log_rows(*row0, n, mode)[0], *row0))
 
 
-def additive_triple_check(
-    spec_a: MetricSpec,
-    spec_b: MetricSpec,
-    spec_ab: MetricSpec,
-    n_a: int = 1,
-    n_b: int = 1,
-    num_samples: int = 20,
-    rng=None,
-) -> float:
-    """Largest |F_AB^2(H_A + H_B) - (F_A^2(H_A) + F_B^2(H_B))| over random samples.
+def additive_triple_check(spec_a: MetricSpec, spec_b: MetricSpec, spec_ab: MetricSpec) -> float:
+    """Largest |F_AB^2(H_A + H_B) - (F_A^2(H_A) + F_B^2(H_B))| over 50 random samples.
 
-    H_A acts on the first n_a qubits and H_B on the next n_b.  Every string
-    of a factor must weigh the same there as its embedding does in the
-    product (metrics.penalty_vector); a mismatch raises
-    InconsistentPenalties.  The three specs must share the basis mode, and
-    it must be SU: in U mode both factors' identity strings embed onto the
-    product's identity, so F_AB^2 picks up a cross term and the check
-    cannot pass; U mode raises UnsupportedSpec.
+    H_A acts on the first qubit and H_B on the second, with 50 standard normal
+    draws (seed 20260822) of the pair.  Every string of a factor must weigh
+    the same there as its embedding does in the product
+    (metrics.penalty_vector); a mismatch raises InconsistentPenalties.  The
+    three specs must share the basis mode, and it must be SU: in U mode both
+    factors' identity strings embed onto the product's identity, so F_AB^2
+    picks up a cross term and the check cannot pass; U mode raises
+    UnsupportedSpec.
     """
     mode = spec_ab.mode
     if spec_a.mode != mode or spec_b.mode != mode:
         raise DimensionMismatch("factor and product specs must share the basis mode")
     if mode != SU:
         raise UnsupportedSpec("the additive triple check is SU mode only")
-    n = n_a + n_b
-    p_ab = penalty_vector(spec_ab, n)
+    p_ab = penalty_vector(spec_ab, 2)
     blocks = []
-    for name, spec, n_f, offset in (("A", spec_a, n_a, 0), ("B", spec_b, n_b, n_a)):
-        idx = _embed_indices(n_f, n, offset, mode)
-        bad = np.abs(penalty_vector(spec, n_f) - p_ab[idx]) > 1e-12
-        if bad.any():
-            weight = weights_array(n_f, mode)[bad.argmax()]
-            raise InconsistentPenalties(f"{name}/AB penalty mismatch at weight {weight}")
+    for name, spec, offset in (("A", spec_a, 0), ("B", spec_b, 1)):
+        idx = _embed_indices(1, 2, offset, mode)
+        if np.any(np.abs(penalty_vector(spec, 1) - p_ab[idx]) > 1e-12):
+            raise InconsistentPenalties(f"{name}/AB penalty mismatch at weight 1")
         blocks.append(idx)
-    if rng is None:
-        rng = np.random.default_rng(20260822)
-    y = rng.standard_normal((num_samples, len(blocks[0]) + len(blocks[1])))
-    ya, yb = np.split(y, [len(blocks[0])], axis=1)
-    emb = np.zeros((num_samples, basis_dimension(n, mode)))
+    y = np.random.default_rng(20260822).standard_normal((50, 6))
+    emb = np.zeros((50, 15))
     emb[:, np.concatenate(blocks)] = y  # SU mode: the two blocks are disjoint
-    split = norms_batch(spec_a, ya) ** 2 + norms_batch(spec_b, yb) ** 2
+    split = norms_batch(spec_a, y[:, :3]) ** 2 + norms_batch(spec_b, y[:, 3:]) ** 2
     gap = norms_batch(spec_ab, emb) ** 2 - split
-    return float(np.max(np.abs(gap), initial=0.0))
+    return float(np.abs(gap).max())

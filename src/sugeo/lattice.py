@@ -130,10 +130,8 @@ def _phase_vector(theta) -> tuple[np.ndarray, int]:
 def diagonal_to_pauli(h: np.ndarray) -> PauliVector:
     """U-mode Pauli coefficients of diag(h): the Walsh-Hadamard transform /2^n."""
     h, n = _phase_vector(h)
-    dim = len(h)
-    y = _walsh(dim) @ h / dim
-    entries = np.zeros(basis_dimension(n, U))
-    entries[_z_index_map(n)] = y
+    entries = np.zeros(basis_dimension(n, U))  # DimensionLimit before the Walsh matrix is built
+    entries[_z_index_map(n)] = _walsh(len(h)) @ h / len(h)
     return PauliVector(n, U, entries)
 
 

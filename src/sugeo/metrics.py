@@ -177,7 +177,7 @@ class MetricSpec:
 # penalty vectors over the basis
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def penalty_vector(spec: MetricSpec, n: int) -> np.ndarray:
     """p(wt sigma) over the basis in canonical order (ones for F1/F1Delta/F2).
 
@@ -229,7 +229,7 @@ def implicit_norm(spec: MetricSpec, y) -> float:
     return norm(spec, y)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _implicit_plan(spec: MetricSpec, dim: int) -> tuple:
     """(p, P = sum p, delta^2) of a smoothed spec on dim coefficients, cached per (spec, dim)."""
     p = penalty_vector(spec, qubits_of_dimension(dim, spec.mode))
@@ -254,33 +254,27 @@ def _implicit_norms(spec: MetricSpec, rows: np.ndarray) -> np.ndarray:
     delta = spec.delta
     if P * delta >= 1.0:
         raise DeltaTooLarge(f"P*delta = {P * delta:.4g} >= 1 (P={P}, delta={delta})")
-    # numpy call overhead dominates at the sizes of a shot, so the loop calls
-    # ufuncs directly, on columns (s, excess and miss are (m, 1)) and in place
     a = np.abs(rows)
-    scale = np.maximum.reduce(a, axis=1, keepdims=True)
+    scale = a.max(axis=1, keepdims=True)
     live = scale[:, 0] > 0.0
     out = np.zeros(len(rows))
     if not live.all():
         a, scale = a[live], scale[live]
     a /= scale
-    n_p = np.add.reduce(p * a, axis=1, keepdims=True)
+    n_p = (p * a).sum(axis=1, keepdims=True)
     a /= n_p
     s = np.full(n_p.shape, math.sqrt(1.0 - (P * delta) ** 2))
-    u2, root, work = np.empty((3,) + a.shape)
     for _ in range(_NEWTON_CAP):
-        np.multiply(a, s, out=u2)
-        np.multiply(u2, u2, out=u2)
-        np.add(u2, delta2, out=root)
-        np.sqrt(root, out=root)
-        excess = np.add.reduce(np.multiply(p, root, out=work), 1, keepdims=True) - 1.0
+        u2 = (a * s) ** 2
+        root = np.sqrt(u2 + delta2)
+        excess = (p * root).sum(axis=1, keepdims=True) - 1.0
         miss = np.abs(excess) >= _IMPLICIT_TOL
-        if not np.logical_or.reduce(miss, None):
+        if not miss.any():
             with np.errstate(over="ignore"):  # an overflow is _no_overflow's to report
                 out[live] = (scale * n_p / s)[:, 0]
             return out
-        np.multiply(p, u2, out=work)
-        excess = excess / np.add.reduce(np.divide(work, root, out=work), 1, keepdims=True)
-        np.multiply(s, 1.0 - excess, out=s, where=miss)
+        step = excess / (p * u2 / root).sum(axis=1, keepdims=True)
+        s = np.where(miss, s * (1.0 - step), s)
     raise NoConvergence(
         f"implicit norm: {int(miss.sum())} of {len(rows)} rows missed |g - 1| < "
         f"{_IMPLICIT_TOL:g} after {_NEWTON_CAP} Newton steps"

@@ -24,8 +24,9 @@ the one input check of a coefficient vector.
 Everything here is dense: the tangent space has dimension 4^n (minus one
 in SU mode), and the coordinate change is a filter on 2^n x 2^n matrices.
 n = 3 is comfortable, and n = 4 (255 tangent dimensions) is the hard
-ceiling, PAULI_N_MAX, that check_n enforces for every layer.  check_bytes holds what a
-call allocates for a size its caller picks (steps, samples, gates) to one budget, MAX_BYTES.
+ceiling, PAULI_N_MAX, that check_n enforces for every layer.  basis_dimension and
+qubits_of_dimension call it, so nothing they size is allocated past the cap.  check_bytes holds
+what a call allocates for a size its caller picks (steps, samples, gates) to one budget, MAX_BYTES.
 """
 
 from __future__ import annotations
@@ -103,15 +104,19 @@ def string_index(n: int, mode: str = SU) -> dict:
 
 
 def basis_dimension(n: int, mode: str = SU) -> int:
+    """4^n - 1 (SU) or 4^n (U); DimensionLimit (check_n) before anything is sized by it."""
+    check_n(n)
     return 4**n - 1 if mode == SU else 4**n
 
 
 def qubits_of_dimension(d: int, mode: str = SU) -> int:
-    """The qubit count n with basis_dimension(n, mode) == d."""
-    for n in range(1, 8):
-        if basis_dimension(n, mode) == d:
-            return n
-    raise DimensionMismatch(f"vector length {d} matches no qubit count in mode {mode}")
+    """The qubit count n with basis_dimension(n, mode) == d, which checks n."""
+    full = int(d) + 1 if mode == SU else int(d)
+    n = (full.bit_length() - 1) // 2
+    if n < 1 or full != 4**n:
+        raise DimensionMismatch(f"vector length {d} matches no qubit count in mode {mode}")
+    check_n(n)
+    return n
 
 
 @lru_cache(maxsize=None)
@@ -149,12 +154,11 @@ class PauliVector:
     entries: np.ndarray
 
     def __post_init__(self):
-        check_n(self.n)
+        d = basis_dimension(self.n, self.mode)
         self.entries = np.asarray(self.entries, dtype=float)
-        if self.entries.shape != (basis_dimension(self.n, self.mode),):
+        if self.entries.shape != (d,):
             raise DimensionMismatch(
-                f"expected {basis_dimension(self.n, self.mode)} entries for "
-                f"n={self.n} mode={self.mode}, got shape {self.entries.shape}"
+                f"expected {d} entries for n={self.n} mode={self.mode}, got shape {self.entries.shape}"
             )
         if not np.all(np.isfinite(self.entries)):
             raise NonFiniteInput("Pauli coefficients include NaN or infinity")

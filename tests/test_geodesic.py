@@ -594,8 +594,28 @@ def test_additive_triple_identity_holds():
     pen = PenaltyFunction(kind="step", k=3.0, low_weight_cutoff=1)
     spec_1 = MetricSpec(family=FQ, penalty=pen)
     spec_2 = MetricSpec(family=FQ, penalty=pen)
-    residual = additive_triple_check(spec_1, spec_1, spec_2, num_samples=20)
+    residual = additive_triple_check(spec_1, spec_1, spec_2)
     assert residual < 1e-10
+
+
+def test_tensor_product_past_the_cap_is_refused_before_it_allocates():
+    """Two n = 3 factors make n = 6: DimensionLimit before the m x (4^6 - 1) coefficient stack."""
+    y0 = PauliVector.from_terms(3, {"XII": 0.3, "IZZ": -0.2}).entries
+    ca = shoot_geodesic(MetricSpec(family=F2), np.zeros(63), y0, 0.4, steps=400)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionLimit):
+            tensor_product_curve(ca, ca, MetricSpec(family=F2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_euclidean_field_cache_stays_bounded_over_a_penalty_sweep():
+    for k in np.linspace(2.0, 3.0, 300):
+        geodesic._euclidean_field(MetricSpec(FQ, penalty=PenaltyFunction(k=float(k), low_weight_cutoff=0)), 1)
+    assert geodesic._euclidean_field.cache_info().currsize <= 256
 
 
 def test_additive_triple_ignores_an_unused_penalty():

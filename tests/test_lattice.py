@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -69,6 +70,22 @@ def test_diagonal_to_pauli_reconstructs():
     v = diagonal_to_pauli(h)
     assert v.mode == U
     assert np.max(np.abs(to_matrix(v) - np.diag(h))) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(5, 12))
+def test_diagonal_to_pauli_checks_n_before_the_walsh_matrix(n):
+    """Past the cap, nothing of size 4^n is built, and the Walsh cache does not grow."""
+    theta = np.zeros(2**n)
+    cached = _walsh.cache_info().currsize
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionLimit):
+            diagonal_to_pauli(theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert _walsh.cache_info().currsize == cached
 
 
 def test_cvp_identity():

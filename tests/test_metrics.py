@@ -34,7 +34,7 @@ from sugeo.metrics import (
     norms_batch,
     penalty_vector,
 )
-from sugeo.pauli import SU, U, PauliVector, qubits_of_dimension
+from sugeo.pauli import SU, U, PauliVector, basis_dimension, qubits_of_dimension
 
 PEN1 = PenaltyFunction(kind="step", k=4.0, low_weight_cutoff=1)
 
@@ -176,6 +176,34 @@ def test_norms_batch_matches_scalar():
         batch = norms_batch(spec, rows)
         scalar = np.array([norm(spec, r) for r in rows])
         assert np.array_equal(batch, scalar)  # a vector is a batch of one
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    family=st.sampled_from([F1DELTA, FPDELTA]),
+    n=st.integers(1, 3),
+    mode=st.sampled_from([SU, U]),
+    log_delta=st.floats(-6.0, np.log10(3e-2)),
+    seed=st.integers(0, 2**32 - 1),
+    exponents=st.lists(st.one_of(st.none(), st.floats(-300.0, 300.0)), min_size=1, max_size=8),
+)
+def test_smoothed_rows_equal_their_batch_of_one(family, n, mode, log_delta, seed, exponents):
+    """Bit for bit, with zero rows (exponent None) and row scales 10^exponent from 1e-300 to 1e300."""
+    pen = PEN1 if family == FPDELTA else None
+    P = float(np.sum(penalty_vector(MetricSpec(family, penalty=pen, delta=1.0, mode=mode), n)))
+    spec = MetricSpec(family, penalty=pen, delta=min(10.0**log_delta, 0.999 / P), mode=mode)
+    rows = np.random.default_rng(seed).standard_normal((len(exponents), basis_dimension(n, mode)))
+    for row, e in zip(rows, exponents):
+        row *= 0.0 if e is None else 10.0**e
+    assert np.array_equal(norms_batch(spec, rows), [norm(spec, row) for row in rows])
+
+
+def test_spec_keyed_caches_stay_bounded_over_a_delta_sweep():
+    y = np.linspace(0.1, 1.0, 15)
+    for delta in np.linspace(1e-6, 1e-3, 1000):
+        norm(MetricSpec(F1DELTA, delta=float(delta)), y)
+    assert penalty_vector.cache_info().currsize <= 256
+    assert metrics._implicit_plan.cache_info().currsize <= 256
 
 
 @pytest.mark.parametrize("spec", [
