@@ -354,11 +354,6 @@ def _cayley_phases(M: np.ndarray):
     return 2.0 * np.arctan(kappa), V
 
 
-def _check_branch(top: float):
-    if np.pi - top < _BRANCH_TOL:
-        raise BranchCut("an eigenvalue of U lies within tolerance of -1")
-
-
 def _log_spectrum(M: np.ndarray):
     """The spectrum (lam, V) of the principal i log M, as stacks of one.
 
@@ -373,7 +368,8 @@ def _log_spectrum(M: np.ndarray):
     theta = np.pi - (w + 0.5 * gaps)[np.argmax(gaps)]  # -1 to the middle of the widest gap
     phases, V = _cayley_phases(np.exp(1j * theta) * M[None])
     phases = (phases - theta + np.pi) % (2.0 * np.pi) - np.pi
-    _check_branch(float(np.max(np.abs(phases))))
+    if np.pi - float(np.max(np.abs(phases))) < _BRANCH_TOL:
+        raise BranchCut("an eigenvalue of U lies within tolerance of -1")
     return -phases, V
 
 

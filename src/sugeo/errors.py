@@ -60,7 +60,7 @@ class SingularHessian(SugeoError):
 
 class StepLimitExceeded(SugeoError):
     """A call would allocate more than the byte budget pauli.MAX_BYTES for the size its caller
-    chose (checked at entry), or a curve needs more than geodesic._MAX_SEGMENTS charts."""
+    chose (checked at entry, by pauli.check_bytes alone)."""
 
 
 class TooFewSamples(SugeoError):

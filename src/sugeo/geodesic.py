@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coords import UnitaryOperator, _Eigenbasis, _cayley_phases, _check_branch, _eigh, _exp_spectrum
+from .coords import UnitaryOperator, _Eigenbasis, _cayley_phases, _eigh, _exp_spectrum
 from .coords import _log_rows, _log_spectrum, unitary_from_coords
 # perfbench wraps coords.change_matrices, and its test_tracer_self_time_and_patching
 # asserts that the wrapper replaces this binding too
@@ -52,7 +52,6 @@ from .errors import (
     NotSmoothMetric,
     OutsidePatch,
     SingularHessian,
-    StepLimitExceeded,
     TooFewSamples,
     UnsupportedCoefficient,
     UnsupportedSpec,
@@ -88,7 +87,6 @@ from .pauli import (
 _MIN_G_EIG = 1e-10
 # A chart is left once an eigenphase of x.sigma comes this close to pi.
 _REANCHOR_MARGIN = 0.2
-_MAX_SEGMENTS = 64  # more charts raise StepLimitExceeded
 _ROWS = 256  # steps whose Magnus commutators are formed at once: bounds the temporaries
 
 
@@ -98,17 +96,17 @@ class Curve:
 
     segments[i] is the index of the first sample of chart i; anchors[i] is the unitary U_i with
     the curve given by exp(-i x(t).sigma) U_i on that segment.  x/y samples are chart-local.
+    mode is spec.mode and n is read from the width of xs, so neither can disagree with the metric.
     spectrum = (lam, V), xs[i].sigma = V[i] diag(lam[i]) V[i]^+, serves every exponential and
     gradient of the curve: the constructor's, else (from_json, by hand) one stacked eigh of xs
     in __post_init__.  It is never serialised.  __post_init__ checks every curve, however built:
-    finite ts, xs, ys and speeds (NonFiniteInput); ts strictly monotone either way, or all equal
-    (ValueError); segments that start at 0 and ascend below the sample count, one anchor each
-    (ValueError); and anchors that UnitaryOperator accepts.
+    finite ts, xs, ys and speeds (NonFiniteInput); one x, y and speed a time, and xs of a qubit
+    count (DimensionMismatch); ts strictly monotone either way, or all equal (ValueError);
+    segments that start at 0 and ascend below the sample count, one anchor each (ValueError);
+    and anchors that UnitaryOperator accepts.
     """
 
     spec: MetricSpec
-    n: int
-    mode: str
     ts: np.ndarray
     xs: np.ndarray
     ys: np.ndarray
@@ -117,13 +115,19 @@ class Curve:
     anchors: list = field(default_factory=list)
     stats: dict = field(default_factory=dict)
     spectrum: tuple = field(default=None, repr=False, compare=False)
+    n: int = field(init=False)
+    mode: str = field(init=False)
 
     def __post_init__(self):
         if not all(np.isfinite(a).all() for a in (self.ts, self.xs, self.ys, self.speeds)):
             raise NonFiniteInput("a curve's times, coordinates or speeds include NaN or infinity")
+        if self.ys.shape != self.xs.shape or not self.ts.shape == self.speeds.shape == self.xs.shape[:1]:
+            raise DimensionMismatch("a curve needs one x, one y and one speed at each time")
         steps = np.diff(self.ts)
         if not (np.all(steps > 0) or np.all(steps < 0) or not steps.any()):
             raise ValueError("sample times must be strictly monotone, or all equal")
+        self.mode = self.spec.mode
+        self.n = qubits_of_dimension(self.xs.shape[1], self.mode)
         if not self.anchors:
             self.anchors = [np.eye(2**self.n, dtype=complex)]
         starts = self.segments
@@ -162,32 +166,22 @@ class Curve:
             "metric": self.spec.to_json(),
             "samples": samples,
             "segments": [int(s) for s in self.segments],
-            "anchors": [[[[z.real, z.imag] for z in row] for row in A] for A in self.anchors],
+            "anchors": [UnitaryOperator(self.n, A).to_json() for A in self.anchors],
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "Curve":
         spec = MetricSpec.from_json(obj["metric"])
         samples = obj["samples"]
-        x0 = PauliVector.from_json(samples[0]["x"])
-        n, mode = x0.n, x0.mode
-        k = len(samples)
-        d = basis_dimension(n, mode)
-        ts = np.zeros(k)
-        xs = np.zeros((k, d))
-        ys = np.zeros((k, d))
-        speeds = np.zeros(k)
-        for i, s in enumerate(samples):
-            ts[i] = s["t"]
-            xs[i] = PauliVector.from_json(s["x"]).entries
-            ys[i] = PauliVector.from_json(s["y"]).entries
-            speeds[i] = s["speed"]
+        if not samples:
+            raise ValueError("a curve needs at least one sample")
+        ts = np.array([s["t"] for s in samples], dtype=float)
+        xs = np.array([entries_of(PauliVector.from_json(s["x"]), spec.mode) for s in samples])
+        ys = np.array([entries_of(PauliVector.from_json(s["y"]), spec.mode) for s in samples])
+        speeds = np.array([s["speed"] for s in samples], dtype=float)
         segments = [int(s) for s in obj.get("segments", [0])]
-        anchors = [
-            np.array([[complex(re, im) for re, im in row] for row in A])
-            for A in obj.get("anchors", [])
-        ]
-        return cls(spec, n, mode, ts, xs, ys, speeds, segments, anchors)
+        anchors = [UnitaryOperator.from_json(A).matrix for A in obj.get("anchors", [])]
+        return cls(spec, ts, xs, ys, speeds, segments, anchors)
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +248,8 @@ def shoot_geodesic(spec: MetricSpec, x0, y0, t_end: float, steps: int = None,
     the Hessian's smallest eigenvalue is below 1e-10, or F(H)^2 = p . H,
     conserved, left [F0^2/2, 2 F0^2].  Failures come in phase order, each
     at its first sample: SingularHessian (RK4), NoConvergence (the eigh
-    stack), then BranchCut, NoConvergence or StepLimitExceeded (the chart,
-    by whole passes, so a row past a pass's anchor may fail it), then
+    stack), then BranchCut (a pass with I + U A^-1 exactly singular) or NoConvergence (the
+    chart, by whole passes, so a row past a pass's anchor may fail it), then
     NonTracelessInSUMode (its stacked read); of two faults the earlier phase's is reported.
     Every eigensolver failure is NoConvergence, x0's at entry (H0, U0, x's row 0) included.
     """
@@ -351,11 +345,12 @@ def _chart_curve(spec: MetricSpec, ts: np.ndarray, hs: np.ndarray, Us: np.ndarra
     """The Curve of the samples U_i = Us[i], H_i = hs[i].sigma at times ts.
 
     row0 = (x0, lam0, V0): x0 charts Us[0], with x0.sigma = V0 diag(lam0) V0^+ (stacks of one).
-    Each _cayley_phases pass of U_i A^-1 (A the anchor) over _ROWS samples gives the spectra
-    (-phases, V) of x_i.sigma up to the first whose top phase reaches pi - _REANCHOR_MARGIN: it
-    becomes the anchor, spectrum (0, I), and the next pass starts after it (at most rows +
-    segments x _ROWS rows charted); the anchor past _MAX_SEGMENTS raises StepLimitExceeded, one
-    at the cut BranchCut.  One stacked pass reads x and y = E_x^-1(h), and the curve keeps them.
+    Each _cayley_phases pass of U_i A^-1 (A the anchor) gives the spectra (-phases, V) of
+    x_i.sigma up to the first whose top phase reaches pi - _REANCHOR_MARGIN: it becomes the
+    anchor, spectrum (0, I), and the next pass starts after it.  The first pass takes _ROWS
+    rows, each later one min(_ROWS, twice the rows the last one advanced, its anchor counted),
+    so at most 2 (samples - 1) + _ROWS rows are charted, however many charts the curve needs.
+    One stacked pass reads x and y = E_x^-1(h), and the curve keeps them.
     """
     mode = spec.mode
     n = qubits_of_dimension(hs.shape[1], mode)
@@ -363,24 +358,23 @@ def _chart_curve(spec: MetricSpec, ts: np.ndarray, hs: np.ndarray, Us: np.ndarra
     Vs = np.tile(np.eye(2**n, dtype=complex), (len(ts), 1, 1))
     lam[:1], Vs[:1] = row0[1:]
     segments, anchors = [0], [np.eye(2**n, dtype=complex)]
-    i = 1
+    i, rows = 1, _ROWS
     while i < len(ts):
-        phases, V = _cayley_phases(Us[i:i + _ROWS] @ anchors[-1].conj().T)
+        start = i
+        phases, V = _cayley_phases(Us[i:i + rows] @ anchors[-1].conj().T)
         top = np.maximum(-phases[:, 0], phases[:, -1])  # phases ascend
         keep = int(np.append(top >= np.pi - _REANCHOR_MARGIN, True).argmax())  # the first far row
         lam[i:i + keep], Vs[i:i + keep] = -phases[:keep], V[:keep]
         i += keep
         if keep < len(top):  # sample i becomes the anchor
-            _check_branch(top[keep])
-            if len(segments) == _MAX_SEGMENTS:
-                raise StepLimitExceeded(f"more than {_MAX_SEGMENTS} charts; the curve is too long")
             anchors.append(Us[i].copy())  # a view would keep the whole stack alive
             segments.append(i)
             i += 1
+        rows = min(_ROWS, 2 * (i - start))  # twice what this pass advanced, its anchor counted
     xs = _log_rows(lam, Vs, n, mode)
     xs[0] = row0[0]
     ys = coefficients(_Eigenbasis(lam, Vs).apply(algebra(hs, n, mode), inverse=True), n, mode)
-    return Curve(spec, n, mode, ts, xs, ys, norms_batch(spec, hs), segments, anchors, spectrum=(lam, Vs))
+    return Curve(spec, ts, xs, ys, norms_batch(spec, hs), segments, anchors, spectrum=(lam, Vs))
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +470,7 @@ def pauli_geodesic_curve(
         raise OutsidePatch("exp(-i H0 t) leaves the coordinate patch before t_end")
     ts = np.linspace(0.0, t_end, num_samples)
     V = np.repeat(V0, num_samples, axis=0)  # not a broadcast view, which is slow in matmul
-    return Curve(spec, n, mode, ts, np.outer(ts, h0), np.tile(h0, (num_samples, 1)),
+    return Curve(spec, ts, np.outer(ts, h0), np.tile(h0, (num_samples, 1)),
                  np.full(num_samples, norm(spec, h0)), spectrum=(np.outer(ts, lam0[0]), V))
 
 
@@ -525,7 +519,7 @@ def _embed_indices(n_from: int, n_total: int, offset: int, mode: str) -> np.ndar
 def tensor_product_curve(curve_a: Curve, curve_b: Curve, spec_ab: MetricSpec) -> Curve:
     """Samples of W(t) = U_A(t) (x) U_B(t) as a curve on the product group.
 
-    Requires matching sample times.  Each factor's E_x(y) and unitaries() come from its spectrum
+    Requires exactly the same sample times.  Each factor's E_x(y) and unitaries() come from its spectrum
     (no eigensolve), W is their broadcast Kronecker product, and W_0 is charted as pauli_log does.
     The chart is followed as in a shot (_chart_curve): W re-anchors wherever an eigenphase nears pi.
     Working range: n = n_A + n_B <= 4 (DimensionLimit) and m 160 4^n bytes within MAX_BYTES
@@ -539,8 +533,8 @@ def tensor_product_curve(curve_a: Curve, curve_b: Curve, spec_ab: MetricSpec) ->
     # per sample, in D x D complex matrices, as in a shot's chart: W and V; hs, xs and ys (a half
     # each); and the stacked pass that reads y (H, V^+, Phi, the gaps and three products)
     check_bytes(m * 160 * 4**n, f"a product of {m} samples at n={n}")
-    if len(curve_b.ts) != m or not np.allclose(curve_a.ts, curve_b.ts):
-        raise DimensionMismatch("curves must be sampled at the same times")
+    if not np.array_equal(curve_a.ts, curve_b.ts):
+        raise DimensionMismatch("curves must be sampled at exactly the same times")
     hs = np.zeros((m, d))
     for c, offset in ((curve_a, 0), (curve_b, na)):  # +=: in U mode both identities land on I
         h = _Eigenbasis(*c.spectrum).apply(algebra(c.ys, c.n, mode))

@@ -309,14 +309,16 @@ def monte_carlo_coverage(
 
     Uniform phases in [-pi, pi)^{2^n} (U mode only); the CVP of every sample
     is solved exactly by coset decoding, one coset at a time over the batch.
-    Working range: n <= 2 and 1 <= samples, with samples (32 2^n + 8) bytes within
-    pauli.MAX_BYTES (else StepLimitExceeded): 14913080 and 7895160 samples at n = 1, 2.
+    Working range: 1 <= n <= CVP_N_MAX = 3 (else DimensionLimit) and 1 <= samples, with samples
+    (32 2^n + 8) bytes within pauli.MAX_BYTES (else StepLimitExceeded): 14913080, 7895160 and
+    4067203 samples at n = 1..3.  Cost: one rounding pass over the batch per coset, 2, 16 and 4096
+    cosets at n = 1..3; 10000 samples at n = 3 take about 2.7 s (one BLAS thread, 2-core Xeon).
     """
     _require_u_mode(spec)
     if not math.isfinite(r):
         raise NonFiniteInput(f"r={r} is not finite")
-    if not 1 <= n <= 2:
-        raise DimensionLimit(f"Monte Carlo coverage needs 1 <= n <= 2, got n={n}")
+    if not 1 <= n <= CVP_N_MAX:
+        raise DimensionLimit(f"Monte Carlo coverage needs 1 <= n <= {CVP_N_MAX}, got n={n}")
     if samples < 1:
         raise ValueError("samples must be at least 1")
     dim = 2**n

@@ -58,7 +58,7 @@ def _factors(samples, n):
         d, D = 4**k - 1, 2**k
         ys = np.tile(np.linspace(0.5, 1.0, d), (samples, 1))
         eye = np.broadcast_to(np.eye(D, dtype=complex), (samples, D, D))
-        return Curve(FQ_SPEC, k, "SU", np.linspace(0.0, 1.0, samples), np.zeros((samples, d)), ys,
+        return Curve(FQ_SPEC, np.linspace(0.0, 1.0, samples), np.zeros((samples, d)), ys,
                      np.ones(samples), spectrum=(np.zeros((samples, D)), eye))
 
     return factor(n // 2), factor(n - n // 2)
@@ -76,7 +76,7 @@ SITES = {
                 {1: 32, 2: 16, 3: 8, 4: 4}),
     "isometry": (_isometry, lambda s, n: s * (8 * (4**n - 1) + 48 * 4**n), (1, 2, 3, 4),
                  {1: 4000, 2: 2000, 3: 500, 4: 200}),
-    "coverage": (_coverage, lambda s, n: s * 8 * (4 * 2**n + 1), (1, 2), {1: 20000, 2: 10000}),
+    "coverage": (_coverage, lambda s, n: s * 8 * (4 * 2**n + 1), (1, 2, 3), {1: 20000, 2: 10000, 3: 2000}),
     "pauli_geodesic": (_pauli_geodesic, lambda s, n: s * (32 * 4**n + 8 * 2**n + 16), (1, 2, 3, 4),
                        {1: 4000, 2: 2000, 3: 500, 4: 200}),
     "tensor": (_tensor, lambda s, n: s * 160 * 4**n, (2, 3, 4), {2: 2000, 3: 1000, 4: 400}),

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sugeo.cli import dispatch
-from sugeo.errors import NonFiniteInput, TooFewSamples
+from sugeo.errors import DimensionMismatch, NonFiniteInput, TooFewSamples
 from sugeo.geodesic import (
     Curve,
     curve_length,
@@ -24,7 +24,7 @@ from sugeo.geodesic import (
     tensor_product_curve,
 )
 from sugeo.metrics import F2, FQ, MetricSpec, PenaltyFunction, norm
-from sugeo.pauli import SU, PauliVector, algebra
+from sugeo.pauli import SU, U, PauliVector, algebra
 
 F2_SPEC = MetricSpec(F2)
 FQ_SPEC = MetricSpec(FQ, penalty=PenaltyFunction(kind="step", k=4.0, low_weight_cutoff=1))
@@ -54,8 +54,8 @@ def _missing_speed(obj):
 
 
 def _anchor(scale=1.0):
-    """scale times the 4 x 4 identity, as Curve.to_json writes an anchor."""
-    return [[[scale * (i == j), 0.0] for j in range(4)] for i in range(4)]
+    """scale times the 4 x 4 identity, as Curve.to_json writes an anchor (UnitaryOperator's JSON)."""
+    return {"n": 2, "matrix": [[[scale * (i == j), 0.0] for j in range(4)] for i in range(4)]}
 
 
 def _segment_past_the_end(obj):
@@ -80,6 +80,14 @@ def _anchor_missing(obj):
     obj["segments"] = [0, 50]
 
 
+def _no_samples(obj):
+    obj["samples"] = []
+
+
+def _u_metric_of_su_samples(obj):
+    obj["metric"]["mode"] = "U"
+
+
 # how the JSON of a valid curve is broken, the library's error, and the CLI's exit code
 BROKEN = [
     (_null_t, NonFiniteInput, 1),
@@ -91,6 +99,8 @@ BROKEN = [
     (_segments_not_from_zero, ValueError, 2),
     (_segments_descending, ValueError, 2),
     (_anchor_missing, ValueError, 2),
+    (_no_samples, ValueError, 2),
+    (_u_metric_of_su_samples, DimensionMismatch, 1),
 ]
 
 
@@ -101,7 +111,8 @@ def test_the_generic_pauli_geodesic_is_far_from_a_geodesic():
 
 @pytest.mark.parametrize("breaking, error, code", BROKEN, ids=[b.__name__[1:] for b, _, _ in BROKEN])
 def test_broken_curve_json_is_refused(capsys, tmp_path, breaking, error, code):
-    """Each was read before and gave a residual: a null t even 0.0 (max(0.0, nan)), exit 0."""
+    """Each was read before: most gave a residual (a null t even 0.0, max(0.0, nan), exit 0), no
+    samples an uncaught IndexError, and SU samples under a U metric failed only in el_residual."""
     obj = _generic_json()
     breaking(obj)
     with pytest.raises(error):
@@ -116,18 +127,33 @@ def test_broken_curve_json_is_refused(capsys, tmp_path, breaking, error, code):
 
 def test_curve_built_by_hand_is_checked():
     ts, xs = np.linspace(0.0, 1.0, 6), np.zeros((6, 3))
-    Curve(F2_SPEC, 1, SU, ts[::-1], xs, xs, np.ones(6))  # backwards is monotone too
-    Curve(F2_SPEC, 1, SU, np.zeros(6), xs, xs, np.ones(6))  # zero duration: every time the same
+    Curve(F2_SPEC, ts[::-1], xs, xs, np.ones(6))  # backwards is monotone too
+    Curve(F2_SPEC, np.zeros(6), xs, xs, np.ones(6))  # zero duration: every time the same
     bad_xs = xs.copy()
     bad_xs[2, 1] = np.inf
     with pytest.raises(NonFiniteInput):
-        Curve(F2_SPEC, 1, SU, ts, bad_xs, xs, np.ones(6))
+        Curve(F2_SPEC, ts, bad_xs, xs, np.ones(6))
     with pytest.raises(ValueError, match="monotone"):
-        Curve(F2_SPEC, 1, SU, np.array([0.0, 0.2, 0.1, 0.3, 0.4, 0.5]), xs, xs, np.ones(6))
+        Curve(F2_SPEC, np.array([0.0, 0.2, 0.1, 0.3, 0.4, 0.5]), xs, xs, np.ones(6))
     with pytest.raises(ValueError, match="monotone"):  # one repeated time among distinct ones
-        Curve(F2_SPEC, 1, SU, np.array([0.0, 0.1, 0.1, 0.3, 0.4, 0.5]), xs, xs, np.ones(6))
+        Curve(F2_SPEC, np.array([0.0, 0.1, 0.1, 0.3, 0.4, 0.5]), xs, xs, np.ones(6))
     with pytest.raises(NonFiniteInput):
-        Curve(F2_SPEC, 1, SU, ts, xs, xs, np.ones(6), anchors=[np.full((2, 2), np.nan)])
+        Curve(F2_SPEC, ts, xs, xs, np.ones(6), anchors=[np.full((2, 2), np.nan)])
+    with pytest.raises(DimensionMismatch):  # a y of two qubits against an x of one
+        Curve(F2_SPEC, ts, xs, np.zeros((6, 15)), np.ones(6))
+    with pytest.raises(DimensionMismatch):  # one speed short
+        Curve(F2_SPEC, ts, xs, xs, np.ones(5))
+    with pytest.raises(DimensionMismatch):  # 3 coefficients fit no qubit count in U mode
+        Curve(MetricSpec(F2, mode=U), ts, xs, xs, np.ones(6))
+
+
+def test_qubit_count_and_mode_come_from_the_samples_and_the_metric():
+    ts = np.linspace(0.0, 1.0, 6)
+    for spec, d, n in ((F2_SPEC, 3, 1), (F2_SPEC, 15, 2), (MetricSpec(F2, mode=U), 4, 1),
+                       (MetricSpec(F2, mode=U), 16, 2)):
+        curve = Curve(spec, ts, np.zeros((6, d)), np.zeros((6, d)), np.ones(6))
+        assert (curve.n, curve.mode) == (n, spec.mode)
+        assert curve.anchors[0].shape == (2**n, 2**n)
 
 
 def test_zero_duration_curves_build_but_have_no_residual(capsys, tmp_path):

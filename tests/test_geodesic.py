@@ -82,12 +82,6 @@ def test_reanchoring_and_unitary_at():
         assert np.max(np.abs(curve.unitary_at(i) - expected)) < 1e-6
 
 
-def test_step_limit(monkeypatch):
-    monkeypatch.setattr(geodesic, "_MAX_SEGMENTS", 1)
-    with pytest.raises(StepLimitExceeded):
-        shoot_geodesic(F2_SPEC, np.zeros(3), np.array([3.0, 0.0, 0.0]), 3.0)
-
-
 def _count_chart_passes(monkeypatch):
     """Record the rows of every chart pass (geodesic._cayley_phases) and of every np.linalg.solve."""
     passes, solves = [], []
@@ -97,15 +91,38 @@ def _count_chart_passes(monkeypatch):
     return passes, solves
 
 
-def test_step_limit_stops_at_the_extra_anchor(monkeypatch):
-    """The chart runs _ROWS samples a pass and stops in the pass that holds the first
-    re-anchoring past the limit."""
-    passes, solves = _count_chart_passes(monkeypatch)
-    monkeypatch.setattr(geodesic, "_MAX_SEGMENTS", 1)
-    with pytest.raises(StepLimitExceeded):
-        shoot_geodesic(F2_SPEC, np.zeros(3), np.array([3.0, 0.0, 0.0]), 3.0)
-    # |y0| = 3 reaches the margin pi - 0.2 at t = 0.98, step 980 of 3000: rows 1 to 1024
-    assert passes == solves == [geodesic._ROWS] * 4
+def _f2_error(curve, y0):
+    """Largest distance of a one-qubit F2 shot from x0 = 0 from exp(-i t y0.sigma) at its times."""
+    lam, V = np.linalg.eigh(algebra(np.asarray(y0, dtype=float)[None], 1, SU)[0])
+    exact = (V * np.exp(-1j * np.outer(curve.ts, lam))[:, None, :]) @ V.conj().T
+    return float(np.max(np.abs(curve.unitaries() - exact)))
+
+
+@pytest.mark.parametrize("a, t_end, steps, charts", [
+    (30.0, 6.5, 6500, 66),
+    (300.0, 1.0, 100, 101),  # every sample re-anchors: a 3-radian turn a step
+])
+def test_long_curves_chart_within_twice_their_rows(monkeypatch, a, t_end, steps, charts):
+    """A pass charts min(_ROWS, twice what the last one advanced), so a curve of any number of
+    charts takes at most 2 (samples - 1) + _ROWS charted rows, with no cap on the charts."""
+    passes, _ = _count_chart_passes(monkeypatch)
+    curve = shoot_geodesic(F2_SPEC, np.zeros(3), np.array([a, 0.0, 0.0]), t_end, steps=steps)
+    assert len(curve.segments) == curve.stats["segments"] == charts
+    assert passes[0] == min(geodesic._ROWS, steps) and sum(passes) <= 2 * steps + geodesic._ROWS
+    assert _f2_error(curve, (a, 0.0, 0.0)) < 1e-9
+
+
+@pytest.mark.parametrize("y0, t_end, steps", [
+    ((np.pi, 0.0, 0.0), 1.0, 1),
+    ((np.pi, 0.0, 0.0), 1.0, 2),
+    ((1.0, 2.0, 2.0), np.pi / 3, 1),
+])
+def test_a_sample_on_the_cut_becomes_an_anchor(y0, t_end, steps):
+    """The last sample is exp(-i pi X) = -I, or its like, up to rounding: it used to raise
+    BranchCut, though it only becomes the next anchor and its phases are never read."""
+    curve = shoot_geodesic(F2_SPEC, np.zeros(3), np.array(y0), t_end, steps=steps)
+    assert curve.segments[-1] == steps
+    assert _f2_error(curve, y0) < 1e-12
 
 
 def test_reconstruction_takes_one_stacked_exponential(monkeypatch):
@@ -598,6 +615,16 @@ def test_additive_triple_identity_holds():
     assert residual < 1e-10
 
 
+def test_tensor_product_needs_exactly_the_same_sample_times():
+    """Shots of 1.0 and 1.000009 time units differ by 9e-6 at the last sample, which np.allclose
+    let through; the product then took the first curve's times."""
+    ca = shoot_geodesic(F2_SPEC, np.zeros(3), np.array([0.4, 0.1, 0.0]), 1.0, steps=100)
+    cb = shoot_geodesic(F2_SPEC, np.zeros(3), np.array([0.0, 0.2, 0.3]), 1.000009, steps=100)
+    with pytest.raises(DimensionMismatch, match="exactly the same times"):
+        tensor_product_curve(ca, cb, F2_SPEC)
+    tensor_product_curve(ca, ca, F2_SPEC)
+
+
 def test_tensor_product_past_the_cap_is_refused_before_it_allocates():
     """Two n = 3 factors make n = 6: DimensionLimit before the m x (4^6 - 1) coefficient stack."""
     y0 = PauliVector.from_terms(3, {"XII": 0.3, "IZZ": -0.2}).entries
@@ -890,7 +917,7 @@ def test_curve_length_is_scipy_simpson(num):
     rng = np.random.default_rng(num)
     for ts in (np.linspace(0.0, 1.3, num), np.sort(rng.uniform(0.0, 1.3, num))):
         speeds = 1.0 + rng.random(num)
-        curve = Curve(F2_SPEC, 1, SU, ts, np.zeros((num, 3)), np.zeros((num, 3)), speeds)
+        curve = Curve(F2_SPEC, ts, np.zeros((num, 3)), np.zeros((num, 3)), speeds)
         assert curve_length(F2_SPEC, curve) == pytest.approx(simpson(speeds, x=ts), rel=1e-12, abs=0.0)
 
 

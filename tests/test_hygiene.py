@@ -4,9 +4,8 @@ No module imports a name it does not use (a line marked "# noqa: F401" may, to
 keep a binding others patch), every private module-level name is
 referenced somewhere in the library other than its own definition, and no
 module imports scipy: the runtime dependency is numpy alone.  Only
-pauli.check_bytes, the one byte budget, and the chart-count limit of
-geodesic._chart_curve raise StepLimitExceeded, so no module grows a size
-cap of its own.
+pauli.check_bytes, the one byte budget, raises StepLimitExceeded, so no
+module grows a size cap of its own.
 """
 
 import ast
@@ -81,7 +80,7 @@ def test_every_private_name_is_referenced():
     assert unreferenced == []
 
 
-def test_step_limit_is_raised_only_by_the_budget_and_the_chart_limit():
+def test_step_limit_is_raised_only_by_the_budget():
     raised = []
     for path in MODULES:
         tree, _ = _parse(path)
@@ -94,4 +93,4 @@ def test_step_limit_is_raised_only_by_the_budget_and_the_chart_limit():
                     exc = exc.func
                 if isinstance(exc, ast.Name) and exc.id == "StepLimitExceeded":
                     raised.append(f"{path.stem}.{func.name}")
-    assert sorted(raised) == ["geodesic._chart_curve", "pauli.check_bytes"]
+    assert raised == ["pauli.check_bytes"]

@@ -570,12 +570,38 @@ def test_volume_and_coverage_reject_su_mode():
 
 
 def test_monte_carlo_restricted():
-    for n in (0, 3):
+    for n in (0, 4):
         with pytest.raises(DimensionLimit):
             monte_carlo_coverage(F1_U, 1.0, n)
     for samples in (0, -5):
         with pytest.raises(ValueError):
             monte_carlo_coverage(F1_U, 1.0, 1, samples=samples)
+
+
+@pytest.mark.parametrize("spec", [F1_U, F2_U])
+@pytest.mark.parametrize("r", [1.0, 1.5, 2.0])
+def test_monte_carlo_at_three_qubits_stays_at_or_below_the_volume_ratio(spec, r):
+    """Claim (c) at n = 3: the balls of radius r about the lattice points cover at most
+    V_F(r)/det L of the cell, so 2000 samples read no more than that plus 3 standard errors.
+    Under F2 at r = 1 the balls are disjoint (the shortest lattice vector has length
+    2 pi/sqrt(8) > 2), so there the fraction estimates the ratio itself."""
+    samples = 2000
+    ratio = unit_ball_volume(spec, r, 3) / math.exp(lattice_log_det(3))
+    p = min(ratio, 1.0)
+    error = 3 * math.sqrt(p * (1 - p) / samples)
+    fraction = monte_carlo_coverage(spec, r, 3, samples=samples)
+    assert fraction <= ratio + error
+    if spec == F2_U and r == 1.0:
+        assert abs(fraction - ratio) <= error
+
+
+@pytest.mark.parametrize("spec", [F1_U, F2_U])
+def test_monte_carlo_decisions_at_three_qubits_against_the_certified_cvp(spec):
+    for seed in range(5):
+        h = np.random.default_rng(seed).uniform(-np.pi, np.pi, size=(1, 8))[0]
+        dist = cvp_minimal_pauli_geodesic(spec, DiagonalUnitary(3, h)).value
+        assert monte_carlo_coverage(spec, dist * (1 + 1e-9), 3, samples=1, seed=seed) == 1.0
+        assert monte_carlo_coverage(spec, dist * (1 - 1e-9), 3, samples=1, seed=seed) == 0.0
 
 
 @pytest.mark.parametrize("spec", [F1_U, F2_U])
