@@ -21,12 +21,12 @@ of it, the filter of _Eigenbasis: X = V L V^+ and
 
 an entire function that _phi evaluates in real sines, with eigenvalues
 clustered within 1e-8 (relative) treated as exactly equal, so E_X is the
-identity on the commutant of X.  apply_bch applies
-it to matrices, change_coords to rows of coefficients, and
-change_matrices forms M(x), the matrix of E_X in Pauli coordinates, by
-filtering every basis matrix.  bch_E_series is the power series above as
-a 4^n x 4^n matrix, the paper's definition that the filter is checked
-against.
+identity on the commutant of X.  apply_bch applies it to matrices,
+change_coords to rows of coefficients (a V shared by the stack: one
+rotated Pauli basis), and change_matrices forms M(x), the matrix of E_X
+in Pauli coordinates, by filtering every basis matrix.  bch_E_series is
+the power series above as a 4^n x 4^n matrix, the paper's definition
+that the filter is checked against.
 
 One eigendecomposition (_Eigenbasis) serves the filter, its transpose E_-X
 (filter Phi^T = conj(Phi), no second eigh) and its x_gradient, the
@@ -188,12 +188,14 @@ def _eigh(X: np.ndarray):
 class _Eigenbasis:
     """X = V diag(l) V^+ from the spectrum (l, V) of a Hermitian stack: V^+, gaps, mask, Phi.
 
-    A hat is a matrix in this basis (hat and unhat change to and from it).
+    A hat is a matrix in this basis (hat and unhat; hat_rows and unhat_rows for coefficient rows).
+    A V shared by the stack (stride 0, np.broadcast_to) is one V0: rows then take one GEMM each
+    against B^_s = V0^+ sigma_s V0, as tr(sigma_s V0 Z^ V0^+) = tr(B^_s Z^), no product a sample.
     """
 
     def __init__(self, lam: np.ndarray, V: np.ndarray):
-        self.V = V
-        self.Vh = np.swapaxes(V.conj(), -1, -2)
+        self.V, self.shared, self.rotated = V, V.strides[0] == 0, None
+        self.Vh = np.swapaxes((V[:1] if self.shared else V).conj(), -1, -2)
         self.gaps, self.mask = _gap_data(lam)
         self.Phi = _phi(self.gaps, self.mask)
 
@@ -203,12 +205,36 @@ class _Eigenbasis:
     def unhat(self, Zh: np.ndarray) -> np.ndarray:
         return self.V @ Zh @ self.Vh
 
+    def _rotated(self, n: int, mode: str) -> np.ndarray:
+        """B^_s = V0^+ sigma_s V0 of a shared V0 as a (d, 4^n) matrix: d products, formed once."""
+        if self.rotated is None:
+            self.rotated = (self.Vh @ basis_stack(n, mode) @ self.V[:1]).reshape(-1, 4**n)
+        return self.rotated
+
+    def hat_rows(self, rows: np.ndarray, n: int, mode: str) -> np.ndarray:
+        """The hat of each rows[i].sigma; rows @ B^, one GEMM, for a shared V0."""
+        if self.shared:
+            return (rows @ self._rotated(n, mode)).reshape(len(rows), 2**n, 2**n)
+        return self.hat(algebra(rows, n, mode))
+
+    def unhat_rows(self, Zh: np.ndarray, n: int, mode: str) -> np.ndarray:
+        """The coefficient rows of each unhat(Z^); Re flat(Z^) @ conj(B^)^T / 2^n for a shared V0."""
+        if self.shared:
+            return (Zh.reshape(len(Zh), -1) @ self._rotated(n, mode).conj().T).real / 2**n
+        return coefficients(self.unhat(Zh), n, mode)
+
     def apply(self, Z: np.ndarray, inverse: bool = False) -> np.ndarray:
         """E_X(Z), or E_X^-1(Z) (ResonantSpectrum if a gap is a nonzero multiple of 2 pi)."""
         if inverse:
             _resonance_check(self.gaps)
-            return self.unhat(self.hat(Z) / self.Phi)
-        return self.unhat(self.Phi * self.hat(Z))
+        return self.unhat(self.hat(Z) / self.Phi if inverse else self.Phi * self.hat(Z))
+
+    def apply_rows(self, rows: np.ndarray, n: int, mode: str, inverse: bool = False) -> np.ndarray:
+        """apply on rows of coefficients, through hat_rows and unhat_rows."""
+        if inverse:
+            _resonance_check(self.gaps)
+        Zh = self.hat_rows(rows, n, mode)
+        return self.unhat_rows(Zh / self.Phi if inverse else self.Phi * Zh, n, mode)
 
     def x_gradient(self, Zh, Gh, A, B) -> np.ndarray:
         """Gamma^ with d/de tr(G E_{X+eS}(Z)) = tr(Gamma S) at e = 0, for all Hermitian S.
@@ -246,7 +272,7 @@ def apply_bch(X: np.ndarray, Z: np.ndarray, inverse: bool = False) -> np.ndarray
 
 def change_coords(xs: np.ndarray, ys: np.ndarray, n: int, mode: str, inverse: bool = False):
     """Rows E_x(y), or E_x^-1(y) with inverse=True, for each row pair of two (m, d) arrays."""
-    return coefficients(apply_bch(algebra(xs, n, mode), algebra(ys, n, mode), inverse), n, mode)
+    return _Eigenbasis(*_eigh(algebra(xs, n, mode))).apply_rows(ys, n, mode, inverse)
 
 
 def _change_one(x: PauliVector, y: PauliVector, inverse: bool) -> PauliVector:
@@ -294,7 +320,10 @@ def _z_cot_z(z: float) -> float:
 
 
 def _split(x: np.ndarray, v: np.ndarray):
+    x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
     r = np.linalg.norm(x)
+    if r >= np.pi:
+        raise OutsidePatch(f"|x| = {r:.6f} >= pi")
     if r == 0.0:
         return v, np.zeros(3), r
     xhat = x / r
@@ -304,21 +333,13 @@ def _split(x: np.ndarray, v: np.ndarray):
 
 def su2_pauli_to_adapted(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """yt = y_par + sinc(2r) y_perp + sinc(r)^2 x cross y_perp, r = |x| < pi."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     par, perp, r = _split(x, y)
-    if r >= np.pi:
-        raise OutsidePatch(f"|x| = {r:.6f} >= pi")
     return par + _sinc(2 * r) * perp + _sinc(r) ** 2 * np.cross(x, perp)
 
 
 def su2_adapted_to_pauli(x: np.ndarray, yt: np.ndarray) -> np.ndarray:
     """y = yt_par + r cot(r) yt_perp + yt cross x, r = |x| < pi."""
-    x = np.asarray(x, dtype=float)
-    yt = np.asarray(yt, dtype=float)
     par, perp, r = _split(x, yt)
-    if r >= np.pi:
-        raise OutsidePatch(f"|x| = {r:.6f} >= pi")
     return par + _z_cot_z(r) * perp + np.cross(yt, x)
 
 
@@ -382,8 +403,11 @@ def _log_rows(lam: np.ndarray, V: np.ndarray, n: int, mode: str) -> np.ndarray:
 
 
 def _exp_spectrum(lam: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """exp(-i X) for each X = V diag(lam) V^+ of a spectrum stack."""
-    return (V * np.exp(-1j * lam)[:, None, :]) @ np.swapaxes(V.conj(), -1, -2)
+    """exp(-i X) for each X = V diag(lam) V^+ of a spectrum stack (a shared V: one GEMM)."""
+    W = V * np.exp(-1j * lam)[:, None, :]
+    if V.strides[0] == 0:  # one V shared by the stack, slow in @: W as one (m D, D) matrix
+        return (W.reshape(-1, W.shape[-1]) @ V[0].conj().T).reshape(W.shape)
+    return W @ np.swapaxes(V.conj(), -1, -2)
 
 
 def unitary_from_coords(x: PauliVector) -> np.ndarray:

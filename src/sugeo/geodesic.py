@@ -25,9 +25,10 @@ pi - _REANCHOR_MARGIN, A becomes the current U and x restarts at 0, so a
 Curve consists of chart segments, each with its own anchor (_chart_curve,
 for shots and tensor products alike, in stacked Cayley passes).
 Every Curve carries the spectrum (lam, V) of its xs, and every exponential
-(coords._exp_spectrum) and gradient here reads it.  el_residual checks the
-Euler-Lagrange equations of F(x, y) = N(E_x(y)) in the chart, with exact
-gradients, from the samples: it never reads the shot's H or its equation.
+(coords._exp_spectrum) and gradient here reads it (a Pauli geodesic's V0,
+stored once: one basis rotation).  el_residual checks the Euler-Lagrange
+equations of F(x, y) = N(E_x(y)) in the chart, with exact gradients,
+from the samples: it never reads the shot's H or its equation.
 """
 
 from __future__ import annotations
@@ -77,7 +78,6 @@ from .pauli import (
     basis_dimension,
     bracket,
     check_bytes,
-    coefficients,
     entries_of,
     string_index,
     pauli_strings,
@@ -100,10 +100,10 @@ class Curve:
     spectrum = (lam, V), xs[i].sigma = V[i] diag(lam[i]) V[i]^+, serves every exponential and
     gradient of the curve: the constructor's, else (from_json, by hand) one stacked eigh of xs
     in __post_init__.  It is never serialised.  __post_init__ checks every curve, however built:
-    finite ts, xs, ys and speeds (NonFiniteInput); one x, y and speed a time, and xs of a qubit
-    count (DimensionMismatch); ts strictly monotone either way, or all equal (ValueError);
-    segments that start at 0 and ascend below the sample count, one anchor each (ValueError);
-    and anchors that UnitaryOperator accepts.
+    finite ts, xs, ys and speeds (NonFiniteInput); one x, y, speed, lam and V (broadcast or
+    not) a time, of one qubit count (DimensionMismatch); ts strictly monotone either way, or all
+    equal, V of unit columns, and segments that start at 0 and ascend below the sample count, one
+    anchor each (ValueError); and anchors that UnitaryOperator accepts.
     """
 
     spec: MetricSpec
@@ -135,8 +135,13 @@ class Curve:
         if not ascending or len(self.anchors) != len(starts):
             raise ValueError(f"segments {starts} must ascend from 0 below {len(self.ts)}, one anchor each")
         self.anchors = [UnitaryOperator(self.n, A).matrix for A in self.anchors]
-        if self.spectrum is None:
-            self.spectrum = _eigh(algebra(self.xs, self.n, self.mode))
+        self.spectrum = self.spectrum or _eigh(algebra(self.xs, self.n, self.mode))
+        lam, V = self.spectrum
+        if np.shape(lam) != (len(self.ts), 2**self.n) or np.shape(V) != np.shape(lam) + (2**self.n,):
+            raise DimensionMismatch("a curve's spectrum needs a lam of 2^n and a 2^n x 2^n V a sample")
+        W = V[:1] if V.strides[0] == 0 else V  # a V shared by the samples is one matrix
+        if np.abs(sum(np.einsum("mij,mij->mj", p, p) for p in (W.real, W.imag)) - 1.0).max() > 1e-10:
+            raise ValueError("the spectrum's V has a column that is not a unit vector")
 
     def segment_bounds(self) -> list:
         stops = list(self.segments[1:]) + [len(self.ts)]
@@ -144,7 +149,7 @@ class Curve:
 
     def unitary_at(self, i: int) -> np.ndarray:
         i = range(len(self.ts))[i]  # a negative index counts from the end
-        U = _exp_spectrum(*(s[i][None] for s in self.spectrum))[0]
+        U = _exp_spectrum(*(s[i:i + 1] for s in self.spectrum))[0]
         return U @ self.anchors[bisect_right(self.segments, i) - 1]
 
     def unitaries(self) -> np.ndarray:
@@ -301,7 +306,7 @@ def shoot_geodesic(spec: MetricSpec, x0, y0, t_end: float, steps: int = None,
         return np.bincount(c, weights=g * h[a] * h[b], minlength=len(h))
 
     lam0, V0 = _eigh(algebra(xe[None], n, mode))  # x0's one eigensolve: H0, U0 and chart row 0
-    h = coefficients(_Eigenbasis(lam0, V0).apply(algebra(ye[None], n, mode)), n, mode)[0]
+    h = _Eigenbasis(lam0, V0).apply_rows(ye[None], n, mode)[0]
     energy = norm(spec, h) ** 2
     hs = np.empty((steps + 1, len(h)))
     ks = np.empty_like(hs)
@@ -373,7 +378,7 @@ def _chart_curve(spec: MetricSpec, ts: np.ndarray, hs: np.ndarray, Us: np.ndarra
         rows = min(_ROWS, 2 * (i - start))  # twice what this pass advanced, its anchor counted
     xs = _log_rows(lam, Vs, n, mode)
     xs[0] = row0[0]
-    ys = coefficients(_Eigenbasis(lam, Vs).apply(algebra(hs, n, mode), inverse=True), n, mode)
+    ys = _Eigenbasis(lam, Vs).apply_rows(hs, n, mode, inverse=True)
     return Curve(spec, ts, xs, ys, norms_batch(spec, hs), segments, anchors, spectrum=(lam, Vs))
 
 
@@ -385,19 +390,18 @@ def f_squared_gradients(spec: MetricSpec, ys: np.ndarray, spectrum: tuple) -> tu
     """Exact (dF^2/dx, dF^2/dy) of F(x, y) = N(E_x(y)) at each row of an (m, d) array ys.
 
     spectrum = (lam, V) gives each row's x, x.sigma = V diag(lam) V^+ (a Curve's, or _eigh of
-    the X stack).  With h = E_x(y) and G = grad N^2(h).sigma: dF^2/dy = E_-x(G), since the
-    transpose of E_x is E_-x, and dF^2/dx_j = Re tr(Gamma sigma_j) / 2^n with Gamma from
-    _Eigenbasis.x_gradient.  All three come from that eigenbasis (E_-x is the filter conj(Phi)).
+    the X stack).  With h = E_x(y) and G = grad N^2(h).sigma: dF^2/dy = E_-x(G) (E_x^T = E_-x,
+    the filter conj(Phi)) and dF^2/dx_j = Re tr(Gamma sigma_j) / 2^n (_Eigenbasis.x_gradient), all
+    from one eigenbasis; a shared V (a Pauli geodesic) changes basis by no per-sample product.
     """
     mode = spec.mode
     n = qubits_of_dimension(ys.shape[1], mode)
     E = _Eigenbasis(*spectrum)
-    Yh = E.hat(algebra(ys, n, mode))
+    Yh = E.hat_rows(ys, n, mode)
     A = E.Phi * Yh
-    Gh = E.hat(algebra(grad_f_squared(spec, coefficients(E.unhat(A), n, mode)), n, mode))
+    Gh = E.hat_rows(grad_f_squared(spec, E.unhat_rows(A, n, mode)), n, mode)
     B = E.Phi.conj() * Gh
-    gx = coefficients(E.unhat(E.x_gradient(Yh, Gh, A, B)), n, mode)
-    return gx, coefficients(E.unhat(B), n, mode)
+    return E.unhat_rows(E.x_gradient(Yh, Gh, A, B), n, mode), E.unhat_rows(B, n, mode)
 
 
 def el_residual(spec: MetricSpec, curve: Curve) -> float:
@@ -450,10 +454,10 @@ def pauli_geodesic_curve(
 
     x = t h0 commutes with y = h0, so E_x(y) = h0 and every speed is exactly
     F(h0).  Must stay inside the coordinate patch: max |eig(H0)| * |t_end| < pi.
-    One eigh, H0 = V0 diag(lam0) V0^+, gives every sample's spectrum (t lam0, V0).  t_end must
-    be finite (else NonFiniteInput) and num_samples at least 2 (else ValueError), with
-    num_samples (32 4^n + 8 2^n + 16) bytes within pauli.MAX_BYTES (else StepLimitExceeded):
-    6710886, 1917396, 504577 and 128807 samples at n = 1..4.
+    One eigh, H0 = V0 diag(lam0) V0^+, gives every sample's spectrum (t lam0, V0), V0 broadcast
+    (stride 0, read as shared).  t_end must be finite (else NonFiniteInput) and num_samples at
+    least 2 (else ValueError), with num_samples (16 4^n + 8 2^n + 16) bytes within MAX_BYTES
+    (else StepLimitExceeded): 11184810, 3532045, 972592 and 253240 samples at n = 1..4.
     """
     if not math.isfinite(t_end):
         raise NonFiniteInput(f"t_end={t_end} is not finite")
@@ -463,13 +467,13 @@ def pauli_geodesic_curve(
         raise DimensionMismatch("coefficient mode does not match the metric spec")
     h0 = np.asarray(coeffs.entries, dtype=float)
     n, mode = coeffs.n, spec.mode
-    # per sample: V (a D x D complex matrix), xs and ys (d <= 4^n floats each), lam, ts, speeds
-    check_bytes(num_samples * (32 * 4**n + 8 * 2**n + 16), f"{num_samples} curve samples at n={n}")
+    # per sample: xs and ys (d <= 4^n floats each), lam, ts and speeds; V0 is one matrix for all
+    check_bytes(num_samples * (16 * 4**n + 8 * 2**n + 16), f"{num_samples} curve samples at n={n}")
     lam0, V0 = _eigh(algebra(h0[None], n, mode))
     if float(np.max(np.abs(lam0))) * abs(t_end) >= np.pi:
         raise OutsidePatch("exp(-i H0 t) leaves the coordinate patch before t_end")
     ts = np.linspace(0.0, t_end, num_samples)
-    V = np.repeat(V0, num_samples, axis=0)  # not a broadcast view, which is slow in matmul
+    V = np.broadcast_to(V0, (num_samples, 2**n, 2**n))  # one V0 for all: a shared _Eigenbasis
     return Curve(spec, ts, np.outer(ts, h0), np.tile(h0, (num_samples, 1)),
                  np.full(num_samples, norm(spec, h0)), spectrum=(np.outer(ts, lam0[0]), V))
 
@@ -510,10 +514,8 @@ def curve_length(spec: MetricSpec, curve: Curve) -> float:
 def _embed_indices(n_from: int, n_total: int, offset: int, mode: str) -> np.ndarray:
     """Product-basis index of each n_from-qubit string padded with identities onto
     qubits [offset, offset + n_from) of n_total."""
-    idx = string_index(n_total, mode)
-    pad_l = "I" * offset
-    pad_r = "I" * (n_total - offset - n_from)
-    return np.array([idx[pad_l + s + pad_r] for s in pauli_strings(n_from, mode)])
+    idx, pad = string_index(n_total, mode), "I" * (n_total - offset - n_from)
+    return np.array([idx["I" * offset + s + pad] for s in pauli_strings(n_from, mode)])
 
 
 def tensor_product_curve(curve_a: Curve, curve_b: Curve, spec_ab: MetricSpec) -> Curve:
@@ -537,8 +539,7 @@ def tensor_product_curve(curve_a: Curve, curve_b: Curve, spec_ab: MetricSpec) ->
         raise DimensionMismatch("curves must be sampled at exactly the same times")
     hs = np.zeros((m, d))
     for c, offset in ((curve_a, 0), (curve_b, na)):  # +=: in U mode both identities land on I
-        h = _Eigenbasis(*c.spectrum).apply(algebra(c.ys, c.n, mode))
-        hs[:, _embed_indices(c.n, n, offset, mode)] += coefficients(h, c.n, mode)
+        hs[:, _embed_indices(c.n, n, offset, mode)] += _Eigenbasis(*c.spectrum).apply_rows(c.ys, c.n, mode)
     A, B = curve_a.unitaries(), curve_b.unitaries()
     Ws = (A[:, :, None, :, None] * B[:, None, :, None, :]).reshape(m, 2**n, 2**n)
     row0 = _log_spectrum(Ws[0])  # W_0's chart, as pauli_log reads it

@@ -145,6 +145,14 @@ def test_curve_built_by_hand_is_checked():
         Curve(F2_SPEC, ts, xs, xs, np.ones(5))
     with pytest.raises(DimensionMismatch):  # 3 coefficients fit no qubit count in U mode
         Curve(MetricSpec(F2, mode=U), ts, xs, xs, np.ones(6))
+    lam, V = np.zeros((6, 2)), np.broadcast_to(np.eye(2, dtype=complex), (6, 2, 2))
+    Curve(F2_SPEC, ts, xs, xs, np.ones(6), spectrum=(lam, V))  # one V for every sample
+    with pytest.raises(DimensionMismatch):  # a spectrum of 5 rows for 6 samples
+        Curve(F2_SPEC, ts, xs, xs, np.ones(6), spectrum=(lam[:5], V[:5]))
+    with pytest.raises(DimensionMismatch):  # a V of the wrong width
+        Curve(F2_SPEC, ts, xs, xs, np.ones(6), spectrum=(lam, np.zeros((6, 2, 4), dtype=complex)))
+    with pytest.raises(ValueError, match="unit vector"):  # a zero V, whose residual read 0.0
+        Curve(F2_SPEC, ts, xs, xs, np.ones(6), spectrum=(lam, np.zeros((6, 2, 2), dtype=complex)))
 
 
 def test_qubit_count_and_mode_come_from_the_samples_and_the_metric():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sugeo.coords import _eigh, _log_rows, apply_bch, change_coords, change_coords_forward, unitary_from_coords
+from sugeo.coords import _Eigenbasis, _eigh, _log_rows, apply_bch, change_coords, change_coords_forward, unitary_from_coords
 from sugeo.errors import (
     DimensionLimit,
     DimensionMismatch,
@@ -196,6 +196,104 @@ def test_stored_spectrum_matches_the_eigh_path(spec, coeffs, stabilizer):
         assert stored < 1e-6 and read < 1e-6
     else:
         assert stored > 1e-2 and stored == pytest.approx(read, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the shared eigenbasis of a Pauli geodesic
+
+SHARED_SPECS = [MetricSpec(FQ, penalty=PEN1), MetricSpec(FPDELTA, penalty=PEN1, delta=1e-4),
+                MetricSpec(F1DELTA, delta=1e-3), F2_SPEC]
+STABILIZERS = {1: ["Y"], 2: ["XX", "ZZ"], 3: ["XXX", "ZZI", "IZZ"], 4: ["XXXX", "ZZII", "IZZI", "IIZZ"]}
+
+
+def _h0(kind, n, mode, rng):
+    """A generic, a Z-only or a stabilizer-supported h0 with max |eig(H0)| = 2."""
+    strings = pauli.pauli_strings(n, mode)
+    support = {"generic": strings, "Z": [s for s in strings if set(s) <= set("IZ")],
+               "stabilizer": stabilizer_span(STABILIZERS[n]).elements}[kind]
+    h0 = np.array([rng.standard_normal() if s in support else 0.0 for s in strings])
+    return 2.0 * h0 / np.abs(np.linalg.eigvalsh(to_matrix(PauliVector(n, mode, h0)))).max()
+
+
+def _per_sample_gradients(spec, ys, spectrum):
+    """f_squared_gradients composed of algebra, hat, unhat and coefficients, sample by sample."""
+    n = qubits_of_dimension(ys.shape[1], spec.mode)
+    E = _Eigenbasis(*spectrum)
+    Yh = E.hat(algebra(ys, n, spec.mode))
+    A = E.Phi * Yh
+    Gh = E.hat(algebra(metrics.grad_f_squared(spec, coefficients(E.unhat(A), n, spec.mode)), n, spec.mode))
+    B = E.Phi.conj() * Gh
+    return coefficients(E.unhat(E.x_gradient(Yh, Gh, A, B)), n, spec.mode), coefficients(E.unhat(B), n, spec.mode)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("mode", [SU, U])
+def test_shared_eigenbasis_gradients_match_the_per_sample_route(n, mode):
+    """A Pauli geodesic's V0 is one broadcast matrix, and its gradients come from the rotated
+    basis V0^+ sigma_s V0.  They match the per-sample products on a copy of the same V stack
+    within 1e-11 of their scale, forwards and backwards, on the curve's y and on generic y; the
+    copy, a per-sample V, gives the per-sample composition bit for bit."""
+    rng = np.random.default_rng(40 + n)
+    for kind, t_end in (("generic", 1.0), ("Z", -1.0), ("stabilizer", 1.0), ("stabilizer", -0.5)):
+        h0 = _h0(kind, n, mode, rng)
+        for spec in SHARED_SPECS:
+            spec = replace(spec, mode=mode)
+            curve = pauli_geodesic_curve(spec, PauliVector(n, mode, h0), t_end, num_samples=9)
+            lam, V = curve.spectrum
+            assert V.strides[0] == 0
+            for ys in (curve.ys, curve.ys + rng.standard_normal(curve.ys.shape)):
+                shared = f_squared_gradients(spec, ys, (lam, V))
+                copied = f_squared_gradients(spec, ys, (lam, V.copy()))
+                assert all(np.array_equal(a, b) for a, b in zip(copied, _per_sample_gradients(spec, ys, (lam, V.copy()))))
+                scale = max(np.abs(g).max() for g in copied)
+                assert max(np.abs(a - b).max() for a, b in zip(shared, copied)) <= 1e-11 * scale
+
+
+def test_a_pauli_geodesic_residual_changes_no_basis_per_sample(monkeypatch):
+    """el_residual on a Pauli geodesic calls neither _Eigenbasis.hat nor unhat (its rows go
+    through the rotated basis); on a shot, whose V differs at each sample, it calls both."""
+    calls = []
+    for name in ("hat", "unhat"):
+        method = getattr(_Eigenbasis, name)
+        monkeypatch.setattr(_Eigenbasis, name, lambda self, Z, m=method, k=name: calls.append(k) or m(self, Z))
+    spec = MetricSpec(FQ, penalty=PEN1)
+    line = pauli_geodesic_curve(spec, PauliVector.from_terms(2, {"XX": 0.5, "ZZ": -0.4, "YY": 0.3}), 1.0)
+    assert el_residual(spec, line) < 1e-8 and calls == []
+    shot = shoot_geodesic(spec, np.zeros(15), np.linspace(0.1, 0.5, 15), 0.2, steps=40)
+    el_residual(spec, shot)
+    assert calls.count("hat") > 0 and calls.count("unhat") > 0
+
+
+@pytest.mark.parametrize("n, terms", [
+    (1, {"Y": 0.8}),
+    (2, {"XX": 0.5, "ZZ": -0.4, "YY": 0.3}),
+    (3, {"XXX": 0.4, "ZZI": 0.3, "IZZ": -0.5, "YYX": 0.2}),
+    (4, {"XXXX": 0.3, "ZZII": 0.2, "IIZZ": -0.4}),
+])
+def test_pauli_geodesic_curve_unitaries_are_the_exponentials(n, terms):
+    """unitaries() and unitary_at of a Pauli geodesic (a shared V0: one GEMM) are exp(-i H0 t)."""
+    coeffs = PauliVector.from_terms(n, terms)
+    S = stabilizer_span(STABILIZERS[n])
+    curve = pauli_geodesic_curve(MetricSpec(FQ, penalty=PEN1), coeffs, -1.0, num_samples=41)
+    Us = curve.unitaries()
+    for i, t in enumerate(curve.ts):
+        expected = pauli_geodesic(S, coeffs, t).matrix
+        assert np.max(np.abs(Us[i] - expected)) < 1e-13
+        assert np.max(np.abs(curve.unitary_at(i) - expected)) < 1e-13
+
+
+def test_per_sample_rows_keep_the_per_sample_products():
+    """With a V per sample, hat_rows, unhat_rows and apply_rows are algebra, hat, unhat and
+    coefficients composed as before, bit for bit: shots and charts are unchanged."""
+    shot = _three_chart_shot()
+    E = _Eigenbasis(*shot.spectrum)
+    assert shot.spectrum[1].strides[0] != 0
+    Zh = E.hat_rows(shot.ys, 2, SU)
+    assert np.array_equal(Zh, E.hat(algebra(shot.ys, 2, SU)))
+    assert np.array_equal(E.unhat_rows(Zh, 2, SU), coefficients(E.unhat(Zh), 2, SU))
+    for inverse in (False, True):
+        expected = coefficients(E.apply(algebra(shot.ys, 2, SU), inverse), 2, SU)
+        assert np.array_equal(E.apply_rows(shot.ys, 2, SU, inverse), expected)
 
 
 def test_failed_eigensolver_is_no_convergence(monkeypatch):
