@@ -42,6 +42,7 @@ from .pauli import (
     check_n,
     check_traceless,
     coefficients,
+    json_int,
     matrix_of,
     pauli_matrix,
     string_index,
@@ -97,10 +98,10 @@ class Circuit:
     @classmethod
     def from_json(cls, obj: dict) -> "Circuit":
         gates = [
-            Gate(g["pauli"], float(g["alpha"]), tuple(g["qubits"]))
+            Gate(g["pauli"], float(g["alpha"]), tuple(json_int(q, "qubit") for q in g["qubits"]))
             for g in obj["gates"]
         ]
-        return cls(int(obj["n"]), gates)
+        return cls(json_int(obj["n"], "n"), gates)
 
 
 def _prefix_products(circuit: Circuit, strings: list) -> np.ndarray:
@@ -285,7 +286,7 @@ class IsometryMap:
         if self.kind not in _APPLICABLE:
             raise ValueError(f"unknown isometry kind {self.kind!r}")
         if self.kind == "pauli":
-            if self.pauli is None:
+            if not self.pauli:
                 raise ValueError("pauli kind needs a Pauli string")
         elif self.kind != "complex_conjugation":
             if self.operator is None:

@@ -1,10 +1,13 @@
 """Command-line surface: JSON in, JSON out, CSV for the reproduce suite.
 
-Exit codes: 0 success, 1 domain error (the error class name is printed
-verbatim; a failed allocation, MemoryError, counts as one), 2 usage
-error, which includes an input file that is not JSON or whose JSON has
-the wrong shape.  Output goes to stdout unless --out is given; JSON is
-emitted with sorted keys so fixed-seed runs are bit-reproducible.
+Each _cmd_* returns its result: a JSON object, or for reproduce its CSV text
+and exit status.  dispatch alone writes it, through _emit, the one writer, and
+maps errors to exit codes: 0 success, 1 domain error (the error class name is
+printed verbatim; a failed allocation, MemoryError, counts as one), 2 usage
+error, which includes an input file that is not JSON or whose JSON has the
+wrong shape (an integer field such as n holding 1.5, 2.0 or true, say).
+Output goes to stdout unless --out is given.  JSON is emitted with sorted keys
+and the CSV carries no wall time, so fixed-input runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -42,11 +45,15 @@ def _load(path):
     return obj
 
 
-def _emit(obj, out_path):
-    try:
-        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    except ValueError as e:
-        raise NonFiniteInput(f"result is not finite: {e}") from None
+def _emit(result, out_path):
+    """The one writer: a JSON object (sorted keys, finite) or CSV text, to --out or stdout."""
+    if isinstance(result, str):
+        text = result
+    else:
+        try:
+            text = json.dumps(result, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        except ValueError as e:
+            raise NonFiniteInput(f"result is not finite: {e}") from None
     if out_path:
         with open(out_path, "w") as f:
             f.write(text)
@@ -60,8 +67,7 @@ def _cmd_metric_eval(args):
     out = {"value": float(norm(spec, y))}
     if args.gradient:
         out["gradient"] = [float(g) for g in grad_f_squared(spec, y)]
-    _emit(out, args.out)
-    return 0
+    return out
 
 
 def _cmd_coordchange(args):
@@ -70,70 +76,51 @@ def _cmd_coordchange(args):
     y = PauliVector.from_json(obj["y"])
     direction = obj.get("direction", "forward")
     if direction == "forward":
-        res = change_coords_forward(x, y)
-    elif direction == "backward":
-        res = change_coords_backward(x, y)
-    else:
-        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
-    _emit(res.to_json(), args.out)
-    return 0
+        return change_coords_forward(x, y).to_json()
+    if direction == "backward":
+        return change_coords_backward(x, y).to_json()
+    raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
 
 
 def _cmd_geodesic_shoot(args):
     spec = MetricSpec.from_json(_load(args.metric))
     x0 = PauliVector.from_json(_load(args.x0))
     y0 = PauliVector.from_json(_load(args.y0))
-    curve = shoot_geodesic(spec, x0, y0, args.t, steps=args.steps, n_cap=args.n_cap)
-    _emit(curve.to_json(), args.out)
-    return 0
+    return shoot_geodesic(spec, x0, y0, args.t, steps=args.steps, n_cap=args.n_cap).to_json()
 
 
 def _cmd_geodesic_residual(args):
     curve = Curve.from_json(_load(args.curve))
-    _emit({"residual": float(el_residual(curve.spec, curve))}, args.out)
-    return 0
+    return {"residual": float(el_residual(curve.spec, curve))}
 
 
 def _cmd_pauli_geodesic(args):
-    gens = tuple(s for s in args.generators.split(",") if s)
-    S = stabilizer_span(gens)
+    S = stabilizer_span(s for s in args.generators.split(",") if s)
     coeffs = PauliVector.from_json(_load(args.coeffs))
     out = pauli_geodesic(S, coeffs, args.t).to_json()
     if args.metric:
         spec = MetricSpec.from_json(_load(args.metric))
         out["length"] = float(args.t * norm(spec, coeffs))
-    _emit(out, args.out)
-    return 0
+    return out
 
 
 def _cmd_cvp_min(args):
     spec = MetricSpec.from_json(_load(args.metric))
-    diag = DiagonalUnitary.from_json(_load(args.phases))
-    res = cvp_minimal_pauli_geodesic(spec, diag)
+    res = cvp_minimal_pauli_geodesic(spec, DiagonalUnitary.from_json(_load(args.phases)))
     m = [int(v) for v in res.minimizer]
-    _emit({"value": float(res.value), "m": m, "certified": bool(res.certified)}, args.out)
-    return 0
+    return {"value": float(res.value), "m": m, "certified": bool(res.certified)}
 
 
 def _cmd_volume_bound(args):
     spec = MetricSpec.from_json(_load(args.metric))
-    _emit({"r_lower": float(coverage_bound(spec, args.f, args.n))}, args.out)
-    return 0
+    return {"r_lower": float(coverage_bound(spec, args.f, args.n))}
 
 
 def _cmd_lower_bound(args):
     circuit = Circuit.from_json(_load(args.circuit))
-    spec = MetricSpec.from_json(_load(args.metric))
-    traj = circuit_to_curve(circuit, spec)
-    _emit(
-        {
-            "length": float(traj.length),
-            "gate_count": traj.gate_count,
-            "bound_holds": bool(traj.bound_holds),
-        },
-        args.out,
-    )
-    return 0
+    traj = circuit_to_curve(circuit, MetricSpec.from_json(_load(args.metric)))
+    return {"length": float(traj.length), "gate_count": traj.gate_count,
+            "bound_holds": bool(traj.bound_holds)}
 
 
 def _named_gate(name, n):
@@ -148,43 +135,22 @@ def _named_gate(name, n):
 def _cmd_isometry_check(args):
     spec = MetricSpec.from_json(_load(args.metric))
     check_n(args.n)  # before any operator of size 2^n is built
-    if args.kind == "pauli":
-        if not args.pauli:
-            raise ValueError("--kind pauli needs --pauli STRING")
-        iso = IsometryMap("pauli", pauli=args.pauli)
-    elif args.kind == "complex_conjugation":
-        iso = IsometryMap("complex_conjugation")
-    else:
+    op = None
+    if args.kind not in ("pauli", "complex_conjugation"):  # IsometryMap refuses a missing one
         if args.gate:
             op = _named_gate(args.gate, args.n)
         elif args.operator:
             op = UnitaryOperator.from_json(_load(args.operator)).matrix
-        else:
-            raise ValueError(f"--kind {args.kind} needs --gate or --operator")
-        iso = IsometryMap(args.kind, operator=op)
+    iso = IsometryMap(args.kind, operator=op, pauli=args.pauli)
     res = isometry_check(iso, spec, samples=args.samples, n=args.n, seed=args.seed)
-    _emit(
-        {
-            "max_deviation": float(res.max_deviation),
-            "applicable": bool(res.applicable),
-            "counterexample": (
-                None if res.counterexample is None else res.counterexample.to_json()
-            ),
-        },
-        args.out,
-    )
-    return 0
+    example = None if res.counterexample is None else res.counterexample.to_json()
+    return {"max_deviation": float(res.max_deviation), "applicable": bool(res.applicable),
+            "counterexample": example}
 
 
 def _cmd_reproduce(args):
     rows = acceptance.run_all(args.suite or None)
-    text = acceptance.to_csv(rows)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0 if all(r.passed for r in rows) else 1
+    return acceptance.to_csv(rows), 0 if all(r.passed for r in rows) else 1
 
 
 def _build_parser():
@@ -203,16 +169,11 @@ def _build_parser():
     p = add("metric-eval", _cmd_metric_eval, "evaluate a Finsler norm on a Pauli vector")
     p.add_argument("--metric", required=True, help="MetricSpec JSON file")
     p.add_argument("--vector", required=True, help="PauliVector JSON file")
-    p.add_argument(
-        "--gradient", action="store_true", help="also emit the squared-norm gradient"
-    )
+    p.add_argument("--gradient", action="store_true", help="also emit the squared-norm gradient")
 
     p = add("coordchange", _cmd_coordchange, "apply the BCH change of coordinates")
-    p.add_argument(
-        "--input",
-        required=True,
-        help='JSON file {"x": PauliVector, "y": PauliVector, "direction": "forward"|"backward"}',
-    )
+    p.add_argument("--input", required=True, help='JSON file {"x": PauliVector, "y": PauliVector, '
+                   '"direction": "forward"|"backward"}')
 
     p = add("geodesic-shoot", _cmd_geodesic_shoot, "integrate the geodesic equation")
     p.add_argument("--metric", required=True)
@@ -245,11 +206,8 @@ def _build_parser():
     p.add_argument("--metric", required=True)
 
     p = add("isometry-check", _cmd_isometry_check, "test a global isometry against a metric")
-    p.add_argument(
-        "--kind",
-        required=True,
-        choices=["pauli", "complex_conjugation", "clifford", "local_unitary", "unitary"],
-    )
+    p.add_argument("--kind", required=True,
+                   choices=["pauli", "complex_conjugation", "clifford", "local_unitary", "unitary"])
     p.add_argument("--gate", choices=["cnot", "swap", "hadamard", "s"])
     p.add_argument("--operator", help="UnitaryOperator JSON file")
     p.add_argument("--pauli", help="Pauli string for --kind pauli")
@@ -259,12 +217,8 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=20260822)
 
     p = add("reproduce", _cmd_reproduce, "run the acceptance suite, emit CSV")
-    p.add_argument(
-        "--suite",
-        action="append",
-        choices=sorted(acceptance.SUITES),
-        help="run only this suite (repeatable); default: all",
-    )
+    p.add_argument("--suite", action="append", choices=sorted(acceptance.SUITES),
+                   help="run only this suite (repeatable); default: all")
     return parser
 
 
@@ -275,11 +229,11 @@ def dispatch(argv) -> int:
     except SystemExit as e:
         return 0 if not e.code else int(e.code)
     try:
-        return args.func(args)
-    except SugeoError as e:
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return 1
-    except (np.linalg.LinAlgError, MemoryError) as e:
+        result = args.func(args)
+        result, code = result if isinstance(result, tuple) else (result, 0)
+        _emit(result, args.out)
+        return code
+    except (SugeoError, np.linalg.LinAlgError, MemoryError) as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1
     except (KeyError, ValueError, TypeError, AttributeError, OSError) as e:  # bad input files

@@ -71,6 +71,7 @@ from .pauli import (
     check_n,
     check_traceless,
     coefficients,
+    json_int,
     matrix_of,
     qubit_count,
 )
@@ -108,7 +109,7 @@ class UnitaryOperator:
     @classmethod
     def from_json(cls, obj: dict) -> "UnitaryOperator":
         m = np.array([[complex(re, im) for re, im in row] for row in obj["matrix"]])
-        return cls(int(obj["n"]), m)
+        return cls(json_int(obj["n"], "n"), m)
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,7 @@ from .pauli import (
     bracket,
     check_bytes,
     entries_of,
+    json_int,
     string_index,
     pauli_strings,
     qubits_of_dimension,
@@ -184,7 +185,7 @@ class Curve:
         xs = np.array([entries_of(PauliVector.from_json(s["x"]), spec.mode) for s in samples])
         ys = np.array([entries_of(PauliVector.from_json(s["y"]), spec.mode) for s in samples])
         speeds = np.array([s["speed"] for s in samples], dtype=float)
-        segments = [int(s) for s in obj.get("segments", [0])]
+        segments = [json_int(s, "segment") for s in obj.get("segments", [0])]
         anchors = [UnitaryOperator.from_json(A).matrix for A in obj.get("anchors", [])]
         return cls(spec, ts, xs, ys, speeds, segments, anchors)
 

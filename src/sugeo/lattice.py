@@ -55,7 +55,7 @@ from .errors import (
     UnsupportedSpec,
 )
 from .metrics import EUCLIDEAN, MetricSpec, penalty_vector
-from .pauli import SU, U, PauliVector, basis_dimension, check_bytes, string_index
+from .pauli import SU, U, PauliVector, basis_dimension, check_bytes, json_int, string_index
 
 # The coset decoder scores d^{d/2} cosets (4096 at n = 3); at n = 4 it would be 16^8.
 CVP_N_MAX = 3
@@ -78,7 +78,7 @@ class DiagonalUnitary:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DiagonalUnitary":
-        return cls(int(obj["n"]), np.array(obj["theta"], dtype=float))
+        return cls(json_int(obj["n"], "n"), np.array(obj["theta"], dtype=float))
 
 
 @dataclass

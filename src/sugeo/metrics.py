@@ -52,7 +52,7 @@ from .errors import (
     UnsupportedSpec,
     ZeroVector,
 )
-from .pauli import SU, U, entries_of, qubits_of_dimension, weights_array
+from .pauli import SU, U, entries_of, json_int, qubits_of_dimension, weights_array
 
 F1 = "F1"
 F2 = "F2"
@@ -124,7 +124,7 @@ class PenaltyFunction:
             return cls(
                 kind="step",
                 k=float(obj["k"]),
-                low_weight_cutoff=int(obj.get("low_weight_cutoff", 2)),
+                low_weight_cutoff=json_int(obj.get("low_weight_cutoff", 2), "low_weight_cutoff"),
             )
         return cls(kind="table", values=tuple(obj["values"]))
 

@@ -18,8 +18,9 @@ unitary, and tangent-vector coordinates alike.
 `algebra` (coefficients -> matrices) and `coefficients` (matrices ->
 coefficients) are the only conversions between the two: they act on
 stacks, and `to_matrix`/`project_to_pauli` call them on a batch of one.
-`check_traceless` is the SU-mode trace check of a stack, and `entries_of`
-the one input check of a coefficient vector.
+`check_traceless` is the SU-mode trace check of a stack, `entries_of`
+the one input check of a coefficient vector, and `json_int` the one reader of
+an integer JSON field.
 
 Everything here is dense: the tangent space has dimension 4^n (minus one
 in SU mode), and the coordinate change is a filter on 2^n x 2^n matrices.
@@ -78,6 +79,13 @@ def validate_string(s: str) -> str:
     if not s or any(c not in LETTERS for c in s):
         raise ValueError(f"not a Pauli string: {s!r}")
     return s
+
+
+def json_int(value, what: str) -> int:
+    """An integer field read from JSON: ValueError for a float (1.9, 2.0), a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def weight(s: str) -> int:
@@ -202,7 +210,7 @@ class PauliVector:
     @classmethod
     def from_json(cls, obj: dict) -> "PauliVector":
         terms = {e["pauli"]: float(e["value"]) for e in obj.get("entries", [])}
-        return cls.from_terms(int(obj["n"]), terms, obj.get("mode", SU))
+        return cls.from_terms(json_int(obj["n"], "n"), terms, obj.get("mode", SU))
 
 
 def entries_of(v, mode: str) -> np.ndarray:
@@ -329,10 +337,31 @@ def string_product(a: str, b: str) -> str:
 
 @dataclass
 class StabilizerSubgroup:
-    """Abelian subgroup generated by independent commuting Pauli strings (signs ignored)."""
+    """Abelian subgroup generated by independent commuting Pauli strings (signs ignored).
+
+    The constructor checks the generators and builds `elements`, all 2^k products, letter
+    patterns only: ValueError without a generator, DimensionMismatch (commutes) if two differ
+    in length, NotCommuting if a pair anticommutes, NotIndependent if some generator is a
+    product of the previous ones (up to sign).
+    """
 
     generators: tuple
-    elements: tuple = field(default=())
+    elements: tuple = field(init=False)
+
+    def __post_init__(self):
+        self.generators = gens = tuple(validate_string(g) for g in self.generators)
+        if not gens:
+            raise ValueError("need at least one generator")
+        for i, g in enumerate(gens):
+            for h in gens[i + 1 :]:
+                if not commutes(g, h):
+                    raise NotCommuting(f"{g} and {h} anticommute")
+        elements = {"I" * len(gens[0])}
+        for g in gens:
+            if g in elements:
+                raise NotIndependent(f"{g} is generated by the previous generators")
+            elements |= {string_product(e, g) for e in elements}
+        self.elements = tuple(sorted(elements))
 
     @property
     def n(self) -> int:
@@ -340,25 +369,5 @@ class StabilizerSubgroup:
 
 
 def stabilizer_span(generators) -> StabilizerSubgroup:
-    """All 2^k products of the generators, letter patterns only.
-
-    Raises NotCommuting if any generator pair anticommutes, NotIndependent
-    if some generator is a product of the previous ones (up to sign).
-    """
-    gens = tuple(validate_string(g) for g in generators)
-    if not gens:
-        raise ValueError("need at least one generator")
-    n = len(gens[0])
-    for g in gens:
-        if len(g) != n:
-            raise DimensionMismatch("generators on different qubit counts")
-    for i, g in enumerate(gens):
-        for h in gens[i + 1 :]:
-            if not commutes(g, h):
-                raise NotCommuting(f"{g} and {h} anticommute")
-    elements = {"I" * n}
-    for g in gens:
-        if g in elements:
-            raise NotIndependent(f"{g} is generated by the previous generators")
-        elements |= {string_product(e, g) for e in elements}
-    return StabilizerSubgroup(gens, tuple(sorted(elements)))
+    """The subgroup the generators span, checked (StabilizerSubgroup)."""
+    return StabilizerSubgroup(generators)

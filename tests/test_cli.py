@@ -435,6 +435,14 @@ _NESTED = [
     ("lower-bound", "--circuit", {"n": 1, "gates": [3]}),
     ("metric-eval", "--metric", {"family": "Fq", "penalty": [1]}),
     ("cvp-min", "--metric", {"family": "Fq", "penalty": [1]}),
+    # integer fields holding a float or a bool, which int() rounded down (true to 1) and ran
+    ("cvp-min", "--phases", {"n": 1.9, "theta": [0.1, -0.1]}),
+    ("lower-bound", "--circuit", {"n": 2.7, "gates": [{"pauli": "X", "alpha": 0.5, "qubits": [0]}]}),
+    ("lower-bound", "--circuit", {"n": 2, "gates": [{"pauli": "X", "alpha": 0.5, "qubits": [True]}]}),
+    ("metric-eval", "--vector", {**_VEC, "n": 1.5}),
+    ("metric-eval", "--vector", {**_VEC, "n": True}),
+    ("metric-eval", "--metric", {"family": "Fq", "penalty": {"kind": "step", "k": 4.0, "low_weight_cutoff": 1.0}}),
+    ("isometry-check", "--operator", {"n": 1.0, "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}),
 ]
 
 
@@ -467,6 +475,16 @@ def test_json_of_the_wrong_nested_shape_is_usage_error(capsys, tmp_path, command
     code, out, err = _run_with(capsys, tmp_path, command, flag, payload)
     assert (code, out) == (2, "")
     assert err.startswith("usage error: ")
+
+
+def test_curve_segments_must_be_json_integers(capsys, tmp_path):
+    from sugeo.geodesic import shoot_geodesic
+
+    curve = shoot_geodesic(MetricSpec(family=F2), np.zeros(3), np.array([0.1, 0.0, 0.2]), 0.01, steps=4).to_json()
+    for segments, expected in (([0], 0), ([0.0], 2), ([False], 2)):
+        path = write_json(tmp_path, "curve.json", {**curve, "segments": segments})
+        code, out, err = run(capsys, ["geodesic-residual", "--curve", path])
+        assert code == expected, (segments, err)
 
 
 _KEYS = st.sampled_from(["x", "y", "direction", "n", "mode", "entries", "pauli", "value"])

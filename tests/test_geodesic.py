@@ -654,6 +654,13 @@ def test_pauli_geodesic_rejects_outside_subgroup():
         pauli_geodesic(S, PauliVector.from_terms(1, {"X": 0.5}), 1.0)
 
 
+def test_pauli_geodesic_on_a_subgroup_built_by_hand():
+    """A subgroup built by hand had no elements, so its own generator ZI was refused."""
+    S = pauli.StabilizerSubgroup(("ZI", "IZ"))
+    op = pauli_geodesic(S, PauliVector.from_terms(2, {"ZI": 0.3, "ZZ": 0.2}), 1.0)
+    assert np.allclose(op.matrix, np.diag(np.exp(-1j * np.array([0.5, 0.1, -0.5, -0.1]))))
+
+
 def test_pauli_geodesic_curve_leaves_patch():
     spec = MetricSpec(family=F1)
     with pytest.raises(OutsidePatch):

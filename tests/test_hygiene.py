@@ -5,7 +5,8 @@ keep a binding others patch), every private module-level name is
 referenced somewhere in the library other than its own definition, and no
 module imports scipy: the runtime dependency is numpy alone.  Only
 pauli.check_bytes, the one byte budget, raises StepLimitExceeded, so no
-module grows a size cap of its own.
+module grows a size cap of its own.  In cli.py one writer, _emit, writes every
+command's result, and only it and dispatch catch exceptions.
 """
 
 import ast
@@ -94,3 +95,33 @@ def test_step_limit_is_raised_only_by_the_budget():
                 if isinstance(exc, ast.Name) and exc.id == "StepLimitExceeded":
                     raised.append(f"{path.stem}.{func.name}")
     assert raised == ["pauli.check_bytes"]
+
+
+def _writes(call: ast.Call) -> bool:
+    """print without file= (stdout), or open with a mode that is not plain reading."""
+    if not isinstance(call.func, ast.Name):
+        return False
+    if call.func.id == "print":
+        return not any(k.arg == "file" for k in call.keywords)
+    if call.func.id != "open":
+        return False
+    modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+    return any(not (isinstance(m, ast.Constant) and m.value in ("r", "rb")) for m in modes)
+
+
+def test_cli_has_one_write_path():
+    """In cli.py only _emit writes to stdout or opens a file to write (--out), and only _emit
+    (its NaN check) and dispatch catch exceptions, so every result leaves through one writer."""
+    tree, _ = _parse(SRC / "cli.py")
+    writes, catches = set(), set()
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and node.attr == "stdout") or (
+                isinstance(node, ast.Call) and _writes(node)
+            ):
+                writes.add(owner)
+            elif isinstance(node, ast.ExceptHandler):
+                catches.add(owner)
+    assert writes == {"_emit"}
+    assert catches == {"_emit", "dispatch"}

@@ -15,6 +15,7 @@ from sugeo.pauli import (
     SU,
     U,
     PauliVector,
+    StabilizerSubgroup,
     algebra,
     basis_dimension,
     basis_stack,
@@ -124,6 +125,22 @@ def test_stabilizer_span_rejects_anticommuting():
 def test_stabilizer_span_rejects_dependent():
     with pytest.raises(NotIndependent):
         stabilizer_span(("ZI", "IZ", "ZZ"))
+
+
+def test_a_subgroup_built_by_hand_is_checked():
+    """The constructor makes stabilizer_span's checks and builds the elements itself: ZI and XI
+    were accepted with the elements of ZI and ZZ, and pauli_geodesic then exponentiated
+    0.3 ZZ + 0.2 XI, which is no Pauli geodesic (ZZ and XI anticommute)."""
+    assert StabilizerSubgroup(("ZI", "IZ")).elements == ("II", "IZ", "ZI", "ZZ")
+    assert StabilizerSubgroup(("ZI", "IZ")) == stabilizer_span(["ZI", "IZ"])
+    with pytest.raises(NotCommuting):
+        StabilizerSubgroup(("ZI", "XI"))
+    with pytest.raises(TypeError):
+        StabilizerSubgroup(("ZI", "IZ"), ("II", "XI", "ZI", "ZZ"))
+    for gens, error in (((), ValueError), (("ZI", "Z"), DimensionMismatch), (("ZI", "IQ"), ValueError),
+                        (("ZI", "IZ", "ZZ"), NotIndependent)):
+        with pytest.raises(error):
+            StabilizerSubgroup(gens)
 
 
 def test_pauli_vector_json_roundtrip():
