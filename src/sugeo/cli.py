@@ -136,7 +136,7 @@ def _cmd_isometry_check(args):
     spec = MetricSpec.from_json(_load(args.metric))
     check_n(args.n)  # before any operator of size 2^n is built
     op = None
-    if args.kind not in ("pauli", "complex_conjugation"):  # IsometryMap refuses a missing one
+    if args.kind not in ("pauli", "complex_conjugation"):  # only the other kinds read an operator
         if args.gate:
             op = _named_gate(args.gate, args.n)
         elif args.operator:
