@@ -1,13 +1,12 @@
 """Command-line surface: JSON in, JSON out, CSV for the reproduce suite.
 
-Each _cmd_* returns its result: a JSON object, or for reproduce its CSV text
-and exit status.  dispatch alone writes it, through _emit, the one writer, and
-maps errors to exit codes: 0 success, 1 domain error (the error class name is
-printed verbatim; a failed allocation, MemoryError, counts as one), 2 usage
-error, which includes an input file that is not JSON or whose JSON has the
-wrong shape (an integer field such as n holding 1.5, 2.0 or true, say).
-Output goes to stdout unless --out is given.  JSON is emitted with sorted keys
-and the CSV carries no wall time, so fixed-input runs are bit-reproducible.
+Each _cmd_* returns its result (reproduce: CSV text and exit status); dispatch
+alone writes it through _emit and maps errors to exit codes: 0 success, 1 domain
+error (the error class name is printed verbatim; MemoryError counts as one), 2
+usage error, which includes an input file that is not JSON or whose JSON has the
+wrong shape (an integer field holding 1.5 or true, say).  Output goes to stdout
+unless --out is given; JSON keys are sorted and the CSV carries no wall time, so
+fixed-input runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -46,10 +45,8 @@ def _load(path):
 
 
 def _emit(result, out_path):
-    """The one writer: a JSON object (sorted keys, finite) or CSV text, to --out or stdout."""
-    if isinstance(result, str):
-        text = result
-    else:
+    text = result
+    if not isinstance(result, str):
         try:
             text = json.dumps(result, indent=2, sort_keys=True, allow_nan=False) + "\n"
         except ValueError as e:
@@ -86,7 +83,8 @@ def _cmd_geodesic_shoot(args):
     spec = MetricSpec.from_json(_load(args.metric))
     x0 = PauliVector.from_json(_load(args.x0))
     y0 = PauliVector.from_json(_load(args.y0))
-    return shoot_geodesic(spec, x0, y0, args.t, steps=args.steps, n_cap=args.n_cap).to_json()
+    curve = shoot_geodesic(spec, x0, y0, args.t, steps=args.steps, n_cap=args.n_cap)
+    return curve.to_json()
 
 
 def _cmd_geodesic_residual(args):
@@ -95,7 +93,8 @@ def _cmd_geodesic_residual(args):
 
 
 def _cmd_pauli_geodesic(args):
-    S = stabilizer_span(s for s in args.generators.split(",") if s)
+    gens = tuple(s for s in args.generators.split(",") if s)
+    S = stabilizer_span(gens)
     coeffs = PauliVector.from_json(_load(args.coeffs))
     out = pauli_geodesic(S, coeffs, args.t).to_json()
     if args.metric:
@@ -106,7 +105,8 @@ def _cmd_pauli_geodesic(args):
 
 def _cmd_cvp_min(args):
     spec = MetricSpec.from_json(_load(args.metric))
-    res = cvp_minimal_pauli_geodesic(spec, DiagonalUnitary.from_json(_load(args.phases)))
+    diag = DiagonalUnitary.from_json(_load(args.phases))
+    res = cvp_minimal_pauli_geodesic(spec, diag)
     m = [int(v) for v in res.minimizer]
     return {"value": float(res.value), "m": m, "certified": bool(res.certified)}
 
@@ -118,9 +118,13 @@ def _cmd_volume_bound(args):
 
 def _cmd_lower_bound(args):
     circuit = Circuit.from_json(_load(args.circuit))
-    traj = circuit_to_curve(circuit, MetricSpec.from_json(_load(args.metric)))
-    return {"length": float(traj.length), "gate_count": traj.gate_count,
-            "bound_holds": bool(traj.bound_holds)}
+    spec = MetricSpec.from_json(_load(args.metric))
+    traj = circuit_to_curve(circuit, spec)
+    return {
+        "length": float(traj.length),
+        "gate_count": traj.gate_count,
+        "bound_holds": bool(traj.bound_holds),
+    }
 
 
 def _named_gate(name, n):
@@ -143,9 +147,13 @@ def _cmd_isometry_check(args):
             op = UnitaryOperator.from_json(_load(args.operator)).matrix
     iso = IsometryMap(args.kind, operator=op, pauli=args.pauli)
     res = isometry_check(iso, spec, samples=args.samples, n=args.n, seed=args.seed)
-    example = None if res.counterexample is None else res.counterexample.to_json()
-    return {"max_deviation": float(res.max_deviation), "applicable": bool(res.applicable),
-            "counterexample": example}
+    return {
+        "max_deviation": float(res.max_deviation),
+        "applicable": bool(res.applicable),
+        "counterexample": (
+            None if res.counterexample is None else res.counterexample.to_json()
+        ),
+    }
 
 
 def _cmd_reproduce(args):
@@ -169,11 +177,16 @@ def _build_parser():
     p = add("metric-eval", _cmd_metric_eval, "evaluate a Finsler norm on a Pauli vector")
     p.add_argument("--metric", required=True, help="MetricSpec JSON file")
     p.add_argument("--vector", required=True, help="PauliVector JSON file")
-    p.add_argument("--gradient", action="store_true", help="also emit the squared-norm gradient")
+    p.add_argument(
+        "--gradient", action="store_true", help="also emit the squared-norm gradient"
+    )
 
     p = add("coordchange", _cmd_coordchange, "apply the BCH change of coordinates")
-    p.add_argument("--input", required=True, help='JSON file {"x": PauliVector, "y": PauliVector, '
-                   '"direction": "forward"|"backward"}')
+    p.add_argument(
+        "--input",
+        required=True,
+        help='JSON file {"x": PauliVector, "y": PauliVector, "direction": "forward"|"backward"}',
+    )
 
     p = add("geodesic-shoot", _cmd_geodesic_shoot, "integrate the geodesic equation")
     p.add_argument("--metric", required=True)
@@ -206,8 +219,11 @@ def _build_parser():
     p.add_argument("--metric", required=True)
 
     p = add("isometry-check", _cmd_isometry_check, "test a global isometry against a metric")
-    p.add_argument("--kind", required=True,
-                   choices=["pauli", "complex_conjugation", "clifford", "local_unitary", "unitary"])
+    p.add_argument(
+        "--kind",
+        required=True,
+        choices=["pauli", "complex_conjugation", "clifford", "local_unitary", "unitary"],
+    )
     p.add_argument("--gate", choices=["cnot", "swap", "hadamard", "s"])
     p.add_argument("--operator", help="UnitaryOperator JSON file")
     p.add_argument("--pauli", help="Pauli string for --kind pauli")
@@ -217,8 +233,12 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=20260822)
 
     p = add("reproduce", _cmd_reproduce, "run the acceptance suite, emit CSV")
-    p.add_argument("--suite", action="append", choices=sorted(acceptance.SUITES),
-                   help="run only this suite (repeatable); default: all")
+    p.add_argument(
+        "--suite",
+        action="append",
+        choices=sorted(acceptance.SUITES),
+        help="run only this suite (repeatable); default: all",
+    )
     return parser
 
 

@@ -32,7 +32,7 @@ what a call allocates for a size its caller picks (steps, samples, gates) to one
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -342,11 +342,12 @@ class StabilizerSubgroup:
     The constructor checks the generators and builds `elements`, all 2^k products, letter
     patterns only: ValueError without a generator, DimensionMismatch (commutes) if two differ
     in length, NotCommuting if a pair anticommutes, NotIndependent if some generator is a
-    product of the previous ones (up to sign).
+    product of the previous ones (up to sign).  Given `elements` must lie in that span
+    (ValueError otherwise); a subset only makes pauli_geodesic refuse more coefficients.
     """
 
     generators: tuple
-    elements: tuple = field(init=False)
+    elements: tuple = ()
 
     def __post_init__(self):
         self.generators = gens = tuple(validate_string(g) for g in self.generators)
@@ -361,7 +362,9 @@ class StabilizerSubgroup:
             if g in elements:
                 raise NotIndependent(f"{g} is generated by the previous generators")
             elements |= {string_product(e, g) for e in elements}
-        self.elements = tuple(sorted(elements))
+        if not set(self.elements) <= elements:
+            raise ValueError(f"elements outside the span of {gens}")
+        self.elements = tuple(self.elements) or tuple(sorted(elements))
 
     @property
     def n(self) -> int:

@@ -134,9 +134,10 @@ def test_a_subgroup_built_by_hand_is_checked():
     assert StabilizerSubgroup(("ZI", "IZ")).elements == ("II", "IZ", "ZI", "ZZ")
     assert StabilizerSubgroup(("ZI", "IZ")) == stabilizer_span(["ZI", "IZ"])
     with pytest.raises(NotCommuting):
-        StabilizerSubgroup(("ZI", "XI"))
-    with pytest.raises(TypeError):
+        StabilizerSubgroup(("ZI", "XI"), ("II", "XI", "ZI", "ZZ"))
+    with pytest.raises(ValueError):
         StabilizerSubgroup(("ZI", "IZ"), ("II", "XI", "ZI", "ZZ"))
+    assert StabilizerSubgroup(("ZI", "IZ"), ("II", "ZI")).elements == ("II", "ZI")
     for gens, error in (((), ValueError), (("ZI", "Z"), DimensionMismatch), (("ZI", "IQ"), ValueError),
                         (("ZI", "IZ", "ZZ"), NotIndependent)):
         with pytest.raises(error):
