@@ -288,6 +288,7 @@ class IsometryMap:
         if self.kind == "pauli":
             if not self.pauli:
                 raise ValueError("pauli kind needs a Pauli string")
+            validate_string(self.pauli)
         elif self.kind != "complex_conjugation":
             if self.operator is None:
                 raise ValueError(f"{self.kind} kind needs a unitary operator")

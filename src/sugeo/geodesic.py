@@ -157,7 +157,8 @@ class Curve:
         """Every sample's exp(-i x.sigma) A: one stacked exponential, one anchor product a segment."""
         Us = _exp_spectrum(*self.spectrum)
         for (a, b), A in zip(self.segment_bounds(), self.anchors):
-            Us[a:b] = Us[a:b] @ A
+            if not np.array_equal(A, np.eye(len(A))):  # U I = U exactly: skip the product
+                Us[a:b] = Us[a:b] @ A
         return Us
 
     def to_json(self) -> dict:
@@ -440,6 +441,8 @@ def pauli_geodesic(S: StabilizerSubgroup, coeffs: PauliVector, t: float):
     """
     if not math.isfinite(t):
         raise NonFiniteInput(f"t={t} is not finite")
+    if S.n != coeffs.n:
+        raise DimensionMismatch(f"the subgroup acts on {S.n} qubits, the coefficients on {coeffs.n}")
     elements = set(S.elements)
     for s, v in coeffs.terms().items():
         if abs(v) > 1e-12 and s not in elements:

@@ -18,16 +18,17 @@ tau = W h/2pi, the Pauli coefficients are y = (2*pi/d)(tau - v) for v in the
 phase lattice L = W Z^d, and every objective here is separable in y: a
 weighted sum of |y_s| (F1, Fp) or of y_s^2 (F2, Fq).  Since W W = d I, L
 contains d Z^d, so L is the union of the d^{d/2} cosets c + d Z^d (2, 16
-and 4096 at n = 1, 2, 3; cf. the (u | u+v) structure of Barnes-Wall
-lattices, Forney, IEEE Trans. IT 34, 1988).  Within one coset each
-coordinate v_s = c_s + d t_s rounds to tau_s on its own, so scoring every
-coset's rounding and taking the best is the exact minimum: every result
-is certified.  The minimizer is m = W v/d.  In SU mode the constraint
-sum(m) = sum(h)/2pi fixes v_0 = sum(m), whose weight is 0: only the
-cosets with c_0 = sum(h)/2pi mod d are scored, and v_0 is set to the sum.
-The coset table, W/2pi and W/d are cached per (spec, n).  On a 2-core Xeon
-a solve takes about 25 us at n = 1, 2 and, at n = 3, about 0.5 ms in U
-mode (4096 cosets) and 40 us in SU mode (512).
+and 4096 at n = 1, 2, 3), listed by _coset_table through the lattice's
+(u | u+v) recursion (Forney, "Coset codes II", IEEE Trans. IT 34, 1988).
+Within one coset each coordinate v_s = c_s + d t_s rounds to tau_s on its
+own, so scoring every coset's rounding and taking the best is the exact
+minimum: every result is certified.  The minimizer is m = W v/d.  In SU
+mode the constraint sum(m) = sum(h)/2pi fixes v_0 = sum(m), whose weight
+is 0: only the cosets with c_0 = sum(h)/2pi mod d are scored, with tau_0
+set to that integer, so each of them rounds v_0 to it exactly.  The coset
+table, W/2pi and W/d are cached per (spec, n).  On a 2-core Xeon a solve
+takes about 25 us at n = 1, 2 and, at n = 3, about 0.5 ms in U mode (4096
+cosets) and 40 us in SU mode (512).
 `window_used` is max|m_z| of the returned minimizer, `stats` counts the
 cosets scored, and the Hamiltonian is built from the diagonal h - 2*pi*m
 when read.  The volume and coverage functions are U mode only; the
@@ -157,24 +158,20 @@ def cvp_minimal_pauli_geodesic(spec: MetricSpec, U_diag) -> CvpResult:
     Hamiltonian to zero.  The minimum is exact, so `certified` is always
     True; `window_used` reports max|m_z| of the returned minimizer.
     """
-    if isinstance(U_diag, DiagonalUnitary):
-        theta, n = U_diag.phases, U_diag.n  # validated when it was built
-    else:
-        theta, n = _phase_vector(U_diag)
+    theta, n = _phase_vector(U_diag.phases if isinstance(U_diag, DiagonalUnitary) else U_diag)
     if not 1 <= n <= CVP_N_MAX:
         raise DimensionLimit(f"CVP needs 1 <= n <= {CVP_N_MAX}, got n={n}")
     taxicab, w, to_tau, to_m, cosets = _cvp_plan(spec, n)
     dim = len(w)
     h = reduce_phases(theta)
     tau = to_tau @ h
-    su_sum = None
     if spec.mode == SU:
-        total = float(tau[0])  # sum(h)/2pi
-        su_sum = round(total)
-        if abs(total - su_sum) > 1e-9:
+        su_sum = round(float(tau[0]))  # sum(h)/2pi
+        if abs(tau[0] - su_sum) > 1e-9:
             raise NonTracelessInSUMode(
                 "phase sum is not a multiple of 2*pi; U is not special unitary"
             )
+        tau[0] = su_sum  # w_0 = 0: no score moves, and each coset rounds v_0 to sum(m) exactly
         cosets = cosets[su_sum % dim]
 
     R = tau - cosets
@@ -183,11 +180,9 @@ def cvp_minimal_pauli_geodesic(spec: MetricSpec, U_diag) -> CvpResult:
     score = scores[best]
     value = 2 * math.pi / dim * (float(score) if taxicab else math.sqrt(score))
     v = tau - R[best]
-    if su_sum is not None:
-        v[0] = su_sum
     m = (to_m @ v).round().astype(int)
     diagonal = h - 2 * np.pi * m
-    if su_sum is not None:
+    if spec.mode == SU:
         diagonal -= diagonal.sum() / dim
     return CvpResult(m, value, True, max(map(abs, m.tolist())), diagonal=diagonal,
                      stats={"cosets": len(cosets)})
@@ -208,19 +203,21 @@ def _round_and_score(R: np.ndarray, taxicab: bool, w: np.ndarray) -> np.ndarray:
 def _coset_table(n: int) -> np.ndarray:
     """Representatives, entries in [0, d), of the d^{d/2} cosets of d Z^d in W Z^d.
 
-    The representatives are the sums of multiples of the columns of W mod d
-    (d = 2^n), accumulated one column at a time.  Rows are ordered by c_0,
-    and c_0 = sum(m) mod d takes each value equally often, so the rows with
-    c_0 = r form the r-th of d equal blocks.
+    Built from the table of n - 1 by the (u | u+v) recursion: with W' the Walsh matrix of
+    n - 1, W Z^d is the set of (x, y) with x, y in L' = W' Z^{d/2} and x - y in 2L'.  The
+    offsets k = W'e, e in {0,1}^{d/2}, represent L'/2L', so the rows (k + 2a, k + 2b) mod d, a
+    and b rows of the smaller table, hold every coset once.  Rows are sorted lexicographically,
+    and c_0 = sum(m) mod d takes each value equally often, so the rows with c_0 = r form the
+    r-th of d equal blocks.
     """
-    dim = 2**n
-    columns = (_walsh(dim).T % dim).astype(np.uint8)  # bytes keep the build's peak memory low
-    row = np.dtype((np.void, dim))  # one row as one sortable item, for np.unique
-    table = np.zeros((1, dim), dtype=np.uint8)
-    for col in columns:
-        multiples = (table[:, None, :] + np.arange(dim, dtype=np.uint8)[:, None] * col) % dim
-        table = np.unique(multiples.reshape(-1, dim).view(row)).view(np.uint8).reshape(-1, dim)
-    table = table[np.argsort(table[:, 0], kind="stable")].astype(float)
+    table = np.zeros((1, 1))  # n = 0: d Z^d = W Z^d = Z
+    if n:
+        half = 2 ** (n - 1)
+        e = np.arange(2**half)[:, None] >> np.arange(half) & 1
+        x = ((e @ _walsh(half))[:, None] + 2 * _coset_table(n - 1)) % (2 * half)  # [k, a]
+        table = np.concatenate(np.broadcast_arrays(x[:, :, None], x[:, None]), axis=-1)
+        table = table.reshape(-1, 2 * half)
+        table = table[np.lexsort(table.T[::-1])]  # column 0 first
     table.flags.writeable = False
     return table
 

@@ -23,6 +23,7 @@ and fd_el_residual is the Euler-Lagrange residual with M(x) formed at
 every sample and the x-gradient taken by central differences over 2d
 perturbed base points.  Both are slow; the library never forms M(x).
 geodesic_hamiltonian is diag(h - 2 pi m) of a CVP result as a Hermitian operator.
+fq_closed_form is the Fq geodesic of a step penalty above weight 1 in closed form.
 matrix_shoot is shoot_geodesic with every commutator a matrix product
 and every Hessian from metrics.hessian.  segment_curve is circuit_to_curve
 built one segment at a time, each sample as (cos theta I - i sin theta
@@ -37,10 +38,10 @@ from sugeo.coords import (
 )
 from sugeo.errors import DimensionMismatch
 from sugeo.geodesic import _HERMITE
-from sugeo.metrics import grad_f_squared, hessian, norm, norms_batch
+from sugeo.metrics import FQ, grad_f_squared, hessian, norm, norms_batch
 from sugeo.pauli import (
     SU, algebra, basis_dimension, coefficients, entries_of, pauli_matrix,
-    qubits_of_dimension, string_index,
+    qubits_of_dimension, string_index, weights_array,
 )
 
 _CHUNK = 2048
@@ -191,6 +192,37 @@ def matrix_shoot(spec, y0, t_end, steps):
     assert np.max(np.abs(np.linalg.eigvalsh(algebra(xs, n, mode)))) < np.pi - 0.2
     ys = change_coords(xs, hs, n, mode, inverse=True)
     return xs, ys, norms_batch(spec, hs)
+
+
+def _exp_minus_i(H, ts):
+    """exp(-i t H) for each t in ts, H Hermitian, from one eigh."""
+    lam, V = np.linalg.eigh(H)
+    return (V * np.exp(-1j * np.multiply.outer(ts, lam))[:, None, :]) @ V.conj().T
+
+
+def fq_closed_form(spec, x0, y0, ts):
+    """(U(t), h(t)) at each t of ts for the Fq geodesic from (x0, y0), step penalty with cutoff 1.
+
+    The strings of weight <= 1 (with I in U mode) span a subalgebra k and the rest span m, with
+    [k, m] in m.  With q = 1 on k and kappa on m, the momentum is p = h_k + kappa h_m, and
+    [h, p] = (kappa - 1)[h_k, h_m] lies in m: h_k stays constant and h_m turns under it.  With
+    c = 1 - 1/kappa and H0 = E_x0(y0) = H_k + H_m,
+
+        U(t) = exp(-i c t H_k) exp(-i t ((1 - c) H_k + H_m)) U0,   U0 = exp(-i x0.sigma),
+        h(t) = h_k + Ad_{exp(-i c t H_k)} h_m.
+    """
+    penalty, mode = spec.penalty, spec.mode
+    assert spec.family == FQ and penalty.kind == "step" and penalty.low_weight_cutoff == 1
+    n = qubits_of_dimension(len(y0), mode)
+    x0 = np.asarray(x0, dtype=float)
+    h0 = change_coords(x0[None], np.asarray(y0, dtype=float)[None], n, mode)[0]
+    hk = np.where(weights_array(n, mode) <= 1, h0, 0.0)
+    Hk, Hm, X0 = algebra(np.array([hk, h0 - hk, x0]), n, mode)
+    c = 1.0 - 1.0 / penalty.k
+    turn = _exp_minus_i(Hk, c * np.asarray(ts, dtype=float))
+    Us = turn @ _exp_minus_i((1.0 - c) * Hk + Hm, ts) @ _exp_minus_i(X0, [1.0])[0]
+    hs = hk + coefficients(turn @ Hm @ turn.conj().transpose(0, 2, 1), n, mode)
+    return Us, hs
 
 
 def geodesic_hamiltonian(res):

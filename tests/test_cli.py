@@ -278,6 +278,14 @@ def test_pauli_geodesic_rejects_nan_time(capsys, tmp_path):
     assert "NonFiniteInput" in err
 
 
+def test_pauli_geodesic_rejects_a_qubit_count_mismatch(capsys, tmp_path):
+    # a 2-qubit subgroup against 1-qubit coefficients is a size fault, not an outside coefficient
+    coeffs = write_json(tmp_path, "x.json", PauliVector.from_terms(1, {"X": 0.5}).to_json())
+    code, out, err = run(capsys, ["pauli-geodesic", "--generators", "ZI,IZ", "--coeffs", coeffs])
+    assert (code, out) == (1, "")
+    assert err.startswith("DimensionMismatch")
+
+
 def test_volume_bound_cli(capsys, tmp_path):
     metric = write_json(tmp_path, "f2u.json", {"family": "F2", "mode": "U"})
     code, out, _ = run(
@@ -368,6 +376,15 @@ def test_isometry_check_cli(capsys, tmp_path, f1_metric):
     assert obj["applicable"] is True
     assert obj["counterexample"] is None
     assert obj["max_deviation"] < 1e-10
+
+
+@pytest.mark.parametrize("n", ["1", "2"])
+def test_isometry_check_rejects_a_bad_pauli_string(capsys, f1_metric, n):
+    # checked when the map is built, before any size comparison
+    argv = ["isometry-check", "--kind", "pauli", "--pauli", "Q", "--n", n, "--metric", f1_metric]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "not a Pauli string" in err
 
 
 def test_isometry_check_needs_an_operator(capsys, f1_metric):

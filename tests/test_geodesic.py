@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sugeo.coords import _Eigenbasis, _eigh, _log_rows, apply_bch, change_coords, change_coords_forward, unitary_from_coords
+from sugeo.coords import _Eigenbasis, _eigh, _exp_spectrum, _log_rows, apply_bch, change_coords, change_coords_forward, unitary_from_coords
 from sugeo.errors import (
     DimensionLimit,
     DimensionMismatch,
@@ -45,7 +45,7 @@ from sugeo.pauli import (
     SU, U, PauliVector, algebra, bracket, coefficients, qubits_of_dimension, stabilizer_span, to_matrix,
 )
 
-from oracles import fd_el_residual, fd_f_squared_gradients, matrix_shoot, metric_in_pauli_coords
+from oracles import fd_el_residual, fd_f_squared_gradients, fq_closed_form, matrix_shoot, metric_in_pauli_coords
 
 F2_SPEC = MetricSpec(family=F2)
 PEN1 = PenaltyFunction(kind="step", k=4.0, low_weight_cutoff=1)
@@ -280,6 +280,18 @@ def test_pauli_geodesic_curve_unitaries_are_the_exponentials(n, terms):
         expected = pauli_geodesic(S, coeffs, t).matrix
         assert np.max(np.abs(Us[i] - expected)) < 1e-13
         assert np.max(np.abs(curve.unitary_at(i) - expected)) < 1e-13
+
+
+def test_unitaries_skip_identity_anchors_and_keep_every_other_product():
+    """A Pauli geodesic's anchor is I: unitaries() is the stacked exponential itself, bit for bit.
+    A re-anchoring shot's samples are that exponential times their segment's anchor."""
+    line = pauli_geodesic_curve(MetricSpec(FQ, penalty=PEN1), PauliVector.from_terms(2, {"XX": 0.5, "ZZ": -0.4}), 1.0)
+    assert line.unitaries().tobytes() == _exp_spectrum(*line.spectrum).tobytes()
+    shot = _three_chart_shot()
+    assert np.array_equal(shot.anchors[0], np.eye(4))
+    exps = _exp_spectrum(*shot.spectrum)
+    expected = np.concatenate([exps[a:b] @ A for (a, b), A in zip(shot.segment_bounds(), shot.anchors)])
+    assert np.array_equal(shot.unitaries(), expected)
 
 
 def test_per_sample_rows_keep_the_per_sample_products():
@@ -524,6 +536,33 @@ def test_shot_matches_the_matrix_commutator_oracle(n, spec, t_end, steps):
     assert np.max(np.abs(curve.speeds - speeds)) < 1e-12
 
 
+def _assert_the_shot_follows_fq_closed_form(spec, x0, y0, t_end):
+    """A default-step shot: U and h = E_x(y) at every sample within 1e-12 of the closed form."""
+    curve = shoot_geodesic(spec, x0, y0, t_end)
+    Us, hs = fq_closed_form(spec, x0, y0, curve.ts)
+    assert np.max(np.abs(curve.unitaries() - Us)) < 1e-12
+    assert np.max(np.abs(change_coords(curve.xs, curve.ys, curve.n, spec.mode) - hs)) < 1e-12
+    return curve
+
+
+@pytest.mark.parametrize("n, mode", [(1, SU), (1, U), (2, SU), (2, U), (3, SU), (3, U), (4, U)])
+@pytest.mark.parametrize("kappa, t_end", [(4.0, 1.0), (100.0, -1.0)])
+def test_fq_shot_follows_the_closed_form(n, mode, kappa, t_end):
+    """Step penalty above weight 1, |x0| = 0.3 and |y0| = 1 (n = 4 in U mode only, for time):
+    a check of the field table and the reconstruction that shares no integrator with the shot."""
+    spec = MetricSpec(FQ, mode=mode, penalty=PenaltyFunction(kind="step", k=kappa, low_weight_cutoff=1))
+    x0, y0 = np.random.default_rng(n).standard_normal((2, pauli.basis_dimension(n, mode)))
+    _assert_the_shot_follows_fq_closed_form(spec, 0.3 * x0 / np.linalg.norm(x0), y0 / np.linalg.norm(y0), t_end)
+
+
+def test_a_reanchoring_fq_shot_follows_the_closed_form():
+    x0 = np.random.default_rng(5).standard_normal(15)
+    y0 = np.linspace(-1.0, 1.0, 15) + 0.1  # the direction of _three_chart_shot
+    x0, y0 = 0.3 * x0 / np.linalg.norm(x0), 1.5 * y0 / np.linalg.norm(y0)
+    curve = _assert_the_shot_follows_fq_closed_form(MetricSpec(FQ, penalty=PEN1), x0, y0, 1.5)
+    assert len(curve.segments) > 1
+
+
 def test_zero_velocity_rejected():
     with pytest.raises(ZeroVector):
         shoot_geodesic(F2_SPEC, np.zeros(3), np.zeros(3), 1.0)
@@ -652,6 +691,15 @@ def test_pauli_geodesic_rejects_outside_subgroup():
     S = stabilizer_span(("Z",))
     with pytest.raises(UnsupportedCoefficient):
         pauli_geodesic(S, PauliVector.from_terms(1, {"X": 0.5}), 1.0)
+
+
+@pytest.mark.parametrize("generators, coeffs", [
+    (("ZI", "IZ"), PauliVector.from_terms(1, {"X": 0.5})),
+    (("Z",), PauliVector.zero(2)),  # no coefficient to refuse: was a 2-qubit identity
+])
+def test_pauli_geodesic_rejects_a_qubit_count_mismatch(generators, coeffs):
+    with pytest.raises(DimensionMismatch):
+        pauli_geodesic(stabilizer_span(generators), coeffs, 1.0)
 
 
 def test_pauli_geodesic_on_a_subgroup_built_by_hand():

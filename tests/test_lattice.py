@@ -367,6 +367,13 @@ def test_coset_table_is_a_full_set_of_representatives(n):
     assert np.all((table @ hadamard(d)) % d == 0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_coset_table_rows_ascend_strictly(n):
+    # lexicographic, column 0 first: the SU blocks cosets[r] of _cvp_plan are the rows with c_0 = r
+    rows = _coset_table(n).tolist()
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+
+
 @pytest.mark.parametrize("d", [1, 2, 4, 8, 16])
 def test_walsh_matches_scipy_hadamard(d):
     assert np.array_equal(_walsh(d), hadamard(d).astype(float))
