@@ -404,7 +404,11 @@ def run_isometry():
 
 
 def run_volume():
-    """F2 coverage radius against Stirling brackets; Monte Carlo coverage at n=1."""
+    """F2 coverage radius against Stirling brackets; Monte Carlo coverage at n=1 and n=3.
+
+    At n=3 (claim (c)) the balls of radius r about the lattice points cover at most
+    V_F(r)/det L of the cell, so the sampled fraction may exceed that only by 3 standard errors.
+    """
     rows = []
     base = math.sqrt(2 * math.pi / math.e)
     spec2 = MetricSpec(F2, mode=U)
@@ -431,6 +435,10 @@ def run_volume():
         rows.append(
             _row(f"volume mc {name}", f"{f_exact:.6g} +- 3 stderr", f"{fhat:.6g}", ok)
         )
+    ratio = unit_ball_volume(spec2, 1.5, 3) / math.exp(lattice_log_det(3))
+    fhat = monte_carlo_coverage(spec2, 1.5, 3, samples=10000, seed=_SEED)
+    ok = fhat <= ratio + 3 * math.sqrt(ratio * (1 - ratio) / 10000)
+    rows.append(_row("volume mc F2 n=3 r=1.5", f"<= {ratio:.6g} + 3 stderr", f"{fhat:.6g}", ok))
     return rows
 
 

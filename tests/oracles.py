@@ -23,6 +23,9 @@ and fd_el_residual is the Euler-Lagrange residual with M(x) formed at
 every sample and the x-gradient taken by central differences over 2d
 perturbed base points.  Both are slow; the library never forms M(x).
 geodesic_hamiltonian is diag(h - 2 pi m) of a CVP result as a Hermitian operator.
+flat_cvp and flat_coverage solve the n = 3 CVP over every row of the flat
+coset table, 4096 rows of width 8, without the library's split of each row
+into (u | u+v) halves.
 fq_closed_form is the Fq geodesic of a step penalty above weight 1 in closed form.
 matrix_shoot is shoot_geodesic with every commutator a matrix product
 and every Hessian from metrics.hessian.  segment_curve is circuit_to_curve
@@ -38,6 +41,7 @@ from sugeo.coords import (
 )
 from sugeo.errors import DimensionMismatch
 from sugeo.geodesic import _HERMITE
+from sugeo.lattice import _coset_table, _cvp_plan, _diag_weights, _walsh, reduce_phases
 from sugeo.metrics import FQ, grad_f_squared, hessian, norm, norms_batch
 from sugeo.pauli import (
     SU, algebra, basis_dimension, coefficients, entries_of, pauli_matrix,
@@ -228,6 +232,37 @@ def fq_closed_form(spec, x0, y0, ts):
 def geodesic_hamiltonian(res):
     """The CvpResult's minimal geodesic Hamiltonian, diag(res.diagonal), as a Hermitian matrix."""
     return np.diag(res.diagonal.astype(complex))
+
+
+def _flat_round(R, w, taxicab):
+    """(R rounded to its cosets' nearest points mod 8, the scores) of the rows R = tau - c."""
+    R = R - 8 * np.round(R / 8)
+    return R, (np.abs(R) @ w if taxicab else (R * R) @ w)
+
+
+def flat_cvp(spec, theta):
+    """(value, minimizer) of the n = 3 CVP, scored over the whole rows of _coset_table(3)."""
+    taxicab, w, to_tau, to_m, _ = _cvp_plan(spec, 3)
+    h = reduce_phases(np.asarray(theta, dtype=float))
+    tau, cosets = to_tau @ h, _coset_table(3)
+    if spec.mode == SU:
+        tau[0] = round(float(tau[0]))
+        cosets = cosets[cosets[:, 0] == tau[0] % 8]
+    R, scores = _flat_round(tau - cosets, w, taxicab)
+    best = scores.argmin()
+    value = np.pi / 4 * (scores[best] if taxicab else np.sqrt(scores[best]))
+    return value, (to_m @ (tau - R[best])).round().astype(int)
+
+
+def flat_coverage(spec, r, samples, seed):
+    """monte_carlo_coverage(spec, r, 3, samples, seed), one whole row of _coset_table(3) at a time."""
+    taxicab, w = _diag_weights(spec, 3)
+    phases = np.random.default_rng(seed).uniform(-np.pi, np.pi, size=(samples, 8))
+    tau = phases @ _walsh(8) / (2 * np.pi)
+    best = np.full(samples, np.inf)
+    for c in _coset_table(3):
+        best = np.minimum(best, _flat_round(tau - c, w, taxicab)[1])
+    return float(np.mean(np.pi / 4 * (best if taxicab else np.sqrt(best)) <= r))
 
 
 def gate_unitary(circuit, gate):

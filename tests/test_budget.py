@@ -76,7 +76,9 @@ SITES = {
                 {1: 32, 2: 16, 3: 8, 4: 4}),
     "isometry": (_isometry, lambda s, n: s * (8 * (4**n - 1) + 48 * 4**n), (1, 2, 3, 4),
                  {1: 4000, 2: 2000, 3: 500, 4: 200}),
-    "coverage": (_coverage, lambda s, n: s * 8 * (4 * 2**n + 1), (1, 2, 3), {1: 20000, 2: 10000, 3: 2000}),
+    # tau, R and two rounding temporaries (R is a half-row 2^(n-1) wide at n = 3), and 4 vectors
+    "coverage": (_coverage, lambda s, n: s * 8 * (2**n + 3 * 2 ** min(n, 2) + 4), (1, 2, 3),
+                 {1: 20000, 2: 10000, 3: 2000}),
     "pauli_geodesic": (_pauli_geodesic, lambda s, n: s * (16 * 4**n + 8 * 2**n + 16), (1, 2, 3, 4),
                        {1: 4000, 2: 2000, 3: 500, 4: 200}),
     "tensor": (_tensor, lambda s, n: s * 160 * 4**n, (2, 3, 4), {2: 2000, 3: 1000, 4: 400}),

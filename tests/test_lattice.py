@@ -50,7 +50,7 @@ from sugeo.metrics import (
 )
 from sugeo.pauli import SU, U, string_index, to_matrix
 
-from oracles import geodesic_hamiltonian
+from oracles import flat_coverage, flat_cvp, geodesic_hamiltonian
 
 F1_U = MetricSpec(family=F1, mode=U)
 F2_U = MetricSpec(family=F2, mode=U)
@@ -170,7 +170,7 @@ def test_cvp_and_oracle_n3_closed_form(k):
     theta[-1] = np.pi
     res = cvp_minimal_pauli_geodesic(spec, theta)
     assert res.certified
-    assert res.stats["cosets"] == 4096
+    assert res.stats == {"cosets": 4096, "rows": 512}  # 16 classes x 2 halves x 16 half-rows
     expected = np.pi * (k - (2 + n + n * n) / 2 ** (n + 1) * (k - 1.0))
     assert res.value == pytest.approx(expected, rel=1e-12)
 
@@ -226,7 +226,7 @@ def test_cvp_exact_against_brute_force(n, case, mode, cutoff, raw):
     spec = MetricSpec(family=family, penalty=pen, mode=mode)
     res = cvp_minimal_pauli_geodesic(spec, theta)
     assert res.certified
-    assert res.stats["cosets"] == d ** (d // 2) // (d if mode == SU else 1)
+    assert res.stats["cosets"] == res.stats["rows"] == d ** (d // 2) // (d if mode == SU else 1)
 
     kind, w, h, su_sum = _cvp_problem(spec, theta)
     zero = np.zeros(d, dtype=int)
@@ -243,6 +243,49 @@ def test_cvp_exact_against_brute_force(n, case, mode, cutoff, raw):
     assert res.value == pytest.approx(
         _diag_value(kind, w, h, res.minimizer[None, :])[0], rel=1e-12, abs=1e-12
     )
+
+
+SPLIT_CASES = [(F1, None), (FP, 1.5), (FP, 4.0), (FP, 100.0), (F2, None), (FQ, 4.0), (FQ, 100.0)]
+
+
+@pytest.mark.parametrize("mode", [U, SU])
+@pytest.mark.parametrize("family, k", SPLIT_CASES)
+def test_cvp_n3_halves_match_the_flat_coset_table(family, k, mode):
+    """The (u | u+v) split against every row of the flat table: the same minimum, and the same
+    minimizer but on exact ties (pi/2 multiples provoke them), where F agrees at both."""
+    rng = np.random.default_rng(3)
+    for cutoff in (1, 2) if k else (None,):
+        pen = None if k is None else PenaltyFunction(kind="step", k=k, low_weight_cutoff=cutoff)
+        spec = MetricSpec(family=family, penalty=pen, mode=mode)
+        for i in range(40):
+            theta = rng.uniform(-np.pi, np.pi, 8) if i % 2 else rng.integers(-3, 5, 8) * np.pi / 2
+            if mode == SU:
+                theta[-1] = -np.sum(theta[:-1])
+            res = cvp_minimal_pauli_geodesic(spec, theta)
+            value, minimizer = flat_cvp(spec, theta)
+            assert res.value == pytest.approx(value, rel=1e-15, abs=1e-300)
+            assert res.stats == ({"cosets": 4096, "rows": 512} if mode == U else
+                                 {"cosets": 512, "rows": 256})
+            if not np.array_equal(res.minimizer, minimizer):
+                kind, w, h, _ = _cvp_problem(spec, theta)
+                at = _diag_value(kind, w, h, np.array([res.minimizer, minimizer]))
+                assert at[0] == pytest.approx(at[1], rel=1e-14, abs=1e-300)
+                assert i % 2 == 0  # only the pi/2 multiples tie
+
+
+COVERAGE_SPECS = [
+    F1_U,
+    F2_U,
+    MetricSpec(family=FP, penalty=PenaltyFunction(kind="step", k=4.0), mode=U),
+    MetricSpec(family=FQ, penalty=PenaltyFunction(kind="step", k=100.0, low_weight_cutoff=1), mode=U),
+]
+
+
+@pytest.mark.parametrize("spec", COVERAGE_SPECS)
+@pytest.mark.parametrize("r", [1.0, 1.5, 2.5])
+def test_monte_carlo_n3_halves_match_the_flat_coset_table(spec, r):
+    # F2 at r = 1.5 reads 0.1658 over 10000 samples; half-rows rounded with period 4 read 0.3267
+    assert monte_carlo_coverage(spec, r, 3, samples=200, seed=7) == flat_coverage(spec, r, 200, 7)
 
 
 def _babai_point(kind, w, h, su_sum):
@@ -580,7 +623,7 @@ def test_monte_carlo_restricted():
     for n in (0, 4):
         with pytest.raises(DimensionLimit):
             monte_carlo_coverage(F1_U, 1.0, n)
-    for samples in (0, -5):
+    for samples in (0, -5, 2.5, True):  # a float or bool is refused before anything is drawn
         with pytest.raises(ValueError):
             monte_carlo_coverage(F1_U, 1.0, 1, samples=samples)
 
